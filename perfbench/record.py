@@ -1,6 +1,6 @@
 """Record the reference outputs the benchmark checks against.
 
-    python3 perfbench/record.py [--workload NAME ...]
+    python3 perfbench/record.py
 
 For every seed slot, runs the workload's op once in a fresh interpreter and
 stores what it produced in perfbench/reference/<workload>.json: per grid cell
@@ -11,7 +11,6 @@ outputs are known good; the references then hold later commits to them.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -24,11 +23,8 @@ from run import run_child  # noqa: E402
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", action="append", choices=W.WORKLOADS)
-    args = parser.parse_args()
     W.REFERENCE_DIR.mkdir(exist_ok=True)
-    for workload in args.workload or W.WORKLOADS:
+    for workload in W.WORKLOADS:
         slots = {}
         for slot in range(W.SEED_SLOTS):
             slots[str(slot)] = run_child(["record", workload, str(slot)],

@@ -3,14 +3,14 @@
     python3 perfbench/run.py --workload size_grid --seed 0 --seconds 25 --trace 0
 
 Workloads (see BENCHMARK.json and METRICS.md):
-  size_grid      hdwn simulate --config table1 --reps 100 --threads 2, in rounds
-  power_grid     hdwn simulate --config table2 --reps 100 --threads 2, in rounds
+  size_grid      hdwn simulate --config table1 --reps 50 --threads 2, in rounds
+  power_grid     hdwn simulate --config table2 --reps 50 --threads 2, in rounds
   highdim_calls  closed loop of ss/flm/pv/max/fc_test at H=3 on t(3) series
                  with p > n, one caller
 
-The run starts three fresh interpreters. Two only set up; the third sets up
+The run starts five fresh interpreters. Four only set up; the fifth sets up
 the same way and then runs the workload. Set-up time is the median of the
-three. With --trace 0 the run prints the end-to-end metrics. With --trace 1
+five. With --trace 0 the run prints the end-to-end metrics. With --trace 1
 it replays the work layer by layer under spans and prints the per-layer
 metrics. Outputs are checked against references recorded at the seed's
 slot (record.py). The line before the result holds the environment block.
@@ -38,7 +38,7 @@ import workloads as W  # noqa: E402
 #: Fresh interpreters that only set up, in every run; the workload process
 #: adds one more sample. One import varies by almost a factor of two from
 #: process to process.
-SETUP_ONLY_SAMPLES = 2
+SETUP_ONLY_SAMPLES = 4
 #: Every run must end within this many seconds.
 RUN_BUDGET_S = 170.0
 

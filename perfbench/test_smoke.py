@@ -3,8 +3,8 @@
     python3 -m pytest perfbench/test_smoke.py -q
 
 Each case starts the runner exactly as BENCHMARK.json's command does, with
---seconds 1, so a grid case still runs one full simulate round; the whole
-file takes a few minutes on two cores.
+--seconds 1, so a grid case still runs its five simulate rounds; the whole
+file takes about 2.5 minutes on two cores.
 """
 
 from __future__ import annotations

@@ -25,9 +25,11 @@ SEED_SLOTS = 32
 GRID_PRESETS = {"size_grid": "table1", "power_grid": "table2"}
 WORKLOADS = ("size_grid", "power_grid", "highdim_calls")
 
-#: One grid round is `hdwn simulate --config <preset> --reps 100 --threads 2`.
-#: 100 reps keep a single flipped reject flag (0.01) inside the rate tolerance.
-GRID_REPS = 100
+#: One grid round is `hdwn simulate --config <preset> --reps 50 --threads 2`.
+#: 50 reps keep a single flipped reject flag (0.02) inside the rate tolerance
+#: and let a run hold at least MIN_ROUNDS rounds.
+GRID_REPS = 50
+MIN_ROUNDS = 5
 GRID_THREADS = 2
 RATE_TOL = 0.02
 
