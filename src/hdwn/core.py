@@ -89,6 +89,14 @@ class SignMatrix:
             raise InvalidInputError("sign rows must have norm 1 or be exactly zero")
         object.__setattr__(self, "data", arr)
 
+    @classmethod
+    def _trusted(cls, arr: np.ndarray) -> "SignMatrix":
+        """Wrap rows that are unit or zero by construction, skipping validation."""
+        arr.flags.writeable = False
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "data", arr)
+        return obj
+
     @property
     def n(self) -> int:
         return self.data.shape[0]
@@ -192,7 +200,7 @@ def sign_transform(eps) -> SignMatrix:
     W = X / safe_scale[:, None]
     norms = np.sqrt((W * W).sum(axis=1))
     safe_norm = np.where(norms == 0.0, np.inf, norms)
-    return SignMatrix(W / safe_norm[:, None])
+    return SignMatrix._trusted(W / safe_norm[:, None])
 
 
 def _offdiag_square_sum(G: np.ndarray) -> float:

@@ -16,6 +16,7 @@ import math
 import zlib
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -352,6 +353,27 @@ def gen_series(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int, seed,
         innov_rng = derive_rng(seed, "innov")
 
     A = resolve_coeff(model, coeff_rng)
+    burn, L = _checked_model(model, A, p, innov_cov)
+    return _draw_series(model.kind, A, burn, scenario, int(n), L, innov_rng)
+
+
+def _series_sampler(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int,
+                    innov_cov=None) -> Callable[[np.random.Generator], SeriesMatrix]:
+    """rng -> gen_series(model, scenario, n, p, rng, innov_cov), drawn for drawn.
+
+    A fixed coefficient matrix is checked and the innovation covariance
+    factored once here, so that each call only draws.
+    """
+    if model.kind is ModelKind.H1_SIGN or isinstance(model.coeff, CoeffSpec):
+        # the alternative or the coefficients come from each call's generator
+        return partial(gen_series, model, scenario, n, p, innov_cov=innov_cov)
+    A = resolve_coeff(model, None)
+    burn, L = _checked_model(model, A, p, innov_cov)
+    return partial(_draw_series, model.kind, A, burn, scenario, int(n), L)
+
+
+def _checked_model(model: ModelSpec, A, p: int, innov_cov) -> tuple[int, np.ndarray]:
+    """Burn-in and innovation Cholesky factor of a model with its coefficients fixed."""
     if A is not None and A.shape != (p, p):
         raise InvalidSpecError(f"coefficient matrix is {A.shape}, expected ({p}, {p})")
     if model.kind is ModelKind.VAR1 and _spectral_radius(A) >= 1.0:
@@ -364,20 +386,25 @@ def gen_series(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int, seed,
         raise InvalidSpecError("vma1 needs burn_in >= 1 to seed the lagged innovation")
 
     cov = np.eye(p) if innov_cov is None else np.asarray(innov_cov, dtype=float)
-    L = _cholesky(cov)
-    total = int(n) + burn
-    Z = _innovation_rows(scenario, L, total, innov_rng)
+    return burn, _cholesky(cov)
 
-    if model.kind is ModelKind.IID:
+
+def _draw_series(kind: ModelKind, A, burn: int, scenario: ScenarioSpec, n: int,
+                 L: np.ndarray, rng: np.random.Generator) -> SeriesMatrix:
+    p = L.shape[0]
+    total = n + burn
+    Z = _innovation_rows(scenario, L, total, rng)
+
+    if kind is ModelKind.IID:
         out = Z[burn:]
-    elif model.kind is ModelKind.VAR1:
+    elif kind is ModelKind.VAR1:
         out_full = np.empty_like(Z)
         x = np.zeros(p)
         for t in range(total):
             x = A @ x + Z[t]
             out_full[t] = x
         out = out_full[burn:]
-    elif model.kind is ModelKind.VMA1:
+    elif kind is ModelKind.VMA1:
         out = (Z[1:] + Z[:-1] @ A.T)[burn - 1:]
     else:  # VARMA1: x_0 = z_0, then x_t = 0.5 A x_{t-1} + z_t + 0.5 A z_{t-1}
         half_A = 0.5 * A

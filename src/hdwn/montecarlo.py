@@ -9,11 +9,15 @@ replications.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -22,9 +26,9 @@ from .dgp import (
     ModelKind,
     ModelSpec,
     ScenarioSpec,
+    _series_sampler,
     build_covariance,
     derive_rng,
-    gen_series,
     resolve_coeff,
 )
 from .errors import InvalidSpecError, McRunError
@@ -120,7 +124,65 @@ class McReport:
 
 
 def _auto_threads() -> int:
-    return min(os.cpu_count() or 1, 8)
+    # BLAS runs single-threaded inside run_experiment, so the executor
+    # threads are the only parallelism: one per usable CPU
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    return min(max(usable, 1), 8)
+
+
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved = 0
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count calls of numpy's bundled OpenBLAS, or None.
+
+    Loaded on first use so that importing hdwn stays cheap. Opening the
+    library numpy already holds returns that same instance, so the calls act
+    on the BLAS behind numpy's matrix products.
+    """
+    import ctypes
+
+    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob(
+        "libscipy_openblas64_*.so"))
+    try:
+        lib = ctypes.CDLL(str(libs[0]))
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get_threads, set_threads
+
+
+@contextmanager
+def _single_threaded_blas():
+    """Run the body with OpenBLAS at one thread, then restore the caller's count.
+
+    Overlapping scopes from several threads share one pin: the first to
+    enter saves the count and the last to leave restores it. Without the
+    bundled OpenBLAS the body runs unpinned.
+    """
+    global _blas_depth, _blas_saved
+    with _blas_lock:
+        api = _openblas()
+        if _blas_depth == 0 and api is not None:
+            _blas_saved = api[0]()
+            api[1](1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0 and api is not None:
+                api[1](_blas_saved)
 
 
 def _resolve_model(cfg: McConfig) -> tuple[ModelSpec, float | None]:
@@ -132,6 +194,7 @@ def _resolve_model(cfg: McConfig) -> tuple[ModelSpec, float | None]:
     return replace(model, coeff=A), float((A * A).sum())
 
 
+@_single_threaded_blas()
 def run_experiment(cfg: McConfig) -> McReport:
     """Run every requested test at every lag window over reps replications.
 
@@ -139,15 +202,16 @@ def run_experiment(cfg: McConfig) -> McReport:
     and records a reject flag per (test, H). Replications where a test raises
     a degenerate-data style error are excluded from that test's denominator
     and counted; a cell whose error fraction exceeds 1% fails the whole run.
+    BLAS runs single-threaded throughout, so the bits of every statistic
+    depend on neither the executor nor the BLAS thread count.
     """
     start = time.perf_counter()
     model, fingerprint = _resolve_model(cfg)
-    innov_cov = build_covariance(cfg.cov)
+    draw = _series_sampler(model, cfg.scenario, cfg.n, cfg.p, build_covariance(cfg.cov))
     keys = [(t, h) for t in cfg.tests for h in cfg.H_values]
 
     def one_rep(r: int) -> dict[tuple[str, int], bool | None]:
-        rng = derive_rng(cfg.master_seed, "rep", r)
-        series = gen_series(model, cfg.scenario, cfg.n, cfg.p, rng, innov_cov=innov_cov)
+        series = draw(derive_rng(cfg.master_seed, "rep", r))
         outcomes, errs = evaluate_tests_collect(series, cfg.tests, cfg.H_values, cfg.alpha)
         flags: dict[tuple[str, int], bool | None] = {}
         for key in keys:

@@ -3,9 +3,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import hdwn
 
 from hdwn.cli import (
     main,
@@ -268,3 +274,11 @@ class TestRoundTrip:
 
         x = 0.12345678901234567
         assert float(_fmt(x)) == x
+
+
+def test_import_does_not_load_scipy_stats():
+    src = str(Path(hdwn.__file__).resolve().parent.parent)
+    code = "import sys, hdwn, hdwn.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -104,6 +104,18 @@ class TestSignTransform:
         assert np.array_equal(out.data[0], [0.0, 0.0])
         assert np.array_equal(out.data[2], [0.0, 0.0])
 
+    def test_output_is_frozen_and_passes_validation(self, rng):
+        X = rng.standard_normal((7, 4))
+        X[3] = 0.0
+        out = sign_transform(X)
+        assert isinstance(out, SignMatrix)
+        assert not out.data.flags.writeable
+        assert np.array_equal(SignMatrix(out.data).data, out.data)
+
+    def test_public_constructor_still_validates(self):
+        with pytest.raises(InvalidInputError):
+            SignMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
 
 class TestTraceOmega2:
     def test_identical_unit_rows(self):

@@ -143,6 +143,29 @@ class TestGenSeries:
         X = gen_series(model, ScenarioSpec.student_t(3), 200, 80, 11).data
         assert np.isfinite(X).all()
 
+    def test_sampler_draws_equal_gen_series(self):
+        from hdwn.dgp import _series_sampler
+
+        cov = build_covariance(CovarianceSpec("polydecay", 6))
+        A = gen_coeff(CoeffSpec("dense", 6), derive_rng(3, "coeff"))
+        models = [ModelSpec(ModelKind.IID), ModelSpec(ModelKind.IID, coeff=CoeffSpec("dense", 6))]
+        models += [ModelSpec(kind, coeff=A) for kind in (ModelKind.VAR1, ModelKind.VMA1,
+                                                          ModelKind.VARMA1)]
+        models.append(ModelSpec(ModelKind.H1_SIGN, h1=H1Spec(CovarianceSpec("identity", 6))))
+        scenario = ScenarioSpec.student_t(3)
+        for model in models:
+            draw = _series_sampler(model, scenario, 30, 6, cov)
+            for r in range(3):
+                want = gen_series(model, scenario, 30, 6, derive_rng(4, "rep", r), innov_cov=cov)
+                assert np.array_equal(draw(derive_rng(4, "rep", r)).data, want.data)
+
+    def test_sampler_checks_the_model_once_up_front(self):
+        from hdwn.dgp import _series_sampler
+
+        model = ModelSpec(ModelKind.VAR1, coeff=1.1 * np.eye(3))
+        with pytest.raises(ExplosiveModelError):
+            _series_sampler(model, ScenarioSpec.normal(), 20, 3)
+
     def test_explosive_matrix_rejected(self):
         model = ModelSpec(ModelKind.VAR1, coeff=1.1 * np.eye(3))
         with pytest.raises(ExplosiveModelError):

@@ -1,8 +1,16 @@
 """Replication engine: determinism, error budget, orderings, table layout."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
+
+import hdwn
+import hdwn.montecarlo as mc
 
 from hdwn import (
     CoeffSpec,
@@ -131,6 +139,148 @@ class TestRunExperiment:
             null_config(tests=("nope",))
         with pytest.raises(InvalidSpecError):
             null_config(cov=CovarianceSpec("identity", 4))
+
+
+def _erroring_evaluator(real):
+    """Wraps evaluate_tests_collect so that every replication errors."""
+    from hdwn.errors import DegenerateDataError
+
+    def evaluate(eps, tests, H_values, alpha=0.05):
+        outcomes, errors = real(eps, tests, H_values, alpha)
+        for key in list(outcomes):
+            errors[key] = DegenerateDataError("synthetic failure")
+            del outcomes[key]
+        return outcomes, errors
+
+    return evaluate
+
+
+#: Hashes the standardized statistics of three p > n evaluations in the
+#: pinned scope; run under different OPENBLAS_NUM_THREADS settings.
+_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+import hdwn
+from hdwn.montecarlo import _single_threaded_blas
+
+digest = hashlib.sha256()
+with _single_threaded_blas():
+    for r in range(3):
+        X = hdwn.gen_series(hdwn.ModelSpec("iid"), hdwn.ScenarioSpec.student_t(3),
+                            400, 300, hdwn.derive_rng(7, "blas", r))
+        outcomes, _ = hdwn.evaluate_tests_collect(X, ("ss", "flm", "max"), (1, 2, 3))
+        for key in sorted(outcomes):
+            digest.update(np.float64(outcomes[key].standardized).tobytes())
+print(digest.hexdigest())
+"""
+
+
+class TestBlasPin:
+    @pytest.fixture
+    def blas(self):
+        """(get, set) of the bundled OpenBLAS, left at 2 threads for the test."""
+        api = mc._openblas()
+        if api is None:
+            pytest.skip("numpy's bundled OpenBLAS is not available")
+        get, set_ = api
+        saved = get()
+        set_(2)
+        yield get, set_
+        set_(saved)
+
+    def test_pinned_during_replications_and_restored(self, blas, monkeypatch):
+        get, _ = blas
+        before = get()
+        seen = []
+        real = mc.evaluate_tests_collect
+
+        def recording(eps, tests, H_values, alpha=0.05):
+            seen.append(get())
+            return real(eps, tests, H_values, alpha)
+
+        monkeypatch.setattr(mc, "evaluate_tests_collect", recording)
+        run_experiment(null_config(reps=8, threads=2))
+        assert seen == [1] * 8
+        assert get() == before
+
+    def test_restored_after_run_error(self, blas, monkeypatch):
+        get, _ = blas
+        before = get()
+        monkeypatch.setattr(mc, "evaluate_tests_collect",
+                            _erroring_evaluator(mc.evaluate_tests_collect))
+        with pytest.raises(McRunError):
+            run_experiment(null_config(reps=10))
+        assert get() == before
+
+    def test_overlapping_scopes_restore_when_the_last_leaves(self, blas):
+        get, _ = blas
+        before = get()
+        worker_inside, main_left = threading.Event(), threading.Event()
+        seen = []
+
+        def worker():
+            with mc._single_threaded_blas():
+                worker_inside.set()
+                main_left.wait(10)
+                seen.append(get())
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        assert worker_inside.wait(10)
+        with mc._single_threaded_blas():
+            seen.append(get())
+        seen.append(get())
+        main_left.set()
+        thread.join(10)
+        assert not thread.is_alive()
+        assert seen == [1, 1, 1]
+        assert get() == before
+
+    def test_concurrent_scopes_keep_the_pin(self, blas):
+        get, _ = blas
+        before = get()
+        unpinned = []
+
+        def worker():
+            for _ in range(300):
+                with mc._single_threaded_blas():
+                    if get() != 1:
+                        unpinned.append(get())
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert unpinned == []
+        assert get() == before
+
+    def test_statistics_do_not_depend_on_blas_threads(self, blas):
+        src = str(Path(hdwn.__file__).resolve().parent.parent)
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            out = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
+
+
+class TestAutoThreads:
+    def test_follows_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert mc._auto_threads() == 1
+
+    def test_capped_at_eight(self, monkeypatch):
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(32)),
+                            raising=False)
+        assert mc._auto_threads() == 8
 
 
 class TestTables:

@@ -230,6 +230,18 @@ class TestFcTest:
         assert abs(out.p_value - chi2_4_upper_tail(4.0)) <= 1e-12
         assert abs(out.p_value - 0.4060058497098381) <= 1e-12
 
+    def test_closed_form_tail_matches_scipy(self):
+        from scipy.stats import chi2
+
+        from hdwn.stats_tests import _chi2_4_upper_tail
+
+        assert _chi2_4_upper_tail(0.0) == 1.0
+        xs = np.linspace(0.0, 1400.0, 20001)
+        for x, ref in zip(xs, chi2.sf(xs, 4)):
+            got = _chi2_4_upper_tail(float(x))
+            # absolute floor where both sides reach the subnormal range
+            assert abs(got - ref) <= 1e-12 * ref + 1e-306
+
     def test_combines_components(self, rng):
         X = rng.standard_normal((40, 6))
         out = fc_test(X, 2, 0.05)
