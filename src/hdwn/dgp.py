@@ -391,6 +391,7 @@ def _checked_model(model: ModelSpec, A, p: int, innov_cov) -> tuple[int, np.ndar
 
 def _draw_series(kind: ModelKind, A, burn: int, scenario: ScenarioSpec, n: int,
                  L: np.ndarray, rng: np.random.Generator) -> SeriesMatrix:
+    """One series of a checked model; L factors the innovation covariance."""
     p = L.shape[0]
     total = n + burn
     Z = _innovation_rows(scenario, L, total, rng)

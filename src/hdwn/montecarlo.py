@@ -130,9 +130,10 @@ def _auto_threads() -> int:
         usable = len(os.sched_getaffinity(0))
     else:
         usable = os.cpu_count() or 1
-    return min(max(usable, 1), 8)
+    return min(usable, 8)
 
 
+# the BLAS thread count is process-wide, so the state of its pin is too
 _blas_lock = threading.Lock()
 _blas_depth = 0
 _blas_saved = 0
