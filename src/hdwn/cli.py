@@ -45,7 +45,14 @@ from .errors import (
     NotPositiveDefiniteError,
     UndefinedMomentError,
 )
-from .montecarlo import McCell, McConfig, McReport, run_experiment, tabulate_reports
+from .montecarlo import (
+    McCell,
+    McConfig,
+    McReport,
+    _model_label,
+    run_experiment,
+    tabulate_reports,
+)
 from .power_theory import MixtureNormal, Normal, StudentT, are_ss_flm, radial_moments
 from .stats_tests import fc_test, flm_test, max_test, pv_test, ss_test
 
@@ -415,9 +422,7 @@ def _write_results_csv(path: Path, reports: list[McReport]) -> None:
         )
         for report in reports:
             cfg = report.config
-            model = cfg.model.kind.value
-            if isinstance(cfg.model.coeff, CoeffSpec):
-                model += f"-{cfg.model.coeff.regime.value}"
+            model = _model_label(cfg)
             for cell in report.cells:
                 writer.writerow(
                     [cfg.label, cfg.scenario.kind.value, model, cfg.n, cfg.p,

@@ -51,7 +51,16 @@ ERROR_BUDGET = 0.01
 
 @dataclass(frozen=True, eq=False)
 class McConfig:
-    """One experiment cell: a data-generating setup crossed with tests and lags."""
+    """One experiment cell: a data-generating setup crossed with tests and lags.
+
+    Lags must satisfy H <= n-2, one less than the H <= n-1 that LagWindow
+    accepts for single calls. The pair sum at lag h runs over pairs of the
+    n-h lag-aligned rows. At h = n-1 there is one such row and no pair, so
+    that lag's term is identically zero. A single call can still report the
+    statistic, but in a cell the sqrt(H/2) standardization would count a lag
+    that carries no information and shrink every rejection rate. H = n-2
+    keeps one pair in the last lag.
+    """
 
     tests: tuple[str, ...]
     scenario: ScenarioSpec

@@ -8,6 +8,10 @@ p-values (fc).
 
 Statistics that aggregate squared singular values of lagged autocovariance
 matrices are a known alternative family and are deliberately not implemented.
+
+These calls run at the caller's BLAS thread count; only run_experiment pins
+BLAS to one thread. How BLAS splits a matrix product can move the last bits
+of a statistic, so outcomes here may follow OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -115,26 +119,51 @@ def flm_statistic(eps, H) -> float:
     return float(_partial_sums(G, lag.H)[-1])
 
 
+def _standardized_columns(X: np.ndarray) -> np.ndarray:
+    """Columns centered and scaled by their standard deviation (denominator n)."""
+    centered = X - X.mean(axis=0)
+    sd = np.sqrt((centered * centered).mean(axis=0))
+    if not np.all(sd > 0.0):
+        raise DegenerateDataError("zero-variance column; correlations undefined")
+    return centered / sd
+
+
 def cross_correlations(eps, H) -> np.ndarray:
     """Lag-h sample cross-correlations, shape (H, p, p).
 
     Columns are centered and scaled by the standard deviation with
     denominator n; entry [h-1, i, j] is 1/n times the sum over t of
-    z[t, i] * z[t-h, j].
+    z[t, i] * z[t-h, j]. The result holds H p^2 floats; max_test and fc_test
+    do not build it.
     """
     X = as_series(eps).data
     n, p = X.shape
     lag = as_lag(H)
     lag.check_against(n)
-    centered = X - X.mean(axis=0)
-    sd = np.sqrt((centered * centered).mean(axis=0))
-    if not np.all(sd > 0.0):
-        raise DegenerateDataError("zero-variance column; correlations undefined")
-    Z = centered / sd
+    Z = _standardized_columns(X)
     out = np.empty((lag.H, p, p))
     for h in range(1, lag.H + 1):
-        out[h - 1] = (Z[h:].T @ Z[: n - h]) / n
+        np.matmul(Z[h:].T, Z[: n - h], out=out[h - 1])
+    out /= n
     return out
+
+
+def _max_abs_correlations(X: np.ndarray, H: int) -> np.ndarray:
+    """Per-lag maxima of |cross_correlations(X, H)|, one p x p buffer at a time.
+
+    Every lag's product is written into the same buffer and reduced before
+    the next one, so working memory is one p x p array rather than H of
+    them. Division by n is monotone and correctly rounded, so dividing the
+    reduced maximum gives the same bits as dividing every entry first.
+    """
+    Z = _standardized_columns(X)
+    n, p = Z.shape
+    buf = np.empty((p, p))
+    maxima = np.empty(H)
+    for h in range(1, H + 1):
+        np.matmul(Z[h:].T, Z[: n - h], out=buf)
+        maxima[h - 1] = max(buf.max(), -buf.min()) / n
+    return maxima
 
 
 def _gumbel_upper_tail(g: float) -> float:
@@ -166,11 +195,11 @@ def _fisher_combine(p_max: float, p_flm: float, alpha: float) -> TestOutcome:
 def evaluate_tests_collect(eps, tests, H_values, alpha=0.05):
     """Evaluate several tests at several lag windows on one series.
 
-    The sign and raw Gram matrices, per-lag pair sums, and cross-correlations
-    are computed once and shared, so every outcome is bitwise identical to
-    the corresponding single-test call. Returns (outcomes, errors), both
-    keyed by (test, H); a test that cannot be standardized lands in errors
-    instead of aborting the others.
+    The sign and raw Gram matrices, per-lag pair sums, and per-lag maxima of
+    the absolute cross-correlations are computed once and shared, so every
+    outcome is bitwise identical to the corresponding single-test call.
+    Returns (outcomes, errors), both keyed by (test, H); a test that cannot
+    be standardized lands in errors instead of aborting the others.
     """
     X = as_series(eps)
     alpha = _check_alpha(alpha)
@@ -271,8 +300,7 @@ def evaluate_tests_collect(eps, tests, H_values, alpha=0.05):
                 raise InvalidInputError(
                     "extreme-value calibration needs H * p * p >= 3"
                 )
-            rho = cross_correlations(X, H_max)
-            lag_maxima = np.max(np.abs(rho), axis=(1, 2))
+            lag_maxima = _max_abs_correlations(X.data, H_max)
             for H in H_list:
                 stat = float(np.max(lag_maxima[:H]))
                 n_comp = H * p * p
@@ -361,7 +389,8 @@ def max_test(eps, H, alpha=0.05) -> TestOutcome:
     The statistic is calibrated through n * max^2 - 2 log N + log log N with
     N = H p^2 comparisons, whose null limit has upper tail
     1 - exp(-exp(-g/2)/sqrt(pi)). Small samples make this conservative under
-    light tails. Works best with n >= 10.
+    light tails. Works best with n >= 10. The lags are scanned one at a time
+    through a single p x p working buffer, not H of them.
     """
     return _single(eps, "max", H, alpha)
 
@@ -371,6 +400,7 @@ def fc_test(eps, H, alpha=0.05) -> TestOutcome:
 
     The statistic -2(log p_max + log p_flm) refers to a chi-square with 4
     degrees of freedom, treating the two p-values as asymptotically
-    independent. Inputs are clamped to [1e-300, 1] before taking logs.
+    independent. Inputs are clamped to [1e-300, 1] before taking logs. Like
+    max_test, it needs one p x p working buffer whatever H is.
     """
     return _single(eps, "fc", H, alpha)

@@ -214,6 +214,80 @@ class TestMaxTest:
         assert out.reject == (out.standardized > q)
 
 
+def _standardized(X):
+    centered = X - X.mean(axis=0)
+    return centered / np.sqrt((centered * centered).mean(axis=0))
+
+
+class TestStreamedMaxKernel:
+    """max/fc reduce one lag at a time; their bits must match the full array."""
+
+    SHAPES = ((6, 1), (6, 4), (10, 3), (25, 7), (40, 8), (100, 40), (60, 1000))
+
+    @staticmethod
+    def _lag_windows(n, p):
+        # every legal window on small shapes; the (H, p, p) reference array
+        # limits the wide shapes to short windows
+        return tuple(range(1, n)) if p * p * n <= 200_000 else (1, 2, 3)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_outcomes_equal_full_array_reduction(self, shape):
+        from hdwn.stats_tests import _fisher_combine, _gumbel_upper_tail
+
+        n, p = shape
+        X = derive_rng(23, "streamed-max", n, p).standard_t(3, size=shape)
+        # the extreme-value calibration needs H p^2 >= 3
+        H_values = tuple(h for h in self._lag_windows(n, p) if h * p * p >= 3)
+        outcomes, errors = evaluate_tests_collect(X, ("max", "fc", "flm"), H_values, 0.05)
+        assert not errors
+        lag_maxima = np.max(np.abs(cross_correlations(X, max(H_values))), axis=(1, 2))
+        for H in H_values:
+            stat = float(np.max(lag_maxima[:H]))
+            n_comp = H * p * p
+            gumbel = n * stat * stat - 2.0 * math.log(n_comp) + math.log(math.log(n_comp))
+            pval = _gumbel_upper_tail(gumbel)
+            got = outcomes[("max", H)]
+            assert (got.statistic, got.standardized, got.p_value) == (stat, gumbel, pval)
+            expected_fc = _fisher_combine(pval, outcomes[("flm", H)].p_value, 0.05)
+            assert _outcomes_equal(outcomes[("fc", H)], expected_fc)
+
+    @pytest.mark.parametrize("shape", ((25, 3), (200, 80), (100, 400), (60, 1000)),
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_cross_correlations_bytes_match_stacked_formula(self, shape):
+        n, p = shape
+        X = derive_rng(29, "xcorr-bytes", n, p).standard_normal(shape)
+        H = 3
+        Z = _standardized(X)
+        expected = np.stack([(Z[h:].T @ Z[: n - h]) / n for h in range(1, H + 1)])
+        assert cross_correlations(X, H).tobytes() == expected.tobytes()
+
+    def test_zero_variance_column_errors_only_max_and_fc(self, rng):
+        X = rng.standard_normal((20, 50))
+        X[:, 7] = -1.25
+        outcomes, errors = evaluate_tests_collect(X, ("ss", "flm", "max", "fc"), (1, 2), 0.05)
+        for H in (1, 2):
+            assert isinstance(errors[("max", H)], DegenerateDataError)
+            assert isinstance(errors[("fc", H)], DegenerateDataError)
+            assert _outcomes_equal(outcomes[("ss", H)], ss_test(X, H, 0.05))
+            assert _outcomes_equal(outcomes[("flm", H)], flm_test(X, H, 0.05))
+
+    @pytest.mark.parametrize("test", (max_test, fc_test))
+    def test_peak_memory_is_one_lag_buffer(self, test):
+        import tracemalloc
+
+        n, p, H = 60, 1000, 3
+        X = derive_rng(31, "xcorr-memory").standard_t(3, size=(n, p))
+        test(X, H, 0.05)  # first call outside the trace
+        tracemalloc.start()
+        try:
+            test(X, H, 0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the (H, p, p) array alone would be 24 MB
+        assert peak < 1.5 * p * p * 8
+
+
 class TestFcTest:
     def test_unit_pvalues_give_zero_statistic(self):
         from hdwn.stats_tests import _fisher_combine
