@@ -12,12 +12,13 @@ each own a stream that does not depend on scheduling.
 
 from __future__ import annotations
 
+import itertools
 import math
 import zlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -60,15 +61,19 @@ def derive_rng(master_seed: int, *path) -> np.random.Generator:
     below 2**32, e.g. derive_rng(seed, "rep", 17). Identical inputs always
     produce the identical stream, on any platform.
     """
+    return np.random.default_rng(_seed_sequence(master_seed, path))
+
+
+def derive_seed(master_seed: int, *path) -> int:
+    """Deterministic child seed for (master_seed, path), as a plain integer."""
+    return int(_seed_sequence(master_seed, path).generate_state(1, np.uint64)[0])
+
+
+def _seed_sequence(master_seed, path) -> np.random.SeedSequence:
     if isinstance(master_seed, bool) or not isinstance(master_seed, (int, np.integer)):
         raise InvalidInputError("master_seed must be an integer")
     if master_seed < 0:
         raise InvalidInputError("master_seed must be nonnegative")
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=_stream_key(path))
-    return np.random.default_rng(ss)
-
-
-def _stream_key(path) -> tuple[int, ...]:
     key = []
     for part in path:
         if isinstance(part, str):
@@ -79,17 +84,7 @@ def _stream_key(path) -> tuple[int, ...]:
             raise InvalidInputError(
                 f"stream path parts must be strings or uint32 ints, got {part!r}"
             )
-    return tuple(key)
-
-
-def derive_seed(master_seed: int, *path) -> int:
-    """Deterministic child seed for (master_seed, path), as a plain integer."""
-    if isinstance(master_seed, bool) or not isinstance(master_seed, (int, np.integer)):
-        raise InvalidInputError("master_seed must be an integer")
-    if master_seed < 0:
-        raise InvalidInputError("master_seed must be nonnegative")
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=_stream_key(path))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(key))
 
 
 def _as_generator(seed) -> np.random.Generator:
@@ -182,15 +177,11 @@ def _cholesky(cov: np.ndarray) -> np.ndarray:
 
 def _innovation_rows(scenario: ScenarioSpec, L: np.ndarray, n: int, rng) -> np.ndarray:
     """n i.i.d. innovation rows given a Cholesky factor of the scatter matrix."""
-    p = L.shape[0]
-    z = rng.standard_normal((n, p))
-    x = z @ L.T
+    x = rng.standard_normal((n, L.shape[0])) @ L.T
     if scenario.kind is ScenarioKind.STUDENT_T:
-        w = rng.chisquare(scenario.df, size=n)
-        x = x / np.sqrt(w / scenario.df)[:, None]
+        x /= np.sqrt(rng.chisquare(scenario.df, size=n) / scenario.df)[:, None]
     elif scenario.kind is ScenarioKind.MIXTURE:
-        inflate = rng.random(n) >= scenario.gamma
-        x = np.where(inflate[:, None], math.sqrt(scenario.scale_factor) * x, x)
+        x[rng.random(n) >= scenario.gamma] *= math.sqrt(scenario.scale_factor)
     return x
 
 
@@ -354,22 +345,37 @@ def gen_series(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int, seed,
 
     A = resolve_coeff(model, coeff_rng)
     burn, L = _checked_model(model, A, p, innov_cov)
-    return _draw_series(model.kind, A, burn, scenario, int(n), L, innov_rng)
+    (series,) = _draw_block(model.kind, A, burn, scenario, int(n), L, [innov_rng])
+    return series
+
+
+#: Bytes of innovations one block of replications may hold at once: four
+#: VAR(1) replications at n=200, p=80 with the default burn-in of 200.
+_BLOCK_BYTES = 1 << 20
 
 
 def _series_sampler(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int,
-                    innov_cov=None) -> Callable[[np.random.Generator], SeriesMatrix]:
-    """rng -> gen_series(model, scenario, n, p, rng, innov_cov), drawn for drawn.
+                    innov_cov=None) -> tuple[Callable, int]:
+    """(draw, reps_per_block) for drawing many series of one model.
 
-    A fixed coefficient matrix is checked and the innovation covariance
-    factored once here, so that each call only draws.
+    draw(rngs) yields gen_series(model, scenario, n, p, rng, innov_cov) for
+    each generator in turn, drawn for drawn. reps_per_block is how many
+    generators one call should get. A fixed coefficient matrix is checked
+    and the innovation covariance factored once here, so that each call
+    only draws.
     """
+    total = n + model.effective_burn_in()
+    reps_per_block = max(1, _BLOCK_BYTES // (8 * total * p))
     if model.kind is ModelKind.H1_SIGN or isinstance(model.coeff, CoeffSpec):
         # the alternative or the coefficients come from each call's generator
-        return partial(gen_series, model, scenario, n, p, innov_cov=innov_cov)
+        def draw(rngs):
+            for rng in rngs:
+                yield gen_series(model, scenario, n, p, rng, innov_cov=innov_cov)
+
+        return draw, reps_per_block
     A = resolve_coeff(model, None)
     burn, L = _checked_model(model, A, p, innov_cov)
-    return partial(_draw_series, model.kind, A, burn, scenario, int(n), L)
+    return partial(_draw_block, model.kind, A, burn, scenario, int(n), L), reps_per_block
 
 
 def _checked_model(model: ModelSpec, A, p: int, innov_cov) -> tuple[int, np.ndarray]:
@@ -389,33 +395,57 @@ def _checked_model(model: ModelSpec, A, p: int, innov_cov) -> tuple[int, np.ndar
     return burn, _cholesky(cov)
 
 
-def _draw_series(kind: ModelKind, A, burn: int, scenario: ScenarioSpec, n: int,
-                 L: np.ndarray, rng: np.random.Generator) -> SeriesMatrix:
-    """One series of a checked model; L factors the innovation covariance."""
-    p = L.shape[0]
-    total = n + burn
-    Z = _innovation_rows(scenario, L, total, rng)
+def _draw_block(kind: ModelKind, A, burn: int, scenario: ScenarioSpec, n: int,
+                L: np.ndarray, rngs) -> Iterator[SeriesMatrix]:
+    """One series of a checked model per generator; L factors the innovation covariance.
 
-    if kind is ModelKind.IID:
-        out = Z[burn:]
-    elif kind is ModelKind.VAR1:
-        out_full = np.empty_like(Z)
-        x = np.zeros(p)
-        for t in range(total):
-            x = A @ x + Z[t]
-            out_full[t] = x
-        out = out_full[burn:]
-    elif kind is ModelKind.VMA1:
-        out = (Z[1:] + Z[:-1] @ A.T)[burn - 1:]
-    else:  # VARMA1: x_0 = z_0, then x_t = 0.5 A x_{t-1} + z_t + 0.5 A z_{t-1}
-        half_A = 0.5 * A
-        out_full = np.empty((total - 1, p)) if total > 1 else np.empty((0, p))
-        x = Z[0]
-        for t in range(1, total):
-            x = half_A @ (x + Z[t - 1]) + Z[t]
-            out_full[t - 1] = x
-        out = out_full[burn - 1:] if burn >= 1 else np.vstack([Z[:1], out_full])
-    return SeriesMatrix(out)
+    IID and VMA(1) series are drawn one at a time. VAR(1) and VARMA(1)
+    series step through time together, every innovation row first:
+    x_0 = z_0, then x_t = A x_{t-1} + z_t, or for VARMA(1)
+    x_t = 0.5 A (x_{t-1} + z_{t-1}) + z_t.
+
+    Each series has the same bits whichever generators share its block,
+    because of two rules. The stacked (p, p) @ (R, p, 1) product is R
+    matrix-vector calls, the same BLAS call as A @ x for one series; a
+    single (R, p) @ (p, p) product is not guaranteed to round like it. And
+    each series' innovations are one (n + burn, p) product, never split by
+    rows, which would also change the rounding.
+    """
+    total = n + burn
+    if kind in (ModelKind.IID, ModelKind.VMA1):
+        for rng in rngs:
+            Z = _innovation_rows(scenario, L, total, rng)
+            yield SeriesMatrix(Z[burn:] if kind is ModelKind.IID
+                               else (Z[1:] + Z[:-1] @ A.T)[burn - 1:])
+        return
+
+    # time-major blocks, row t of series i at [t, i, :, 0]; burn-in rows
+    # apart, so that they are freed before the series are used
+    R, p = len(rngs), L.shape[0]
+    head, body = np.empty((burn, R, p, 1)), np.empty((n, R, p, 1))
+    for i, rng in enumerate(rngs):
+        Z = _innovation_rows(scenario, L, total, rng)
+        head[:, i, :, 0], body[:, i, :, 0] = Z[:burn], Z[burn:]
+        del Z  # before the next series' innovations are drawn
+
+    varma = kind is ModelKind.VARMA1
+    M = 0.5 * A if varma else A
+    rows = itertools.chain(head, body)  # row t holds z_t until it is stepped to x_t
+    prev = next(rows)  # x_0 = z_0
+    lagged = prev.copy()  # z_{t-1}, which VARMA(1) needs after row t-1 is stepped
+    step = np.empty_like(prev)
+    for cur in rows:
+        if varma:
+            np.add(prev, lagged, out=lagged)
+            np.matmul(M, lagged, out=step)
+            lagged[...] = cur
+        else:
+            np.matmul(M, prev, out=step)
+        cur += step
+        prev = cur
+    del head, rows
+    for i in range(R):
+        yield SeriesMatrix(body[:, i, :, 0])
 
 
 class RadialKind(str, Enum):

@@ -212,28 +212,36 @@ def run_experiment(cfg: McConfig) -> McReport:
     and records a reject flag per (test, H). Replications where a test raises
     a degenerate-data style error are excluded from that test's denominator
     and counted; a cell whose error fraction exceeds 1% fails the whole run.
+
+    Replications run in blocks of consecutive indices, one block per executor
+    task; a VAR(1) or VARMA(1) block steps its series through time together.
+    A replication's bits depend on neither its block nor the thread count.
     BLAS runs single-threaded throughout, so the bits of every statistic
     depend on neither the executor nor the BLAS thread count.
     """
     start = time.perf_counter()
     model, fingerprint = _resolve_model(cfg)
-    draw = _series_sampler(model, cfg.scenario, cfg.n, cfg.p, build_covariance(cfg.cov))
+    draw, block = _series_sampler(model, cfg.scenario, cfg.n, cfg.p, build_covariance(cfg.cov))
     keys = [(t, h) for t in cfg.tests for h in cfg.H_values]
 
-    def one_rep(r: int) -> dict[tuple[str, int], bool | None]:
-        series = draw(derive_rng(cfg.master_seed, "rep", r))
-        outcomes, errs = evaluate_tests_collect(series, cfg.tests, cfg.H_values, cfg.alpha)
-        flags: dict[tuple[str, int], bool | None] = {}
-        for key in keys:
-            flags[key] = outcomes[key].reject if key in outcomes else None
-        return flags
+    def one_block(first: int) -> list[dict[tuple[str, int], bool | None]]:
+        rngs = [derive_rng(cfg.master_seed, "rep", r)
+                for r in range(first, min(first + block, cfg.reps))]
+        block_flags = []
+        for series in draw(rngs):
+            outcomes, _ = evaluate_tests_collect(series, cfg.tests, cfg.H_values, cfg.alpha)
+            block_flags.append({key: outcomes[key].reject if key in outcomes else None
+                                for key in keys})
+        return block_flags
 
+    firsts = range(0, cfg.reps, block)
     threads = cfg.threads if cfg.threads is not None else _auto_threads()
     if threads == 1:
-        per_rep = [one_rep(r) for r in range(cfg.reps)]
+        blocks = [one_block(first) for first in firsts]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_rep = list(pool.map(one_rep, range(cfg.reps)))
+            blocks = list(pool.map(one_block, firsts))
+    per_rep = [flags for block_flags in blocks for flags in block_flags]
 
     cells = []
     over_budget = []
@@ -305,10 +313,12 @@ def tabulate_reports(reports) -> McTable:
 
 
 def size_table(grid) -> McTable:
-    """Empirical sizes over a grid of null configs, one row per (scenario, n, p)."""
+    """Run every config of a grid and tabulate the reports, one row per config.
+
+    Over null configs the rates are empirical sizes; over alternatives they
+    are empirical powers, and power_table is this same function.
+    """
     return tabulate_reports(run_experiment(cfg) for cfg in grid)
 
 
-def power_table(grid) -> McTable:
-    """Empirical powers over a grid of alternative configs, one row per model cell."""
-    return tabulate_reports(run_experiment(cfg) for cfg in grid)
+power_table = size_table

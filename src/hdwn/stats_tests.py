@@ -81,13 +81,17 @@ def _lagged_pair_terms(G: np.ndarray, H: int) -> np.ndarray:
     Entry h-1 holds 1/(n-h) times the sum over pairs s < t (both past lag h)
     of G[s-h, t-h] * G[s, t]. The elementwise product of the two shifted
     blocks is symmetric, so the strict upper triangle is half of (total sum
-    minus trace). Lags that admit no pair contribute zero.
+    minus trace). Lags that admit no pair contribute zero. Every lag's
+    product is written into one buffer, viewed as a contiguous (n-h, n-h)
+    array so that its sum adds in the same order as a fresh product's.
     """
     n = G.shape[0]
     terms = np.empty(H)
+    buf = np.empty((n - 1) ** 2)
     for h in range(1, H + 1):
-        C = G[h:, h:] * G[: n - h, : n - h]
-        terms[h - 1] = (float(C.sum()) - float(np.trace(C))) / (2.0 * (n - h))
+        m = n - h
+        C = np.multiply(G[h:, h:], G[:m, :m], out=buf[: m * m].reshape(m, m))
+        terms[h - 1] = (float(C.sum()) - float(np.trace(C))) / (2.0 * m)
     return terms
 
 
@@ -192,6 +196,49 @@ def _fisher_combine(p_max: float, p_flm: float, alpha: float) -> TestOutcome:
     )
 
 
+def _sign_outcomes(X, want, H_list, alpha, outcomes, errors) -> None:
+    """Add the ss and pv outcomes, or their errors, from one sign Gram matrix."""
+    n, p = X.n, X.p
+    U = sign_transform(X)
+    Gs = U.data @ U.data.T
+    sign_partials = _partial_sums(Gs, max(H_list))
+    if "ss" in want:
+        tr_omega = trace_omega2_from_gram(Gs, n)
+        if tr_omega <= 0.0:
+            err = DegenerateDataError(
+                "pairwise sign products all vanish; sigma estimate is zero"
+            )
+            for H in H_list:
+                errors[("ss", H)] = err
+        else:
+            for H in H_list:
+                stat = float(sign_partials[H - 1])
+                sigma = math.sqrt(H / 2.0) * tr_omega
+                std = stat / sigma
+                pval = float(ndtr(-std))
+                outcomes[("ss", H)] = TestOutcome(
+                    statistic=stat,
+                    standardized=std,
+                    p_value=pval,
+                    reject=pval < alpha,
+                    alpha=alpha,
+                    nuisance=SsNuisance(tr_omega, sigma).as_dict(),
+                )
+    if "pv" in want:
+        for H in H_list:
+            kernel = float(sign_partials[H - 1])
+            stat = math.sqrt(2.0 * p * p / H) * kernel
+            pval = float(ndtr(-stat))
+            outcomes[("pv", H)] = TestOutcome(
+                statistic=stat,
+                standardized=stat,
+                p_value=pval,
+                reject=pval < alpha,
+                alpha=alpha,
+                nuisance={"kernel_sum": kernel},
+            )
+
+
 def evaluate_tests_collect(eps, tests, H_values, alpha=0.05):
     """Evaluate several tests at several lag windows on one series.
 
@@ -222,44 +269,9 @@ def evaluate_tests_collect(eps, tests, H_values, alpha=0.05):
     errors: dict[tuple[str, int], HdwnError] = {}
 
     if want & {"ss", "pv"}:
-        U = sign_transform(X)
-        Gs = U.data @ U.data.T
-        sign_partials = _partial_sums(Gs, H_max)
-        if "ss" in want:
-            tr_omega = trace_omega2_from_gram(Gs, n)
-            if tr_omega <= 0.0:
-                err = DegenerateDataError(
-                    "pairwise sign products all vanish; sigma estimate is zero"
-                )
-                for H in H_list:
-                    errors[("ss", H)] = err
-            else:
-                for H in H_list:
-                    stat = float(sign_partials[H - 1])
-                    sigma = math.sqrt(H / 2.0) * tr_omega
-                    std = stat / sigma
-                    pval = float(ndtr(-std))
-                    outcomes[("ss", H)] = TestOutcome(
-                        statistic=stat,
-                        standardized=std,
-                        p_value=pval,
-                        reject=pval < alpha,
-                        alpha=alpha,
-                        nuisance=SsNuisance(tr_omega, sigma).as_dict(),
-                    )
-        if "pv" in want:
-            for H in H_list:
-                kernel = float(sign_partials[H - 1])
-                stat = math.sqrt(2.0 * p * p / H) * kernel
-                pval = float(ndtr(-stat))
-                outcomes[("pv", H)] = TestOutcome(
-                    statistic=stat,
-                    standardized=stat,
-                    p_value=pval,
-                    reject=pval < alpha,
-                    alpha=alpha,
-                    nuisance={"kernel_sum": kernel},
-                )
+        # in a helper, so that the signs and their Gram matrix are freed
+        # before the raw Gram matrix is built
+        _sign_outcomes(X, want, H_list, alpha, outcomes, errors)
 
     flm_results: dict[int, TestOutcome] = {}
     flm_error: HdwnError | None = None

@@ -154,10 +154,69 @@ class TestGenSeries:
         models.append(ModelSpec(ModelKind.H1_SIGN, h1=H1Spec(CovarianceSpec("identity", 6))))
         scenario = ScenarioSpec.student_t(3)
         for model in models:
-            draw = _series_sampler(model, scenario, 30, 6, cov)
+            draw, _ = _series_sampler(model, scenario, 30, 6, cov)
             for r in range(3):
                 want = gen_series(model, scenario, 30, 6, derive_rng(4, "rep", r), innov_cov=cov)
-                assert np.array_equal(draw(derive_rng(4, "rep", r)).data, want.data)
+                (got,) = draw([derive_rng(4, "rep", r)])
+                assert np.array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("p", (3, 40, 80))
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_block_draws_equal_gen_series(self, kind, p):
+        from hdwn.dgp import _series_sampler
+
+        A = gen_coeff(CoeffSpec("explicit", p, m=p, low=-0.1, high=0.1), derive_rng(5, "A", p))
+        h1 = H1Spec(CovarianceSpec("identity", p)) if kind is ModelKind.H1_SIGN else None
+        coeff = None if kind in (ModelKind.IID, ModelKind.H1_SIGN) else A
+        reps = 13
+        for cov_kind in ("identity", "polydecay"):
+            cov = build_covariance(CovarianceSpec(cov_kind, p))
+            for burn in (None, 0, 1, 7):
+                if kind is ModelKind.VMA1 and burn == 0:
+                    continue
+                model = ModelSpec(kind, coeff=coeff, burn_in=burn, h1=h1)
+                for scenario in (ScenarioSpec.normal(), ScenarioSpec.student_t(3),
+                                 ScenarioSpec.mixture()):
+                    want = [gen_series(model, scenario, 12, p, derive_rng(8, "rep", r),
+                                       innov_cov=cov).data for r in range(reps)]
+                    draw, _ = _series_sampler(model, scenario, 12, p, cov)
+                    for size in (1, 2, 4, reps):
+                        got = []
+                        for first in range(0, reps, size):
+                            rngs = [derive_rng(8, "rep", r)
+                                    for r in range(first, min(first + size, reps))]
+                            got += [series.data for series in draw(rngs)]
+                        assert len(got) == reps
+                        for a, b in zip(got, want):
+                            assert np.array_equal(a, b), (cov_kind, burn, scenario.kind, size)
+
+    def test_block_draw_memory(self):
+        """One default block at (200, 80), drawn and evaluated, stays small.
+
+        A series is 128 kB; the block's four series with their burn-in are
+        1 MB of innovations, and evaluating one series needs about 0.9 MB.
+        """
+        import tracemalloc
+
+        from hdwn import evaluate_tests_collect
+        from hdwn.dgp import _series_sampler
+
+        A = gen_coeff(CoeffSpec("dense", 80), derive_rng(3, "coeff"))
+        model = ModelSpec(ModelKind.VAR1, coeff=A)
+        draw, block = _series_sampler(model, ScenarioSpec.student_t(3), 200, 80)
+        tests, lags = ("ss", "flm", "max", "fc"), (1, 2, 3)
+        for series in draw([derive_rng(0, "warm")]):  # first calls outside the trace
+            evaluate_tests_collect(series, tests, lags)
+        rngs = [derive_rng(0, "rep", r) for r in range(block)]
+        tracemalloc.start()
+        try:
+            for series in draw(rngs):
+                evaluate_tests_collect(series, tests, lags)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block > 1
+        assert peak < 2.0e6
 
     def test_sampler_checks_the_model_once_up_front(self):
         from hdwn.dgp import _series_sampler

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,19 @@ class TestRunExperiment:
         a = run_experiment(null_config(reps=60, threads=1))
         b = run_experiment(null_config(reps=60, threads=4))
         assert a.cells == b.cells
+
+    @pytest.mark.parametrize("kind", (ModelKind.VAR1, ModelKind.VARMA1))
+    def test_thread_count_does_not_change_recursive_cells(self, kind):
+        # at n=50, p=80 a block holds 6 replications, so 13 make three blocks
+        cfg = null_config(
+            tests=("ss", "flm", "max", "fc"),
+            scenario=ScenarioSpec.student_t(3),
+            model=ModelSpec(kind, coeff=CoeffSpec("dense", 80)),
+            cov=CovarianceSpec("polydecay", 80),
+            n=50, p=80, H_values=(1, 3), reps=13,
+        )
+        reports = [run_experiment(replace(cfg, threads=t)) for t in (1, 2, 3)]
+        assert reports[0].cells == reports[1].cells == reports[2].cells
 
     def test_same_seed_same_report(self):
         a = run_experiment(null_config())
