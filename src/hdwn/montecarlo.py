@@ -14,6 +14,7 @@ import math
 import os
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -47,6 +48,13 @@ __all__ = [
 
 #: Replications may error (degenerate data) up to this fraction per cell.
 ERROR_BUDGET = 0.01
+
+#: Freed once before replications run. glibc's malloc maps blocks above its
+#: mmap threshold (128 kB at start) afresh and hands heap tops above twice
+#: that threshold back to the OS; freeing a larger mapped block raises both.
+#: Replications allocate and free many 100-400 kB arrays, which then reuse
+#: heap pages instead of faulting in new ones. Other allocators ignore it.
+_ALLOCATOR_WARMUP_BYTES = 4 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,18 +228,22 @@ def run_experiment(cfg: McConfig) -> McReport:
     depend on neither the executor nor the BLAS thread count.
     """
     start = time.perf_counter()
+    np.empty(_ALLOCATOR_WARMUP_BYTES // 8)  # allocated and freed at once
     model, fingerprint = _resolve_model(cfg)
     draw, block = _series_sampler(model, cfg.scenario, cfg.n, cfg.p, build_covariance(cfg.cov))
     keys = [(t, h) for t in cfg.tests for h in cfg.H_values]
 
-    def one_block(first: int) -> list[dict[tuple[str, int], bool | None]]:
+    def one_block(first: int) -> list[dict[tuple[str, int], bool | str]]:
+        # per replication and key: the reject flag, or "Type: message" of the error
         rngs = [derive_rng(cfg.master_seed, "rep", r)
                 for r in range(first, min(first + block, cfg.reps))]
         block_flags = []
         for series in draw(rngs):
-            outcomes, _ = evaluate_tests_collect(series, cfg.tests, cfg.H_values, cfg.alpha)
-            block_flags.append({key: outcomes[key].reject if key in outcomes else None
-                                for key in keys})
+            outcomes, errors = evaluate_tests_collect(series, cfg.tests, cfg.H_values, cfg.alpha)
+            block_flags.append({
+                key: outcomes[key].reject if key in outcomes
+                else f"{type(errors[key]).__name__}: {errors[key]}"
+                for key in keys})
         return block_flags
 
     firsts = range(0, cfg.reps, block)
@@ -247,17 +259,18 @@ def run_experiment(cfg: McConfig) -> McReport:
     over_budget = []
     for key in keys:
         rejected = sum(1 for flags in per_rep if flags[key] is True)
-        errored = sum(1 for flags in per_rep if flags[key] is None)
+        causes = Counter(flags[key] for flags in per_rep if isinstance(flags[key], str))
+        errored = causes.total()
         effective = cfg.reps - errored
         if errored > ERROR_BUDGET * cfg.reps or effective == 0:
-            over_budget.append((key, errored))
+            cause, count = causes.most_common(1)[0]
+            over_budget.append(f"{key[0]}@H={key[1]}: {errored} errors, {count} of them {cause}")
             continue
         rate = rejected / effective
         se = math.sqrt(rate * (1.0 - rate) / effective)
         cells.append(McCell(key[0], key[1], rate, se, effective, errored))
     if over_budget:
-        detail = ", ".join(f"{t}@H={h}: {e} errors" for (t, h), e in over_budget)
-        raise McRunError(f"error budget exceeded ({detail} of {cfg.reps} reps)")
+        raise McRunError(f"error budget exceeded in {cfg.reps} reps ({'; '.join(over_budget)})")
 
     return McReport(
         cells=tuple(cells),

@@ -7,15 +7,14 @@ E^2(r)/E(r^2). Their efficiency ratio lim E^2(1/r) E(r^2) has closed forms
 for the normal, multivariate t, and normal scale-mixture families.
 
 All gamma ratios are evaluated in log space; Gamma(p/2) overflows quickly
-otherwise.
+otherwise. They use scipy's gammaln, imported where it is called, so that
+importing hdwn does not load scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import gammaln
 
 from .core import normal_upper_quantile, normal_upper_tail
 from .errors import InvalidInputError, UndefinedMomentError
@@ -72,6 +71,7 @@ RadialDistribution = Normal | StudentT | MixtureNormal
 
 
 def _log_gamma_ratio(a: float, b: float) -> float:
+    from scipy.special import gammaln
     return float(gammaln(a) - gammaln(b))
 
 
@@ -79,6 +79,7 @@ def chi_radial_c1(dof: float) -> float:
     """E(R) * E(1/R) for R chi-distributed with the given degrees of freedom."""
     if not dof > 1.0:
         raise UndefinedMomentError("chi radial c1 needs more than 1 degree of freedom")
+    from scipy.special import gammaln
     return math.exp(
         gammaln((dof + 1.0) / 2.0) + gammaln((dof - 1.0) / 2.0) - 2.0 * gammaln(dof / 2.0)
     )

@@ -20,13 +20,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import (
     TestOutcome,
     as_lag,
     as_series,
     as_signs,
+    normal_upper_tail,
     sign_transform,
     trace_omega2_from_gram,
     trace_sigma2_from_gram,
@@ -215,7 +215,7 @@ def _sign_outcomes(X, want, H_list, alpha, outcomes, errors) -> None:
                 stat = float(sign_partials[H - 1])
                 sigma = math.sqrt(H / 2.0) * tr_omega
                 std = stat / sigma
-                pval = float(ndtr(-std))
+                pval = normal_upper_tail(std)
                 outcomes[("ss", H)] = TestOutcome(
                     statistic=stat,
                     standardized=std,
@@ -228,7 +228,7 @@ def _sign_outcomes(X, want, H_list, alpha, outcomes, errors) -> None:
         for H in H_list:
             kernel = float(sign_partials[H - 1])
             stat = math.sqrt(2.0 * p * p / H) * kernel
-            pval = float(ndtr(-stat))
+            pval = normal_upper_tail(stat)
             outcomes[("pv", H)] = TestOutcome(
                 statistic=stat,
                 standardized=stat,
@@ -288,7 +288,7 @@ def evaluate_tests_collect(eps, tests, H_values, alpha=0.05):
                 stat = float(raw_partials[H - 1])
                 sigma = math.sqrt(H / 2.0) * tr_sigma
                 std = stat / sigma
-                pval = float(ndtr(-std))
+                pval = normal_upper_tail(std)
                 flm_results[H] = TestOutcome(
                     statistic=stat,
                     standardized=std,

@@ -282,3 +282,40 @@ def test_import_does_not_load_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+_SCIPY_FREE_SCRIPT = """
+import contextlib, io, sys
+from pathlib import Path
+import numpy as np
+import hdwn, hdwn.cli
+
+tmp = Path(sys.argv[1])
+X = hdwn.gen_series(hdwn.ModelSpec("var1", coeff=hdwn.CoeffSpec("dense", 10)),
+                    hdwn.ScenarioSpec.student_t(3), 40, 10, 1)
+for test in (hdwn.ss_test, hdwn.flm_test, hdwn.pv_test, hdwn.max_test, hdwn.fc_test):
+    test(X, 2)
+hdwn.evaluate_tests_collect(X, hdwn.TEST_NAMES, (1, 2))
+hdwn.run_experiment(hdwn.McConfig(
+    tests=hdwn.TEST_NAMES, scenario=hdwn.ScenarioSpec.mixture(),
+    model=hdwn.ModelSpec("varma1", coeff=hdwn.CoeffSpec("dense", 5)),
+    cov=hdwn.CovarianceSpec("polydecay", 5), n=20, p=5, H_values=(1, 2), reps=4))
+np.savetxt(tmp / "series.csv", X.data, delimiter=",")
+(tmp / "cell.cfg").write_text(
+    "[cell]\\ntests = ss,flm,pv,max,fc\\nlags = 1,2\\nreps = 4\\ncov = identity\\n"
+    "scenario = t\\nmodel = vma1\\ncoeff = dense\\nn = 20\\np = 5\\n")
+with contextlib.redirect_stdout(io.StringIO()):
+    assert hdwn.cli.main(["test", "--input", str(tmp / "series.csv"), "--test", "fc"]) == 0
+    assert hdwn.cli.main(["simulate", "--config", str(tmp / "cell.cfg"),
+                          "--out", str(tmp)]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_tests_and_simulate_do_not_load_scipy(tmp_path):
+    src = str(Path(hdwn.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", _SCIPY_FREE_SCRIPT, str(tmp_path)],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "results.csv").exists()

@@ -15,6 +15,7 @@ from hdwn import (
     SignMatrix,
     TestOutcome,
     normal_upper_quantile,
+    normal_upper_tail,
     sign_transform,
     spatial_sign,
     trace_omega2_hat,
@@ -187,6 +188,34 @@ class TestNormalQuantile:
     def test_rejects_bad_alpha(self, alpha):
         with pytest.raises(InvalidInputError):
             normal_upper_quantile(alpha)
+
+
+class TestNormalTail:
+    @staticmethod
+    def _worst_relative_gap(z_values):
+        from scipy.special import ndtr
+
+        want = ndtr(-z_values)
+        got = np.array([normal_upper_tail(float(z)) for z in z_values])
+        return float(np.max(np.abs(got - want) / want))
+
+    def test_matches_scipy_ndtr_in_the_body(self):
+        z = np.linspace(-10.0, 10.0, 200_001)
+        assert self._worst_relative_gap(z) <= 1e-14
+
+    def test_matches_scipy_ndtr_in_the_far_tails(self):
+        # scipy's ndtr returns 0 past z = 37.68 while erfc is still subnormal
+        z = np.linspace(-37.0, 37.0, 200_001)
+        assert self._worst_relative_gap(z) <= 1e-12
+
+    def test_half_at_zero(self):
+        assert normal_upper_tail(0.0) == 0.5
+        assert normal_upper_tail(-0.0) == 0.5
+
+    def test_monotone(self):
+        tails = [normal_upper_tail(float(z)) for z in np.linspace(-40.0, 40.0, 400_001)]
+        assert all(a >= b for a, b in zip(tails, tails[1:]))
+        assert tails[0] == 1.0 and tails[-1] < 1e-300
 
 
 class TestDomainTypes:

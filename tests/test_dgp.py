@@ -50,6 +50,11 @@ class TestInnovations:
         emp = X.T @ X / 5000
         assert np.max(np.abs(emp - np.eye(2))) < 0.1
 
+    def test_normal_sample_covariance_follows_the_scatter(self):
+        S = np.array([[1.0, 0.5], [0.5, 1.0]])
+        X = gen_innovations(ScenarioSpec.normal(), S, 5000, 1).data
+        assert np.max(np.abs(X.T @ X / 5000 - S)) < 0.1
+
     def test_student_t_heavy_tails(self):
         heavier = 0
         for r in range(100):
@@ -217,6 +222,41 @@ class TestGenSeries:
             tracemalloc.stop()
         assert block > 1
         assert peak < 2.0e6
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_identity_innovations_equal_the_explicit_product(self, kind, monkeypatch):
+        """Skipping z @ I for identity innovations leaves every byte of every series."""
+        import hdwn.dgp as dgp
+        from hdwn.dgp import _series_sampler
+
+        p, n = 12, 25
+        A = gen_coeff(CoeffSpec("explicit", p, m=p, low=-0.1, high=0.1), derive_rng(5, "A"))
+        h1 = H1Spec(CovarianceSpec("identity", p)) if kind is ModelKind.H1_SIGN else None
+        coeff = None if kind in (ModelKind.IID, ModelKind.H1_SIGN) else A
+        model = ModelSpec(kind, coeff=coeff, h1=h1)
+        scenarios = (ScenarioSpec.normal(), ScenarioSpec.student_t(3), ScenarioSpec.mixture())
+        assert dgp._innovation_factor(np.eye(p)) is None
+
+        def draws():
+            out = []
+            for scenario in scenarios:
+                out.append(gen_innovations(scenario, np.eye(p), n, 2).data)
+                for cov in (None, np.eye(p)):
+                    out.append(gen_series(model, scenario, n, p, 2, innov_cov=cov).data)
+                    draw, _ = _series_sampler(model, scenario, n, p, cov)
+                    out += [s.data for s in draw([derive_rng(2, "rep", r) for r in range(3)])]
+            return [x.tobytes() for x in out]
+
+        skipped = draws()
+        real = dgp._innovation_rows
+        monkeypatch.setattr(dgp, "_innovation_rows", lambda scenario, L, n, p, rng: real(
+            scenario, np.eye(p) if L is None else L, n, p, rng))
+        assert skipped == draws()
+
+    def test_innovation_covariance_shape_checked(self):
+        with pytest.raises(InvalidSpecError):
+            gen_series(ModelSpec(ModelKind.IID), ScenarioSpec.normal(), 20, 3, 0,
+                       innov_cov=np.eye(4))
 
     def test_sampler_checks_the_model_once_up_front(self):
         from hdwn.dgp import _series_sampler

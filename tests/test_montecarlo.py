@@ -2,6 +2,7 @@
 
 import math
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -167,6 +168,18 @@ def _erroring_evaluator(real):
         return outcomes, errors
 
     return evaluate
+
+
+def test_run_error_names_the_most_common_cause(monkeypatch):
+    monkeypatch.setattr(mc, "evaluate_tests_collect",
+                        _erroring_evaluator(mc.evaluate_tests_collect))
+    with pytest.raises(McRunError) as info:
+        run_experiment(null_config(reps=10, H_values=(1, 2)))
+    message = str(info.value)
+    assert "DegenerateDataError" in message
+    assert "synthetic failure" in message
+    for key in ("ss@H=1", "ss@H=2", "flm@H=1", "flm@H=2"):
+        assert f"{key}: 10 errors, 10 of them DegenerateDataError: synthetic failure" in message
 
 
 #: Hashes the standardized statistics of three p > n evaluations in the
@@ -375,3 +388,34 @@ class TestOrderings:
         ss_s, max_s = rates("sparse")
         se_s = math.sqrt(ss_s.mc_se**2 + max_s.mc_se**2)
         assert max_s.rejection_rate >= ss_s.rejection_rate - 2.0 * se_s
+
+
+#: Minor page faults of a second run_experiment, at one and at two threads, in
+#: a fresh interpreter that has not imported scipy.
+_FAULTS_SCRIPT = """
+import resource
+import hdwn
+for threads in (1, 2):
+    cfg = hdwn.McConfig(
+        tests=("max", "ss", "flm", "fc"), scenario=hdwn.ScenarioSpec.normal(),
+        model=hdwn.ModelSpec("iid"), cov=hdwn.CovarianceSpec("polydecay", 120),
+        n=200, p=120, H_values=(1, 2, 3), reps=20, threads=threads)
+    hdwn.run_experiment(cfg)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    hdwn.run_experiment(cfg)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+def test_replications_reuse_heap_pages():
+    """Replications reuse heap pages rather than faulting in fresh ones.
+
+    Without the allocator warm-up in run_experiment, 20 replications at
+    n=200, p=120 fault in 3,000-5,000 pages, about one per kB allocated.
+    """
+    src = str(Path(hdwn.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    faults = [int(line) for line in out.stdout.split()]
+    assert len(faults) == 2 and max(faults) < 1000, faults
