@@ -6,6 +6,7 @@ their data on construction and are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -30,9 +31,7 @@ __all__ = [
     "normal_upper_tail",
     "sign_transform",
     "spatial_sign",
-    "trace_omega2_from_gram",
     "trace_omega2_hat",
-    "trace_sigma2_from_gram",
     "trace_sigma2_hat",
 ]
 
@@ -204,48 +203,76 @@ def sign_transform(eps) -> SignMatrix:
     return SignMatrix._trusted(W / safe_norm[:, None])
 
 
-def _offdiag_square_sum(G: np.ndarray) -> float:
-    d = np.diagonal(G)
-    return float((G * G).sum() - (d * d).sum())
+@functools.lru_cache(maxsize=8)
+def _packed_index(n: int) -> np.ndarray:
+    """Flat positions of an n x n matrix's strict upper triangle, packed
+    superdiagonal by superdiagonal: (0, 1), (1, 2), ..., (n-2, n-1), then
+    (0, 2), ... and finally (0, n-1).
 
-
-def trace_omega2_from_gram(G: np.ndarray, n: int) -> float:
-    """Pairwise estimate of tr(Omega^2) from a precomputed sign Gram matrix.
-
-    Equals 2/(n(n-1)) times the sum of squared inner products over unordered
-    row pairs; clipped into [0, 1], the exact range for unit or zero rows.
+    In this order the lag-h partner G[s-h, t-h] of G[s, t] sits exactly h
+    slots earlier, so a lag's pair products are one shifted product of the
+    packed vector with itself; only products that straddle two
+    superdiagonals must be dropped (_straddling). The diagonals follow each
+    other with no padding, so the layout, and with it the order in which
+    every sum adds, depends on n alone and never on the lag window: any
+    window, and any single-test call, sums each lag in the same order and
+    gets the same bits, which are a function of (n, h) and the Gram entries.
+    The index is cached per n and read-only.
     """
-    return min(trace_sigma2_from_gram(G, n), 1.0)
+    index = np.concatenate([d + (n + 1) * np.arange(n - d) for d in range(1, n)])
+    index.flags.writeable = False
+    return index
 
 
-def trace_sigma2_from_gram(G: np.ndarray, n: int) -> float:
-    """Raw-vector analogue of trace_omega2_from_gram; nonnegative, unbounded."""
-    return max(_offdiag_square_sum(G) / (n * (n - 1)), 0.0)
+@functools.lru_cache(maxsize=64)
+def _straddling(n: int, h: int) -> np.ndarray:
+    """Slots k of the packed product v[:-h] * v[h:] whose v[k] and v[k+h] lie
+    on different superdiagonals: the last min(h, n-d) slots of superdiagonal
+    d. Cached per (n, h) and read-only."""
+    ends = np.cumsum(np.arange(n - 1, 0, -1))
+    slots = np.concatenate([np.arange(end - min(h, n - d), end) for d, end in enumerate(ends, 1)])
+    slots = slots[slots < ends[-1] - h]
+    slots.flags.writeable = False
+    return slots
+
+
+def _packed_gram(rows: np.ndarray) -> np.ndarray:
+    """Strict upper triangle of rows @ rows.T in the _packed_index layout.
+
+    The rows are released before the packing, so rows passed as a temporary
+    are freed then, and the n x n Gram matrix is freed on return; only its
+    n(n-1)/2 pair products are kept.
+    """
+    index = _packed_index(rows.shape[0])
+    G = rows @ rows.T
+    del rows
+    return G.reshape(-1)[index]
+
+
+def _pair_square_mean(v: np.ndarray, n: int) -> float:
+    """2/(n(n-1)) times the sum of squares of a packed Gram vector.
+
+    einsum, not np.dot or @: a BLAS dot would split the sum by the BLAS
+    thread count and move its bits.
+    """
+    return 2.0 * float(np.einsum("i,i->", v, v)) / (n * (n - 1))
 
 
 def trace_omega2_hat(signs) -> float:
     """Estimate tr(Omega^2), Omega the second moment of the spatial signs.
 
     Mean of squared pairwise inner products of the sign rows over all ordered
-    pairs s != t. Consistent for tr(Omega^2) under the null and always in
-    [0, 1].
+    pairs s != t. Consistent for tr(Omega^2) under the null; clipped at 1, so
+    always in [0, 1], the exact range for unit or zero rows.
     """
     U = as_signs(signs).data
-    n = U.shape[0]
-    if n < 2:
-        raise InsufficientSampleError("need at least 2 rows to form a pair")
-    G = U @ U.T
-    return trace_omega2_from_gram(G, n)
+    return min(_pair_square_mean(_packed_gram(U), U.shape[0]), 1.0)
 
 
 def trace_sigma2_hat(eps) -> float:
     """Estimate tr(Sigma^2) from raw rows: mean squared inner product over pairs."""
     X = as_series(eps).data
-    n = X.shape[0]
-    if n < 2:
-        raise InsufficientSampleError("need at least 2 rows to form a pair")
-    G = X @ X.T
-    return trace_sigma2_from_gram(G, n)
+    return _pair_square_mean(_packed_gram(X), X.shape[0])
 
 
 def normal_upper_tail(z: float) -> float:

@@ -6,6 +6,11 @@ assumes spherical directions (pv), a max-cross-correlation scan with extreme
 value calibration (max), and the Fisher combination of the max and flm
 p-values (fc).
 
+ss, flm and pv read one packed strict upper triangle per Gram matrix
+(core._packed_index): every lag's pair sum and the trace estimate come from
+that vector through numpy elementwise products and sums, never a BLAS call,
+so their summation order depends on n and the lag alone.
+
 Statistics that aggregate squared singular values of lagged autocovariance
 matrices are a known alternative family and are deliberately not implemented.
 
@@ -23,13 +28,14 @@ import numpy as np
 
 from .core import (
     TestOutcome,
+    _packed_gram,
+    _pair_square_mean,
+    _straddling,
     as_lag,
     as_series,
     as_signs,
     normal_upper_tail,
     sign_transform,
-    trace_omega2_from_gram,
-    trace_sigma2_from_gram,
 )
 from .errors import (
     DegenerateDataError,
@@ -69,49 +75,46 @@ class SsNuisance:
         return {"trace_omega2_hat": self.trace_omega2_hat, "sigma_hat": self.sigma_hat}
 
 
+def _outcome(stat: float, std: float, pval: float, alpha: float, **nuisance) -> TestOutcome:
+    return TestOutcome(stat, std, pval, pval < alpha, alpha, nuisance)
+
+
 def _check_alpha(alpha: float) -> float:
     if not 0.0 < float(alpha) < 1.0:
         raise InvalidInputError("alpha must lie strictly between 0 and 1")
     return float(alpha)
 
 
-def _lagged_pair_terms(G: np.ndarray, H: int) -> np.ndarray:
-    """Per-lag pair sums of a Gram matrix.
+def _pair_partials(v: np.ndarray, n: int, H: int) -> np.ndarray:
+    """Cumulative lag-aligned pair sums of a packed Gram vector over lags 1..H.
 
-    Entry h-1 holds 1/(n-h) times the sum over pairs s < t (both past lag h)
-    of G[s-h, t-h] * G[s, t]. The elementwise product of the two shifted
-    blocks is symmetric, so the strict upper triangle is half of (total sum
-    minus trace). Lags that admit no pair contribute zero. Every lag's
-    product is written into one buffer, viewed as a contiguous (n-h, n-h)
-    array so that its sum adds in the same order as a fresh product's.
+    Lag h adds 1/(n-h) times the sum over pairs s < t (both past lag h) of
+    G[s-h, t-h] * G[s, t]. In the packed layout that is v[:-h] * v[h:] with
+    the products straddling two superdiagonals set to zero, written into one
+    buffer that every lag reuses. Lags that admit no pair contribute zero.
+    cumsum is strictly sequential, so a smaller window's statistic is an
+    exact prefix of the same accumulation.
     """
-    n = G.shape[0]
+    size = v.size
     terms = np.empty(H)
-    buf = np.empty((n - 1) ** 2)
+    buf = np.empty(size - 1)
     for h in range(1, H + 1):
-        m = n - h
-        C = np.multiply(G[h:, h:], G[:m, :m], out=buf[: m * m].reshape(m, m))
-        terms[h - 1] = (float(C.sum()) - float(np.trace(C))) / (2.0 * m)
-    return terms
-
-
-def _partial_sums(G: np.ndarray, H: int) -> np.ndarray:
-    # cumsum is strictly sequential, so statistics at smaller windows are
-    # exact prefixes of the same accumulation
-    return np.cumsum(_lagged_pair_terms(G, H))
+        prod = np.multiply(v[: size - h], v[h:], out=buf[: size - h])
+        prod[_straddling(n, h)] = 0.0
+        terms[h - 1] = float(prod.sum()) / (n - h)
+    return np.cumsum(terms)
 
 
 def ss_statistic(signs, H) -> float:
     """Lag-aligned pair sum of the spatial signs over lags 1..H.
 
     Sum over h of 1/(n-h) times the pairwise products U_{s-h}'U_{t-h} U_s'U_t
-    with h+1 <= s < t <= n, computed from one precomputed Gram matrix.
+    with h+1 <= s < t <= n, computed from one packed sign Gram triangle.
     """
     U = as_signs(signs)
     lag = as_lag(H)
     lag.check_against(U.n)
-    G = U.data @ U.data.T
-    return float(_partial_sums(G, lag.H)[-1])
+    return float(_pair_partials(_packed_gram(U.data), U.n, lag.H)[-1])
 
 
 def flm_statistic(eps, H) -> float:
@@ -119,8 +122,7 @@ def flm_statistic(eps, H) -> float:
     X = as_series(eps)
     lag = as_lag(H)
     lag.check_against(X.n)
-    G = X.data @ X.data.T
-    return float(_partial_sums(G, lag.H)[-1])
+    return float(_pair_partials(_packed_gram(X.data), X.n, lag.H)[-1])
 
 
 def _standardized_columns(X: np.ndarray) -> np.ndarray:
@@ -185,68 +187,72 @@ def _fisher_combine(p_max: float, p_flm: float, alpha: float) -> TestOutcome:
     pm = min(max(p_max, MIN_P_VALUE), 1.0)
     pf = min(max(p_flm, MIN_P_VALUE), 1.0)
     stat = -2.0 * (math.log(pm) + math.log(pf))
-    pval = _chi2_4_upper_tail(stat)
-    return TestOutcome(
-        statistic=stat,
-        standardized=stat,
-        p_value=pval,
-        reject=pval < alpha,
-        alpha=alpha,
-        nuisance={"p_max": p_max, "p_flm": p_flm},
+    return _outcome(stat, stat, _chi2_4_upper_tail(stat), alpha, p_max=p_max, p_flm=p_flm)
+
+
+def _sum_outcomes(v: np.ndarray, n: int, H_list, alpha: float, clip: float):
+    """Pair partials and the standardized sum outcomes of one packed Gram.
+
+    Shared by ss (sign Gram, trace clipped at 1) and flm (raw Gram, no clip):
+    each window's partial sum is divided by sqrt(H/2) times the trace
+    estimate and referred to the upper normal tail. Returns the partials and
+    either the outcomes by H or the error every window shares.
+    """
+    partials = _pair_partials(v, n, max(H_list))
+    trace = min(_pair_square_mean(v, n), clip)
+    what, trace_key = (
+        ("sign", "trace_omega2_hat") if clip == 1.0 else ("inner", "trace_sigma2_hat")
     )
+    if trace <= 0.0:
+        return partials, DegenerateDataError(
+            f"pairwise {what} products all vanish; sigma estimate is zero"
+        )
+    results = {}
+    for H in H_list:
+        stat = float(partials[H - 1])
+        sigma = math.sqrt(H / 2.0) * trace
+        std = stat / sigma
+        results[H] = _outcome(
+            stat, std, normal_upper_tail(std), alpha, **{trace_key: trace, "sigma_hat": sigma}
+        )
+    return partials, results
 
 
-def _sign_outcomes(X, want, H_list, alpha, outcomes, errors) -> None:
-    """Add the ss and pv outcomes, or their errors, from one sign Gram matrix."""
-    n, p = X.n, X.p
-    U = sign_transform(X)
-    Gs = U.data @ U.data.T
-    sign_partials = _partial_sums(Gs, max(H_list))
-    if "ss" in want:
-        tr_omega = trace_omega2_from_gram(Gs, n)
-        if tr_omega <= 0.0:
-            err = DegenerateDataError(
-                "pairwise sign products all vanish; sigma estimate is zero"
-            )
-            for H in H_list:
-                errors[("ss", H)] = err
-        else:
-            for H in H_list:
-                stat = float(sign_partials[H - 1])
-                sigma = math.sqrt(H / 2.0) * tr_omega
-                std = stat / sigma
-                pval = normal_upper_tail(std)
-                outcomes[("ss", H)] = TestOutcome(
-                    statistic=stat,
-                    standardized=std,
-                    p_value=pval,
-                    reject=pval < alpha,
-                    alpha=alpha,
-                    nuisance=SsNuisance(tr_omega, sigma).as_dict(),
-                )
-    if "pv" in want:
-        for H in H_list:
-            kernel = float(sign_partials[H - 1])
-            stat = math.sqrt(2.0 * p * p / H) * kernel
-            pval = normal_upper_tail(stat)
-            outcomes[("pv", H)] = TestOutcome(
-                statistic=stat,
-                standardized=stat,
-                p_value=pval,
-                reject=pval < alpha,
-                alpha=alpha,
-                nuisance={"kernel_sum": kernel},
-            )
+def _pv_outcome(kernel: float, p: int, H: int, alpha: float) -> TestOutcome:
+    stat = math.sqrt(2.0 * p * p / H) * kernel
+    return _outcome(stat, stat, normal_upper_tail(stat), alpha, kernel_sum=kernel)
+
+
+def _max_outcomes(X: np.ndarray, H_list, alpha: float):
+    """max outcomes by H, or the error every window shares."""
+    n, p = X.shape
+    if min(H_list) * p * p < 3:
+        return InvalidInputError("extreme-value calibration needs H * p * p >= 3")
+    try:
+        running_max = np.maximum.accumulate(_max_abs_correlations(X, max(H_list)))
+    except HdwnError as exc:
+        return exc
+    results = {}
+    for H in H_list:
+        stat = float(running_max[H - 1])
+        n_comp = H * p * p
+        gumbel = n * stat * stat - 2.0 * math.log(n_comp) + math.log(math.log(n_comp))
+        results[H] = _outcome(
+            stat, gumbel, _gumbel_upper_tail(gumbel), alpha, n_comparisons=float(n_comp)
+        )
+    return results
 
 
 def evaluate_tests_collect(eps, tests, H_values, alpha=0.05):
     """Evaluate several tests at several lag windows on one series.
 
-    The sign and raw Gram matrices, per-lag pair sums, and per-lag maxima of
-    the absolute cross-correlations are computed once and shared, so every
-    outcome is bitwise identical to the corresponding single-test call.
-    Returns (outcomes, errors), both keyed by (test, H); a test that cannot
-    be standardized lands in errors instead of aborting the others.
+    Each Gram matrix is packed into its strict upper triangle once and
+    freed; that vector feeds every lag's pair sum and the trace estimate.
+    The per-lag maxima of the absolute cross-correlations are also computed
+    once, so every outcome is bitwise identical to the corresponding
+    single-test call. Returns (outcomes, errors), both keyed by (test, H); a
+    test that cannot be standardized lands in errors instead of aborting the
+    others.
     """
     X = as_series(eps)
     alpha = _check_alpha(alpha)
@@ -261,94 +267,38 @@ def evaluate_tests_collect(eps, tests, H_values, alpha=0.05):
         H_list.append(lag.H)
     if not H_list:
         raise InvalidInputError("H_values must not be empty")
-    H_max = max(H_list)
     n, p = X.n, X.p
 
     want = set(names)
+    found: dict[str, dict[int, TestOutcome] | HdwnError] = {}
+    if want & {"ss", "pv"}:
+        # the signs and their Gram are freed once packed, and the packed
+        # triangle once summed, before the raw Gram is built
+        partials, found["ss"] = _sum_outcomes(
+            _packed_gram(sign_transform(X).data), n, H_list, alpha, 1.0
+        )
+        if "pv" in want:
+            found["pv"] = {H: _pv_outcome(float(partials[H - 1]), p, H, alpha) for H in H_list}
+    if want & {"flm", "fc"}:
+        _, found["flm"] = _sum_outcomes(_packed_gram(X.data), n, H_list, alpha, math.inf)
+    if want & {"max", "fc"}:
+        found["max"] = _max_outcomes(X.data, H_list, alpha)
+    if "fc" in want:
+        blockers = [r for r in (found["max"], found["flm"]) if isinstance(r, HdwnError)]
+        found["fc"] = blockers[0] if blockers else {
+            H: _fisher_combine(found["max"][H].p_value, found["flm"][H].p_value, alpha)
+            for H in H_list
+        }
+
     outcomes: dict[tuple[str, int], TestOutcome] = {}
     errors: dict[tuple[str, int], HdwnError] = {}
-
-    if want & {"ss", "pv"}:
-        # in a helper, so that the signs and their Gram matrix are freed
-        # before the raw Gram matrix is built
-        _sign_outcomes(X, want, H_list, alpha, outcomes, errors)
-
-    flm_results: dict[int, TestOutcome] = {}
-    flm_error: HdwnError | None = None
-    if want & {"flm", "fc"}:
-        Gr = X.data @ X.data.T
-        raw_partials = _partial_sums(Gr, H_max)
-        tr_sigma = trace_sigma2_from_gram(Gr, n)
-        if tr_sigma <= 0.0:
-            flm_error = DegenerateDataError(
-                "pairwise inner products all vanish; sigma estimate is zero"
-            )
-        else:
+    for name, result in found.items():
+        if name in want:
             for H in H_list:
-                stat = float(raw_partials[H - 1])
-                sigma = math.sqrt(H / 2.0) * tr_sigma
-                std = stat / sigma
-                pval = normal_upper_tail(std)
-                flm_results[H] = TestOutcome(
-                    statistic=stat,
-                    standardized=std,
-                    p_value=pval,
-                    reject=pval < alpha,
-                    alpha=alpha,
-                    nuisance={"trace_sigma2_hat": tr_sigma, "sigma_hat": sigma},
-                )
-        if "flm" in want:
-            for H in H_list:
-                if flm_error is not None:
-                    errors[("flm", H)] = flm_error
+                if isinstance(result, HdwnError):
+                    errors[(name, H)] = result
                 else:
-                    outcomes[("flm", H)] = flm_results[H]
-
-    max_results: dict[int, TestOutcome] = {}
-    max_error: HdwnError | None = None
-    if want & {"max", "fc"}:
-        try:
-            if min(H_list) * p * p < 3:
-                raise InvalidInputError(
-                    "extreme-value calibration needs H * p * p >= 3"
-                )
-            lag_maxima = _max_abs_correlations(X.data, H_max)
-            for H in H_list:
-                stat = float(np.max(lag_maxima[:H]))
-                n_comp = H * p * p
-                gumbel = (
-                    n * stat * stat
-                    - 2.0 * math.log(n_comp)
-                    + math.log(math.log(n_comp))
-                )
-                pval = _gumbel_upper_tail(gumbel)
-                max_results[H] = TestOutcome(
-                    statistic=stat,
-                    standardized=gumbel,
-                    p_value=pval,
-                    reject=pval < alpha,
-                    alpha=alpha,
-                    nuisance={"n_comparisons": float(n_comp)},
-                )
-        except HdwnError as exc:
-            max_error = exc
-        if "max" in want:
-            for H in H_list:
-                if max_error is not None:
-                    errors[("max", H)] = max_error
-                else:
-                    outcomes[("max", H)] = max_results[H]
-
-    if "fc" in want:
-        for H in H_list:
-            blocker = max_error or flm_error
-            if blocker is not None:
-                errors[("fc", H)] = blocker
-            else:
-                outcomes[("fc", H)] = _fisher_combine(
-                    max_results[H].p_value, flm_results[H].p_value, alpha
-                )
-
+                    outcomes[(name, H)] = result[H]
     return outcomes, errors
 
 

@@ -21,12 +21,16 @@ from hdwn import (
     sign_transform,
     ss_statistic,
     ss_test,
+    trace_omega2_hat,
+    trace_sigma2_hat,
 )
 
 from oracles import (
     chi2_4_upper_tail,
     naive_cross_correlation,
     naive_lagged_pair_sum,
+    naive_trace_omega2,
+    naive_trace_sigma2,
 )
 
 
@@ -286,6 +290,95 @@ class TestStreamedMaxKernel:
             tracemalloc.stop()
         # the (H, p, p) array alone would be 24 MB
         assert peak < 1.5 * p * p * 8
+
+
+class TestPackedPairKernel:
+    """One packed Gram triangle feeds every lag's pair sum and both traces."""
+
+    @staticmethod
+    def _series(n, p, zero_rows=()):
+        X = derive_rng(37, "packed", n, p).standard_normal((n, p))
+        X[list(zero_rows)] = 0.0
+        return X
+
+    @pytest.mark.parametrize(
+        "n,p,zero_rows",
+        ((2, 1, ()), (2, 3, ()), (3, 1, ()), (3, 2, (1,)), (4, 1, ()), (5, 3, (0, 3)),
+         (7, 2, (2, 3)), (9, 4, ())),
+    )
+    def test_pair_sums_and_traces_match_naive_loops(self, n, p, zero_rows):
+        # every H in 1..n-1, so lags longer than the short superdiagonals
+        # (and straddling products) occur on every shape with n >= 3
+        X = self._series(n, p, zero_rows)
+        U = sign_transform(X)
+        for statistic, data, rows in ((ss_statistic, U, U.data), (flm_statistic, X, X)):
+            for H in range(1, n):
+                slow = naive_lagged_pair_sum([list(r) for r in rows], H)
+                fast = statistic(data, H)
+                assert abs(fast - slow) <= 1e-12 * max(1.0, abs(slow)), (H, fast, slow)
+        tr_omega = naive_trace_omega2([list(r) for r in U.data])
+        tr_sigma = naive_trace_sigma2([list(r) for r in X])
+        assert abs(trace_omega2_hat(U) - tr_omega) <= 1e-12 * max(1.0, tr_omega)
+        assert abs(trace_sigma2_hat(X) - tr_sigma) <= 1e-12 * max(1.0, tr_sigma)
+
+    def test_every_lag_of_the_packed_kernel_matches_the_naive_loop(self):
+        from hdwn.core import _packed_gram
+        from hdwn.stats_tests import _pair_partials
+
+        n = 11
+        X = self._series(n, 3, zero_rows=(4,))
+        rows = [list(r) for r in X]
+        partials = _pair_partials(_packed_gram(X), n, n - 1)
+        for H in range(1, n):
+            slow = naive_lagged_pair_sum(rows, H)
+            assert abs(partials[H - 1] - slow) <= 1e-12 * max(1.0, abs(slow)), H
+
+    @pytest.mark.parametrize("windows", ((1, 4, 19), (2, 7), (19, 3, 1)))
+    def test_evaluator_equals_single_calls_at_any_window(self, windows):
+        X = derive_rng(41, "packed-windows").standard_t(3, size=(20, 6))
+        tests = ("ss", "flm", "pv", "fc")
+        outcomes, errors = evaluate_tests_collect(X, tests, windows, 0.05)
+        assert not errors
+        singles = {"ss": ss_test, "flm": flm_test, "pv": pv_test, "fc": fc_test}
+        for name in tests:
+            for H in windows:
+                assert _outcomes_equal(outcomes[(name, H)], singles[name](X, H, 0.05)), (name, H)
+        U = sign_transform(X)
+        for H in windows:
+            assert outcomes[("ss", H)].statistic == ss_statistic(U, H)
+            assert outcomes[("flm", H)].statistic == flm_statistic(X, H)
+            assert outcomes[("ss", H)].nuisance["trace_omega2_hat"] == trace_omega2_hat(U)
+            assert outcomes[("flm", H)].nuisance["trace_sigma2_hat"] == trace_sigma2_hat(X)
+
+    def test_cached_layout_is_read_only(self):
+        from hdwn.core import _packed_index, _straddling
+
+        index = _packed_index(6)
+        assert index.tolist() == [1, 8, 15, 22, 29, 2, 9, 16, 23, 3, 10, 17, 4, 11, 5]
+        # lag 2: the last two slots of every superdiagonal, up to slot 12,
+        # the last one whose partner slot exists
+        assert _straddling(6, 2).tolist() == [3, 4, 7, 8, 10, 11, 12]
+        for cached in (index, _straddling(6, 2)):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 0
+
+    def test_peak_memory_is_one_packed_triangle(self):
+        import tracemalloc
+
+        X = derive_rng(43, "packed-memory").standard_t(3, size=(200, 120))
+        tests = ("ss", "flm", "max", "fc")
+        evaluate_tests_collect(X, tests, (1, 2, 3), 0.05)  # first call outside the trace
+        tracemalloc.start()
+        try:
+            evaluate_tests_collect(X, tests, (1, 2, 3), 0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an n x n Gram alive next to a second n x n array (a lag buffer or
+        # its square) and the signs peaks near 1.1 MiB at this shape; one
+        # packed triangle and its lag buffer at a time, near 0.67 MiB
+        assert peak < 0.85 * 2**20
 
 
 class TestFcTest:
