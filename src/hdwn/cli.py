@@ -1,8 +1,12 @@
 """Command-line surface: run tests on CSV data, run simulations, compute efficiencies.
 
-Exit codes: 0 on success, 2 on usage or input errors, 3 on internal numerical
-failures. The HDWN_THREADS environment variable overrides the simulation
+Exit codes: 0 on success; 2 on usage errors, OSError and every HdwnError but
+McRunError; 3 on McRunError (a cell over its error budget) and on any other
+failure. The HDWN_THREADS environment variable overrides the simulation
 thread count unless --threads is given explicitly.
+
+`simulate` writes each McReport to results.json as the dict of its dataclass
+fields, through one codec (_encode/_decode); README describes the layout.
 
 Config files are flat key=value INI files, one section per experiment cell;
 keys in [DEFAULT] apply to every section. Recognized keys: tests, lags,
@@ -18,7 +22,8 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 from importlib import resources
 from pathlib import Path
 
@@ -37,24 +42,21 @@ from .dgp import (
 from .errors import (
     ConfigError,
     DegenerateDataError,
-    ExplosiveModelError,
-    InsufficientSampleError,
+    HdwnError,
     InvalidInputError,
-    InvalidLagError,
     InvalidSpecError,
-    NotPositiveDefiniteError,
-    UndefinedMomentError,
+    McRunError,
 )
 from .montecarlo import (
     McCell,
     McConfig,
     McReport,
-    _model_label,
+    context_row,
     run_experiment,
     tabulate_reports,
 )
 from .power_theory import MixtureNormal, Normal, StudentT, are_ss_flm, radial_moments
-from .stats_tests import fc_test, flm_test, max_test, pv_test, ss_test
+from .stats_tests import TEST_NAMES, evaluate_tests
 
 __all__ = [
     "CsvSeries",
@@ -66,27 +68,6 @@ __all__ = [
     "report_from_dict",
     "report_to_dict",
 ]
-
-_TEST_FUNCS = {
-    "ss": ss_test,
-    "flm": flm_test,
-    "pv": pv_test,
-    "max": max_test,
-    "fc": fc_test,
-}
-
-_INPUT_ERRORS = (
-    ConfigError,
-    DegenerateDataError,
-    ExplosiveModelError,
-    InsufficientSampleError,
-    InvalidInputError,
-    InvalidLagError,
-    InvalidSpecError,
-    NotPositiveDefiniteError,
-    UndefinedMomentError,
-    OSError,
-)
 
 _PRESETS = ("table1", "table2")
 
@@ -158,123 +139,64 @@ def read_series_csv(path) -> CsvSeries:
 # JSON schemas
 
 
+def _encode(obj):
+    """JSON form of a result, with each dataclass as the dict of its fields.
+
+    Enums go by value, tuples as lists, an explicit array as {"matrix": rows}.
+    """
+    if is_dataclass(obj):
+        return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, (tuple, list)):
+        return [_encode(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: _encode(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return {"matrix": obj.tolist()}
+    return obj
+
+
+#: Fields that hold dataclasses, by owner. _decode passes every other field, and
+#: the rows of an explicit matrix, to the constructor, which restores their types.
+_NESTED = {
+    McReport: {"cells": McCell, "config": McConfig},
+    McConfig: {"scenario": ScenarioSpec, "model": ModelSpec, "cov": CovarianceSpec},
+    ModelSpec: {"coeff": CoeffSpec},
+}
+
+
+def _decode(cls, d: dict):
+    """Inverse of _encode for a dict that came from an instance of cls."""
+    nested = _NESTED.get(cls, {})
+    kwargs = {}
+    for name, value in d.items():
+        inner = nested.get(name)
+        if inner is None or value is None:
+            kwargs[name] = value
+        elif isinstance(value, list):
+            kwargs[name] = tuple(_decode(inner, v) for v in value)
+        elif "matrix" in value:
+            kwargs[name] = value["matrix"]
+        else:
+            kwargs[name] = _decode(inner, value)
+    return cls(**kwargs)
+
+
 def outcome_to_dict(outcome: TestOutcome) -> dict:
-    return {
-        "statistic": outcome.statistic,
-        "standardized": outcome.standardized,
-        "p_value": outcome.p_value,
-        "reject": outcome.reject,
-        "alpha": outcome.alpha,
-        "nuisance": dict(outcome.nuisance),
-    }
+    return _encode(outcome)
 
 
 def outcome_from_dict(d: dict) -> TestOutcome:
-    return TestOutcome(
-        statistic=float(d["statistic"]),
-        standardized=float(d["standardized"]),
-        p_value=float(d["p_value"]),
-        reject=bool(d["reject"]),
-        alpha=float(d["alpha"]),
-        nuisance={k: float(v) for k, v in d["nuisance"].items()},
-    )
-
-
-def _scenario_to_dict(s: ScenarioSpec) -> dict:
-    return {"kind": s.kind.value, "df": s.df, "gamma": s.gamma, "scale_factor": s.scale_factor}
-
-
-def _scenario_from_dict(d: dict) -> ScenarioSpec:
-    return ScenarioSpec(ScenarioKind(d["kind"]), df=d["df"], gamma=d["gamma"],
-                        scale_factor=d["scale_factor"])
-
-
-def _model_to_dict(m: ModelSpec) -> dict:
-    out: dict = {"kind": m.kind.value, "burn_in": m.burn_in}
-    if isinstance(m.coeff, CoeffSpec):
-        out["coeff"] = {
-            "regime": m.coeff.regime.value, "p": m.coeff.p,
-            "m": m.coeff.m, "low": m.coeff.low, "high": m.coeff.high,
-        }
-    elif m.coeff is not None:
-        out["coeff"] = {"matrix": np.asarray(m.coeff).tolist()}
-    else:
-        out["coeff"] = None
-    return out
-
-
-def _model_from_dict(d: dict) -> ModelSpec:
-    coeff = d["coeff"]
-    if coeff is not None:
-        if "matrix" in coeff:
-            coeff = np.asarray(coeff["matrix"], dtype=float)
-        else:
-            coeff = CoeffSpec(coeff["regime"], coeff["p"], m=coeff["m"],
-                              low=coeff["low"], high=coeff["high"])
-    return ModelSpec(ModelKind(d["kind"]), coeff=coeff, burn_in=d["burn_in"])
-
-
-def _config_to_dict(cfg: McConfig) -> dict:
-    return {
-        "tests": list(cfg.tests),
-        "scenario": _scenario_to_dict(cfg.scenario),
-        "model": _model_to_dict(cfg.model),
-        "cov": {"kind": cfg.cov.kind.value, "p": cfg.cov.p},
-        "n": cfg.n,
-        "p": cfg.p,
-        "H_values": list(cfg.H_values),
-        "reps": cfg.reps,
-        "master_seed": cfg.master_seed,
-        "alpha": cfg.alpha,
-        "threads": cfg.threads,
-        "label": cfg.label,
-    }
-
-
-def _config_from_dict(d: dict) -> McConfig:
-    return McConfig(
-        tests=tuple(d["tests"]),
-        scenario=_scenario_from_dict(d["scenario"]),
-        model=_model_from_dict(d["model"]),
-        cov=CovarianceSpec(d["cov"]["kind"], d["cov"]["p"]),
-        n=int(d["n"]),
-        p=int(d["p"]),
-        H_values=tuple(d["H_values"]),
-        reps=int(d["reps"]),
-        master_seed=int(d["master_seed"]),
-        alpha=float(d["alpha"]),
-        threads=d["threads"],
-        label=d["label"],
-    )
+    return _decode(TestOutcome, d)
 
 
 def report_to_dict(report: McReport) -> dict:
-    return {
-        "config": _config_to_dict(report.config),
-        "wall_time_s": report.wall_time_s,
-        "coeff_fingerprint": report.coeff_fingerprint,
-        "cells": [
-            {
-                "test": c.test, "H": c.H, "rejection_rate": c.rejection_rate,
-                "mc_se": c.mc_se, "reps": c.reps, "errors": c.errors,
-            }
-            for c in report.cells
-        ],
-    }
+    return _encode(report)
 
 
 def report_from_dict(d: dict) -> McReport:
-    cells = tuple(
-        McCell(c["test"], int(c["H"]), float(c["rejection_rate"]), float(c["mc_se"]),
-               int(c["reps"]), int(c["errors"]))
-        for c in d["cells"]
-    )
-    return McReport(
-        cells=cells,
-        config=_config_from_dict(d["config"]),
-        wall_time_s=float(d["wall_time_s"]),
-        coeff_fingerprint=d["coeff_fingerprint"],
-    )
+    return _decode(McReport, d)
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +343,11 @@ def _write_results_csv(path: Path, reports: list[McReport]) -> None:
              "rejection_rate", "mc_se", "reps", "errors"]
         )
         for report in reports:
-            cfg = report.config
-            model = _model_label(cfg)
+            context = list(context_row(report.config).values())
             for cell in report.cells:
                 writer.writerow(
-                    [cfg.label, cfg.scenario.kind.value, model, cfg.n, cfg.p,
-                     cell.test, cell.H, _fmt(cell.rejection_rate), _fmt(cell.mc_se),
-                     cell.reps, cell.errors]
+                    [*context, cell.test, cell.H, _fmt(cell.rejection_rate),
+                     _fmt(cell.mc_se), cell.reps, cell.errors]
                 )
 
 
@@ -436,14 +356,11 @@ def _write_results_csv(path: Path, reports: list[McReport]) -> None:
 
 
 def _cmd_test(args) -> int:
-    if not 0.0 < args.alpha < 1.0:
-        raise InvalidInputError(f"alpha must lie in (0, 1), got {args.alpha}")
-    if args.lags < 1:
-        raise InvalidLagError(f"lags must be >= 1, got {args.lags}")
     parsed = read_series_csv(args.input)
     if np.all(parsed.series.data == parsed.series.data[0]):
         raise DegenerateDataError("series is constant over time; nothing to test")
-    outcome = _TEST_FUNCS[args.test](parsed.series, args.lags, args.alpha)
+    key = (args.test, args.lags)
+    outcome = evaluate_tests(parsed.series, (args.test,), (args.lags,), args.alpha)[key]
     payload = {
         "test": args.test,
         "n": parsed.series.n,
@@ -520,19 +437,12 @@ def _cmd_are(args) -> int:
             raise InvalidInputError("--dist mixture needs --gamma and --sigma")
         dist = MixtureNormal(args.gamma, args.sigma)
     value = are_ss_flm(dist)
-    payload: dict = {"distribution": args.dist, "are_ss_flm": value}
-    if args.df is not None:
-        payload["df"] = args.df
-    if args.gamma is not None:
-        payload["gamma"] = args.gamma
-    if args.sigma is not None:
-        payload["sigma"] = args.sigma
+    payload = {"distribution": args.dist, "are_ss_flm": value}
+    for key in ("df", "gamma", "sigma"):
+        if getattr(args, key) is not None:
+            payload[key] = getattr(args, key)
     if args.p is not None:
-        moments = radial_moments(dist, args.p)
-        payload["p"] = args.p
-        payload["e_r_inv"] = moments.e_r_inv
-        payload["e_r2"] = moments.e_r2
-        payload["c1"] = moments.c1
+        payload.update(p=args.p, **_encode(radial_moments(dist, args.p)))
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -553,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="run one test on a CSV series")
     p_test.add_argument("--input", required=True, help="CSV file, rows are time points")
-    p_test.add_argument("--test", required=True, choices=sorted(_TEST_FUNCS))
+    p_test.add_argument("--test", required=True, choices=TEST_NAMES)
     p_test.add_argument("--lags", type=int, default=1, help="lag window H")
     p_test.add_argument("--alpha", type=float, default=0.05)
     p_test.add_argument("--format", choices=("text", "json"), default="text")
@@ -590,12 +500,11 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # numerical or internal failure
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
+    except Exception as exc:
+        # a run over its error budget counts as internal, like a numerical failure
+        internal = isinstance(exc, McRunError) or not isinstance(exc, (HdwnError, OSError))
+        print(f"{'internal error' if internal else 'error'}: {exc}", file=sys.stderr)
+        return 3 if internal else 2
 
 
 def entry() -> None:

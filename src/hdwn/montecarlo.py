@@ -288,12 +288,16 @@ class McTable:
     rows: tuple[dict, ...]
 
 
-def _model_label(cfg: McConfig) -> str:
-    model = cfg.model
-    name = model.kind.value
-    if hasattr(model.coeff, "regime"):
-        name += f"-{model.coeff.regime.value}"
-    return name
+def context_row(cfg: McConfig) -> dict:
+    """The leading columns of every results table: label, scenario, model, n, p.
+
+    The model reads as its kind, suffixed by the coefficient regime if any.
+    """
+    model = cfg.model.kind.value
+    if hasattr(cfg.model.coeff, "regime"):
+        model += f"-{cfg.model.coeff.regime.value}"
+    return {"label": cfg.label, "scenario": cfg.scenario.kind.value, "model": model,
+            "n": cfg.n, "p": cfg.p}
 
 
 def tabulate_reports(reports) -> McTable:
@@ -308,21 +312,13 @@ def tabulate_reports(reports) -> McTable:
                 col = f"{t.upper()}_H{h}"
                 if col not in rate_cols:
                     rate_cols.append(col)
-    context = ("label", "scenario", "model", "n", "p")
     rows = []
     for rep in reports:
-        cfg = rep.config
-        row: dict = {
-            "label": cfg.label,
-            "scenario": cfg.scenario.kind.value,
-            "model": _model_label(cfg),
-            "n": cfg.n,
-            "p": cfg.p,
-        }
+        row = context_row(rep.config)
         for cell in rep.cells:
             row[f"{cell.test.upper()}_H{cell.H}"] = cell.rejection_rate
         rows.append(row)
-    return McTable(context + tuple(rate_cols), tuple(rows))
+    return McTable((*context_row(reports[0].config), *rate_cols), tuple(rows))
 
 
 def size_table(grid) -> McTable:

@@ -1,6 +1,7 @@
 """Command-line surface: parsing, exit codes, file formats, determinism."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -22,8 +23,24 @@ from hdwn.cli import (
     report_from_dict,
     report_to_dict,
 )
-from hdwn.errors import ConfigError
-from hdwn import CovarianceSpec, McConfig, ModelKind, ModelSpec, ScenarioSpec, run_experiment, ss_test
+from hdwn import errors
+from hdwn.errors import ConfigError, HdwnError, McRunError
+from hdwn import (
+    TEST_NAMES,
+    CoeffSpec,
+    CovarianceSpec,
+    McConfig,
+    ModelKind,
+    ModelSpec,
+    ScenarioSpec,
+    run_experiment,
+    ss_test,
+)
+
+HDWN_ERRORS = sorted(
+    (cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, HdwnError)),
+    key=lambda cls: cls.__name__,
+)
 
 
 @pytest.fixture
@@ -97,16 +114,15 @@ class TestReadCsv:
 class TestCmdTest:
     def test_json_schema_and_values(self, gaussian_csv, capsys):
         path, X = gaussian_csv
-        code = main(["test", "--input", str(path), "--test", "ss", "--lags", "2",
-                     "--alpha", "0.05", "--format", "json"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert sorted(payload) == ["H", "alpha", "n", "nuisance", "p", "p_value",
-                                   "reject", "standardized", "statistic", "test"]
-        direct = ss_test(X, 2, 0.05)
-        assert payload["statistic"] == direct.statistic
-        assert payload["p_value"] == direct.p_value
-        assert payload["nuisance"]["trace_omega2_hat"] == direct.nuisance["trace_omega2_hat"]
+        for name in TEST_NAMES:
+            code = main(["test", "--input", str(path), "--test", name, "--lags", "2",
+                         "--alpha", "0.05", "--format", "json"])
+            assert code == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert sorted(payload) == ["H", "alpha", "n", "nuisance", "p", "p_value",
+                                       "reject", "standardized", "statistic", "test"]
+            direct = getattr(hdwn, f"{name}_test")(X, 2, 0.05)
+            assert payload == {"test": name, "n": 60, "p": 4, "H": 2, **outcome_to_dict(direct)}
 
     def test_text_output(self, gaussian_csv, capsys):
         path, _ = gaussian_csv
@@ -130,7 +146,8 @@ class TestCmdTest:
     def test_lag_too_large_exits_two(self, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("1,2\n2,1\n1,0\n")
-        assert main(["test", "--input", str(path), "--test", "ss", "--lags", "9"]) == 2
+        for lags in ("9", "0"):
+            assert main(["test", "--input", str(path), "--test", "ss", "--lags", lags]) == 2
 
     def test_unknown_test_usage_error(self, gaussian_csv):
         path, _ = gaussian_csv
@@ -149,6 +166,22 @@ class TestCmdTest:
         monkeypatch.setattr(cli, "run_experiment", boom)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         assert "synthetic blow-up" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", HDWN_ERRORS, ids=lambda cls: cls.__name__)
+    def test_error_class_exit_codes(self, error, tmp_path, monkeypatch, capsys):
+        """Every HdwnError is an input error (2) except McRunError, which is internal (3)."""
+        import hdwn.cli as cli
+
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(SMALL_CFG)
+
+        def boom(config):
+            raise error("synthetic failure")
+
+        monkeypatch.setattr(cli, "run_experiment", boom)
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == (3 if error is McRunError else 2)
+        assert "synthetic failure" in capsys.readouterr().err
 
 
 class TestCmdSimulate:
@@ -242,32 +275,91 @@ class TestCmdAre:
         assert main(["are", "--dist", "mixture"]) == 2
 
 
+def _assert_same(got, want):
+    """Field-by-field equality with matching types; arrays by np.array_equal."""
+    assert type(got) is type(want)
+    if dataclasses.is_dataclass(want):
+        for f in dataclasses.fields(want):
+            _assert_same(getattr(got, f.name), getattr(want, f.name))
+    elif isinstance(want, np.ndarray):
+        assert np.array_equal(got, want)
+    elif isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+    else:
+        assert got == want
+
+
+def _key_sets(node, path="", out=None):
+    """Key set of every JSON object in a document, by path; list items share a path."""
+    out = {} if out is None else out
+    if isinstance(node, dict):
+        out.setdefault(path, set()).add(frozenset(node))
+        for key, value in node.items():
+            _key_sets(value, f"{path}.{key}", out)
+    elif isinstance(node, list):
+        for item in node:
+            _key_sets(item, f"{path}[]", out)
+    return out
+
+
 class TestRoundTrip:
     def test_outcome_round_trip(self, rng):
         out = ss_test(rng.standard_normal((40, 5)), 2, 0.05)
         recovered = outcome_from_dict(json.loads(json.dumps(outcome_to_dict(out))))
         assert recovered == out
 
-    def test_report_round_trip(self):
+    @pytest.mark.parametrize("threads", [None, 1])
+    @pytest.mark.parametrize("model", [
+        pytest.param(ModelSpec(ModelKind.IID), id="iid"),
+        pytest.param(ModelSpec("var1", coeff=CoeffSpec("dense", 4)), id="var1-dense"),
+        pytest.param(ModelSpec("vma1", coeff=CoeffSpec("explicit", 4, m=2, low=-0.3, high=0.2)),
+                     id="vma1-explicit-spec"),
+        pytest.param(ModelSpec("var1", coeff=np.diag([0.5, -0.25, 0.125, 0.1])),
+                     id="var1-array"),
+    ])
+    def test_report_round_trip(self, model, threads):
         cfg = McConfig(
-            tests=("ss",),
+            tests=("ss", "fc"),
             scenario=ScenarioSpec.student_t(3),
-            model=ModelSpec(ModelKind.IID),
+            model=model,
             cov=CovarianceSpec("polydecay", 4),
             n=20,
             p=4,
-            H_values=(1,),
+            H_values=(1, 2),
             reps=10,
             master_seed=5,
-            threads=1,
+            threads=threads,
             label="rt",
         )
         report = run_experiment(cfg)
         recovered = report_from_dict(json.loads(json.dumps(report_to_dict(report))))
-        assert recovered.cells == report.cells
-        assert recovered.wall_time_s == report.wall_time_s
-        assert recovered.config.scenario == report.config.scenario
-        assert recovered.config.H_values == report.config.H_values
+        _assert_same(recovered, report)
+        assert (report.coeff_fingerprint is None) == (model.kind is ModelKind.IID)
+
+    def test_results_json_keys_frozen(self, tmp_path, capsys):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(SMALL_CFG)
+        assert main(["simulate", "--config", str(cfg), "--reps", "5", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "results.json").read_text())
+        keys = {path: {tuple(sorted(k)) for k in sets}
+                for path, sets in _key_sets(payload).items()}
+        assert keys == {
+            "": {("reports", "seed")},
+            ".reports[]": {("cells", "coeff_fingerprint", "config", "wall_time_s")},
+            ".reports[].cells[]": {("H", "errors", "mc_se", "rejection_rate", "reps", "test")},
+            ".reports[].config": {("H_values", "alpha", "cov", "label", "master_seed", "model",
+                                   "n", "p", "reps", "scenario", "tests", "threads")},
+            ".reports[].config.scenario": {("df", "gamma", "kind", "scale_factor")},
+            ".reports[].config.model": {("burn_in", "coeff", "h1", "kind")},
+            ".reports[].config.model.coeff": {("high", "low", "m", "p", "regime")},
+            ".reports[].config.cov": {("kind", "p")},
+        }
+        model = payload["reports"][1]["config"]["model"]
+        assert model == {"kind": "var1", "burn_in": None, "h1": None,
+                         "coeff": {"regime": "dense", "p": 4, "m": None, "low": None,
+                                   "high": None}}
 
     def test_csv_precision(self):
         from hdwn.cli import _fmt
