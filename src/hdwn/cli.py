@@ -33,6 +33,7 @@ from .core import SeriesMatrix, TestOutcome
 from .dgp import (
     CoeffSpec,
     CovarianceSpec,
+    H1Spec,
     ModelKind,
     ModelSpec,
     ScenarioKind,
@@ -142,9 +143,14 @@ def read_series_csv(path) -> CsvSeries:
 def _encode(obj):
     """JSON form of a result, with each dataclass as the dict of its fields.
 
-    Enums go by value, tuples as lists, an explicit array as {"matrix": rows}.
+    Enums go by value, tuples as lists, an explicit array as {"matrix": rows};
+    a field holding a function (a custom radial sampler) raises InvalidSpecError.
     """
     if is_dataclass(obj):
+        for f in fields(obj):
+            if callable(getattr(obj, f.name)):
+                raise InvalidSpecError(
+                    f"{type(obj).__name__}.{f.name} holds a function; JSON cannot store it")
         return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, Enum):
         return obj.value
@@ -162,7 +168,8 @@ def _encode(obj):
 _NESTED = {
     McReport: {"cells": McCell, "config": McConfig},
     McConfig: {"scenario": ScenarioSpec, "model": ModelSpec, "cov": CovarianceSpec},
-    ModelSpec: {"coeff": CoeffSpec},
+    ModelSpec: {"coeff": CoeffSpec, "h1": H1Spec},
+    H1Spec: {"sigma0": CovarianceSpec},
 }
 
 

@@ -191,16 +191,20 @@ def spatial_sign(x) -> np.ndarray:
     return w / math.sqrt(float((w * w).sum()))
 
 
+def _sign_rows(X: np.ndarray) -> np.ndarray:
+    """Spatial signs of the rows of X, one per last-axis vector, any leading axes."""
+    scratch = np.abs(X)  # reused for the squares: one temporary, not two
+    scales = scratch.max(axis=-1)
+    # dividing near-zero rows by inf gives exact zeros without a branch
+    W = X / np.where(scales < ZERO_NORM_THRESHOLD, np.inf, scales)[..., None]
+    norms = np.sqrt(np.multiply(W, W, out=scratch).sum(axis=-1))
+    W /= np.where(norms == 0.0, np.inf, norms)[..., None]
+    return W
+
+
 def sign_transform(eps) -> SignMatrix:
     """Apply the spatial-sign map to every row of a series."""
-    X = as_series(eps).data
-    scales = np.max(np.abs(X), axis=1)
-    # dividing near-zero rows by inf gives exact zeros without a branch
-    safe_scale = np.where(scales < ZERO_NORM_THRESHOLD, np.inf, scales)
-    W = X / safe_scale[:, None]
-    norms = np.sqrt((W * W).sum(axis=1))
-    safe_norm = np.where(norms == 0.0, np.inf, norms)
-    return SignMatrix._trusted(W / safe_norm[:, None])
+    return SignMatrix._trusted(_sign_rows(as_series(eps).data))
 
 
 @functools.lru_cache(maxsize=8)
@@ -217,45 +221,50 @@ def _packed_index(n: int) -> np.ndarray:
     every sum adds, depends on n alone and never on the lag window: any
     window, and any single-test call, sums each lag in the same order and
     gets the same bits, which are a function of (n, h) and the Gram entries.
-    The index is cached per n and read-only.
+    The index is cached per n and read-only; _packed_gram passes np.take its
+    writeable base, as take copies a read-only index on every call.
     """
-    index = np.concatenate([d + (n + 1) * np.arange(n - d) for d in range(1, n)])
+    index = np.concatenate([d + (n + 1) * np.arange(n - d) for d in range(1, n)]).view()
     index.flags.writeable = False
     return index
 
 
 @functools.lru_cache(maxsize=64)
-def _straddling(n: int, h: int) -> np.ndarray:
+def _straddling(n: int, h: int, R: int = 1) -> np.ndarray:
     """Slots k of the packed product v[:-h] * v[h:] whose v[k] and v[k+h] lie
     on different superdiagonals: the last min(h, n-d) slots of superdiagonal
-    d. Cached per (n, h) and read-only."""
+    d. For R packed vectors laid end to end, the same slots of each vector,
+    offset by its start. Cached per (n, h, R) and read-only."""
     ends = np.cumsum(np.arange(n - 1, 0, -1))
     slots = np.concatenate([np.arange(end - min(h, n - d), end) for d, end in enumerate(ends, 1)])
     slots = slots[slots < ends[-1] - h]
+    slots = (slots + ends[-1] * np.arange(R)[:, None]).ravel()
     slots.flags.writeable = False
     return slots
 
 
 def _packed_gram(rows: np.ndarray) -> np.ndarray:
-    """Strict upper triangle of rows @ rows.T in the _packed_index layout.
+    """Strict upper triangles of rows[r] @ rows[r].T, (R, n(n-1)/2), for rows
+    (R, n, k), in the _packed_index layout.
 
-    The rows are released before the packing, so rows passed as a temporary
-    are freed then, and the n x n Gram matrix is freed on return; only its
-    n(n-1)/2 pair products are kept.
+    The stacked product makes the single-matrix BLAS call for each r. Rows
+    passed as a temporary are freed before the packing, the Grams on
+    return. take lays each triangle out contiguously, where a fancy index
+    would lay the block out by columns.
     """
-    index = _packed_index(rows.shape[0])
-    G = rows @ rows.T
+    R, n = rows.shape[:2]
+    G = np.matmul(rows, rows.transpose(0, 2, 1))
     del rows
-    return G.reshape(-1)[index]
+    return G.reshape(R, n * n).take(_packed_index(n).base, axis=-1)
 
 
-def _pair_square_mean(v: np.ndarray, n: int) -> float:
-    """2/(n(n-1)) times the sum of squares of a packed Gram vector.
+def _pair_square_means(v: np.ndarray, n: int) -> list[float]:
+    """2/(n(n-1)) times the sum of squares of each packed Gram row of v.
 
-    einsum, not np.dot or @: a BLAS dot would split the sum by the BLAS
-    thread count and move its bits.
+    One einsum per row: a BLAS dot would split the sum by the BLAS thread
+    count, and one einsum over all rows sums in another order.
     """
-    return 2.0 * float(np.einsum("i,i->", v, v)) / (n * (n - 1))
+    return [2.0 * float(np.einsum("i,i->", row, row)) / (n * (n - 1)) for row in v]
 
 
 def trace_omega2_hat(signs) -> float:
@@ -266,13 +275,13 @@ def trace_omega2_hat(signs) -> float:
     always in [0, 1], the exact range for unit or zero rows.
     """
     U = as_signs(signs).data
-    return min(_pair_square_mean(_packed_gram(U), U.shape[0]), 1.0)
+    return min(_pair_square_means(_packed_gram(U[None]), U.shape[0])[0], 1.0)
 
 
 def trace_sigma2_hat(eps) -> float:
     """Estimate tr(Sigma^2) from raw rows: mean squared inner product over pairs."""
     X = as_series(eps).data
-    return _pair_square_mean(_packed_gram(X), X.shape[0])
+    return _pair_square_means(_packed_gram(X[None]), X.shape[0])[0]
 
 
 def normal_upper_tail(z: float) -> float:

@@ -492,6 +492,8 @@ class H1Spec:
 
     def __post_init__(self):
         object.__setattr__(self, "radial", RadialKind(self.radial))
+        if not isinstance(self.sigma0, CovarianceSpec):
+            object.__setattr__(self, "sigma0", np.asarray(self.sigma0, dtype=float))
         if self.sigma1_scale is not None and not self.sigma1_scale >= 0.0:
             raise InvalidSpecError("sigma1_scale must be nonnegative")
         if self.radial is RadialKind.CUSTOM and self.radial_sampler is None:

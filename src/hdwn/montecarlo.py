@@ -4,12 +4,14 @@ Each replication derives its own random stream from (master_seed, "rep", r),
 so a report is a pure function of its config and never depends on the number
 of worker threads. The coefficient matrix of a temporal model is drawn once
 per experiment from the (master_seed, "coeff") stream and held fixed across
-replications.
+replications. Each executor task evaluates its series in blocks, every kernel
+running once per block, and reads the reject flags from the results.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import threading
@@ -32,8 +34,8 @@ from .dgp import (
     derive_rng,
     resolve_coeff,
 )
-from .errors import InvalidSpecError, McRunError
-from .stats_tests import TEST_NAMES, evaluate_tests_collect
+from .errors import HdwnError, InvalidSpecError, McRunError
+from .stats_tests import TEST_NAMES, _evaluate_block
 
 __all__ = [
     "McCell",
@@ -55,6 +57,12 @@ ERROR_BUDGET = 0.01
 #: Replications allocate and free many 100-400 kB arrays, which then reuse
 #: heap pages instead of faulting in new ones. Other allocators ignore it.
 _ALLOCATOR_WARMUP_BYTES = 4 << 20
+
+#: Bytes one evaluation block may take, at 8 (3n^2/2 + 2np) per replication (a
+#: Gram and its packed triangle, or the series and a standardized copy): 6, 4, 3
+#: replications at n=100, p = 40, 80, 120, two at (200, 40), one at n=200 and
+#: p >= 80; about the working set of one (200, 120) replication, table1's largest.
+_EVAL_BLOCK_BYTES = 1200 << 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,6 +220,17 @@ def _resolve_model(cfg: McConfig) -> tuple[ModelSpec, float | None]:
     return replace(model, coeff=A), float((A * A).sum())
 
 
+def _eval_reps(n: int, p: int) -> int:
+    """Replications per evaluation block of n x p series, at least one."""
+    return max(1, _EVAL_BLOCK_BYTES // (8 * (3 * n * n // 2 + 2 * n * p)))
+
+
+def _task_size(reps: int, block: int, threads: int) -> int:
+    """Replications per task: at most block, and at least one task per thread."""
+    tasks = max(-(-reps // block), threads)
+    return -(-reps // tasks)
+
+
 @_single_threaded_blas()
 def run_experiment(cfg: McConfig) -> McReport:
     """Run every requested test at every lag window over reps replications.
@@ -231,44 +250,48 @@ def run_experiment(cfg: McConfig) -> McReport:
     np.empty(_ALLOCATOR_WARMUP_BYTES // 8)  # allocated and freed at once
     model, fingerprint = _resolve_model(cfg)
     draw, block = _series_sampler(model, cfg.scenario, cfg.n, cfg.p, build_covariance(cfg.cov))
-    keys = [(t, h) for t in cfg.tests for h in cfg.H_values]
-
-    def one_block(first: int) -> list[dict[tuple[str, int], bool | str]]:
-        # per replication and key: the reject flag, or "Type: message" of the error
-        rngs = [derive_rng(cfg.master_seed, "rep", r)
-                for r in range(first, min(first + block, cfg.reps))]
-        block_flags = []
-        for series in draw(rngs):
-            outcomes, errors = evaluate_tests_collect(series, cfg.tests, cfg.H_values, cfg.alpha)
-            block_flags.append({
-                key: outcomes[key].reject if key in outcomes
-                else f"{type(errors[key]).__name__}: {errors[key]}"
-                for key in keys})
-        return block_flags
-
-    firsts = range(0, cfg.reps, block)
     threads = cfg.threads if cfg.threads is not None else _auto_threads()
+    size = _task_size(cfg.reps, block, threads)
+
+    def one_task(first: int) -> dict[str, list]:
+        # per test and replication: reject flags by window, or "Type: message"
+        count = min(size, cfg.reps - first)
+        series = draw([derive_rng(cfg.master_seed, "rep", r) for r in range(first, first + count)])
+        step = _task_size(count, _eval_reps(cfg.n, cfg.p), 1)
+        flags: dict[str, list] = {name: [] for name in cfg.tests}
+        for _ in range(0, count, step):
+            # blocks of one series are evaluated in place rather than copied
+            found = _evaluate_block(
+                next(series).data[None] if step == 1
+                else np.stack([s.data for s in itertools.islice(series, step)]),
+                cfg.tests, cfg.H_values)
+            for name in flags:
+                flags[name] += [f"{type(e).__name__}: {e}" if isinstance(e, HdwnError)
+                                else [p < cfg.alpha for _, _, p, _ in e] for e in found[name]]
+        return flags
+
+    firsts = range(0, cfg.reps, size)
     if threads == 1:
-        blocks = [one_block(first) for first in firsts]
+        tasks = [one_task(first) for first in firsts]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(one_block, firsts))
-    per_rep = [flags for block_flags in blocks for flags in block_flags]
+            tasks = list(pool.map(one_task, firsts))
 
     cells = []
     over_budget = []
-    for key in keys:
-        rejected = sum(1 for flags in per_rep if flags[key] is True)
-        causes = Counter(flags[key] for flags in per_rep if isinstance(flags[key], str))
+    for name in cfg.tests:
+        per_rep = [flags for task in tasks for flags in task[name]]
+        causes = Counter(flags for flags in per_rep if isinstance(flags, str))
         errored = causes.total()
         effective = cfg.reps - errored
-        if errored > ERROR_BUDGET * cfg.reps or effective == 0:
-            cause, count = causes.most_common(1)[0]
-            over_budget.append(f"{key[0]}@H={key[1]}: {errored} errors, {count} of them {cause}")
-            continue
-        rate = rejected / effective
-        se = math.sqrt(rate * (1.0 - rate) / effective)
-        cells.append(McCell(key[0], key[1], rate, se, effective, errored))
+        for k, H in enumerate(cfg.H_values):
+            if errored > ERROR_BUDGET * cfg.reps or effective == 0:
+                cause, count = causes.most_common(1)[0]
+                over_budget.append(f"{name}@H={H}: {errored} errors, {count} of them {cause}")
+                continue
+            rate = sum(flags[k] for flags in per_rep if not isinstance(flags, str)) / effective
+            se = math.sqrt(rate * (1.0 - rate) / effective)
+            cells.append(McCell(name, H, rate, se, effective, errored))
     if over_budget:
         raise McRunError(f"error budget exceeded in {cfg.reps} reps ({'; '.join(over_budget)})")
 

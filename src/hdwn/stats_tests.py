@@ -6,10 +6,11 @@ assumes spherical directions (pv), a max-cross-correlation scan with extreme
 value calibration (max), and the Fisher combination of the max and flm
 p-values (fc).
 
-ss, flm and pv read one packed strict upper triangle per Gram matrix
-(core._packed_index): every lag's pair sum and the trace estimate come from
-that vector through numpy elementwise products and sums, never a BLAS call,
-so their summation order depends on n and the lag alone.
+The kernels take a block of R series, (R, n, p), and the public calls are
+the R=1 case. ss, flm and pv read one packed strict upper triangle per Gram
+(core._packed_index): each lag's pair sum and the trace estimate come from
+it through numpy elementwise products and sums, never BLAS, in an order set
+by n and the lag alone, so a series gets the same bits in any block.
 
 Statistics that aggregate squared singular values of lagged autocovariance
 matrices are a known alternative family and are deliberately not implemented.
@@ -22,20 +23,19 @@ of a statistic, so outcomes here may follow OPENBLAS_NUM_THREADS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     TestOutcome,
     _packed_gram,
-    _pair_square_mean,
+    _pair_square_means,
+    _sign_rows,
     _straddling,
     as_lag,
     as_series,
     as_signs,
     normal_upper_tail,
-    sign_transform,
 )
 from .errors import (
     DegenerateDataError,
@@ -44,7 +44,6 @@ from .errors import (
 )
 
 __all__ = [
-    "SsNuisance",
     "TEST_NAMES",
     "cross_correlations",
     "evaluate_tests",
@@ -64,45 +63,28 @@ TEST_NAMES = ("ss", "flm", "pv", "max", "fc")
 MIN_P_VALUE = 1e-300
 
 
-@dataclass(frozen=True)
-class SsNuisance:
-    """Nuisance estimates behind the standardized sign statistic."""
-
-    trace_omega2_hat: float
-    sigma_hat: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {"trace_omega2_hat": self.trace_omega2_hat, "sigma_hat": self.sigma_hat}
-
-
-def _outcome(stat: float, std: float, pval: float, alpha: float, **nuisance) -> TestOutcome:
-    return TestOutcome(stat, std, pval, pval < alpha, alpha, nuisance)
-
-
-def _check_alpha(alpha: float) -> float:
-    if not 0.0 < float(alpha) < 1.0:
-        raise InvalidInputError("alpha must lie strictly between 0 and 1")
-    return float(alpha)
-
-
 def _pair_partials(v: np.ndarray, n: int, H: int) -> np.ndarray:
-    """Cumulative lag-aligned pair sums of a packed Gram vector over lags 1..H.
+    """Cumulative lag-aligned pair sums of packed Gram rows over lags 1..H, (R, H).
 
     Lag h adds 1/(n-h) times the sum over pairs s < t (both past lag h) of
-    G[s-h, t-h] * G[s, t]. In the packed layout that is v[:-h] * v[h:] with
-    the products straddling two superdiagonals set to zero, written into one
-    buffer that every lag reuses. Lags that admit no pair contribute zero.
-    cumsum is strictly sequential, so a smaller window's statistic is an
-    exact prefix of the same accumulation.
+    G[s-h, t-h] * G[s, t]: in the packed layout, v[r, :-h] * v[r, h:] with
+    the products straddling two superdiagonals set to zero. One shifted
+    product of the rows laid end to end fills a buffer every lag reuses;
+    each row sums its own m-h leading products, contiguous, in the order of
+    a single row. cumsum is sequential, so a smaller window's statistic is
+    an exact prefix of the same accumulation.
     """
-    size = v.size
-    terms = np.empty(H)
-    buf = np.empty(size - 1)
+    R, size = v.shape
+    flat = v.reshape(-1)
+    buf = np.empty(R * size)
+    rows = buf.reshape(R, size)
+    terms = np.empty((R, H))
     for h in range(1, H + 1):
-        prod = np.multiply(v[: size - h], v[h:], out=buf[: size - h])
-        prod[_straddling(n, h)] = 0.0
-        terms[h - 1] = float(prod.sum()) / (n - h)
-    return np.cumsum(terms)
+        np.multiply(flat[:-h], flat[h:], out=buf[:-h])
+        buf[_straddling(n, h, R)] = 0.0
+        terms[:, h - 1] = rows[:, : size - h].sum(axis=-1)
+    terms /= np.arange(n - 1, n - H - 1, -1)
+    return np.cumsum(terms, axis=-1)
 
 
 def ss_statistic(signs, H) -> float:
@@ -114,7 +96,7 @@ def ss_statistic(signs, H) -> float:
     U = as_signs(signs)
     lag = as_lag(H)
     lag.check_against(U.n)
-    return float(_pair_partials(_packed_gram(U.data), U.n, lag.H)[-1])
+    return float(_pair_partials(_packed_gram(U.data[None]), U.n, lag.H)[0, -1])
 
 
 def flm_statistic(eps, H) -> float:
@@ -122,16 +104,19 @@ def flm_statistic(eps, H) -> float:
     X = as_series(eps)
     lag = as_lag(H)
     lag.check_against(X.n)
-    return float(_pair_partials(_packed_gram(X.data), X.n, lag.H)[-1])
+    return float(_pair_partials(_packed_gram(X.data[None]), X.n, lag.H)[0, -1])
 
 
-def _standardized_columns(X: np.ndarray) -> np.ndarray:
-    """Columns centered and scaled by their standard deviation (denominator n)."""
-    centered = X - X.mean(axis=0)
-    sd = np.sqrt((centered * centered).mean(axis=0))
-    if not np.all(sd > 0.0):
-        raise DegenerateDataError("zero-variance column; correlations undefined")
-    return centered / sd
+def _standardized_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns centered and scaled by their standard deviation (denominator n).
+
+    X is (..., n, p). Returns the scaled columns and, per leading index,
+    whether every column varies; a zero-variance column is left centered.
+    """
+    centered = X - X.mean(axis=-2, keepdims=True)
+    sd = np.sqrt((centered * centered).mean(axis=-2, keepdims=True))
+    centered /= np.where(sd > 0.0, sd, 1.0)
+    return centered, (sd > 0.0).all(axis=(-2, -1))
 
 
 def cross_correlations(eps, H) -> np.ndarray:
@@ -146,7 +131,9 @@ def cross_correlations(eps, H) -> np.ndarray:
     n, p = X.shape
     lag = as_lag(H)
     lag.check_against(n)
-    Z = _standardized_columns(X)
+    Z, varies = _standardized_columns(X)
+    if not varies:
+        raise DegenerateDataError("zero-variance column; correlations undefined")
     out = np.empty((lag.H, p, p))
     for h in range(1, lag.H + 1):
         np.matmul(Z[h:].T, Z[: n - h], out=out[h - 1])
@@ -154,28 +141,29 @@ def cross_correlations(eps, H) -> np.ndarray:
     return out
 
 
-def _max_abs_correlations(X: np.ndarray, H: int) -> np.ndarray:
-    """Per-lag maxima of |cross_correlations(X, H)|, one p x p buffer at a time.
+def _lag_maxima(X: np.ndarray, H: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-lag maxima of |cross_correlations| of each series in X (R, n, p),
+    (R, H), and the (R,) mask of series whose columns all vary.
 
-    Every lag's product is written into the same buffer and reduced before
-    the next one, so working memory is one p x p array rather than H of
-    them. Division by n is monotone and correctly rounded, so dividing the
-    reduced maximum gives the same bits as dividing every entry first.
+    Every lag's stacked product goes into one (R, p, p) buffer and is
+    reduced before the next. Division by n is monotone and correctly
+    rounded, so dividing the maxima gives the bits of dividing every entry.
     """
-    Z = _standardized_columns(X)
-    n, p = Z.shape
-    buf = np.empty((p, p))
-    maxima = np.empty(H)
+    Z, varies = _standardized_columns(X)
+    R, n, p = Z.shape
+    buf = np.empty((R, p, p))
+    maxima = np.empty((R, H))
     for h in range(1, H + 1):
-        np.matmul(Z[h:].T, Z[: n - h], out=buf)
-        maxima[h - 1] = max(buf.max(), -buf.min()) / n
-    return maxima
+        np.matmul(Z[:, h:].transpose(0, 2, 1), Z[:, : n - h], out=buf)
+        np.maximum(buf.max(axis=(1, 2)), -buf.min(axis=(1, 2)), out=maxima[:, h - 1])
+    maxima /= n
+    return maxima, varies
 
 
-def _gumbel_upper_tail(g: float) -> float:
+def _gumbel_upper_tail(g):
     """Upper tail of the extreme-value limit for the calibrated max statistic."""
     with np.errstate(over="ignore"):
-        return float(-np.expm1(-np.exp(-g / 2.0) / math.sqrt(math.pi)))
+        return -np.expm1(-np.exp(-g / 2.0) / math.sqrt(math.pi))
 
 
 def _chi2_4_upper_tail(x: float) -> float:
@@ -183,79 +171,113 @@ def _chi2_4_upper_tail(x: float) -> float:
     return math.exp(-x / 2.0) * (1.0 + x / 2.0)
 
 
-def _fisher_combine(p_max: float, p_flm: float, alpha: float) -> TestOutcome:
+def _fisher_combine(p_max: float, p_flm: float) -> tuple[float, float]:
+    """Fisher statistic of two p-values and its chi-square(4) p-value."""
     pm = min(max(p_max, MIN_P_VALUE), 1.0)
     pf = min(max(p_flm, MIN_P_VALUE), 1.0)
     stat = -2.0 * (math.log(pm) + math.log(pf))
-    return _outcome(stat, stat, _chi2_4_upper_tail(stat), alpha, p_max=p_max, p_flm=p_flm)
+    return stat, _chi2_4_upper_tail(stat)
 
 
-def _sum_outcomes(v: np.ndarray, n: int, H_list, alpha: float, clip: float):
-    """Pair partials and the standardized sum outcomes of one packed Gram.
+#: One test on one series: its error, or (statistic, standardized, p, nuisance) by window.
+_Entry = HdwnError | list[tuple[float, float, float, dict[str, float]]]
 
-    Shared by ss (sign Gram, trace clipped at 1) and flm (raw Gram, no clip):
-    each window's partial sum is divided by sqrt(H/2) times the trace
-    estimate and referred to the upper normal tail. Returns the partials and
-    either the outcomes by H or the error every window shares.
-    """
+
+def _sum_results(v: np.ndarray, n: int, H_list, clip: float):
+    """ss (sign Grams, trace clipped at 1) or flm entries, and the partials: each
+    window's partial sum over sqrt(H/2) times the trace, to the normal tail."""
     partials = _pair_partials(v, n, max(H_list))
-    trace = min(_pair_square_mean(v, n), clip)
-    what, trace_key = (
-        ("sign", "trace_omega2_hat") if clip == 1.0 else ("inner", "trace_sigma2_hat")
-    )
-    if trace <= 0.0:
-        return partials, DegenerateDataError(
-            f"pairwise {what} products all vanish; sigma estimate is zero"
-        )
-    results = {}
-    for H in H_list:
-        stat = float(partials[H - 1])
-        sigma = math.sqrt(H / 2.0) * trace
-        std = stat / sigma
-        results[H] = _outcome(
-            stat, std, normal_upper_tail(std), alpha, **{trace_key: trace, "sigma_hat": sigma}
-        )
-    return partials, results
+    what, key = ("sign", "trace_omega2_hat") if clip == 1.0 else ("inner", "trace_sigma2_hat")
+    entries: list[_Entry] = []
+    for row, trace in zip(partials.tolist(), _pair_square_means(v, n)):
+        trace = min(trace, clip)
+        if trace <= 0.0:
+            entries.append(DegenerateDataError(
+                f"pairwise {what} products all vanish; sigma estimate is zero"))
+            continue
+        sigmas = [math.sqrt(H / 2.0) * trace for H in H_list]
+        stds = [row[H - 1] / sigma for H, sigma in zip(H_list, sigmas)]
+        entries.append([(row[H - 1], z, normal_upper_tail(z), {key: trace, "sigma_hat": sigma})
+                        for H, sigma, z in zip(H_list, sigmas, stds)])
+    return entries, partials
 
 
-def _pv_outcome(kernel: float, p: int, H: int, alpha: float) -> TestOutcome:
-    stat = math.sqrt(2.0 * p * p / H) * kernel
-    return _outcome(stat, stat, normal_upper_tail(stat), alpha, kernel_sum=kernel)
+def _pv_results(partials: np.ndarray, p: int, H_list) -> list[_Entry]:
+    entries: list[_Entry] = []
+    for row in partials.tolist():
+        stats = [math.sqrt(2.0 * p * p / H) * row[H - 1] for H in H_list]
+        entries.append([(z, z, normal_upper_tail(z), {"kernel_sum": row[H - 1]})
+                        for H, z in zip(H_list, stats)])
+    return entries
 
 
-def _max_outcomes(X: np.ndarray, H_list, alpha: float):
-    """max outcomes by H, or the error every window shares."""
-    n, p = X.shape
+def _max_results(X: np.ndarray, H_list) -> list[_Entry]:
+    """max entries; the Gumbel tail runs once over the whole block."""
+    R, n, p = X.shape
     if min(H_list) * p * p < 3:
-        return InvalidInputError("extreme-value calibration needs H * p * p >= 3")
-    try:
-        running_max = np.maximum.accumulate(_max_abs_correlations(X, max(H_list)))
-    except HdwnError as exc:
-        return exc
-    results = {}
-    for H in H_list:
-        stat = float(running_max[H - 1])
-        n_comp = H * p * p
-        gumbel = n * stat * stat - 2.0 * math.log(n_comp) + math.log(math.log(n_comp))
-        results[H] = _outcome(
-            stat, gumbel, _gumbel_upper_tail(gumbel), alpha, n_comparisons=float(n_comp)
-        )
-    return results
+        return [InvalidInputError("extreme-value calibration needs H * p * p >= 3")] * R
+    maxima, varies = _lag_maxima(X, max(H_list))
+    stat = np.maximum.accumulate(maxima, axis=-1)[:, np.subtract(H_list, 1)]
+    n_comp = [H * p * p for H in H_list]
+    logs = [math.log(N) for N in n_comp]
+    gumbel = (n * stat * stat - np.array([2.0 * L for L in logs])
+              + np.array([math.log(L) for L in logs]))
+    rows = zip(stat.tolist(), gumbel.tolist(), _gumbel_upper_tail(gumbel).tolist())
+    return [[(s, g, pval, {"n_comparisons": float(N)}) for s, g, pval, N in zip(*row, n_comp)]
+            if ok else DegenerateDataError("zero-variance column; correlations undefined")
+            for row, ok in zip(rows, varies.tolist())]
+
+
+def _fc_entry(mx: _Entry, fl: _Entry) -> _Entry:
+    """Fisher combination of one series' max and flm p-values, or their error."""
+    for failed in (mx, fl):
+        if isinstance(failed, HdwnError):
+            return failed
+    windows = []
+    for (_, _, pm, _), (_, _, pf, _) in zip(mx, fl):
+        stat, pval = _fisher_combine(pm, pf)
+        windows.append((stat, stat, pval, {"p_max": pm, "p_flm": pf}))
+    return windows
+
+
+def _evaluate_block(X: np.ndarray, names, H_list) -> dict[str, list[_Entry]]:
+    """One entry per series of a block X (R, n, p), by test name; fc also
+    brings flm and max. Trusts its inputs: known names, windows in 1..n-1.
+
+    Each kernel runs once over the block, and every series gets the bits it
+    gets alone, so no result depends on which series share a block.
+    """
+    n, p = X.shape[1:]
+    want = set(names)
+    found: dict[str, list[_Entry]] = {}
+    if want & {"ss", "pv"}:
+        # the signs and their Grams are freed once packed, and the packed
+        # triangles once summed, before the raw Grams are built
+        found["ss"], partials = _sum_results(_packed_gram(_sign_rows(X)), n, H_list, 1.0)
+        if "pv" in want:
+            found["pv"] = _pv_results(partials, p, H_list)
+    if want & {"flm", "fc"}:
+        found["flm"], _ = _sum_results(_packed_gram(X), n, H_list, math.inf)
+    if want & {"max", "fc"}:
+        found["max"] = _max_results(X, H_list)
+    if "fc" in want:
+        found["fc"] = [_fc_entry(mx, fl) for mx, fl in zip(found["max"], found["flm"])]
+    return found
 
 
 def evaluate_tests_collect(eps, tests, H_values, alpha=0.05):
     """Evaluate several tests at several lag windows on one series.
 
-    Each Gram matrix is packed into its strict upper triangle once and
-    freed; that vector feeds every lag's pair sum and the trace estimate.
-    The per-lag maxima of the absolute cross-correlations are also computed
-    once, so every outcome is bitwise identical to the corresponding
-    single-test call. Returns (outcomes, errors), both keyed by (test, H); a
-    test that cannot be standardized lands in errors instead of aborting the
-    others.
+    The one-series case of the block evaluator that run_experiment uses, so
+    every outcome is bitwise identical to the corresponding single-test call
+    and to the same series in any block. Returns (outcomes, errors), both
+    keyed by (test, H); a test that cannot be standardized lands in errors
+    instead of aborting the others.
     """
     X = as_series(eps)
-    alpha = _check_alpha(alpha)
+    if not 0.0 < float(alpha) < 1.0:
+        raise InvalidInputError("alpha must lie strictly between 0 and 1")
+    alpha = float(alpha)
     names = tuple(tests)
     for name in names:
         if name not in TEST_NAMES:
@@ -267,38 +289,17 @@ def evaluate_tests_collect(eps, tests, H_values, alpha=0.05):
         H_list.append(lag.H)
     if not H_list:
         raise InvalidInputError("H_values must not be empty")
-    n, p = X.n, X.p
-
-    want = set(names)
-    found: dict[str, dict[int, TestOutcome] | HdwnError] = {}
-    if want & {"ss", "pv"}:
-        # the signs and their Gram are freed once packed, and the packed
-        # triangle once summed, before the raw Gram is built
-        partials, found["ss"] = _sum_outcomes(
-            _packed_gram(sign_transform(X).data), n, H_list, alpha, 1.0
-        )
-        if "pv" in want:
-            found["pv"] = {H: _pv_outcome(float(partials[H - 1]), p, H, alpha) for H in H_list}
-    if want & {"flm", "fc"}:
-        _, found["flm"] = _sum_outcomes(_packed_gram(X.data), n, H_list, alpha, math.inf)
-    if want & {"max", "fc"}:
-        found["max"] = _max_outcomes(X.data, H_list, alpha)
-    if "fc" in want:
-        blockers = [r for r in (found["max"], found["flm"]) if isinstance(r, HdwnError)]
-        found["fc"] = blockers[0] if blockers else {
-            H: _fisher_combine(found["max"][H].p_value, found["flm"][H].p_value, alpha)
-            for H in H_list
-        }
 
     outcomes: dict[tuple[str, int], TestOutcome] = {}
     errors: dict[tuple[str, int], HdwnError] = {}
-    for name, result in found.items():
-        if name in want:
-            for H in H_list:
-                if isinstance(result, HdwnError):
-                    errors[(name, H)] = result
-                else:
-                    outcomes[(name, H)] = result[H]
+    for name, (entry,) in _evaluate_block(X.data[None], names, H_list).items():
+        if name not in names:
+            continue
+        if isinstance(entry, HdwnError):
+            errors.update(((name, H), entry) for H in H_list)
+            continue
+        for H, (stat, std, pval, nuisance) in zip(H_list, entry):
+            outcomes[(name, H)] = TestOutcome(stat, std, pval, pval < alpha, alpha, nuisance)
     return outcomes, errors
 
 

@@ -29,6 +29,8 @@ from hdwn import (
     TEST_NAMES,
     CoeffSpec,
     CovarianceSpec,
+    H1Spec,
+    InvalidSpecError,
     McConfig,
     ModelKind,
     ModelSpec,
@@ -337,6 +339,32 @@ class TestRoundTrip:
         recovered = report_from_dict(json.loads(json.dumps(report_to_dict(report))))
         _assert_same(recovered, report)
         assert (report.coeff_fingerprint is None) == (model.kind is ModelKind.IID)
+
+    @staticmethod
+    def _h1_config(h1):
+        return McConfig(tests=("ss", "flm"), scenario=ScenarioSpec.normal(),
+                        model=ModelSpec(ModelKind.H1_SIGN, h1=h1),
+                        cov=CovarianceSpec("identity", 4), n=20, p=4, H_values=(1, 2),
+                        reps=10, master_seed=3, threads=1, label="h1")
+
+    @pytest.mark.parametrize("h1", [
+        pytest.param(H1Spec(CovarianceSpec("polydecay", 4)), id="chi_p"),
+        pytest.param(H1Spec(CovarianceSpec("identity", 4), sigma1_scale=0.4, radial="constant"),
+                     id="constant"),
+        pytest.param(H1Spec(np.diag([1.0, 2.0, 0.5, 1.5]), radial_c1=1.1), id="sigma0-matrix"),
+    ])
+    def test_h1_report_round_trip(self, h1):
+        report = run_experiment(self._h1_config(h1))
+        recovered = report_from_dict(json.loads(json.dumps(report_to_dict(report))))
+        _assert_same(recovered, report)
+        assert run_experiment(recovered.config).cells == report.cells
+
+    def test_custom_radial_sampler_is_not_stored(self):
+        h1 = H1Spec(CovarianceSpec("identity", 4), radial="custom", radial_c1=1.0,
+                    radial_sampler=lambda rng, size: np.ones(size))
+        report = run_experiment(self._h1_config(h1))
+        with pytest.raises(InvalidSpecError, match="H1Spec.radial_sampler"):
+            report_to_dict(report)
 
     def test_results_json_keys_frozen(self, tmp_path, capsys):
         cfg = tmp_path / "small.cfg"

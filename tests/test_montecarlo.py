@@ -71,6 +71,22 @@ class TestRunExperiment:
         reports = [run_experiment(replace(cfg, threads=t)) for t in (1, 2, 3)]
         assert reports[0].cells == reports[1].cells == reports[2].cells
 
+    def test_tasks_split_evenly_over_threads(self):
+        from hdwn.dgp import _series_sampler
+
+        # table1's IID shapes at 50 reps and 2 threads
+        for n in (100, 200):
+            for p in (40, 80, 120):
+                _, block = _series_sampler(ModelSpec(ModelKind.IID), ScenarioSpec.normal(), n, p)
+                size = mc._task_size(50, block, 2)
+                sizes = [min(size, 50 - first) for first in range(0, 50, size)]
+                assert size <= block and size <= 25 and len(sizes) >= 2, (n, p, sizes)
+                # an even split: only the last task is short, by less than one
+                # replication per task
+                assert max(sizes) - min(sizes) < len(sizes), (n, p, sizes)
+        assert mc._task_size(50, 32, 2) == 25  # (100, 40): was 32 and 18
+        assert mc._task_size(50, 4, 2) == 4  # a VAR(1) block at (200, 80)
+
     def test_same_seed_same_report(self):
         a = run_experiment(null_config())
         b = run_experiment(null_config())
@@ -102,44 +118,15 @@ class TestRunExperiment:
         assert other.coeff_fingerprint != a.coeff_fingerprint
 
     def test_error_budget_enforced(self, monkeypatch):
-        import hdwn.montecarlo as mc
-
-        real = mc.evaluate_tests_collect
-        calls = {"r": 0}
-
-        def flaky(eps, tests, H_values, alpha=0.05):
-            calls["r"] += 1
-            outcomes, errors = real(eps, tests, H_values, alpha)
-            if calls["r"] % 3 == 0:  # fail a third of replications
-                from hdwn.errors import DegenerateDataError
-
-                for key in list(outcomes):
-                    errors[key] = DegenerateDataError("synthetic failure")
-                    del outcomes[key]
-            return outcomes, errors
-
-        monkeypatch.setattr(mc, "evaluate_tests_collect", flaky)
+        # fail a third of replications
+        monkeypatch.setattr(mc, "_evaluate_block",
+                            _failing_evaluator(mc._evaluate_block, lambda r: r % 3 == 0))
         with pytest.raises(McRunError):
             run_experiment(null_config(reps=30))
 
     def test_rare_errors_counted_and_excluded(self, monkeypatch):
-        import hdwn.montecarlo as mc
-
-        real = mc.evaluate_tests_collect
-        calls = {"r": 0}
-
-        def flaky(eps, tests, H_values, alpha=0.05):
-            calls["r"] += 1
-            outcomes, errors = real(eps, tests, H_values, alpha)
-            if calls["r"] == 5:
-                from hdwn.errors import DegenerateDataError
-
-                for key in list(outcomes):
-                    errors[key] = DegenerateDataError("synthetic failure")
-                    del outcomes[key]
-            return outcomes, errors
-
-        monkeypatch.setattr(mc, "evaluate_tests_collect", flaky)
+        monkeypatch.setattr(mc, "_evaluate_block",
+                            _failing_evaluator(mc._evaluate_block, lambda r: r == 5))
         report = run_experiment(null_config(reps=200))
         for cell in report.cells:
             assert cell.errors == 1
@@ -156,23 +143,32 @@ class TestRunExperiment:
             null_config(cov=CovarianceSpec("identity", 4))
 
 
-def _erroring_evaluator(real):
-    """Wraps evaluate_tests_collect so that every replication errors."""
+def _failing_evaluator(real, fails):
+    """Wraps the block evaluator: replication r, counted from 1 in the order
+    the wrapper sees them, fails every test when fails(r) is true."""
     from hdwn.errors import DegenerateDataError
 
-    def evaluate(eps, tests, H_values, alpha=0.05):
-        outcomes, errors = real(eps, tests, H_values, alpha)
-        for key in list(outcomes):
-            errors[key] = DegenerateDataError("synthetic failure")
-            del outcomes[key]
-        return outcomes, errors
+    seen = [0]
+
+    def evaluate(X, tests, H_values):
+        found = real(X, tests, H_values)
+        for i in range(len(X)):
+            seen[0] += 1
+            if fails(seen[0]):
+                for entries in found.values():
+                    entries[i] = DegenerateDataError("synthetic failure")
+        return found
 
     return evaluate
 
 
+def _erroring_evaluator(real):
+    """Wraps the block evaluator so that every replication errors."""
+    return _failing_evaluator(real, lambda r: True)
+
+
 def test_run_error_names_the_most_common_cause(monkeypatch):
-    monkeypatch.setattr(mc, "evaluate_tests_collect",
-                        _erroring_evaluator(mc.evaluate_tests_collect))
+    monkeypatch.setattr(mc, "_evaluate_block", _erroring_evaluator(mc._evaluate_block))
     with pytest.raises(McRunError) as info:
         run_experiment(null_config(reps=10, H_values=(1, 2)))
     message = str(info.value)
@@ -219,13 +215,13 @@ class TestBlasPin:
         get, _ = blas
         before = get()
         seen = []
-        real = mc.evaluate_tests_collect
+        real = mc._evaluate_block
 
-        def recording(eps, tests, H_values, alpha=0.05):
-            seen.append(get())
-            return real(eps, tests, H_values, alpha)
+        def recording(X, tests, H_values):
+            seen.extend([get()] * len(X))  # one entry per replication
+            return real(X, tests, H_values)
 
-        monkeypatch.setattr(mc, "evaluate_tests_collect", recording)
+        monkeypatch.setattr(mc, "_evaluate_block", recording)
         run_experiment(null_config(reps=8, threads=2))
         assert seen == [1] * 8
         assert get() == before
@@ -233,8 +229,7 @@ class TestBlasPin:
     def test_restored_after_run_error(self, blas, monkeypatch):
         get, _ = blas
         before = get()
-        monkeypatch.setattr(mc, "evaluate_tests_collect",
-                            _erroring_evaluator(mc.evaluate_tests_collect))
+        monkeypatch.setattr(mc, "_evaluate_block", _erroring_evaluator(mc._evaluate_block))
         with pytest.raises(McRunError):
             run_experiment(null_config(reps=10))
         assert get() == before

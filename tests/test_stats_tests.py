@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import kstest
 
 from hdwn import (
+    TEST_NAMES,
     DegenerateDataError,
     InvalidLagError,
     cross_correlations,
@@ -252,8 +253,11 @@ class TestStreamedMaxKernel:
             pval = _gumbel_upper_tail(gumbel)
             got = outcomes[("max", H)]
             assert (got.statistic, got.standardized, got.p_value) == (stat, gumbel, pval)
-            expected_fc = _fisher_combine(pval, outcomes[("flm", H)].p_value, 0.05)
-            assert _outcomes_equal(outcomes[("fc", H)], expected_fc)
+            p_flm = outcomes[("flm", H)].p_value
+            stat_fc, p_fc = _fisher_combine(pval, p_flm)
+            fc = outcomes[("fc", H)]
+            assert (fc.statistic, fc.standardized, fc.p_value) == (stat_fc, stat_fc, p_fc)
+            assert fc.nuisance == {"p_max": pval, "p_flm": p_flm}
 
     @pytest.mark.parametrize("shape", ((25, 3), (200, 80), (100, 400), (60, 1000)),
                              ids=lambda s: f"{s[0]}x{s[1]}")
@@ -328,7 +332,7 @@ class TestPackedPairKernel:
         n = 11
         X = self._series(n, 3, zero_rows=(4,))
         rows = [list(r) for r in X]
-        partials = _pair_partials(_packed_gram(X), n, n - 1)
+        partials = _pair_partials(_packed_gram(X[None]), n, n - 1)[0]
         for H in range(1, n):
             slow = naive_lagged_pair_sum(rows, H)
             assert abs(partials[H - 1] - slow) <= 1e-12 * max(1.0, abs(slow)), H
@@ -385,17 +389,17 @@ class TestFcTest:
     def test_unit_pvalues_give_zero_statistic(self):
         from hdwn.stats_tests import _fisher_combine
 
-        out = _fisher_combine(1.0, 1.0, 0.05)
-        assert out.statistic == 0.0
-        assert out.p_value == 1.0
+        stat, pval = _fisher_combine(1.0, 1.0)
+        assert stat == 0.0
+        assert pval == 1.0
 
     def test_exponential_pvalues_match_chi_square_oracle(self):
         from hdwn.stats_tests import _fisher_combine
 
-        out = _fisher_combine(math.exp(-1.0), math.exp(-1.0), 0.05)
-        assert abs(out.statistic - 4.0) <= 1e-12
-        assert abs(out.p_value - chi2_4_upper_tail(4.0)) <= 1e-12
-        assert abs(out.p_value - 0.4060058497098381) <= 1e-12
+        stat, pval = _fisher_combine(math.exp(-1.0), math.exp(-1.0))
+        assert abs(stat - 4.0) <= 1e-12
+        assert abs(pval - chi2_4_upper_tail(4.0)) <= 1e-12
+        assert abs(pval - 0.4060058497098381) <= 1e-12
 
     def test_closed_form_tail_matches_scipy(self):
         from scipy.stats import chi2
@@ -420,9 +424,9 @@ class TestFcTest:
     def test_tiny_pvalues_are_clamped(self):
         from hdwn.stats_tests import _fisher_combine
 
-        out = _fisher_combine(0.0, 1e-320, 0.05)
-        assert math.isfinite(out.statistic)
-        assert out.reject
+        stat, pval = _fisher_combine(0.0, 1e-320)
+        assert math.isfinite(stat)
+        assert pval < 0.05
 
     def test_null_size_mini(self):
         rej = 0
@@ -458,3 +462,107 @@ class TestEvaluator:
     def test_strict_raises_on_failure(self):
         with pytest.raises(DegenerateDataError):
             evaluate_tests(np.eye(6), ("ss",), (1,), 0.05)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestBlockEvaluation:
+    """A block of series evaluates each series to the bits of its single call."""
+
+    # every R on the small shapes; at (60, 1000) the (R, p, p) lag buffer
+    # takes 8 MB per series, so that shape stops at R = 3
+    CASES = [(shape, R) for shape in ((100, 40), (100, 120), (200, 80), (200, 120), (12, 3),
+                                      (5, 2), (6, 1))
+             for R in (1, 2, 3, 5, 13, 32)] + [((60, 1000), R) for R in (1, 2, 3)]
+
+    @staticmethod
+    def _windows(n):
+        # the longest window, n - 1, only on short series: it runs n - 1 lags
+        return [w for w in ((1, 2, 3), (3, 1), (2,), (n - 1, 1)) if max(w) <= min(n - 1, 11)]
+
+    @staticmethod
+    def _assert_rows_match_single_calls(X, windows, found):
+        for r in range(len(X)):
+            outcomes, errors = evaluate_tests_collect(X[r], TEST_NAMES, windows, 0.05)
+            for name in TEST_NAMES:
+                entry = found[name][r]
+                if (name, windows[0]) in errors:
+                    want = errors[(name, windows[0])]
+                    assert type(entry) is type(want) and str(entry) == str(want), (r, name)
+                    continue
+                for H, (stat, std, pval, nuisance) in zip(windows, entry):
+                    want = outcomes[(name, H)]
+                    assert _hex((stat, std, pval)) == _hex(
+                        (want.statistic, want.standardized, want.p_value)), (r, name, H)
+                    assert list(nuisance) == list(want.nuisance), (r, name, H)
+                    assert _hex(nuisance.values()) == _hex(want.nuisance.values()), (r, name, H)
+
+    @pytest.mark.parametrize("shape,R", CASES, ids=lambda c: str(c))
+    def test_block_equals_single_calls(self, shape, R):
+        from hdwn.stats_tests import _evaluate_block
+
+        n, p = shape
+        X = derive_rng(47, "block", n, p, R).standard_t(3, size=(R, n, p))
+        if R >= 3:
+            X[1, [0, n // 2]] = 0.0  # zero rows
+        if R >= 5:
+            X[3, :, p // 2] = -1.25  # a zero-variance column: max and fc fail there
+        for windows in self._windows(n):
+            found = _evaluate_block(X, TEST_NAMES, windows)
+            self._assert_rows_match_single_calls(X, windows, found)
+
+    def test_degenerate_series_errors_alone(self):
+        from hdwn.errors import HdwnError
+        from hdwn.stats_tests import _evaluate_block
+
+        X = derive_rng(53, "block-degenerate").standard_t(3, size=(5, 30, 6))
+        X[2] = 0.0  # no direction and no variance: all but pv fail
+        found = _evaluate_block(X, TEST_NAMES, (1, 2))
+        for name in TEST_NAMES:
+            failed = [isinstance(entry, HdwnError) for entry in found[name]]
+            assert failed == [False, False, name != "pv", False, False], name
+        assert isinstance(found["ss"][2], DegenerateDataError)
+        self._assert_rows_match_single_calls(X, (1, 2), found)
+        # the neighbours have the bits they get in a block without the failure
+        alone = _evaluate_block(X[[0, 1, 3, 4]], TEST_NAMES, (1, 2))
+        for name in TEST_NAMES:
+            kept = [found[name][r] for r in (0, 1, 3, 4)]
+            values = [_hex(w[:3]) for entry in kept for w in entry]
+            assert values == [_hex(w[:3]) for entry in alone[name] for w in entry], name
+
+    @pytest.mark.parametrize("shape", ((200, 120), (100, 40)), ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_peak_memory_of_one_block_within_its_budget(self, shape):
+        import tracemalloc
+
+        from hdwn.montecarlo import _eval_reps
+        from hdwn.stats_tests import _evaluate_block
+
+        n, p = shape
+        R = _eval_reps(n, p)
+        X = derive_rng(59, "block-memory").standard_t(3, size=(R, n, p))
+        tests = ("max", "ss", "flm", "fc")
+        _evaluate_block(X, tests, (1, 2, 3))  # first call outside the trace
+        tracemalloc.start()
+        try:
+            _evaluate_block(X, tests, (1, 2, 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the count behind the budget: 8 (3n^2/2 + 2np) bytes per replication,
+        # the block's series included
+        assert peak + X.nbytes <= R * 8 * (3 * n * n // 2 + 2 * n * p)
+
+    def test_block_size_does_not_change_cells(self, monkeypatch):
+        import hdwn.montecarlo as mc
+        from hdwn import CovarianceSpec, McConfig, ModelKind, ModelSpec, ScenarioSpec
+
+        cfg = McConfig(("ss", "flm", "pv", "max", "fc"), ScenarioSpec.student_t(3),
+                       ModelSpec(ModelKind.IID), CovarianceSpec("polydecay", 12), n=40, p=12,
+                       H_values=(1, 3), reps=30, master_seed=4, threads=2)
+        assert mc._eval_reps(40, 12) >= 15  # both tasks are one block each
+        blocked = mc.run_experiment(cfg)
+        monkeypatch.setattr(mc, "_EVAL_BLOCK_BYTES", 1)
+        assert mc._eval_reps(40, 12) == 1
+        assert mc.run_experiment(cfg).cells == blocked.cells
