@@ -257,14 +257,13 @@ def run_experiment(cfg: McConfig) -> McReport:
         # per test and replication: reject flags by window, or "Type: message"
         count = min(size, cfg.reps - first)
         series = draw([derive_rng(cfg.master_seed, "rep", r) for r in range(first, first + count)])
-        step = _task_size(count, _eval_reps(cfg.n, cfg.p), 1)
+        # evaluation blocks of near-equal sizes, each at most _eval_reps
+        chunks = -(-count // _eval_reps(cfg.n, cfg.p))
         flags: dict[str, list] = {name: [] for name in cfg.tests}
-        for _ in range(0, count, step):
-            # blocks of one series are evaluated in place rather than copied
-            found = _evaluate_block(
-                next(series).data[None] if step == 1
-                else np.stack([s.data for s in itertools.islice(series, step)]),
-                cfg.tests, cfg.H_values)
+        for i in range(chunks):
+            step = (i + 1) * count // chunks - i * count // chunks
+            found = _evaluate_block(np.stack([s.data for s in itertools.islice(series, step)]),
+                                    cfg.tests, cfg.H_values)
             for name in flags:
                 flags[name] += [f"{type(e).__name__}: {e}" if isinstance(e, HdwnError)
                                 else [p < cfg.alpha for _, _, p, _ in e] for e in found[name]]

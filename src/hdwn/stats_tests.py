@@ -82,7 +82,7 @@ def _pair_partials(v: np.ndarray, n: int, H: int) -> np.ndarray:
     for h in range(1, H + 1):
         np.multiply(flat[:-h], flat[h:], out=buf[:-h])
         buf[_straddling(n, h, R)] = 0.0
-        terms[:, h - 1] = rows[:, : size - h].sum(axis=-1)
+        rows[:, : size - h].sum(axis=-1, out=terms[:, h - 1])
     terms /= np.arange(n - 1, n - H - 1, -1)
     return np.cumsum(terms, axis=-1)
 
@@ -115,8 +115,9 @@ def _standardized_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     centered = X - X.mean(axis=-2, keepdims=True)
     sd = np.sqrt((centered * centered).mean(axis=-2, keepdims=True))
-    centered /= np.where(sd > 0.0, sd, 1.0)
-    return centered, (sd > 0.0).all(axis=(-2, -1))
+    varies = sd > 0.0
+    np.divide(centered, sd, out=centered, where=varies)
+    return centered, varies.all(axis=(-2, -1))
 
 
 def cross_correlations(eps, H) -> np.ndarray:
@@ -217,11 +218,10 @@ def _max_results(X: np.ndarray, H_list) -> list[_Entry]:
     if min(H_list) * p * p < 3:
         return [InvalidInputError("extreme-value calibration needs H * p * p >= 3")] * R
     maxima, varies = _lag_maxima(X, max(H_list))
-    stat = np.maximum.accumulate(maxima, axis=-1)[:, np.subtract(H_list, 1)]
+    stat = np.maximum.accumulate(maxima, axis=-1)[:, [H - 1 for H in H_list]]
     n_comp = [H * p * p for H in H_list]
     logs = [math.log(N) for N in n_comp]
-    gumbel = (n * stat * stat - np.array([2.0 * L for L in logs])
-              + np.array([math.log(L) for L in logs]))
+    gumbel = n * stat * stat - [2.0 * L for L in logs] + [math.log(L) for L in logs]
     rows = zip(stat.tolist(), gumbel.tolist(), _gumbel_upper_tail(gumbel).tolist())
     return [[(s, g, pval, {"n_comparisons": float(N)}) for s, g, pval, N in zip(*row, n_comp)]
             if ok else DegenerateDataError("zero-variance column; correlations undefined")

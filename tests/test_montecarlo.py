@@ -71,7 +71,7 @@ class TestRunExperiment:
         reports = [run_experiment(replace(cfg, threads=t)) for t in (1, 2, 3)]
         assert reports[0].cells == reports[1].cells == reports[2].cells
 
-    def test_tasks_split_evenly_over_threads(self):
+    def test_tasks_split_evenly_over_threads(self, monkeypatch):
         from hdwn.dgp import _series_sampler
 
         # table1's IID shapes at 50 reps and 2 threads
@@ -86,6 +86,23 @@ class TestRunExperiment:
                 assert max(sizes) - min(sizes) < len(sizes), (n, p, sizes)
         assert mc._task_size(50, 32, 2) == 25  # (100, 40): was 32 and 18
         assert mc._task_size(50, 4, 2) == 4  # a VAR(1) block at (200, 80)
+        # a task is cut into near-equal evaluation blocks of at most
+        # _eval_reps series: 13 at most 4 at a time is 3, 3, 3, 4, not 4, 4, 4, 1
+        sizes = []
+        real = mc._evaluate_block
+
+        def record(X, tests, H_values):
+            sizes.append(len(X))
+            return real(X, tests, H_values)
+
+        monkeypatch.setattr(mc, "_evaluate_block", record)
+        monkeypatch.setattr(mc, "_eval_reps", lambda n, p: 4)
+        run_experiment(null_config(reps=13, threads=1))
+        assert sizes == [3, 3, 3, 4]
+        sizes.clear()
+        monkeypatch.setattr(mc, "_eval_reps", lambda n, p: 2)
+        run_experiment(null_config(reps=13, threads=1))
+        assert sizes == [1, 2, 2, 2, 2, 2, 2]
 
     def test_same_seed_same_report(self):
         a = run_experiment(null_config())
