@@ -358,7 +358,7 @@ def gen_series(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int, seed,
     A = resolve_coeff(model, coeff_rng)
     burn, L = _checked_model(model, A, p, innov_cov)
     (series,) = _draw_block(model.kind, A, burn, scenario, int(n), int(p), L, [innov_rng])
-    return series
+    return SeriesMatrix(series)
 
 
 #: Bytes of innovations one block of replications may hold at once: four
@@ -370,11 +370,11 @@ def _series_sampler(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int,
                     innov_cov=None) -> tuple[Callable, int]:
     """(draw, reps_per_block) for drawing many series of one model.
 
-    draw(rngs) yields gen_series(model, scenario, n, p, rng, innov_cov) for
-    each generator in turn, drawn for drawn. reps_per_block is how many
-    generators one call should get. A fixed coefficient matrix is checked
-    and the innovation covariance factored once here, so that each call
-    only draws.
+    draw(rngs) yields the data of gen_series(model, scenario, n, p, rng,
+    innov_cov), a plain (n, p) float array, for each generator in turn,
+    drawn for drawn. reps_per_block is how many generators one call should
+    get. A fixed coefficient matrix is checked and the innovation covariance
+    factored once here, so that each call only draws.
     """
     total = n + model.effective_burn_in()
     reps_per_block = max(1, _BLOCK_BYTES // (8 * total * p))
@@ -382,7 +382,7 @@ def _series_sampler(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int,
         # the alternative or the coefficients come from each call's generator
         def draw(rngs):
             for rng in rngs:
-                yield gen_series(model, scenario, n, p, rng, innov_cov=innov_cov)
+                yield gen_series(model, scenario, n, p, rng, innov_cov=innov_cov).data
 
         return draw, reps_per_block
     A = resolve_coeff(model, None)
@@ -412,8 +412,9 @@ def _checked_model(model: ModelSpec, A, p: int, innov_cov) -> tuple[int, np.ndar
 
 
 def _draw_block(kind: ModelKind, A, burn: int, scenario: ScenarioSpec, n: int, p: int,
-                L: np.ndarray | None, rngs) -> Iterator[SeriesMatrix]:
-    """One series of a checked model per generator; L is the _innovation_factor.
+                L: np.ndarray | None, rngs) -> Iterator[np.ndarray]:
+    """One (n, p) float array of a checked model per generator, a view where
+    one exists and never validated again; L is the _innovation_factor.
 
     IID and VMA(1) series are drawn one at a time. VAR(1) and VARMA(1)
     series step through time together, every innovation row first:
@@ -431,8 +432,7 @@ def _draw_block(kind: ModelKind, A, burn: int, scenario: ScenarioSpec, n: int, p
     if kind in (ModelKind.IID, ModelKind.VMA1):
         for rng in rngs:
             Z = _innovation_rows(scenario, L, total, p, rng)
-            yield SeriesMatrix(Z[burn:] if kind is ModelKind.IID
-                               else (Z[1:] + Z[:-1] @ A.T)[burn - 1:])
+            yield Z[burn:] if kind is ModelKind.IID else (Z[1:] + Z[:-1] @ A.T)[burn - 1:]
         return
 
     # time-major blocks, row t of series i at [t, i, :, 0]; burn-in rows
@@ -461,7 +461,7 @@ def _draw_block(kind: ModelKind, A, burn: int, scenario: ScenarioSpec, n: int, p
         prev = cur
     del head, rows
     for i in range(R):
-        yield SeriesMatrix(body[:, i, :, 0])
+        yield body[:, i, :, 0]
 
 
 class RadialKind(str, Enum):

@@ -262,7 +262,7 @@ def run_experiment(cfg: McConfig) -> McReport:
         flags: dict[str, list] = {name: [] for name in cfg.tests}
         for i in range(chunks):
             step = (i + 1) * count // chunks - i * count // chunks
-            found = _evaluate_block(np.stack([s.data for s in itertools.islice(series, step)]),
+            found = _evaluate_block(np.stack(list(itertools.islice(series, step))),
                                     cfg.tests, cfg.H_values)
             for name in flags:
                 flags[name] += [f"{type(e).__name__}: {e}" if isinstance(e, HdwnError)

@@ -6,9 +6,11 @@ variable of the elliptical decomposition; the raw sum test replaces c1^2 by
 E^2(r)/E(r^2). Their efficiency ratio lim E^2(1/r) E(r^2) has closed forms
 for the normal, multivariate t, and normal scale-mixture families.
 
-All gamma ratios are evaluated in log space; Gamma(p/2) overflows quickly
-otherwise. They use scipy's gammaln, imported where it is called, so that
-importing hdwn does not load scipy.
+All gamma ratios are evaluated in log space with the standard library's
+math.lgamma; Gamma(p/2) overflows quickly otherwise. chi_radial_c1 agrees
+with the same formula on scipy's gammaln to 3e-12 relative up to 1e3
+degrees of freedom and 4.4e-11 up to 1e4. Further out both lose digits to
+the cancellation of the log-gammas, and differ by 3.7e-9 at 1e6.
 """
 
 from __future__ import annotations
@@ -70,19 +72,12 @@ class MixtureNormal:
 RadialDistribution = Normal | StudentT | MixtureNormal
 
 
-def _log_gamma_ratio(a: float, b: float) -> float:
-    from scipy.special import gammaln
-    return float(gammaln(a) - gammaln(b))
-
-
 def chi_radial_c1(dof: float) -> float:
     """E(R) * E(1/R) for R chi-distributed with the given degrees of freedom."""
     if not dof > 1.0:
         raise UndefinedMomentError("chi radial c1 needs more than 1 degree of freedom")
-    from scipy.special import gammaln
-    return math.exp(
-        gammaln((dof + 1.0) / 2.0) + gammaln((dof - 1.0) / 2.0) - 2.0 * gammaln(dof / 2.0)
-    )
+    return math.exp(math.lgamma((dof + 1.0) / 2.0) + math.lgamma((dof - 1.0) / 2.0)
+                    - 2.0 * math.lgamma(dof / 2.0))
 
 
 @dataclass(frozen=True)
@@ -151,14 +146,14 @@ def radial_moments(dist: RadialDistribution, p: int) -> RadialMoments:
     """
     if not isinstance(p, (int,)) or p < 2:
         raise InvalidInputError("p must be an integer >= 2")
-    half_ratio = _log_gamma_ratio((p - 1) / 2.0, p / 2.0)
+    half_ratio = math.lgamma((p - 1) / 2.0) - math.lgamma(p / 2.0)
     if isinstance(dist, Normal):
         e_r_inv = math.exp(half_ratio) / math.sqrt(2.0)
         return RadialMoments(e_r_inv, float(p), chi_radial_c1(p))
     if isinstance(dist, StudentT):
         v = float(dist.v)
         e_r_inv = math.exp(
-            _log_gamma_ratio((v + 1.0) / 2.0, v / 2.0) + half_ratio
+            math.lgamma((v + 1.0) / 2.0) - math.lgamma(v / 2.0) + half_ratio
         ) / math.sqrt(v)
         e_r2 = p * v / (v - 2.0)
         c1 = chi_radial_c1(p) * chi_radial_c1(v)
@@ -189,7 +184,7 @@ def are_ss_flm(dist: RadialDistribution) -> float:
     if isinstance(dist, StudentT):
         v = float(dist.v)
         return (2.0 / (v - 2.0)) * math.exp(
-            2.0 * _log_gamma_ratio((v + 1.0) / 2.0, v / 2.0)
+            2.0 * (math.lgamma((v + 1.0) / 2.0) - math.lgamma(v / 2.0))
         )
     if isinstance(dist, MixtureNormal):
         v, s = float(dist.v), float(dist.sigma)

@@ -91,12 +91,10 @@ def ss_statistic(signs, H) -> float:
     """Lag-aligned pair sum of the spatial signs over lags 1..H.
 
     Sum over h of 1/(n-h) times the pairwise products U_{s-h}'U_{t-h} U_s'U_t
-    with h+1 <= s < t <= n, computed from one packed sign Gram triangle.
+    with h+1 <= s < t <= n, computed from one packed sign Gram triangle: the
+    flm_statistic of the checked signs, which are a SeriesMatrix.
     """
-    U = as_signs(signs)
-    lag = as_lag(H)
-    lag.check_against(U.n)
-    return float(_pair_partials(_packed_gram(U.data[None]), U.n, lag.H)[0, -1])
+    return flm_statistic(as_signs(signs), H)
 
 
 def flm_statistic(eps, H) -> float:
@@ -271,8 +269,9 @@ def evaluate_tests_collect(eps, tests, H_values, alpha=0.05):
     The one-series case of the block evaluator that run_experiment uses, so
     every outcome is bitwise identical to the corresponding single-test call
     and to the same series in any block. Returns (outcomes, errors), both
-    keyed by (test, H); a test that cannot be standardized lands in errors
-    instead of aborting the others.
+    keyed by (test, H) in request order; a test that cannot be standardized
+    lands in errors instead of aborting the others. The inputs are checked
+    here; evaluate_tests and the five tests pass theirs through unchecked.
     """
     X = as_series(eps)
     if not 0.0 < float(alpha) < 1.0:
@@ -292,9 +291,9 @@ def evaluate_tests_collect(eps, tests, H_values, alpha=0.05):
 
     outcomes: dict[tuple[str, int], TestOutcome] = {}
     errors: dict[tuple[str, int], HdwnError] = {}
-    for name, (entry,) in _evaluate_block(X.data[None], names, H_list).items():
-        if name not in names:
-            continue
+    found = _evaluate_block(X.data[None], names, H_list)
+    for name in dict.fromkeys(names):
+        (entry,) = found[name]
         if isinstance(entry, HdwnError):
             errors.update(((name, H), entry) for H in H_list)
             continue
@@ -304,20 +303,17 @@ def evaluate_tests_collect(eps, tests, H_values, alpha=0.05):
 
 
 def evaluate_tests(eps, tests, H_values, alpha=0.05):
-    """Strict variant of evaluate_tests_collect: raises on the first failure."""
+    """Strict variant of evaluate_tests_collect: raises the first failure in
+    request order."""
     outcomes, errors = evaluate_tests_collect(eps, tests, H_values, alpha)
     if errors:
-        for name in tests:
-            for H in H_values:
-                key = (name, as_lag(H).H)
-                if key in errors:
-                    raise errors[key]
+        raise next(iter(errors.values()))
     return outcomes
 
 
 def _single(eps, name: str, H, alpha: float) -> TestOutcome:
-    lag = as_lag(H)
-    return evaluate_tests(eps, (name,), (lag.H,), alpha)[(name, lag.H)]
+    (outcome,) = evaluate_tests(eps, (name,), (H,), alpha).values()
+    return outcome
 
 
 def ss_test(eps, H, alpha=0.05) -> TestOutcome:

@@ -420,6 +420,10 @@ hdwn.run_experiment(hdwn.McConfig(
     tests=hdwn.TEST_NAMES, scenario=hdwn.ScenarioSpec.mixture(),
     model=hdwn.ModelSpec("varma1", coeff=hdwn.CoeffSpec("dense", 5)),
     cov=hdwn.CovarianceSpec("polydecay", 5), n=20, p=5, H_values=(1, 2), reps=4))
+hdwn.normal_upper_quantile(0.05)
+hdwn.power_ss(hdwn.PowerInput(n=100, tr_s0s1=1.0, tr_s0sq=10.0))
+hdwn.radial_moments(hdwn.StudentT(3.0), 100)
+hdwn.gen_h1_model(hdwn.H1Spec(hdwn.CovarianceSpec("identity", 10)), 30, 10, 1)
 np.savetxt(tmp / "series.csv", X.data, delimiter=",")
 (tmp / "cell.cfg").write_text(
     "[cell]\\ntests = ss,flm,pv,max,fc\\nlags = 1,2\\nreps = 4\\ncov = identity\\n"
@@ -428,11 +432,13 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert hdwn.cli.main(["test", "--input", str(tmp / "series.csv"), "--test", "fc"]) == 0
     assert hdwn.cli.main(["simulate", "--config", str(tmp / "cell.cfg"),
                           "--out", str(tmp)]) == 0
+    assert hdwn.cli.main(["are", "--dist", "t", "--df", "3", "--p", "100"]) == 0
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
 def test_tests_and_simulate_do_not_load_scipy(tmp_path):
+    # nor do the power formulas, the h1 generator's chi law and `hdwn are`
     src = str(Path(hdwn.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", _SCIPY_FREE_SCRIPT, str(tmp_path)],
                          capture_output=True, text=True, check=True,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import hdwn
 from hdwn import (
     InsufficientSampleError,
     InvalidInputError,
@@ -18,9 +19,11 @@ from hdwn import (
     normal_upper_tail,
     sign_transform,
     spatial_sign,
+    ss_statistic,
     trace_omega2_hat,
     trace_sigma2_hat,
 )
+from hdwn.core import as_series, as_signs
 
 from oracles import (
     erfc_upper_quantile,
@@ -189,6 +192,17 @@ class TestNormalQuantile:
         with pytest.raises(InvalidInputError):
             normal_upper_quantile(alpha)
 
+    def test_matches_scipy_ndtri(self):
+        from scipy.special import ndtri
+
+        alphas = np.concatenate([np.logspace(-300, -2, 2_000), np.linspace(0.01, 0.99, 2_001),
+                                 1.0 - np.logspace(-16, -2, 500)])
+        want = -ndtri(alphas)
+        got = np.array([normal_upper_quantile(float(a)) for a in alphas])
+        nonzero = want != 0.0
+        assert np.all(got[~nonzero] == 0.0)
+        assert np.max(np.abs(got - want)[nonzero] / np.abs(want[nonzero])) <= 1e-10
+
 
 class TestNormalTail:
     @staticmethod
@@ -244,6 +258,26 @@ class TestDomainTypes:
         sm = SignMatrix(np.array([[0.0, 0.0], [0.0, 1.0]]))
         assert sm.n == 2
 
+    def test_sign_matrix_is_a_series_matrix(self, rng):
+        U = sign_transform(rng.standard_normal((5, 3)))
+        assert isinstance(U, SeriesMatrix)
+        assert as_series(U) is U
+        with pytest.raises(InsufficientSampleError, match="signs"):
+            SignMatrix(np.array([[1.0, 0.0]]))
+
+    def test_series_of_unit_or_zero_rows_serves_as_signs(self, rng):
+        X = rng.standard_normal((9, 4))
+        X[2] = 0.0
+        U = sign_transform(X)
+        S = SeriesMatrix(U.data)
+        assert as_signs(S).data.tobytes() == U.data.tobytes()
+        assert ss_statistic(S, 3) == ss_statistic(U, 3)
+        assert trace_omega2_hat(S) == trace_omega2_hat(U)
+        bad = SeriesMatrix(2.0 * U.data)
+        for call in (as_signs, trace_omega2_hat, lambda s: ss_statistic(s, 3)):
+            with pytest.raises(InvalidInputError):
+                call(bad)
+
     def test_lag_window_validation(self):
         assert LagWindow(3).H == 3
         with pytest.raises(InvalidLagError):
@@ -259,3 +293,24 @@ class TestDomainTypes:
             TestOutcome(1.0, 1.0, 0.2, True, 0.05, {})
         ok = TestOutcome(1.0, 1.0, 0.01, True, 0.05, {})
         assert ok.reject
+
+
+def test_public_api_frozen():
+    assert hdwn.__all__ == [
+        "CoeffRegime", "CoeffSpec", "ConfigError", "CovarianceKind", "CovarianceSpec",
+        "DegenerateDataError", "ExplosiveModelError", "H1Metadata", "H1Spec", "HdwnError",
+        "InsufficientSampleError", "InvalidInputError", "InvalidLagError", "InvalidSpecError",
+        "LagWindow", "McCell", "McConfig", "McReport", "McRunError", "McTable",
+        "MixtureNormal", "ModelKind", "ModelSpec", "Normal", "NotPositiveDefiniteError",
+        "PowerInput", "RadialKind", "RadialMoments", "ScenarioKind", "ScenarioSpec",
+        "SeriesMatrix", "SignMatrix", "StudentT", "TEST_NAMES", "TestOutcome",
+        "UndefinedMomentError", "are_ss_flm", "build_covariance", "chi_radial_c1",
+        "cross_correlations", "derive_rng", "derive_seed", "evaluate_tests",
+        "evaluate_tests_collect", "fc_test", "flm_statistic", "flm_test", "gen_coeff",
+        "gen_h1_model", "gen_innovations", "gen_series", "max_test", "normal_upper_quantile",
+        "normal_upper_tail", "power_flm", "power_ss", "power_table", "pv_test",
+        "radial_moments", "run_experiment", "sign_transform", "size_table", "spatial_sign",
+        "ss_statistic", "ss_test", "tabulate_reports", "trace_omega2_hat", "trace_sigma2_hat",
+    ]
+    assert all(hasattr(hdwn, name) for name in hdwn.__all__)
+    assert issubclass(SignMatrix, SeriesMatrix)

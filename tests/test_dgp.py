@@ -163,7 +163,9 @@ class TestGenSeries:
             for r in range(3):
                 want = gen_series(model, scenario, 30, 6, derive_rng(4, "rep", r), innov_cov=cov)
                 (got,) = draw([derive_rng(4, "rep", r)])
-                assert np.array_equal(got.data, want.data)
+                assert type(got) is np.ndarray and got.dtype == np.float64
+                assert got.shape == (30, 6)
+                assert np.array_equal(got, want.data)
 
     @pytest.mark.parametrize("p", (3, 40, 80))
     @pytest.mark.parametrize("kind", list(ModelKind))
@@ -190,9 +192,11 @@ class TestGenSeries:
                         for first in range(0, reps, size):
                             rngs = [derive_rng(8, "rep", r)
                                     for r in range(first, min(first + size, reps))]
-                            got += [series.data for series in draw(rngs)]
+                            got += list(draw(rngs))
                         assert len(got) == reps
                         for a, b in zip(got, want):
+                            assert type(a) is np.ndarray and a.dtype == np.float64
+                            assert a.shape == (12, p)
                             assert np.array_equal(a, b), (cov_kind, burn, scenario.kind, size)
 
     def test_block_draw_memory(self):
@@ -244,7 +248,7 @@ class TestGenSeries:
                 for cov in (None, np.eye(p)):
                     out.append(gen_series(model, scenario, n, p, 2, innov_cov=cov).data)
                     draw, _ = _series_sampler(model, scenario, n, p, cov)
-                    out += [s.data for s in draw([derive_rng(2, "rep", r) for r in range(3)])]
+                    out += list(draw([derive_rng(2, "rep", r) for r in range(3)]))
             return [x.tobytes() for x in out]
 
         skipped = draws()

@@ -104,6 +104,22 @@ class TestRunExperiment:
         run_experiment(null_config(reps=13, threads=1))
         assert sizes == [1, 2, 2, 2, 2, 2, 2]
 
+    @pytest.mark.parametrize("model", (ModelSpec(ModelKind.IID),
+                                       ModelSpec(ModelKind.VAR1, coeff=CoeffSpec("dense", 5))))
+    def test_replications_build_no_series_matrix(self, model, monkeypatch):
+        # the sampler yields plain arrays; only the public calls validate
+        built = []
+        real = hdwn.SeriesMatrix.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(hdwn.SeriesMatrix, "__post_init__", counting)
+        report = run_experiment(null_config(model=model, reps=12, threads=2,
+                                            tests=hdwn.TEST_NAMES, H_values=(1, 2)))
+        assert len(report.cells) == 10 and built == []
+
     def test_same_seed_same_report(self):
         a = run_experiment(null_config())
         b = run_experiment(null_config())

@@ -122,6 +122,25 @@ class TestRadialMoments:
         exact = ((1 - v) + v * s) * ((1 - v) + v / s) * chi_radial_c1(p)
         assert m.c1 == pytest.approx(exact, rel=1e-14)
 
+    def test_gamma_ratios_match_scipy_gammaln(self):
+        # past 1e4 degrees of freedom both lose digits to the log-gamma cancellation
+        from scipy.special import gammaln
+
+        def c1(dof):
+            return math.exp(gammaln((dof + 1) / 2) + gammaln((dof - 1) / 2) - 2 * gammaln(dof / 2))
+
+        for dof in np.concatenate([np.linspace(1.01, 100.0, 2_000), np.logspace(2, 4, 2_000)]):
+            assert chi_radial_c1(dof) == pytest.approx(c1(dof), rel=1e-10, abs=0.0)
+        for p in (2, 3, 40, 120, 1_000, 10_000):
+            half = math.exp(gammaln((p - 1) / 2) - gammaln(p / 2))
+            t3 = math.exp(gammaln(2.0) - gammaln(1.5) + gammaln((p - 1) / 2) - gammaln(p / 2))
+            assert radial_moments(Normal(), p).e_r_inv == pytest.approx(
+                half / math.sqrt(2.0), rel=1e-10, abs=0.0)
+            assert radial_moments(StudentT(3.0), p).e_r_inv == pytest.approx(
+                t3 / math.sqrt(3.0), rel=1e-10, abs=0.0)
+        t = 2.0 * (gammaln(4.0) - gammaln(3.5))
+        assert are_ss_flm(StudentT(7.0)) == pytest.approx(0.4 * math.exp(t), rel=1e-10, abs=0.0)
+
     def test_chi_radial_c1_monte_carlo(self):
         rng = np.random.default_rng(3)
         r = np.linalg.norm(rng.standard_normal((200_000, 8)), axis=1)

@@ -463,6 +463,16 @@ class TestEvaluator:
         with pytest.raises(DegenerateDataError):
             evaluate_tests(np.eye(6), ("ss",), (1,), 0.05)
 
+    def test_strict_raises_the_first_failure_in_request_order(self):
+        # orthogonal rows degenerate ss; the zero column degenerates max
+        X = np.hstack([np.eye(6), np.zeros((6, 1))])
+        with pytest.raises(DegenerateDataError, match="correlations undefined"):
+            evaluate_tests(X, ("max", "ss"), (1, 2), 0.05)
+        with pytest.raises(DegenerateDataError, match="sign products all vanish"):
+            evaluate_tests(X, ("ss", "max"), (1, 2), 0.05)
+        _, errors = evaluate_tests_collect(X, ("max", "ss"), (2, 1), 0.05)
+        assert list(errors) == [("max", 2), ("max", 1), ("ss", 2), ("ss", 1)]
+
 
 def _hex(values):
     return [float(v).hex() for v in values]
