@@ -22,7 +22,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -52,6 +52,7 @@ from .montecarlo import (
     McCell,
     McConfig,
     McReport,
+    McTable,
     context_row,
     run_experiment,
     tabulate_reports,
@@ -343,19 +344,9 @@ def _write_table_csv(path: Path, table) -> None:
 
 
 def _write_results_csv(path: Path, reports: list[McReport]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["label", "scenario", "model", "n", "p", "test", "H",
-             "rejection_rate", "mc_se", "reps", "errors"]
-        )
-        for report in reports:
-            context = list(context_row(report.config).values())
-            for cell in report.cells:
-                writer.writerow(
-                    [*context, cell.test, cell.H, _fmt(cell.rejection_rate),
-                     _fmt(cell.mc_se), cell.reps, cell.errors]
-                )
+    rows = [{**context_row(report.config), **asdict(cell)}
+            for report in reports for cell in report.cells]
+    _write_table_csv(path, McTable(tuple(rows[0]), tuple(rows)))
 
 
 # ---------------------------------------------------------------------------

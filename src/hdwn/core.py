@@ -45,14 +45,18 @@ _SQRT1_2 = math.sqrt(0.5)
 
 @dataclass(frozen=True, eq=False)
 class SeriesMatrix:
-    """An n-by-p block of observations, one time point per row, rows in time order."""
+    """An n-by-p block of observations, one time point per row, rows in time order.
+
+    data may be an array or another matrix, whose data is copied.
+    """
 
     data: np.ndarray
 
     _kind = "series"  # names the matrix in validation messages
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=float)
+        data = self.data
+        arr = np.array(data.data if isinstance(data, SeriesMatrix) else data, dtype=float)
         name = self._kind
         if arr.ndim != 2:
             raise InvalidInputError(f"{name} must be two-dimensional, got shape {arr.shape}")
@@ -74,14 +78,6 @@ class SeriesMatrix:
         return self.data.shape[1]
 
 
-def _unit_or_zero_rows(arr: np.ndarray) -> np.ndarray:
-    """arr itself, once every row is checked to have norm 1 or be exactly zero."""
-    norms = np.sqrt((arr * arr).sum(axis=1))
-    if not bool(((np.abs(norms - 1.0) <= _SIGN_NORM_TOL) | (norms == 0.0)).all()):
-        raise InvalidInputError("sign rows must have norm 1 or be exactly zero")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class SignMatrix(SeriesMatrix):
     """Spatial signs of a series: every row has unit norm or is exactly zero."""
@@ -90,7 +86,9 @@ class SignMatrix(SeriesMatrix):
 
     def __post_init__(self):
         super().__post_init__()
-        _unit_or_zero_rows(self.data)
+        norms = np.sqrt((self.data * self.data).sum(axis=1))
+        if not bool(((np.abs(norms - 1.0) <= _SIGN_NORM_TOL) | (norms == 0.0)).all()):
+            raise InvalidInputError("sign rows must have norm 1 or be exactly zero")
 
     @classmethod
     def _trusted(cls, arr: np.ndarray) -> "SignMatrix":
@@ -134,12 +132,8 @@ def as_series(x) -> SeriesMatrix:
 
 
 def as_signs(x) -> SignMatrix:
-    """A SignMatrix as is; a SeriesMatrix once its rows are checked; else validated."""
-    if isinstance(x, SignMatrix):
-        return x
-    if isinstance(x, SeriesMatrix):
-        return SignMatrix._trusted(_unit_or_zero_rows(x.data))
-    return SignMatrix(x)
+    """A SignMatrix as is; anything else, a SeriesMatrix too, once validated."""
+    return x if isinstance(x, SignMatrix) else SignMatrix(x)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterator
@@ -337,28 +337,23 @@ def gen_series(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int, seed,
                innov_cov=None) -> SeriesMatrix:
     """Generate n rows from a temporal model after discarding its burn-in.
 
-    Innovations come from the scenario with identity scatter unless
-    innov_cov is given. With an integer seed, the coefficient draw (when the
-    model holds a CoeffSpec) and the innovations use the independent
-    sub-streams (seed, "coeff") and (seed, "innov"); with a Generator they
-    consume it sequentially, coefficients first.
+    One draw of _series_sampler. Innovations come from the scenario with
+    identity scatter unless innov_cov is given; the h1 model uses neither.
+    A Generator seed is consumed sequentially, coefficients first. An
+    integer seed draws h1 rows from (seed, "h1"), and otherwise fixes the
+    coefficients from (seed, "coeff") and innovations from (seed, "innov").
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidInputError("n must be an integer >= 2")
-    if model.kind is ModelKind.H1_SIGN:
-        series, _ = gen_h1_model(model.h1, n, p, seed)
-        return series
-
     if isinstance(seed, np.random.Generator):
-        coeff_rng = innov_rng = seed
+        rng = seed
+    elif model.kind is ModelKind.H1_SIGN:
+        rng = derive_rng(seed, "h1")
     else:
-        coeff_rng = derive_rng(seed, "coeff")
-        innov_rng = derive_rng(seed, "innov")
-
-    A = resolve_coeff(model, coeff_rng)
-    burn, L = _checked_model(model, A, p, innov_cov)
-    (series,) = _draw_block(model.kind, A, burn, scenario, int(n), int(p), L, [innov_rng])
-    return SeriesMatrix(series)
+        rng = derive_rng(seed, "innov")
+        model = replace(model, coeff=resolve_coeff(model, derive_rng(seed, "coeff")))
+    draw, _ = _series_sampler(model, scenario, n, p, innov_cov)
+    return SeriesMatrix(next(draw([rng])))
 
 
 #: Bytes of innovations one block of replications may hold at once: four
@@ -370,19 +365,23 @@ def _series_sampler(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int,
                     innov_cov=None) -> tuple[Callable, int]:
     """(draw, reps_per_block) for drawing many series of one model.
 
-    draw(rngs) yields the data of gen_series(model, scenario, n, p, rng,
-    innov_cov), a plain (n, p) float array, for each generator in turn,
-    drawn for drawn. reps_per_block is how many generators one call should
-    get. A fixed coefficient matrix is checked and the innovation covariance
-    factored once here, so that each call only draws.
+    The one draw path: draw(rngs) yields a plain (n, p) float array drawn
+    from each generator in turn; reps_per_block is how many generators one
+    call should get. What does not depend on the generator is done once,
+    here: an h1 spec is checked and Sigma0 factored, or fixed coefficients
+    checked and the innovation covariance factored. A CoeffSpec model draws
+    each series' coefficients from its generator, then its innovations.
     """
     total = n + model.effective_burn_in()
     reps_per_block = max(1, _BLOCK_BYTES // (8 * total * p))
-    if model.kind is ModelKind.H1_SIGN or isinstance(model.coeff, CoeffSpec):
-        # the alternative or the coefficients come from each call's generator
+    if model.kind is ModelKind.H1_SIGN:
+        return partial(map, _h1_setup(model.h1, n, p)[-1]), reps_per_block
+    if isinstance(model.coeff, CoeffSpec):
         def draw(rngs):
             for rng in rngs:
-                yield gen_series(model, scenario, n, p, rng, innov_cov=innov_cov).data
+                A = gen_coeff(model.coeff, rng)
+                burn, L = _checked_model(model, A, p, innov_cov)
+                yield from _draw_block(model.kind, A, burn, scenario, int(n), int(p), L, [rng])
 
         return draw, reps_per_block
     A = resolve_coeff(model, None)
@@ -518,12 +517,13 @@ class H1Metadata:
     sigma1_scale: float
 
 
-def gen_h1_model(spec: H1Spec, n: int, p: int, seed) -> tuple[SeriesMatrix, H1Metadata]:
-    """Generate the lag-one alternative and report its population constants.
+def _h1_setup(spec: H1Spec, n: int, p: int) -> tuple:
+    """(Sigma0, tau, c1, rows) of a checked H1Spec at shape (n, p).
 
-    Directions are uniform on the unit sphere (normalized Gaussians); for the
-    chi radial law the radius reuses the Gaussian norm, which is independent
-    of the direction.
+    rows(rng) draws one series from n + 1 directions, uniform on the sphere
+    as normalized Gaussians, and n + 1 radii; the chi law reuses the
+    Gaussian norms, which are independent of the directions, as radii. c1
+    is None for a custom law without radial_c1.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidInputError("n must be an integer >= 2")
@@ -537,37 +537,48 @@ def gen_h1_model(spec: H1Spec, n: int, p: int, seed) -> tuple[SeriesMatrix, H1Me
         Sigma0 = np.asarray(spec.sigma0, dtype=float)
         if Sigma0.shape != (p, p):
             raise InvalidSpecError(f"sigma0 is {Sigma0.shape}, expected ({p}, {p})")
-    L = _cholesky(Sigma0)
-    A0 = L.T  # A0' A0 = Sigma0
+    A0 = _cholesky(Sigma0).T  # A0' A0 = Sigma0
     tau = float(spec.sigma1_scale) if spec.sigma1_scale is not None else 1.0 / math.sqrt(n)
 
-    rng = derive_rng(seed, "h1") if not isinstance(seed, np.random.Generator) else seed
-    G = rng.standard_normal((int(n) + 1, int(p)))
-    norms = np.sqrt((G * G).sum(axis=1))
-    if not np.all(norms > ZERO_NORM_THRESHOLD):
-        raise InvalidInputError("degenerate sphere draw")
-    u = G / norms[:, None]
-
     if spec.radial is RadialKind.CHI_P:
-        r = norms
-        c1 = chi_radial_c1(p)
+        radii, c1 = (lambda rng, norms: norms), chi_radial_c1(p)
     elif spec.radial is RadialKind.CONSTANT:
-        r = np.ones(int(n) + 1)
-        c1 = 1.0
+        radii, c1 = (lambda rng, norms: np.ones(n + 1)), 1.0
     else:
-        r = np.asarray(spec.radial_sampler(rng, int(n) + 1), dtype=float)
-        if r.shape != (int(n) + 1,) or not np.isfinite(r).all() or np.any(r < 0):
-            raise InvalidSpecError("radial_sampler must return n+1 finite nonnegative values")
-        if spec.radial_c1 is not None:
-            c1 = float(spec.radial_c1)
-        else:
-            est = spec.radial_sampler(rng.spawn(1)[0], 200_000)
-            est = np.asarray(est, dtype=float)
-            c1 = float(est.mean() * (1.0 / est).mean())
+        def radii(rng, norms):
+            r = np.asarray(spec.radial_sampler(rng, n + 1), dtype=float)
+            if r.shape != (n + 1,) or not np.isfinite(r).all() or np.any(r < 0):
+                raise InvalidSpecError("radial_sampler must return n+1 finite nonnegative values")
+            return r
 
-    ru = r[:, None] * u
-    # A1 = tau * P with P the cyclic shift: orthogonal, so A1'A1 = tau^2 I
-    eps = ru[1:] @ A0.T + tau * np.roll(ru[:-1], 1, axis=1)
+        c1 = None if spec.radial_c1 is None else float(spec.radial_c1)
+
+    def rows(rng):
+        G = rng.standard_normal((n + 1, p))
+        norms = np.sqrt((G * G).sum(axis=1))
+        if not np.all(norms > ZERO_NORM_THRESHOLD):
+            raise InvalidInputError("degenerate sphere draw")
+        u = G / norms[:, None]
+        ru = radii(rng, norms)[:, None] * u
+        # A1 = tau * P with P the cyclic shift: orthogonal, so A1'A1 = tau^2 I
+        return ru[1:] @ A0.T + tau * np.roll(ru[:-1], 1, axis=1)
+
+    return Sigma0, tau, c1, rows
+
+
+def gen_h1_model(spec: H1Spec, n: int, p: int, seed) -> tuple[SeriesMatrix, H1Metadata]:
+    """Generate the lag-one alternative and report its population constants.
+
+    The rows are drawn as _series_sampler draws them, from seed or from
+    (seed, "h1"). A custom law without radial_c1 has c1 estimated from
+    200,000 radii drawn from rng.spawn, which leaves the rows unchanged.
+    """
+    Sigma0, tau, c1, rows = _h1_setup(spec, n, p)
+    rng = derive_rng(seed, "h1") if not isinstance(seed, np.random.Generator) else seed
+    eps = rows(rng)
+    if c1 is None:
+        est = np.asarray(spec.radial_sampler(rng.spawn(1)[0], 200_000), dtype=float)
+        c1 = float(est.mean() * (1.0 / est).mean())
 
     tr_s0 = float(np.trace(Sigma0))
     meta = H1Metadata(

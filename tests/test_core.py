@@ -114,7 +114,9 @@ class TestSignTransform:
         out = sign_transform(X)
         assert isinstance(out, SignMatrix)
         assert not out.data.flags.writeable
-        assert np.array_equal(SignMatrix(out.data).data, out.data)
+        for given in (out.data, out, SeriesMatrix(out.data)):
+            assert np.array_equal(SignMatrix(given).data, out.data)
+        assert np.array_equal(SeriesMatrix(SeriesMatrix(X)).data, X)
 
     def test_public_constructor_still_validates(self):
         with pytest.raises(InvalidInputError):
@@ -251,8 +253,10 @@ class TestDomainTypes:
         assert (s.n, s.p) == (7, 3)
 
     def test_sign_matrix_rejects_non_unit_rows(self):
-        with pytest.raises(InvalidInputError):
-            SignMatrix(np.array([[0.5, 0.0], [1.0, 0.0]]))
+        bad = np.array([[0.5, 0.0], [1.0, 0.0]])
+        for given in (bad, SeriesMatrix(bad)):
+            with pytest.raises(InvalidInputError):
+                SignMatrix(given)
 
     def test_sign_matrix_accepts_zero_rows(self):
         sm = SignMatrix(np.array([[0.0, 0.0], [0.0, 1.0]]))

@@ -351,6 +351,23 @@ class TestH1Model:
         _, meta = gen_h1_model(spec, 60, 12, 2)
         assert abs(meta.c1 - math.log(3.0)) < 0.01
 
+    def test_c1_estimate_leaves_the_stream_alone(self):
+        # the estimate draws from rng.spawn, so the rows match a declared c1
+        def spec(c1):
+            return H1Spec(sigma0=CovarianceSpec("polydecay", 12), radial="custom",
+                          radial_sampler=lambda rng, size: rng.uniform(0.5, 1.5, size=size),
+                          radial_c1=c1)
+
+        est, m_est = gen_h1_model(spec(None), 60, 12, 2)
+        given, m_given = gen_h1_model(spec(1.1), 60, 12, 2)
+        assert est.data.tobytes() == given.data.tobytes()
+        assert m_given.c1 == 1.1 and m_est.c1 != 1.1
+        g_est, g_given = np.random.default_rng(2), np.random.default_rng(2)
+        est, _ = gen_h1_model(spec(None), 60, 12, g_est)
+        given, _ = gen_h1_model(spec(1.1), 60, 12, g_given)
+        assert est.data.tobytes() == given.data.tobytes()
+        assert g_est.random() == g_given.random()
+
     def test_sphere_uniformity(self):
         spec = H1Spec(sigma0=CovarianceSpec("identity", 10), sigma1_scale=0.0,
                       radial="constant")

@@ -17,6 +17,7 @@ import hdwn.montecarlo as mc
 from hdwn import (
     CoeffSpec,
     CovarianceSpec,
+    H1Spec,
     InvalidSpecError,
     McConfig,
     McRunError,
@@ -105,20 +106,63 @@ class TestRunExperiment:
         assert sizes == [1, 2, 2, 2, 2, 2, 2]
 
     @pytest.mark.parametrize("model", (ModelSpec(ModelKind.IID),
-                                       ModelSpec(ModelKind.VAR1, coeff=CoeffSpec("dense", 5))))
+                                       ModelSpec(ModelKind.VAR1, coeff=CoeffSpec("dense", 5)),
+                                       ModelSpec(ModelKind.H1_SIGN,
+                                                 h1=H1Spec(CovarianceSpec("polydecay", 5)))))
     def test_replications_build_no_series_matrix(self, model, monkeypatch):
-        # the sampler yields plain arrays; only the public calls validate
-        built = []
+        # the sampler yields plain arrays; only the public calls validate.
+        # It factors one covariance once: an h1 cell's sigma0, or else the
+        # innovations' covariance; and an h1 cell builds no H1Metadata
+        built, factored = [], []
         real = hdwn.SeriesMatrix.__post_init__
+        real_cholesky = hdwn.dgp._cholesky
 
         def counting(self):
             built.append(self)
             real(self)
 
         monkeypatch.setattr(hdwn.SeriesMatrix, "__post_init__", counting)
+        monkeypatch.setattr(hdwn.dgp, "H1Metadata", lambda **fields: built.append(fields))
+        monkeypatch.setattr(hdwn.dgp, "_cholesky",
+                            lambda cov: factored.append(cov) or real_cholesky(cov))
         report = run_experiment(null_config(model=model, reps=12, threads=2,
                                             tests=hdwn.TEST_NAMES, H_values=(1, 2)))
         assert len(report.cells) == 10 and built == []
+        assert len(factored) == 1
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_h1_cells_equal_the_public_calls(self, threads):
+        model = ModelSpec(ModelKind.H1_SIGN, h1=H1Spec(CovarianceSpec("polydecay", 6),
+                                                       sigma1_scale=0.3))
+        cfg = null_config(model=model, cov=CovarianceSpec("identity", 6), n=30, p=6,
+                          tests=hdwn.TEST_NAMES, H_values=(1, 2), reps=20, master_seed=3,
+                          threads=threads)
+        rejects = dict.fromkeys(((t, H) for t in cfg.tests for H in cfg.H_values), 0)
+        with mc._single_threaded_blas():
+            for r in range(cfg.reps):
+                X = hdwn.gen_series(model, cfg.scenario, cfg.n, cfg.p,
+                                    hdwn.derive_rng(cfg.master_seed, "rep", r))
+                outcomes, errors = hdwn.evaluate_tests_collect(X, cfg.tests, cfg.H_values)
+                assert errors == {}
+                for key, outcome in outcomes.items():
+                    rejects[key] += outcome.reject
+        report = run_experiment(cfg)
+        assert [(c.test, c.H, c.rejection_rate, c.errors) for c in report.cells] == [
+            (t, H, count / cfg.reps, 0) for (t, H), count in rejects.items()]
+        assert 0.0 < max(rejects.values()) < cfg.reps
+
+    def test_h1_custom_radii_are_drawn_per_series_only(self):
+        # without radial_c1 the engine needs no c1, so it never estimates it
+        sizes = []
+
+        def radii(rng, size):
+            sizes.append(size)
+            return rng.uniform(0.5, 1.5, size=size)
+
+        h1 = H1Spec(CovarianceSpec("identity", 5), radial="custom", radial_sampler=radii)
+        run_experiment(null_config(model=ModelSpec(ModelKind.H1_SIGN, h1=h1), reps=12,
+                                   threads=2))
+        assert sizes == [31] * 12
 
     def test_same_seed_same_report(self):
         a = run_experiment(null_config())
