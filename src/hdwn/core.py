@@ -177,12 +177,12 @@ def spatial_sign(x) -> np.ndarray:
     return _sign_rows(v)
 
 
-def _sign_rows(X: np.ndarray) -> np.ndarray:
-    """Spatial signs of the rows of X, one per last-axis vector, any leading axes."""
+def _sign_rows(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Spatial signs of the rows of X (any leading axes), into out or a new array."""
     scratch = np.abs(X)  # reused for the squares: one temporary, not two
     scales = scratch.max(axis=-1)
     # dividing near-zero rows by inf gives exact zeros without a branch
-    W = X / np.where(scales < ZERO_NORM_THRESHOLD, np.inf, scales)[..., None]
+    W = np.divide(X, np.where(scales < ZERO_NORM_THRESHOLD, np.inf, scales)[..., None], out=out)
     norms = np.sqrt(np.multiply(W, W, out=scratch).sum(axis=-1))
     W /= np.where(norms == 0.0, np.inf, norms)[..., None]
     return W
@@ -216,15 +216,13 @@ def _packed_index(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _straddling(n: int, h: int, R: int = 1) -> np.ndarray:
+def _straddling(n: int, h: int) -> np.ndarray:
     """Slots k of the packed product v[:-h] * v[h:] whose v[k] and v[k+h] lie
     on different superdiagonals: the last min(h, n-d) slots of superdiagonal
-    d. For R packed vectors laid end to end, the same slots of each vector,
-    offset by its start. Cached per (n, h, R) and read-only."""
+    d. Cached per (n, h) and read-only."""
     ends = np.cumsum(np.arange(n - 1, 0, -1))
     slots = np.concatenate([np.arange(end - min(h, n - d), end) for d, end in enumerate(ends, 1)])
     slots = slots[slots < ends[-1] - h]
-    slots = (slots + ends[-1] * np.arange(R)[:, None]).ravel()
     slots.flags.writeable = False
     return slots
 
@@ -233,15 +231,17 @@ def _packed_gram(rows: np.ndarray) -> np.ndarray:
     """Strict upper triangles of rows[r] @ rows[r].T, (R, n(n-1)/2), for rows
     (R, n, k), in the _packed_index layout.
 
-    The stacked product makes the single-matrix BLAS call for each r. Rows
-    passed as a temporary are freed before the packing, the Grams on
-    return. take lays each triangle out contiguously, where a fancy index
-    would lay the block out by columns.
+    Each Gram is the single-matrix BLAS call, made into one reused n x n
+    buffer and gathered straight into its row; a 'clip' take writes there
+    unbuffered, and the index never leaves its range.
     """
     R, n = rows.shape[:2]
-    G = np.matmul(rows, rows.transpose(0, 2, 1))
-    del rows
-    return G.reshape(R, n * n).take(_packed_index(n).base, axis=-1)
+    gram, index = np.empty((n, n)), _packed_index(n).base
+    packed = np.empty((R, n * (n - 1) // 2))
+    for series, row in zip(rows, packed):
+        np.matmul(series, series.T, out=gram)
+        gram.take(index, out=row, mode="clip")
+    return packed
 
 
 def _pair_square_means(v: np.ndarray, n: int) -> list[float]:

@@ -18,10 +18,11 @@ import zlib
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
+from ._blas import _single_threaded_blas
 from .core import SeriesMatrix, ZERO_NORM_THRESHOLD
 from .errors import (
     ExplosiveModelError,
@@ -197,6 +198,7 @@ def _innovation_rows(scenario: ScenarioSpec, L: np.ndarray | None, n: int, p: in
     return x
 
 
+@_single_threaded_blas()
 def gen_innovations(scenario: ScenarioSpec, cov, n: int, seed) -> SeriesMatrix:
     """n i.i.d. rows from the scenario with the given scatter matrix.
 
@@ -333,6 +335,7 @@ def _spectral_radius(A: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
+@_single_threaded_blas()
 def gen_series(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int, seed,
                innov_cov=None) -> SeriesMatrix:
     """Generate n rows from a temporal model after discarding its burn-in.
@@ -353,7 +356,7 @@ def gen_series(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int, seed,
         rng = derive_rng(seed, "innov")
         model = replace(model, coeff=resolve_coeff(model, derive_rng(seed, "coeff")))
     draw, _ = _series_sampler(model, scenario, n, p, innov_cov)
-    return SeriesMatrix(next(draw([rng])))
+    return SeriesMatrix(draw([rng])[0])
 
 
 #: Bytes of innovations one block of replications may hold at once: four
@@ -365,29 +368,37 @@ def _series_sampler(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int,
                     innov_cov=None) -> tuple[Callable, int]:
     """(draw, reps_per_block) for drawing many series of one model.
 
-    The one draw path: draw(rngs) yields a plain (n, p) float array drawn
-    from each generator in turn; reps_per_block is how many generators one
-    call should get. What does not depend on the generator is done once,
-    here: an h1 spec is checked and Sigma0 factored, or fixed coefficients
-    checked and the innovation covariance factored. A CoeffSpec model draws
-    each series' coefficients from its generator, then its innovations.
+    The one draw path: draw(rngs) returns one C-contiguous (len(rngs), n, p)
+    float array whose slot i is the series drawn from rngs[i]; reps_per_block
+    is how many generators one call should get. What does not depend on the
+    generator is done once, here: an h1 spec is checked and Sigma0 factored,
+    or fixed coefficients checked and the innovation covariance factored. A
+    CoeffSpec model draws each series' coefficients from its generator, then
+    its innovations.
     """
     total = n + model.effective_burn_in()
     reps_per_block = max(1, _BLOCK_BYTES // (8 * total * p))
     if model.kind is ModelKind.H1_SIGN:
-        return partial(map, _h1_setup(model.h1, n, p)[-1]), reps_per_block
+        return partial(_fill, _h1_setup(model.h1, n, p)[-1], n, p), reps_per_block
     if isinstance(model.coeff, CoeffSpec):
-        def draw(rngs):
-            for rng in rngs:
-                A = gen_coeff(model.coeff, rng)
-                burn, L = _checked_model(model, A, p, innov_cov)
-                yield from _draw_block(model.kind, A, burn, scenario, int(n), int(p), L, [rng])
+        def one(rng):
+            A = gen_coeff(model.coeff, rng)
+            burn, L = _checked_model(model, A, p, innov_cov)
+            return _draw_block(model.kind, A, burn, scenario, int(n), int(p), L, [rng])[0]
 
-        return draw, reps_per_block
+        return partial(_fill, one, n, p), reps_per_block
     A = resolve_coeff(model, None)
     burn, L = _checked_model(model, A, p, innov_cov)
     return (partial(_draw_block, model.kind, A, burn, scenario, int(n), int(p), L),
             reps_per_block)
+
+
+def _fill(one: Callable, n: int, p: int, rngs) -> np.ndarray:
+    """(len(rngs), n, p) array whose slot i is one(rngs[i]), filled in turn."""
+    out = np.empty((len(rngs), n, p))
+    for slot, rng in zip(out, rngs):
+        slot[...] = one(rng)
+    return out
 
 
 def _checked_model(model: ModelSpec, A, p: int, innov_cov) -> tuple[int, np.ndarray | None]:
@@ -411,14 +422,17 @@ def _checked_model(model: ModelSpec, A, p: int, innov_cov) -> tuple[int, np.ndar
 
 
 def _draw_block(kind: ModelKind, A, burn: int, scenario: ScenarioSpec, n: int, p: int,
-                L: np.ndarray | None, rngs) -> Iterator[np.ndarray]:
-    """One (n, p) float array of a checked model per generator, a view where
-    one exists and never validated again; L is the _innovation_factor.
+                L: np.ndarray | None, rngs) -> np.ndarray:
+    """The series of a checked model drawn from each generator in turn, as one
+    (len(rngs), n, p) float array never validated again; L is the
+    _innovation_factor.
 
-    IID and VMA(1) series are drawn one at a time. VAR(1) and VARMA(1)
-    series step through time together, every innovation row first:
-    x_0 = z_0, then x_t = A x_{t-1} + z_t, or for VARMA(1)
-    x_t = 0.5 A (x_{t-1} + z_{t-1}) + z_t.
+    IID and VMA(1) series are drawn one at a time into their slots. VAR(1)
+    and VARMA(1) series step through time together, every innovation row
+    first: x_0 = z_0, then x_t = A x_{t-1} + z_t, or for VARMA(1)
+    x_t = 0.5 A (x_{t-1} + z_{t-1}) + z_t. Their rows are stepped in place,
+    through the time-major view of the returned array; the burn-in rows
+    have a time-major array of their own, freed before return.
 
     Each series has the same bits whichever generators share its block,
     because of two rules. The stacked (p, p) @ (R, p, 1) product is R
@@ -429,23 +443,22 @@ def _draw_block(kind: ModelKind, A, burn: int, scenario: ScenarioSpec, n: int, p
     """
     total = n + burn
     if kind in (ModelKind.IID, ModelKind.VMA1):
-        for rng in rngs:
+        def one(rng):
             Z = _innovation_rows(scenario, L, total, p, rng)
-            yield Z[burn:] if kind is ModelKind.IID else (Z[1:] + Z[:-1] @ A.T)[burn - 1:]
-        return
+            return Z[burn:] if kind is ModelKind.IID else (Z[1:] + Z[:-1] @ A.T)[burn - 1:]
 
-    # time-major blocks, row t of series i at [t, i, :, 0]; burn-in rows
-    # apart, so that they are freed before the series are used
-    R = len(rngs)
-    head, body = np.empty((burn, R, p, 1)), np.empty((n, R, p, 1))
+        return _fill(one, n, p, rngs)
+
+    # row t of series i at head[t, i, :, 0], or once past the burn-in at out[i, t]
+    out, head = np.empty((len(rngs), n, p)), np.empty((burn, len(rngs), p, 1))
     for i, rng in enumerate(rngs):
         Z = _innovation_rows(scenario, L, total, p, rng)
-        head[:, i, :, 0], body[:, i, :, 0] = Z[:burn], Z[burn:]
+        head[:, i, :, 0], out[i] = Z[:burn], Z[burn:]
         del Z  # before the next series' innovations are drawn
 
     varma = kind is ModelKind.VARMA1
     M = 0.5 * A if varma else A
-    rows = itertools.chain(head, body)  # row t holds z_t until it is stepped to x_t
+    rows = itertools.chain(head, out.transpose(1, 0, 2)[..., None])  # z_t until stepped
     prev = next(rows)  # x_0 = z_0
     lagged = prev.copy()  # z_{t-1}, which VARMA(1) needs after row t-1 is stepped
     step = np.empty_like(prev)
@@ -458,9 +471,7 @@ def _draw_block(kind: ModelKind, A, burn: int, scenario: ScenarioSpec, n: int, p
             np.matmul(M, prev, out=step)
         cur += step
         prev = cur
-    del head, rows
-    for i in range(R):
-        yield body[:, i, :, 0]
+    return out
 
 
 class RadialKind(str, Enum):
@@ -566,6 +577,7 @@ def _h1_setup(spec: H1Spec, n: int, p: int) -> tuple:
     return Sigma0, tau, c1, rows
 
 
+@_single_threaded_blas()
 def gen_h1_model(spec: H1Spec, n: int, p: int, seed) -> tuple[SeriesMatrix, H1Metadata]:
     """Generate the lag-one alternative and report its population constants.
 

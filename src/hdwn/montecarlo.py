@@ -10,20 +10,16 @@ running once per block, and reads the reject flags from the results.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import os
-import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
+from ._blas import _single_threaded_blas
 from .dgp import (
     CovarianceSpec,
     ModelKind,
@@ -58,12 +54,8 @@ ERROR_BUDGET = 0.01
 #: heap pages instead of faulting in new ones. Other allocators ignore it.
 _ALLOCATOR_WARMUP_BYTES = 4 << 20
 
-#: Bytes one evaluation block may take, at 8 (3n^2/2 + 2np) per replication (a
-#: Gram and its packed triangle, or the series and a standardized copy): 6, 4, 3
-#: replications at n=100, p = 40, 80, 120, two at (200, 40), one at n=200 and
-#: p >= 80; about the working set of one (200, 120) replication, table1's largest.
-_EVAL_BLOCK_BYTES = 1200 << 10
-
+#: Bytes one evaluation block may take: four replications at n=200, p=80.
+_EVAL_BLOCK_BYTES = 1440 << 10
 
 @dataclass(frozen=True, eq=False)
 class McConfig:
@@ -76,6 +68,8 @@ class McConfig:
     statistic, but in a cell the sqrt(H/2) standardization would count a lag
     that carries no information and shrink every rejection rate. H = n-2
     keeps one pair in the last lag.
+
+    An h1 cell's rows come from its H1Spec alone; scenario and cov go unread.
     """
 
     tests: tuple[str, ...]
@@ -158,59 +152,6 @@ def _auto_threads() -> int:
     return min(usable, 8)
 
 
-# the BLAS thread count is process-wide, so the state of its pin is too
-_blas_lock = threading.Lock()
-_blas_depth = 0
-_blas_saved = 0
-
-
-@functools.cache
-def _openblas():
-    """(get, set) thread-count calls of numpy's bundled OpenBLAS, or None.
-
-    Loaded on first use so that importing hdwn stays cheap. Opening the
-    library numpy already holds returns that same instance, so the calls act
-    on the BLAS behind numpy's matrix products.
-    """
-    import ctypes
-
-    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob(
-        "libscipy_openblas64_*.so"))
-    try:
-        lib = ctypes.CDLL(str(libs[0]))
-        get_threads = lib.scipy_openblas_get_num_threads64_
-        set_threads = lib.scipy_openblas_set_num_threads64_
-    except (IndexError, OSError, AttributeError):
-        return None
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    return get_threads, set_threads
-
-
-@contextmanager
-def _single_threaded_blas():
-    """Run the body with OpenBLAS at one thread, then restore the caller's count.
-
-    Overlapping scopes from several threads share one pin: the first to
-    enter saves the count and the last to leave restores it. Without the
-    bundled OpenBLAS the body runs unpinned.
-    """
-    global _blas_depth, _blas_saved
-    with _blas_lock:
-        api = _openblas()
-        if _blas_depth == 0 and api is not None:
-            _blas_saved = api[0]()
-            api[1](1)
-        _blas_depth += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_depth -= 1
-            if _blas_depth == 0 and api is not None:
-                api[1](_blas_saved)
-
-
 def _resolve_model(cfg: McConfig) -> tuple[ModelSpec, float | None]:
     """Fix the coefficient matrix once per experiment, tagged off the master seed."""
     model = cfg.model
@@ -221,8 +162,16 @@ def _resolve_model(cfg: McConfig) -> tuple[ModelSpec, float | None]:
 
 
 def _eval_reps(n: int, p: int) -> int:
-    """Replications per evaluation block of n x p series, at least one."""
-    return max(1, _EVAL_BLOCK_BYTES // (8 * (3 * n * n // 2 + 2 * n * p)))
+    """Replications per evaluation block of n x p series, at least one.
+
+    The most whose widest stage fits _EVAL_BLOCK_BYTES, with 1 KiB of
+    results per series. A Gram stage holds the block, its packed triangles
+    and one n x n Gram; the max stage holds the block, a standardized copy
+    and one p x p lag product per series.
+    """
+    words = _EVAL_BLOCK_BYTES // 8
+    gram = (words - n * n) // (n * p + n * (n - 1) // 2 + 128)
+    return max(1, min(gram, words // (2 * n * p + p * p + 128)))
 
 
 def _task_size(reps: int, block: int, threads: int) -> int:
@@ -240,8 +189,8 @@ def run_experiment(cfg: McConfig) -> McReport:
     a degenerate-data style error are excluded from that test's denominator
     and counted; a cell whose error fraction exceeds 1% fails the whole run.
 
-    Replications run in blocks of consecutive indices, one block per executor
-    task; a VAR(1) or VARMA(1) block steps its series through time together.
+    Tasks of consecutive replications draw and evaluate one block at a time,
+    in one array; a VAR(1) or VARMA(1) block steps its series together.
     A replication's bits depend on neither its block nor the thread count.
     BLAS runs single-threaded throughout, so the bits of every statistic
     depend on neither the executor nor the BLAS thread count.
@@ -249,21 +198,21 @@ def run_experiment(cfg: McConfig) -> McReport:
     start = time.perf_counter()
     np.empty(_ALLOCATOR_WARMUP_BYTES // 8)  # allocated and freed at once
     model, fingerprint = _resolve_model(cfg)
-    draw, block = _series_sampler(model, cfg.scenario, cfg.n, cfg.p, build_covariance(cfg.cov))
+    cov = None if model.kind is ModelKind.H1_SIGN else build_covariance(cfg.cov)
+    draw, block = _series_sampler(model, cfg.scenario, cfg.n, cfg.p, cov)
     threads = cfg.threads if cfg.threads is not None else _auto_threads()
     size = _task_size(cfg.reps, block, threads)
 
     def one_task(first: int) -> dict[str, list]:
         # per test and replication: reject flags by window, or "Type: message"
         count = min(size, cfg.reps - first)
-        series = draw([derive_rng(cfg.master_seed, "rep", r) for r in range(first, first + count)])
-        # evaluation blocks of near-equal sizes, each at most _eval_reps
+        # near-equal evaluation blocks of at most _eval_reps, each drawn into one array
         chunks = -(-count // _eval_reps(cfg.n, cfg.p))
         flags: dict[str, list] = {name: [] for name in cfg.tests}
         for i in range(chunks):
-            step = (i + 1) * count // chunks - i * count // chunks
-            found = _evaluate_block(np.stack(list(itertools.islice(series, step))),
-                                    cfg.tests, cfg.H_values)
+            reps = range(first + i * count // chunks, first + (i + 1) * count // chunks)
+            found = _evaluate_block(draw([derive_rng(cfg.master_seed, "rep", r) for r in reps]),
+                                    cfg.tests, cfg.H_values, own=True)
             for name in flags:
                 flags[name] += [f"{type(e).__name__}: {e}" if isinstance(e, HdwnError)
                                 else [p < cfg.alpha for _, _, p, _ in e] for e in found[name]]

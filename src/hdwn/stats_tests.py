@@ -68,23 +68,20 @@ def _pair_partials(v: np.ndarray, n: int, H: int) -> np.ndarray:
 
     Lag h adds 1/(n-h) times the sum over pairs s < t (both past lag h) of
     G[s-h, t-h] * G[s, t]: in the packed layout, v[r, :-h] * v[r, h:] with
-    the products straddling two superdiagonals set to zero. One shifted
-    product of the rows laid end to end fills a buffer every lag reuses;
-    each row sums its own m-h leading products, contiguous, in the order of
-    a single row. cumsum is sequential, so a smaller window's statistic is
-    an exact prefix of the same accumulation.
+    the products straddling two superdiagonals set to zero. Every row and
+    lag reuses one product buffer the size of a row, whose m-h leading
+    products are summed contiguously. cumsum is sequential, so a smaller
+    window's statistic is an exact prefix of the same accumulation.
     """
-    R, size = v.shape
-    flat = v.reshape(-1)
-    buf = np.empty(R * size)
-    rows = buf.reshape(R, size)
-    terms = np.empty((R, H))
-    for h in range(1, H + 1):
-        np.multiply(flat[:-h], flat[h:], out=buf[:-h])
-        buf[_straddling(n, h, R)] = 0.0
-        rows[:, : size - h].sum(axis=-1, out=terms[:, h - 1])
+    buf = np.empty(v.shape[1])
+    terms = np.empty((len(v), H))
+    for row, term in zip(v, terms):
+        for h in range(1, H + 1):
+            np.multiply(row[:-h], row[h:], out=buf[:-h])
+            buf[_straddling(n, h)] = 0.0
+            term[h - 1] = np.add.reduce(buf[:-h])
     terms /= np.arange(n - 1, n - H - 1, -1)
-    return np.cumsum(terms, axis=-1)
+    return terms.cumsum(axis=-1)
 
 
 def ss_statistic(signs, H) -> float:
@@ -110,12 +107,14 @@ def _standardized_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     X is (..., n, p). Returns the scaled columns and, per leading index,
     whether every column varies; a zero-variance column is left centered.
+    The squares go into the copy, which is centered again: no third array.
     """
-    centered = X - X.mean(axis=-2, keepdims=True)
-    sd = np.sqrt((centered * centered).mean(axis=-2, keepdims=True))
+    mean = X.mean(axis=-2, keepdims=True)
+    Z = np.subtract(X, mean)
+    sd = np.sqrt(np.multiply(Z, Z, out=Z).mean(axis=-2, keepdims=True))
     varies = sd > 0.0
-    np.divide(centered, sd, out=centered, where=varies)
-    return centered, varies.all(axis=(-2, -1))
+    np.divide(np.subtract(X, mean, out=Z), sd, out=Z, where=varies)
+    return Z, varies.all(axis=(-2, -1))
 
 
 def cross_correlations(eps, H) -> np.ndarray:
@@ -238,28 +237,31 @@ def _fc_entry(mx: _Entry, fl: _Entry) -> _Entry:
     return windows
 
 
-def _evaluate_block(X: np.ndarray, names, H_list) -> dict[str, list[_Entry]]:
+def _evaluate_block(X: np.ndarray, names, H_list, *, own: bool = False
+                    ) -> dict[str, list[_Entry]]:
     """One entry per series of a block X (R, n, p), by test name; fc also
     brings flm and max. Trusts its inputs: known names, windows in 1..n-1.
 
-    Each kernel runs once over the block, and every series gets the bits it
-    gets alone, so no result depends on which series share a block.
+    Every kernel runs on X where it lies, each over the whole block, and
+    every series gets the bits it gets alone, so no result depends on which
+    series share a block. The raw Grams and flm come first, then max on a
+    standardized copy, and the signs last: a block the caller marks as its
+    own is overwritten by its signs, any other is left as it was.
     """
     n, p = X.shape[1:]
     want = set(names)
     found: dict[str, list[_Entry]] = {}
-    if want & {"ss", "pv"}:
-        # the signs and their Grams are freed once packed, and the packed
-        # triangles once summed, before the raw Grams are built
-        found["ss"], partials = _sum_results(_packed_gram(_sign_rows(X)), n, H_list, 1.0)
-        if "pv" in want:
-            found["pv"] = _pv_results(partials, p, H_list)
     if want & {"flm", "fc"}:
         found["flm"], _ = _sum_results(_packed_gram(X), n, H_list, math.inf)
     if want & {"max", "fc"}:
         found["max"] = _max_results(X, H_list)
     if "fc" in want:
         found["fc"] = [_fc_entry(mx, fl) for mx, fl in zip(found["max"], found["flm"])]
+    if want & {"ss", "pv"}:
+        signs = _sign_rows(X, out=X if own else None)
+        found["ss"], partials = _sum_results(_packed_gram(signs), n, H_list, 1.0)
+        if "pv" in want:
+            found["pv"] = _pv_results(partials, p, H_list)
     return found
 
 

@@ -112,6 +112,27 @@ class TestCoeff:
             CoeffSpec("explicit", 3, m=4, low=0.0, high=0.1)
 
 
+# SHA-256 of gen_series output over VAR(1)/VARMA(1) models up to p = 200,
+# where two BLAS threads split the innovation product and the recursion
+_GEN_DIGEST_SCRIPT = """
+import hashlib
+from hdwn import (CoeffSpec, CovarianceSpec, ModelKind, ModelSpec, ScenarioSpec,
+                  build_covariance, gen_series)
+digest = hashlib.sha256()
+for p in (3, 40, 120, 200):
+    cov = build_covariance(CovarianceSpec("polydecay", p))
+    for kind in (ModelKind.VAR1, ModelKind.VARMA1):
+        for spec in (CoeffSpec("explicit", p, m=p, low=-0.1, high=0.1), CoeffSpec("sparse", p)):
+            if spec.regime.value == "sparse" and p < 20:
+                continue
+            for seed in range(2):
+                X = gen_series(ModelSpec(kind, coeff=spec), ScenarioSpec.student_t(3), 60, p,
+                               seed, innov_cov=cov)
+                digest.update(X.data.tobytes())
+print(digest.hexdigest())
+"""
+
+
 class TestGenSeries:
     def test_zero_coefficients_reduce_to_innovations(self):
         zero = np.zeros((4, 4))
@@ -200,32 +221,51 @@ class TestGenSeries:
                             assert np.array_equal(a, b), (cov_kind, burn, scenario.kind, size)
 
     def test_block_draw_memory(self):
-        """One default block at (200, 80), drawn and evaluated, stays small.
+        """One default block at (200, 80), drawn and evaluated as run_experiment
+        does, stays small.
 
-        A series is 128 kB; the block's four series with their burn-in are
-        1 MB of innovations, and evaluating one series needs about 0.9 MB.
+        Drawing four series needs their 512 kB, as much again for the
+        burn-in and 256 kB for one series' innovations. The evaluation's
+        widest stage holds the series, their packed Gram triangles (637 kB)
+        and one 320 kB Gram: 1.47 MB.
         """
         import tracemalloc
 
-        from hdwn import evaluate_tests_collect
         from hdwn.dgp import _series_sampler
+        from hdwn.stats_tests import _evaluate_block
 
         A = gen_coeff(CoeffSpec("dense", 80), derive_rng(3, "coeff"))
         model = ModelSpec(ModelKind.VAR1, coeff=A)
         draw, block = _series_sampler(model, ScenarioSpec.student_t(3), 200, 80)
         tests, lags = ("ss", "flm", "max", "fc"), (1, 2, 3)
-        for series in draw([derive_rng(0, "warm")]):  # first calls outside the trace
-            evaluate_tests_collect(series, tests, lags)
+        # first calls outside the trace
+        _evaluate_block(draw([derive_rng(0, "warm")]), tests, lags, own=True)
         rngs = [derive_rng(0, "rep", r) for r in range(block)]
         tracemalloc.start()
         try:
-            for series in draw(rngs):
-                evaluate_tests_collect(series, tests, lags)
+            _evaluate_block(draw(rngs), tests, lags, own=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert block > 1
-        assert peak < 2.0e6
+        assert block == 4
+        assert peak < 1.5e6
+
+    def test_gen_series_bits_do_not_depend_on_blas_threads(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import hdwn
+
+        src = str(Path(hdwn.__file__).resolve().parent.parent)
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            out = subprocess.run([sys.executable, "-c", _GEN_DIGEST_SCRIPT], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_identity_innovations_equal_the_explicit_product(self, kind, monkeypatch):

@@ -92,9 +92,9 @@ class TestRunExperiment:
         sizes = []
         real = mc._evaluate_block
 
-        def record(X, tests, H_values):
+        def record(X, tests, H_values, **kw):
             sizes.append(len(X))
-            return real(X, tests, H_values)
+            return real(X, tests, H_values, **kw)
 
         monkeypatch.setattr(mc, "_evaluate_block", record)
         monkeypatch.setattr(mc, "_eval_reps", lambda n, p: 4)
@@ -164,6 +164,50 @@ class TestRunExperiment:
                                    threads=2))
         assert sizes == [31] * 12
 
+    def test_h1_cells_read_neither_cov_nor_scenario(self, monkeypatch):
+        model = ModelSpec(ModelKind.H1_SIGN, h1=H1Spec(CovarianceSpec("identity", 6),
+                                                       sigma1_scale=0.3))
+        cell = dict(model=model, n=30, p=6, tests=hdwn.TEST_NAMES, H_values=(1, 2), reps=20,
+                    master_seed=5)
+        a = run_experiment(null_config(cov=CovarianceSpec("identity", 6), **cell))
+        monkeypatch.setattr(mc, "build_covariance", lambda spec: pytest.fail("cov was built"))
+        b = run_experiment(null_config(cov=CovarianceSpec("polydecay", 6),
+                                       scenario=ScenarioSpec.student_t(3), **cell))
+        assert a.cells == b.cells
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    @pytest.mark.parametrize("model", (ModelSpec(ModelKind.IID),
+                                       ModelSpec(ModelKind.VAR1, coeff=CoeffSpec("dense", 5)),
+                                       ModelSpec(ModelKind.H1_SIGN,
+                                                 h1=H1Spec(CovarianceSpec("identity", 5)))),
+                             ids=lambda m: m.kind.value)
+    def test_blocks_are_evaluated_in_the_arrays_drawn(self, model, threads, monkeypatch):
+        drawn, evaluated = [], []
+        real_sampler, real_evaluate = mc._series_sampler, mc._evaluate_block
+
+        def sampler(*args):
+            draw, block = real_sampler(*args)
+
+            def recording(rngs):
+                X = draw(rngs)
+                drawn.append(X)
+                return X
+
+            return recording, block
+
+        def evaluate(X, tests, H_values, **kw):
+            evaluated.append((X, kw))
+            return real_evaluate(X, tests, H_values, **kw)
+
+        monkeypatch.setattr(mc, "_series_sampler", sampler)
+        monkeypatch.setattr(mc, "_evaluate_block", evaluate)
+        monkeypatch.setattr(mc, "_eval_reps", lambda n, p: 3)
+        run_experiment(null_config(model=model, reps=13, threads=threads))
+        assert len(evaluated) == len(drawn) > threads
+        assert {id(X) for X in drawn} == {id(X) for X, _ in evaluated}
+        assert all(kw == {"own": True} for _, kw in evaluated)
+        assert all(X.flags.c_contiguous and X.shape[1:] == (30, 5) for X in drawn)
+
     def test_same_seed_same_report(self):
         a = run_experiment(null_config())
         b = run_experiment(null_config())
@@ -227,8 +271,8 @@ def _failing_evaluator(real, fails):
 
     seen = [0]
 
-    def evaluate(X, tests, H_values):
-        found = real(X, tests, H_values)
+    def evaluate(X, tests, H_values, **kw):
+        found = real(X, tests, H_values, **kw)
         for i in range(len(X)):
             seen[0] += 1
             if fails(seen[0]):
@@ -275,11 +319,72 @@ print(digest.hexdigest())
 """
 
 
+def _task_peaks(cfg, monkeypatch) -> list[int]:
+    """tracemalloc peak of each task of run_experiment(cfg) at one thread,
+    above what was allocated when the task began, with its first
+    replication's stream; the allocator warm-up is left out."""
+    import tracemalloc
+
+    from hdwn.dgp import _series_sampler
+
+    cfg = replace(cfg, threads=1)
+    monkeypatch.setattr(mc, "_ALLOCATOR_WARMUP_BYTES", 0)
+    run_experiment(cfg)  # caches and first calls outside the trace
+    block = _series_sampler(cfg.model, cfg.scenario, cfg.n, cfg.p)[1]
+    size = mc._task_size(cfg.reps, block, 1)
+    real, peaks, start = mc.derive_rng, [], []
+
+    def task_end():
+        if start:
+            peaks.append(tracemalloc.get_traced_memory()[1] - start.pop())
+
+    def derive_rng(seed, *path):
+        if path[0] == "rep" and path[1] % size == 0:
+            task_end()
+            tracemalloc.reset_peak()
+            start.append(tracemalloc.get_traced_memory()[0])
+        return real(seed, *path)
+
+    monkeypatch.setattr(mc, "derive_rng", derive_rng)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        task_end()
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == -(-cfg.reps // size)
+    return peaks
+
+
+class TestTaskMemory:
+    """A task's traced peak stays within 0.3 MiB of its grid's largest before
+    blocks were evaluated in place. Measured this way, those were 1.12 MiB on
+    table1 (at (200, 40)) and 1.29 MiB on table2 (a VAR(1) cell)."""
+
+    @pytest.mark.parametrize("kind", (ModelKind.VAR1, ModelKind.VMA1))
+    def test_table2_cells(self, kind, monkeypatch):
+        cfg = null_config(tests=("max", "ss", "flm", "fc"), scenario=ScenarioSpec.student_t(3),
+                          model=ModelSpec(kind, coeff=CoeffSpec("dense", 80)),
+                          cov=CovarianceSpec("identity", 80), n=200, p=80, H_values=(1, 2, 3),
+                          reps=8)
+        assert mc._eval_reps(200, 80) == 4
+        assert max(_task_peaks(cfg, monkeypatch)) <= (1.29 + 0.3) * 2**20
+
+    def test_table1_largest_shape(self, monkeypatch):
+        cfg = null_config(tests=("max", "ss", "flm", "fc"), scenario=ScenarioSpec.student_t(3),
+                          cov=CovarianceSpec("polydecay", 120), n=200, p=120,
+                          H_values=(1, 2, 3), reps=8)
+        assert mc._eval_reps(200, 120) == 2
+        assert max(_task_peaks(cfg, monkeypatch)) <= (1.12 + 0.3) * 2**20
+
+
 class TestBlasPin:
     @pytest.fixture
     def blas(self):
         """(get, set) of the bundled OpenBLAS, left at 2 threads for the test."""
-        api = mc._openblas()
+        from hdwn._blas import _openblas
+
+        api = _openblas()
         if api is None:
             pytest.skip("numpy's bundled OpenBLAS is not available")
         get, set_ = api
@@ -294,9 +399,9 @@ class TestBlasPin:
         seen = []
         real = mc._evaluate_block
 
-        def recording(X, tests, H_values):
+        def recording(X, tests, H_values, **kw):
             seen.extend([get()] * len(X))  # one entry per replication
-            return real(X, tests, H_values)
+            return real(X, tests, H_values, **kw)
 
         monkeypatch.setattr(mc, "_evaluate_block", recording)
         run_experiment(null_config(reps=8, threads=2))

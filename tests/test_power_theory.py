@@ -141,6 +141,27 @@ class TestRadialMoments:
         t = 2.0 * (gammaln(4.0) - gammaln(3.5))
         assert are_ss_flm(StudentT(7.0)) == pytest.approx(0.4 * math.exp(t), rel=1e-10, abs=0.0)
 
+    def test_chi_radial_c1_matches_mpmath(self):
+        # three log-gammas of size (dof/2) log(dof/2) cancel; past 1e3
+        # degrees of freedom the series keeps the digits they lose
+        mpmath = pytest.importorskip("mpmath")
+
+        def three_lgammas(dof):
+            return math.exp(math.lgamma((dof + 1) / 2) + math.lgamma((dof - 1) / 2)
+                            - 2 * math.lgamma(dof / 2))
+
+        grid = np.concatenate([np.linspace(1.01, 100.0, 300), np.logspace(2, 7, 600),
+                               [999.0, 1000.0, 999999.5]])
+        with mpmath.workdps(40):
+            for dof in grid.tolist():
+                d = mpmath.mpf(dof)
+                exact = mpmath.exp(mpmath.loggamma((d + 1) / 2) + mpmath.loggamma((d - 1) / 2)
+                                   - 2 * mpmath.loggamma(d / 2))
+                err = float(abs(chi_radial_c1(dof) - exact) / exact)
+                assert err <= max(float(abs(three_lgammas(dof) - exact) / exact), 2**-52), dof
+                if dof >= 1e3:
+                    assert err <= 1e-12, dof
+
     def test_chi_radial_c1_monte_carlo(self):
         rng = np.random.default_rng(3)
         r = np.linalg.norm(rng.standard_normal((200_000, 8)), axis=1)

@@ -546,23 +546,24 @@ class TestBlockEvaluation:
     def test_peak_memory_of_one_block_within_its_budget(self, shape):
         import tracemalloc
 
-        from hdwn.montecarlo import _eval_reps
+        from hdwn.montecarlo import _EVAL_BLOCK_BYTES, _eval_reps
         from hdwn.stats_tests import _evaluate_block
 
         n, p = shape
         R = _eval_reps(n, p)
         X = derive_rng(59, "block-memory").standard_t(3, size=(R, n, p))
         tests = ("max", "ss", "flm", "fc")
-        _evaluate_block(X, tests, (1, 2, 3))  # first call outside the trace
+        _evaluate_block(X.copy(), tests, (1, 2, 3), own=True)  # first call outside the trace
         tracemalloc.start()
         try:
-            _evaluate_block(X, tests, (1, 2, 3))
+            _evaluate_block(X, tests, (1, 2, 3), own=True)  # as run_experiment does
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the count behind the budget: 8 (3n^2/2 + 2np) bytes per replication,
-        # the block's series included
-        assert peak + X.nbytes <= R * 8 * (3 * n * n // 2 + 2 * n * p)
+        # the count behind R: the block's widest stage, the block included,
+        # fits the budget: 737,280 bytes per replication at (200, 120), R = 2,
+        # and 81,920 at (100, 40), R = 18
+        assert peak + X.nbytes <= _EVAL_BLOCK_BYTES
 
     def test_block_size_does_not_change_cells(self, monkeypatch):
         import hdwn.montecarlo as mc
@@ -576,3 +577,30 @@ class TestBlockEvaluation:
         monkeypatch.setattr(mc, "_EVAL_BLOCK_BYTES", 1)
         assert mc._eval_reps(40, 12) == 1
         assert mc.run_experiment(cfg).cells == blocked.cells
+
+
+class TestInPlaceBlock:
+    """Only a block the engine marks as its own is overwritten, by its signs."""
+
+    def test_public_inputs_are_never_written(self):
+        X = derive_rng(61, "unwritten").standard_t(3, size=(40, 12))
+        before = X.tobytes()
+        evaluate_tests_collect(X, TEST_NAMES, (1, 2, 3))
+        for test in (ss_test, flm_test, pv_test, max_test, fc_test):
+            test(X, 2)
+        cross_correlations(X, 3)
+        sign_transform(X)
+        assert X.flags.writeable and X.tobytes() == before
+
+    def test_own_block_ends_as_its_signs_with_the_same_entries(self):
+        from hdwn.core import _sign_rows
+        from hdwn.stats_tests import _evaluate_block
+
+        X = derive_rng(67, "own-block").standard_t(3, size=(5, 40, 12))
+        X[2, :, 4] = 1.5  # a zero-variance column
+        kept = X.copy()
+        want = _evaluate_block(X, TEST_NAMES, (1, 3))
+        assert X.tobytes() == kept.tobytes()
+        got = _evaluate_block(X, TEST_NAMES, (1, 3), own=True)
+        assert X.tobytes() == _sign_rows(kept).tobytes()
+        assert repr(got) == repr(want)
