@@ -90,14 +90,6 @@ class SignMatrix(SeriesMatrix):
         if not bool(((np.abs(norms - 1.0) <= _SIGN_NORM_TOL) | (norms == 0.0)).all()):
             raise InvalidInputError("sign rows must have norm 1 or be exactly zero")
 
-    @classmethod
-    def _trusted(cls, arr: np.ndarray) -> "SignMatrix":
-        """Wrap rows that are unit or zero by construction, skipping validation."""
-        arr.flags.writeable = False
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "data", arr)
-        return obj
-
 
 @dataclass(frozen=True)
 class LagWindow:
@@ -190,7 +182,7 @@ def _sign_rows(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def sign_transform(eps) -> SignMatrix:
     """Apply the spatial-sign map to every row of a series."""
-    return SignMatrix._trusted(_sign_rows(as_series(eps).data))
+    return SignMatrix(_sign_rows(as_series(eps).data))
 
 
 @functools.lru_cache(maxsize=8)

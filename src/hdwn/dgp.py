@@ -291,7 +291,11 @@ DEFAULT_BURN_IN = {
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """Temporal model plus its coefficient matrix (spec or explicit array)."""
+    """Temporal model plus its coefficient matrix (spec or explicit array).
+
+    Only var1, vma1 and varma1 take coefficients, and they need them; iid
+    and h1 refuse them. h1 needs an H1Spec.
+    """
 
     kind: ModelKind
     coeff: "CoeffSpec | np.ndarray | None" = None
@@ -304,10 +308,12 @@ class ModelSpec:
             not isinstance(self.burn_in, (int, np.integer)) or self.burn_in < 0
         ):
             raise InvalidSpecError("burn_in must be a nonnegative integer")
-        if self.kind is ModelKind.H1_SIGN:
-            if self.h1 is None:
-                raise InvalidSpecError("h1 model needs an H1Spec")
-        elif self.kind is not ModelKind.IID:
+        if self.kind is ModelKind.H1_SIGN and self.h1 is None:
+            raise InvalidSpecError("h1 model needs an H1Spec")
+        if self.kind in (ModelKind.IID, ModelKind.H1_SIGN):
+            if self.coeff is not None:
+                raise InvalidSpecError(f"{self.kind.value} model takes no coefficient matrix")
+        else:
             if self.coeff is None:
                 raise InvalidSpecError(f"{self.kind.value} model needs a coefficient matrix")
             if not isinstance(self.coeff, CoeffSpec):
@@ -348,49 +354,29 @@ def gen_series(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int, seed,
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidInputError("n must be an integer >= 2")
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    elif model.kind is ModelKind.H1_SIGN:
-        rng = derive_rng(seed, "h1")
-    else:
-        rng = derive_rng(seed, "innov")
-        model = replace(model, coeff=resolve_coeff(model, derive_rng(seed, "coeff")))
-    draw, _ = _series_sampler(model, scenario, n, p, innov_cov)
-    return SeriesMatrix(draw([rng])[0])
-
-
-#: Bytes of innovations one block of replications may hold at once: four
-#: VAR(1) replications at n=200, p=80 with the default burn-in of 200.
-_BLOCK_BYTES = 1 << 20
+    given = isinstance(seed, np.random.Generator)
+    if isinstance(model.coeff, CoeffSpec):
+        coeff = gen_coeff(model.coeff, seed if given else derive_rng(seed, "coeff"))
+        model = replace(model, coeff=coeff)
+    if not given:
+        seed = derive_rng(seed, "h1" if model.kind is ModelKind.H1_SIGN else "innov")
+    return SeriesMatrix(_series_sampler(model, scenario, n, p, innov_cov)([seed])[0])
 
 
 def _series_sampler(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int,
-                    innov_cov=None) -> tuple[Callable, int]:
-    """(draw, reps_per_block) for drawing many series of one model.
+                    innov_cov=None) -> Callable:
+    """draw(rngs) for many series of a model whose coefficients are fixed.
 
     The one draw path: draw(rngs) returns one C-contiguous (len(rngs), n, p)
-    float array whose slot i is the series drawn from rngs[i]; reps_per_block
-    is how many generators one call should get. What does not depend on the
-    generator is done once, here: an h1 spec is checked and Sigma0 factored,
-    or fixed coefficients checked and the innovation covariance factored. A
-    CoeffSpec model draws each series' coefficients from its generator, then
-    its innovations.
+    float array whose slot i is the series drawn from rngs[i]. What does not
+    depend on the generator is done once, here: an h1 spec is checked and
+    Sigma0 factored, or the coefficient matrix checked and the innovation
+    covariance factored. A CoeffSpec must be resolved to its matrix first.
     """
-    total = n + model.effective_burn_in()
-    reps_per_block = max(1, _BLOCK_BYTES // (8 * total * p))
     if model.kind is ModelKind.H1_SIGN:
-        return partial(_fill, _h1_setup(model.h1, n, p)[-1], n, p), reps_per_block
-    if isinstance(model.coeff, CoeffSpec):
-        def one(rng):
-            A = gen_coeff(model.coeff, rng)
-            burn, L = _checked_model(model, A, p, innov_cov)
-            return _draw_block(model.kind, A, burn, scenario, int(n), int(p), L, [rng])[0]
-
-        return partial(_fill, one, n, p), reps_per_block
-    A = resolve_coeff(model, None)
-    burn, L = _checked_model(model, A, p, innov_cov)
-    return (partial(_draw_block, model.kind, A, burn, scenario, int(n), int(p), L),
-            reps_per_block)
+        return partial(_fill, _h1_setup(model.h1, n, p)[-1], n, p)
+    burn, L = _checked_model(model, p, innov_cov)
+    return partial(_draw_block, model.kind, model.coeff, burn, scenario, int(n), int(p), L)
 
 
 def _fill(one: Callable, n: int, p: int, rngs) -> np.ndarray:
@@ -401,8 +387,9 @@ def _fill(one: Callable, n: int, p: int, rngs) -> np.ndarray:
     return out
 
 
-def _checked_model(model: ModelSpec, A, p: int, innov_cov) -> tuple[int, np.ndarray | None]:
+def _checked_model(model: ModelSpec, p: int, innov_cov) -> tuple[int, np.ndarray | None]:
     """Burn-in and _innovation_factor of a model with its coefficients fixed."""
+    A = model.coeff
     if A is not None and A.shape != (p, p):
         raise InvalidSpecError(f"coefficient matrix is {A.shape}, expected ({p}, {p})")
     if model.kind is ModelKind.VAR1 and _spectral_radius(A) >= 1.0:

@@ -4,8 +4,8 @@ Each replication derives its own random stream from (master_seed, "rep", r),
 so a report is a pure function of its config and never depends on the number
 of worker threads. The coefficient matrix of a temporal model is drawn once
 per experiment from the (master_seed, "coeff") stream and held fixed across
-replications. Each executor task evaluates its series in blocks, every kernel
-running once per block, and reads the reject flags from the results.
+replications. Each executor task draws one block of series into one array,
+runs every kernel once on it, and reads the reject flags from the results.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ ERROR_BUDGET = 0.01
 #: heap pages instead of faulting in new ones. Other allocators ignore it.
 _ALLOCATOR_WARMUP_BYTES = 4 << 20
 
-#: Bytes one evaluation block may take: four replications at n=200, p=80.
+#: Bytes one block of replications may take while it is drawn or evaluated:
+#: four VAR(1) replications at n=200, p=80 with the default burn-in of 200.
 _EVAL_BLOCK_BYTES = 1440 << 10
 
 @dataclass(frozen=True, eq=False)
@@ -155,29 +156,27 @@ def _auto_threads() -> int:
 def _resolve_model(cfg: McConfig) -> tuple[ModelSpec, float | None]:
     """Fix the coefficient matrix once per experiment, tagged off the master seed."""
     model = cfg.model
-    if model.kind in (ModelKind.IID, ModelKind.H1_SIGN) or model.coeff is None:
+    if model.coeff is None:
         return model, None
     A = resolve_coeff(model, derive_rng(cfg.master_seed, "coeff"))
     return replace(model, coeff=A), float((A * A).sum())
 
 
-def _eval_reps(n: int, p: int) -> int:
-    """Replications per evaluation block of n x p series, at least one.
+def _eval_reps(n: int, p: int, burn: int) -> int:
+    """Replications per block of n x p series after burn steps, at least one.
 
-    The most whose widest stage fits _EVAL_BLOCK_BYTES, with 1 KiB of
-    results per series. A Gram stage holds the block, its packed triangles
-    and one n x n Gram; the max stage holds the block, a standardized copy
-    and one p x p lag product per series.
+    The most whose widest stage fits _EVAL_BLOCK_BYTES. The draw stage holds
+    the block, its burn-in rows and one series' innovations with 128 KiB of
+    scratch for scaling them (numpy's 64 KiB ufunc buffer, the t law's row
+    scales or the mixture's inflated rows). With 1 KiB of results per
+    series, a Gram stage holds the block, its packed triangles and one n x n
+    Gram; the max stage holds the block, a standardized copy and one p x p
+    lag product per series.
     """
     words = _EVAL_BLOCK_BYTES // 8
+    draw = (words - (n + burn) * p - 16384) // ((n + burn) * p)
     gram = (words - n * n) // (n * p + n * (n - 1) // 2 + 128)
-    return max(1, min(gram, words // (2 * n * p + p * p + 128)))
-
-
-def _task_size(reps: int, block: int, threads: int) -> int:
-    """Replications per task: at most block, and at least one task per thread."""
-    tasks = max(-(-reps // block), threads)
-    return -(-reps // tasks)
+    return max(1, min(draw, gram, words // (2 * n * p + p * p + 128)))
 
 
 @_single_threaded_blas()
@@ -189,41 +188,37 @@ def run_experiment(cfg: McConfig) -> McReport:
     a degenerate-data style error are excluded from that test's denominator
     and counted; a cell whose error fraction exceeds 1% fails the whole run.
 
-    Tasks of consecutive replications draw and evaluate one block at a time,
-    in one array; a VAR(1) or VARMA(1) block steps its series together.
-    A replication's bits depend on neither its block nor the thread count.
-    BLAS runs single-threaded throughout, so the bits of every statistic
-    depend on neither the executor nor the BLAS thread count.
+    Each executor task draws one block of consecutive replications into one
+    array and evaluates it there; a VAR(1) or VARMA(1) block steps its series
+    together. Blocks hold at most _eval_reps series, are of near-equal sizes,
+    and come in a multiple of the thread count unless there are fewer
+    replications. A replication's bits depend on neither its block nor the
+    thread count. BLAS runs single-threaded throughout, so the bits of every
+    statistic depend on neither the executor nor the BLAS thread count.
     """
     start = time.perf_counter()
     np.empty(_ALLOCATOR_WARMUP_BYTES // 8)  # allocated and freed at once
     model, fingerprint = _resolve_model(cfg)
     cov = None if model.kind is ModelKind.H1_SIGN else build_covariance(cfg.cov)
-    draw, block = _series_sampler(model, cfg.scenario, cfg.n, cfg.p, cov)
+    draw = _series_sampler(model, cfg.scenario, cfg.n, cfg.p, cov)
     threads = cfg.threads if cfg.threads is not None else _auto_threads()
-    size = _task_size(cfg.reps, block, threads)
+    R = _eval_reps(cfg.n, cfg.p, model.effective_burn_in())
+    blocks = min(cfg.reps, threads * -(-cfg.reps // (threads * R)))
 
-    def one_task(first: int) -> dict[str, list]:
+    def one_block(i: int) -> dict[str, list]:
         # per test and replication: reject flags by window, or "Type: message"
-        count = min(size, cfg.reps - first)
-        # near-equal evaluation blocks of at most _eval_reps, each drawn into one array
-        chunks = -(-count // _eval_reps(cfg.n, cfg.p))
-        flags: dict[str, list] = {name: [] for name in cfg.tests}
-        for i in range(chunks):
-            reps = range(first + i * count // chunks, first + (i + 1) * count // chunks)
-            found = _evaluate_block(draw([derive_rng(cfg.master_seed, "rep", r) for r in reps]),
-                                    cfg.tests, cfg.H_values, own=True)
-            for name in flags:
-                flags[name] += [f"{type(e).__name__}: {e}" if isinstance(e, HdwnError)
-                                else [p < cfg.alpha for _, _, p, _ in e] for e in found[name]]
-        return flags
+        reps = range(i * cfg.reps // blocks, (i + 1) * cfg.reps // blocks)
+        found = _evaluate_block(draw([derive_rng(cfg.master_seed, "rep", r) for r in reps]),
+                                cfg.tests, cfg.H_values, own=True)
+        return {name: [f"{type(e).__name__}: {e}" if isinstance(e, HdwnError)
+                       else [p < cfg.alpha for _, _, p, _ in e] for e in found[name]]
+                for name in cfg.tests}
 
-    firsts = range(0, cfg.reps, size)
     if threads == 1:
-        tasks = [one_task(first) for first in firsts]
+        tasks = [one_block(i) for i in range(blocks)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            tasks = list(pool.map(one_task, firsts))
+            tasks = list(pool.map(one_block, range(blocks)))
 
     cells = []
     over_budget = []

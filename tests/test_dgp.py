@@ -173,20 +173,30 @@ class TestGenSeries:
         from hdwn.dgp import _series_sampler
 
         cov = build_covariance(CovarianceSpec("polydecay", 6))
-        A = gen_coeff(CoeffSpec("dense", 6), derive_rng(3, "coeff"))
-        models = [ModelSpec(ModelKind.IID), ModelSpec(ModelKind.IID, coeff=CoeffSpec("dense", 6))]
+        spec = CoeffSpec("dense", 6)
+        A = gen_coeff(spec, derive_rng(3, "coeff"))
+        models = [ModelSpec(ModelKind.IID)]
         models += [ModelSpec(kind, coeff=A) for kind in (ModelKind.VAR1, ModelKind.VMA1,
                                                           ModelKind.VARMA1)]
         models.append(ModelSpec(ModelKind.H1_SIGN, h1=H1Spec(CovarianceSpec("identity", 6))))
         scenario = ScenarioSpec.student_t(3)
         for model in models:
-            draw, _ = _series_sampler(model, scenario, 30, 6, cov)
+            draw = _series_sampler(model, scenario, 30, 6, cov)
             for r in range(3):
                 want = gen_series(model, scenario, 30, 6, derive_rng(4, "rep", r), innov_cov=cov)
                 (got,) = draw([derive_rng(4, "rep", r)])
                 assert type(got) is np.ndarray and got.dtype == np.float64
                 assert got.shape == (30, 6)
                 assert np.array_equal(got, want.data)
+        # a Generator gives a CoeffSpec model its coefficients, then its innovations
+        for kind in (ModelKind.VAR1, ModelKind.VMA1, ModelKind.VARMA1):
+            for r in range(3):
+                got = gen_series(ModelSpec(kind, coeff=spec), scenario, 30, 6,
+                                 derive_rng(4, "rep", r), innov_cov=cov)
+                rng = derive_rng(4, "rep", r)
+                fixed = ModelSpec(kind, coeff=gen_coeff(spec, rng))
+                (want,) = _series_sampler(fixed, scenario, 30, 6, cov)([rng])
+                assert got.data.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("p", (3, 40, 80))
     @pytest.mark.parametrize("kind", list(ModelKind))
@@ -207,7 +217,7 @@ class TestGenSeries:
                                  ScenarioSpec.mixture()):
                     want = [gen_series(model, scenario, 12, p, derive_rng(8, "rep", r),
                                        innov_cov=cov).data for r in range(reps)]
-                    draw, _ = _series_sampler(model, scenario, 12, p, cov)
+                    draw = _series_sampler(model, scenario, 12, p, cov)
                     for size in (1, 2, 4, reps):
                         got = []
                         for first in range(0, reps, size):
@@ -232,11 +242,13 @@ class TestGenSeries:
         import tracemalloc
 
         from hdwn.dgp import _series_sampler
+        from hdwn.montecarlo import _eval_reps
         from hdwn.stats_tests import _evaluate_block
 
         A = gen_coeff(CoeffSpec("dense", 80), derive_rng(3, "coeff"))
         model = ModelSpec(ModelKind.VAR1, coeff=A)
-        draw, block = _series_sampler(model, ScenarioSpec.student_t(3), 200, 80)
+        draw = _series_sampler(model, ScenarioSpec.student_t(3), 200, 80)
+        block = _eval_reps(200, 80, model.effective_burn_in())
         tests, lags = ("ss", "flm", "max", "fc"), (1, 2, 3)
         # first calls outside the trace
         _evaluate_block(draw([derive_rng(0, "warm")]), tests, lags, own=True)
@@ -287,7 +299,7 @@ class TestGenSeries:
                 out.append(gen_innovations(scenario, np.eye(p), n, 2).data)
                 for cov in (None, np.eye(p)):
                     out.append(gen_series(model, scenario, n, p, 2, innov_cov=cov).data)
-                    draw, _ = _series_sampler(model, scenario, n, p, cov)
+                    draw = _series_sampler(model, scenario, n, p, cov)
                     out += list(draw([derive_rng(2, "rep", r) for r in range(3)]))
             return [x.tobytes() for x in out]
 
@@ -308,6 +320,14 @@ class TestGenSeries:
         model = ModelSpec(ModelKind.VAR1, coeff=1.1 * np.eye(3))
         with pytest.raises(ExplosiveModelError):
             _series_sampler(model, ScenarioSpec.normal(), 20, 3)
+
+    def test_iid_and_h1_models_refuse_coefficients(self):
+        h1 = H1Spec(CovarianceSpec("identity", 3))
+        for coeff in (CoeffSpec("dense", 3), 0.1 * np.eye(3)):
+            with pytest.raises(InvalidSpecError):
+                ModelSpec(ModelKind.IID, coeff=coeff)
+            with pytest.raises(InvalidSpecError):
+                ModelSpec(ModelKind.H1_SIGN, h1=h1, coeff=coeff)
 
     def test_explosive_matrix_rejected(self):
         model = ModelSpec(ModelKind.VAR1, coeff=1.1 * np.eye(3))

@@ -61,7 +61,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("kind", (ModelKind.VAR1, ModelKind.VARMA1))
     def test_thread_count_does_not_change_recursive_cells(self, kind):
-        # at n=50, p=80 a block holds 6 replications, so 13 make three blocks
+        # at n=50, p=80 a block holds 7 replications, so 13 make two or three blocks
         cfg = null_config(
             tests=("ss", "flm", "max", "fc"),
             scenario=ScenarioSpec.student_t(3),
@@ -73,22 +73,7 @@ class TestRunExperiment:
         assert reports[0].cells == reports[1].cells == reports[2].cells
 
     def test_tasks_split_evenly_over_threads(self, monkeypatch):
-        from hdwn.dgp import _series_sampler
-
-        # table1's IID shapes at 50 reps and 2 threads
-        for n in (100, 200):
-            for p in (40, 80, 120):
-                _, block = _series_sampler(ModelSpec(ModelKind.IID), ScenarioSpec.normal(), n, p)
-                size = mc._task_size(50, block, 2)
-                sizes = [min(size, 50 - first) for first in range(0, 50, size)]
-                assert size <= block and size <= 25 and len(sizes) >= 2, (n, p, sizes)
-                # an even split: only the last task is short, by less than one
-                # replication per task
-                assert max(sizes) - min(sizes) < len(sizes), (n, p, sizes)
-        assert mc._task_size(50, 32, 2) == 25  # (100, 40): was 32 and 18
-        assert mc._task_size(50, 4, 2) == 4  # a VAR(1) block at (200, 80)
-        # a task is cut into near-equal evaluation blocks of at most
-        # _eval_reps series: 13 at most 4 at a time is 3, 3, 3, 4, not 4, 4, 4, 1
+        # each task is one evaluation block
         sizes = []
         real = mc._evaluate_block
 
@@ -97,11 +82,25 @@ class TestRunExperiment:
             return real(X, tests, H_values, **kw)
 
         monkeypatch.setattr(mc, "_evaluate_block", record)
-        monkeypatch.setattr(mc, "_eval_reps", lambda n, p: 4)
+        # every preset shape at 50 reps and 2 threads: table1's IID cells and
+        # table2's VAR(1) cell, whose burn-in the draw stage counts
+        cells = [(ModelSpec(ModelKind.IID), n, p) for n in (100, 200) for p in (40, 80, 120)]
+        cells.append((ModelSpec(ModelKind.VAR1, coeff=CoeffSpec("dense", 80)), 200, 80))
+        for model, n, p in cells:
+            sizes.clear()
+            run_experiment(null_config(model=model, cov=CovarianceSpec("identity", p), n=n, p=p,
+                                       reps=50, threads=2))
+            R = mc._eval_reps(n, p, model.effective_burn_in())
+            assert sum(sizes) == 50 and len(sizes) % 2 == 0, (n, p, sizes)
+            assert max(sizes) - min(sizes) <= 1 and max(sizes) <= R, (n, p, sizes)
+        # blocks of near-equal sizes: 13 at most 4 at a time is 3, 3, 3, 4,
+        # not 4, 4, 4, 1
+        sizes.clear()
+        monkeypatch.setattr(mc, "_eval_reps", lambda n, p, burn: 4)
         run_experiment(null_config(reps=13, threads=1))
         assert sizes == [3, 3, 3, 4]
         sizes.clear()
-        monkeypatch.setattr(mc, "_eval_reps", lambda n, p: 2)
+        monkeypatch.setattr(mc, "_eval_reps", lambda n, p, burn: 2)
         run_experiment(null_config(reps=13, threads=1))
         assert sizes == [1, 2, 2, 2, 2, 2, 2]
 
@@ -186,14 +185,14 @@ class TestRunExperiment:
         real_sampler, real_evaluate = mc._series_sampler, mc._evaluate_block
 
         def sampler(*args):
-            draw, block = real_sampler(*args)
+            draw = real_sampler(*args)
 
             def recording(rngs):
                 X = draw(rngs)
                 drawn.append(X)
                 return X
 
-            return recording, block
+            return recording
 
         def evaluate(X, tests, H_values, **kw):
             evaluated.append((X, kw))
@@ -201,7 +200,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(mc, "_series_sampler", sampler)
         monkeypatch.setattr(mc, "_evaluate_block", evaluate)
-        monkeypatch.setattr(mc, "_eval_reps", lambda n, p: 3)
+        monkeypatch.setattr(mc, "_eval_reps", lambda n, p, burn: 3)
         run_experiment(null_config(model=model, reps=13, threads=threads))
         assert len(evaluated) == len(drawn) > threads
         assert {id(X) for X in drawn} == {id(X) for X, _ in evaluated}
@@ -322,37 +321,40 @@ print(digest.hexdigest())
 def _task_peaks(cfg, monkeypatch) -> list[int]:
     """tracemalloc peak of each task of run_experiment(cfg) at one thread,
     above what was allocated when the task began, with its first
-    replication's stream; the allocator warm-up is left out."""
+    replication's stream; the allocator warm-up is left out. A task is one
+    block, so the next one begins where the evaluator's last block ended."""
     import tracemalloc
-
-    from hdwn.dgp import _series_sampler
 
     cfg = replace(cfg, threads=1)
     monkeypatch.setattr(mc, "_ALLOCATOR_WARMUP_BYTES", 0)
     run_experiment(cfg)  # caches and first calls outside the trace
-    block = _series_sampler(cfg.model, cfg.scenario, cfg.n, cfg.p)[1]
-    size = mc._task_size(cfg.reps, block, 1)
-    real, peaks, start = mc.derive_rng, [], []
+    real_rng, real_evaluate = mc.derive_rng, mc._evaluate_block
+    peaks, start, blocks = [], [], []
 
     def task_end():
         if start:
             peaks.append(tracemalloc.get_traced_memory()[1] - start.pop())
 
     def derive_rng(seed, *path):
-        if path[0] == "rep" and path[1] % size == 0:
+        if path == ("rep", sum(blocks)):
             task_end()
             tracemalloc.reset_peak()
             start.append(tracemalloc.get_traced_memory()[0])
-        return real(seed, *path)
+        return real_rng(seed, *path)
+
+    def evaluate(X, tests, H_values, **kw):
+        blocks.append(len(X))
+        return real_evaluate(X, tests, H_values, **kw)
 
     monkeypatch.setattr(mc, "derive_rng", derive_rng)
+    monkeypatch.setattr(mc, "_evaluate_block", evaluate)
     tracemalloc.start()
     try:
         run_experiment(cfg)
         task_end()
     finally:
         tracemalloc.stop()
-    assert len(peaks) == -(-cfg.reps // size)
+    assert len(peaks) == len(blocks) and sum(blocks) == cfg.reps
     return peaks
 
 
@@ -367,15 +369,26 @@ class TestTaskMemory:
                           model=ModelSpec(kind, coeff=CoeffSpec("dense", 80)),
                           cov=CovarianceSpec("identity", 80), n=200, p=80, H_values=(1, 2, 3),
                           reps=8)
-        assert mc._eval_reps(200, 80) == 4
+        assert mc._eval_reps(200, 80, 200) == 4
         assert max(_task_peaks(cfg, monkeypatch)) <= (1.29 + 0.3) * 2**20
 
     def test_table1_largest_shape(self, monkeypatch):
         cfg = null_config(tests=("max", "ss", "flm", "fc"), scenario=ScenarioSpec.student_t(3),
                           cov=CovarianceSpec("polydecay", 120), n=200, p=120,
                           H_values=(1, 2, 3), reps=8)
-        assert mc._eval_reps(200, 120) == 2
+        assert mc._eval_reps(200, 120, 0) == 2
         assert max(_task_peaks(cfg, monkeypatch)) <= (1.12 + 0.3) * 2**20
+
+    def test_long_burn_in_within_the_block_budget(self, monkeypatch):
+        # the draw holds a block's burn-in rows: 18 series would fit the Gram
+        # and max stages at (100, 40), but not their 5.8 MB of burn-in; and
+        # three would overrun by the scratch of their t innovations
+        model = ModelSpec(ModelKind.VAR1, coeff=CoeffSpec("dense", 40), burn_in=1000)
+        cfg = null_config(tests=("max", "ss", "flm", "fc"), scenario=ScenarioSpec.student_t(3),
+                          model=model, cov=CovarianceSpec("identity", 40), n=100, p=40,
+                          H_values=(1, 2, 3), reps=6)
+        assert mc._eval_reps(100, 40, 1000) == 2
+        assert max(_task_peaks(cfg, monkeypatch)) <= mc._EVAL_BLOCK_BYTES
 
 
 class TestBlasPin:

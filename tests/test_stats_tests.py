@@ -550,7 +550,7 @@ class TestBlockEvaluation:
         from hdwn.stats_tests import _evaluate_block
 
         n, p = shape
-        R = _eval_reps(n, p)
+        R = _eval_reps(n, p, 0)
         X = derive_rng(59, "block-memory").standard_t(3, size=(R, n, p))
         tests = ("max", "ss", "flm", "fc")
         _evaluate_block(X.copy(), tests, (1, 2, 3), own=True)  # first call outside the trace
@@ -572,10 +572,10 @@ class TestBlockEvaluation:
         cfg = McConfig(("ss", "flm", "pv", "max", "fc"), ScenarioSpec.student_t(3),
                        ModelSpec(ModelKind.IID), CovarianceSpec("polydecay", 12), n=40, p=12,
                        H_values=(1, 3), reps=30, master_seed=4, threads=2)
-        assert mc._eval_reps(40, 12) >= 15  # both tasks are one block each
+        assert mc._eval_reps(40, 12, 0) >= 15  # both tasks are one block each
         blocked = mc.run_experiment(cfg)
         monkeypatch.setattr(mc, "_EVAL_BLOCK_BYTES", 1)
-        assert mc._eval_reps(40, 12) == 1
+        assert mc._eval_reps(40, 12, 0) == 1
         assert mc.run_experiment(cfg).cells == blocked.cells
 
 
