@@ -11,7 +11,12 @@ fields, through one codec (_encode/_decode); README describes the layout.
 Config files are flat key=value INI files, one section per experiment cell;
 keys in [DEFAULT] apply to every section. Recognized keys: tests, lags,
 alpha, reps, scenario, df, mixture_gamma, mixture_scale, model, coeff,
-burn_in, cov, n, p, threads.
+burn_in, cov, n, p, threads. Optional keys and their defaults: alpha 0.05,
+df 3, mixture_gamma 0.8, mixture_scale 9, cov identity, burn_in the model's
+own (dgp.DEFAULT_BURN_IN) and threads one per usable CPU up to 8. The rest
+are required, but iid takes no coeff and --reps stands in for reps. An
+empty value counts as absent. Kind values (scenario, model, coeff, cov) are
+case-insensitive. Any bad value exits 2 with a message naming its section.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from .dgp import (
     H1Spec,
     ModelKind,
     ModelSpec,
-    ScenarioKind,
     ScenarioSpec,
     derive_seed,
 )
@@ -223,18 +227,21 @@ def _resolve_config_path(name: str):
     return path
 
 
-def _get(section, key, cast, label):
+_REQUIRED = object()
+
+
+def _get(section, key, cast, default=_REQUIRED):
+    """cast(section[key]), or the default if given and the key is absent or empty;
+    a missing required key or a value cast refuses is a ConfigError naming both."""
     raw = section.get(key)
-    if raw is None:
-        raise ConfigError(f"[{label}] missing required key {key!r}")
+    if not raw:
+        if default is not _REQUIRED:
+            return default
+        raise ConfigError(f"[{section.name}] missing required key {key!r}")
     try:
         return cast(raw)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"[{label}] bad value for {key!r}: {raw!r}") from exc
-
-
-def _int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(tok.strip()) for tok in raw.split(",") if tok.strip())
+        raise ConfigError(f"[{section.name}] bad value for {key!r}: {raw!r}") from exc
 
 
 def _str_list(raw: str) -> tuple[str, ...]:
@@ -264,60 +271,36 @@ def parse_experiment_configs(text: str, *, seed: int, reps_override: int | None 
     configs = []
     for label in parser.sections():
         section = parser[label]
-        n = _get(section, "n", int, label)
-        p = _get(section, "p", int, label)
-
-        kind = _get(section, "scenario", str, label).lower()
         try:
-            scen_kind = ScenarioKind(kind)
-        except ValueError:
-            raise ConfigError(f"[{label}] unknown scenario {kind!r}") from None
-        scenario = ScenarioSpec(
-            scen_kind,
-            df=float(section.get("df", 3.0)),
-            gamma=float(section.get("mixture_gamma", 0.8)),
-            scale_factor=float(section.get("mixture_scale", 9.0)),
-        )
-
-        model_name = _get(section, "model", str, label).lower()
-        try:
-            model_kind = ModelKind(model_name)
-        except ValueError:
-            raise ConfigError(f"[{label}] unknown model {model_name!r}") from None
-        if model_kind is ModelKind.H1_SIGN:
-            raise ConfigError(f"[{label}] the h1 model is not configurable from files")
-        burn_in = int(section["burn_in"]) if section.get("burn_in") else None
-        coeff = None
-        if model_kind is not ModelKind.IID:
-            regime = _get(section, "coeff", str, label).lower()
-            if regime not in ("dense", "sparse"):
-                raise ConfigError(f"[{label}] coeff must be dense or sparse, got {regime!r}")
-            coeff = CoeffSpec(regime, p)
-        model = ModelSpec(model_kind, coeff=coeff, burn_in=burn_in)
-
-        cov_name = section.get("cov", "identity").lower()
-        if cov_name not in ("identity", "polydecay"):
-            raise ConfigError(f"[{label}] cov must be identity or polydecay, got {cov_name!r}")
-
-        reps = reps_override if reps_override is not None else _get(section, "reps", int, label)
-        section_threads = threads
-        if section_threads is None and section.get("threads"):
-            section_threads = int(section["threads"])
-
-        try:
+            n, p = _get(section, "n", int), _get(section, "p", int)
+            model_kind = _get(section, "model", lambda raw: ModelKind(raw.lower()))
+            if model_kind is ModelKind.H1_SIGN:
+                raise ConfigError(f"[{label}] the h1 model is not configurable from files")
+            coeff = None
+            if model_kind is not ModelKind.IID:
+                regime = _get(section, "coeff", str.lower)
+                if regime not in ("dense", "sparse"):
+                    raise ConfigError(f"[{label}] coeff must be dense or sparse, got {regime!r}")
+                coeff = CoeffSpec(regime, p)
             configs.append(
                 McConfig(
-                    tests=_get(section, "tests", _str_list, label),
-                    scenario=scenario,
-                    model=model,
-                    cov=CovarianceSpec(cov_name, p),
+                    tests=_get(section, "tests", _str_list),
+                    scenario=ScenarioSpec(
+                        _get(section, "scenario", str.lower),
+                        df=_get(section, "df", float, 3.0),
+                        gamma=_get(section, "mixture_gamma", float, 0.8),
+                        scale_factor=_get(section, "mixture_scale", float, 9.0),
+                    ),
+                    model=ModelSpec(model_kind, coeff=coeff,
+                                    burn_in=_get(section, "burn_in", int, None)),
+                    cov=CovarianceSpec(_get(section, "cov", str.lower, "identity"), p),
                     n=n,
                     p=p,
-                    H_values=_get(section, "lags", _int_list, label),
-                    reps=reps,
+                    H_values=_get(section, "lags", lambda raw: tuple(map(int, _str_list(raw)))),
+                    reps=reps_override if reps_override is not None else _get(section, "reps", int),
                     master_seed=derive_seed(seed, label),
-                    alpha=float(section.get("alpha", 0.05)),
-                    threads=section_threads,
+                    alpha=_get(section, "alpha", float, 0.05),
+                    threads=threads if threads is not None else _get(section, "threads", int, None),
                     label=label,
                 )
             )

@@ -1,4 +1,4 @@
-"""Domain types, the spatial-sign transform, and shared nuisance estimators.
+"""Domain types, the spatial-sign transform, the pair kernel and nuisance estimators.
 
 Everything here is a pure function of its inputs; the matrix types freeze
 their data on construction and are safe to share across threads.
@@ -219,6 +219,27 @@ def _straddling(n: int, h: int) -> np.ndarray:
     return slots
 
 
+def _pair_partials(v: np.ndarray, n: int, H: int) -> np.ndarray:
+    """Cumulative lag-aligned pair sums of packed Gram rows over lags 1..H, (R, H).
+
+    Lag h adds 1/(n-h) times the sum over pairs s < t (both past lag h) of
+    G[s-h, t-h] * G[s, t]: in the packed layout, v[r, :-h] * v[r, h:] with
+    the products straddling two superdiagonals set to zero. Every row and
+    lag reuses one product buffer the size of a row, whose m-h leading
+    products are summed contiguously. cumsum is sequential, so a smaller
+    window's statistic is an exact prefix of the same accumulation.
+    """
+    buf = np.empty(v.shape[1])
+    terms = np.empty((len(v), H))
+    for row, term in zip(v, terms):
+        for h in range(1, H + 1):
+            np.multiply(row[:-h], row[h:], out=buf[:-h])
+            buf[_straddling(n, h)] = 0.0
+            term[h - 1] = np.add.reduce(buf[:-h])
+    terms /= np.arange(n - 1, n - H - 1, -1)
+    return terms.cumsum(axis=-1)
+
+
 def _packed_gram(rows: np.ndarray) -> np.ndarray:
     """Strict upper triangles of rows[r] @ rows[r].T, (R, n(n-1)/2), for rows
     (R, n, k), in the _packed_index layout.
@@ -236,13 +257,18 @@ def _packed_gram(rows: np.ndarray) -> np.ndarray:
     return packed
 
 
-def _pair_square_means(v: np.ndarray, n: int) -> list[float]:
-    """2/(n(n-1)) times the sum of squares of each packed Gram row of v.
+def _pair_sums(rows: np.ndarray, H: int) -> tuple[np.ndarray, list[float]]:
+    """The pair kernel of a block of rows (R, n, k), from one packed Gram per
+    series: the cumulative lag pair sums over lags 1..H, (R, H), and the trace
+    means, 2/(n(n-1)) times each packed row's sum of squares.
 
     One einsum per row: a BLAS dot would split the sum by the BLAS thread
     count, and one einsum over all rows sums in another order.
     """
-    return [2.0 * float(np.einsum("i,i->", row, row)) / (n * (n - 1)) for row in v]
+    n = rows.shape[1]
+    v = _packed_gram(rows)
+    means = [2.0 * float(np.einsum("i,i->", row, row)) / (n * (n - 1)) for row in v]
+    return _pair_partials(v, n, H), means
 
 
 def trace_omega2_hat(signs) -> float:
@@ -252,14 +278,12 @@ def trace_omega2_hat(signs) -> float:
     pairs s != t. Consistent for tr(Omega^2) under the null; clipped at 1, so
     always in [0, 1], the exact range for unit or zero rows.
     """
-    U = as_signs(signs).data
-    return min(_pair_square_means(_packed_gram(U[None]), U.shape[0])[0], 1.0)
+    return min(trace_sigma2_hat(as_signs(signs)), 1.0)
 
 
 def trace_sigma2_hat(eps) -> float:
     """Estimate tr(Sigma^2) from raw rows: mean squared inner product over pairs."""
-    X = as_series(eps).data
-    return _pair_square_means(_packed_gram(X[None]), X.shape[0])[0]
+    return _pair_sums(as_series(eps).data[None], 0)[1][0]
 
 
 def normal_upper_tail(z: float) -> float:

@@ -88,10 +88,14 @@ def _seed_sequence(master_seed, path) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(key))
 
 
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+def _member(kind: type[Enum], value) -> Enum:
+    """The member of a kind enum with this value, or InvalidSpecError naming the allowed values."""
+    try:
+        return kind(value)
+    except ValueError:
+        allowed = ", ".join(repr(member.value) for member in kind)
+        raise InvalidSpecError(
+            f"{value!r} is not a valid {kind.__name__}; expected one of {allowed}") from None
 
 
 class ScenarioKind(str, Enum):
@@ -115,7 +119,7 @@ class ScenarioSpec:
     scale_factor: float = 9.0
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", ScenarioKind(self.kind))
+        object.__setattr__(self, "kind", _member(ScenarioKind, self.kind))
         if self.kind is ScenarioKind.STUDENT_T and not self.df > 2.0:
             raise InvalidSpecError("t innovations need df > 2 for a finite covariance")
         if not 0.0 < self.gamma < 1.0:
@@ -147,7 +151,7 @@ class CovarianceSpec:
     p: int
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", CovarianceKind(self.kind))
+        object.__setattr__(self, "kind", _member(CovarianceKind, self.kind))
         if not isinstance(self.p, (int, np.integer)) or self.p < 1:
             raise InvalidSpecError("p must be a positive integer")
         object.__setattr__(self, "p", int(self.p))
@@ -165,9 +169,8 @@ def build_covariance(spec: CovarianceSpec) -> np.ndarray:
 
 
 def _cholesky(cov: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a square matrix, whose shape the callers check."""
     cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise InvalidInputError("covariance must be a square matrix")
     if not np.isfinite(cov).all():
         raise InvalidInputError("covariance contains non-finite entries")
     try:
@@ -198,17 +201,16 @@ def _innovation_rows(scenario: ScenarioSpec, L: np.ndarray | None, n: int, p: in
     return x
 
 
-@_single_threaded_blas()
 def gen_innovations(scenario: ScenarioSpec, cov, n: int, seed) -> SeriesMatrix:
-    """n i.i.d. rows from the scenario with the given scatter matrix.
+    """n i.i.d. rows from the scenario with the given scatter matrix: the iid
+    gen_series, with innov_cov=cov, drawn from np.random.default_rng(seed).
 
     Normal rows are L z; t rows divide by sqrt(chi2_df / df) per row; mixture
     rows inflate by sqrt(scale_factor) with probability 1 - gamma.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidInputError("n must be an integer >= 2")
-    L = _innovation_factor(cov)
-    return SeriesMatrix(_innovation_rows(scenario, L, int(n), len(cov), _as_generator(seed)))
+    p = np.shape(cov)[0] if np.ndim(cov) else 1  # gen_series refuses any cov not (p, p)
+    return gen_series(ModelSpec(ModelKind.IID), scenario, n, p, np.random.default_rng(seed),
+                      innov_cov=cov)
 
 
 class CoeffRegime(str, Enum):
@@ -233,7 +235,7 @@ class CoeffSpec:
     high: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "regime", CoeffRegime(self.regime))
+        object.__setattr__(self, "regime", _member(CoeffRegime, self.regime))
         if not isinstance(self.p, (int, np.integer)) or self.p < 1:
             raise InvalidSpecError("p must be a positive integer")
         object.__setattr__(self, "p", int(self.p))
@@ -265,9 +267,8 @@ class CoeffSpec:
 def gen_coeff(spec: CoeffSpec, seed) -> np.ndarray:
     """Draw the coefficient matrix described by a CoeffSpec."""
     m, low, high = spec.block()
-    rng = _as_generator(seed)
     A = np.zeros((spec.p, spec.p))
-    A[:m, :m] = rng.uniform(low, high, size=(m, m))
+    A[:m, :m] = np.random.default_rng(seed).uniform(low, high, size=(m, m))
     return A
 
 
@@ -303,7 +304,7 @@ class ModelSpec:
     h1: "H1Spec | None" = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", ModelKind(self.kind))
+        object.__setattr__(self, "kind", _member(ModelKind, self.kind))
         if self.burn_in is not None and (
             not isinstance(self.burn_in, (int, np.integer)) or self.burn_in < 0
         ):
@@ -488,7 +489,7 @@ class H1Spec:
     radial_c1: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "radial", RadialKind(self.radial))
+        object.__setattr__(self, "radial", _member(RadialKind, self.radial))
         if not isinstance(self.sigma0, CovarianceSpec):
             object.__setattr__(self, "sigma0", np.asarray(self.sigma0, dtype=float))
         if self.sigma1_scale is not None and not self.sigma1_scale >= 0.0:

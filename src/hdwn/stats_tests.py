@@ -8,9 +8,10 @@ p-values (fc).
 
 The kernels take a block of R series, (R, n, p), and the public calls are
 the R=1 case. ss, flm and pv read one packed strict upper triangle per Gram
-(core._packed_index): each lag's pair sum and the trace estimate come from
-it through numpy elementwise products and sums, never BLAS, in an order set
-by n and the lag alone, so a series gets the same bits in any block.
+(core._pair_sums): each lag's pair sum and the trace estimate come from it
+through numpy elementwise products and sums, never BLAS, in an order set by
+n and the lag alone, so a series gets the same bits in any block. max, fc
+and cross_correlations share one lag scan (_lag_products).
 
 Statistics that aggregate squared singular values of lagged autocovariance
 matrices are a known alternative family and are deliberately not implemented.
@@ -28,10 +29,8 @@ import numpy as np
 
 from .core import (
     TestOutcome,
-    _packed_gram,
-    _pair_square_means,
+    _pair_sums,
     _sign_rows,
-    _straddling,
     as_lag,
     as_series,
     as_signs,
@@ -63,27 +62,6 @@ TEST_NAMES = ("ss", "flm", "pv", "max", "fc")
 MIN_P_VALUE = 1e-300
 
 
-def _pair_partials(v: np.ndarray, n: int, H: int) -> np.ndarray:
-    """Cumulative lag-aligned pair sums of packed Gram rows over lags 1..H, (R, H).
-
-    Lag h adds 1/(n-h) times the sum over pairs s < t (both past lag h) of
-    G[s-h, t-h] * G[s, t]: in the packed layout, v[r, :-h] * v[r, h:] with
-    the products straddling two superdiagonals set to zero. Every row and
-    lag reuses one product buffer the size of a row, whose m-h leading
-    products are summed contiguously. cumsum is sequential, so a smaller
-    window's statistic is an exact prefix of the same accumulation.
-    """
-    buf = np.empty(v.shape[1])
-    terms = np.empty((len(v), H))
-    for row, term in zip(v, terms):
-        for h in range(1, H + 1):
-            np.multiply(row[:-h], row[h:], out=buf[:-h])
-            buf[_straddling(n, h)] = 0.0
-            term[h - 1] = np.add.reduce(buf[:-h])
-    terms /= np.arange(n - 1, n - H - 1, -1)
-    return terms.cumsum(axis=-1)
-
-
 def ss_statistic(signs, H) -> float:
     """Lag-aligned pair sum of the spatial signs over lags 1..H.
 
@@ -99,22 +77,28 @@ def flm_statistic(eps, H) -> float:
     X = as_series(eps)
     lag = as_lag(H)
     lag.check_against(X.n)
-    return float(_pair_partials(_packed_gram(X.data[None]), X.n, lag.H)[0, -1])
+    return float(_pair_sums(X.data[None], lag.H)[0][0, -1])
 
 
-def _standardized_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns centered and scaled by their standard deviation (denominator n).
+def _lag_products(X: np.ndarray, H: int):
+    """The lag scan of a block X (R, n, p): the (R,) mask of series whose
+    columns all vary, and an iterator over lags h = 1..H of the (R, p, p)
+    products sum_t z[t]' z[t-h] of the centered columns z scaled by their
+    standard deviation (denominator n), a zero-variance column left centered.
 
-    X is (..., n, p). Returns the scaled columns and, per leading index,
-    whether every column varies; a zero-variance column is left centered.
-    The squares go into the copy, which is centered again: no third array.
+    The squares go into the scaled copy, which is centered again: no third
+    array. Each lag's product is made into one reused buffer: use it first.
     """
     mean = X.mean(axis=-2, keepdims=True)
     Z = np.subtract(X, mean)
     sd = np.sqrt(np.multiply(Z, Z, out=Z).mean(axis=-2, keepdims=True))
     varies = sd > 0.0
     np.divide(np.subtract(X, mean, out=Z), sd, out=Z, where=varies)
-    return Z, varies.all(axis=(-2, -1))
+    R, n, p = Z.shape
+    buf = np.empty((R, p, p))
+    products = (np.matmul(Z[:, h:].transpose(0, 2, 1), Z[:, : n - h], out=buf)
+                for h in range(1, H + 1))
+    return varies.all(axis=(1, 2)), products
 
 
 def cross_correlations(eps, H) -> np.ndarray:
@@ -125,37 +109,16 @@ def cross_correlations(eps, H) -> np.ndarray:
     z[t, i] * z[t-h, j]. The result holds H p^2 floats; max_test and fc_test
     do not build it.
     """
-    X = as_series(eps).data
-    n, p = X.shape
+    X = as_series(eps)
     lag = as_lag(H)
-    lag.check_against(n)
-    Z, varies = _standardized_columns(X)
-    if not varies:
+    lag.check_against(X.n)
+    varies, products = _lag_products(X.data[None], lag.H)
+    if not varies[0]:
         raise DegenerateDataError("zero-variance column; correlations undefined")
-    out = np.empty((lag.H, p, p))
-    for h in range(1, lag.H + 1):
-        np.matmul(Z[h:].T, Z[: n - h], out=out[h - 1])
-    out /= n
+    out = np.empty((lag.H, X.p, X.p))
+    for h, buf in enumerate(products):
+        np.divide(buf[0], X.n, out=out[h])
     return out
-
-
-def _lag_maxima(X: np.ndarray, H: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-lag maxima of |cross_correlations| of each series in X (R, n, p),
-    (R, H), and the (R,) mask of series whose columns all vary.
-
-    Every lag's stacked product goes into one (R, p, p) buffer and is
-    reduced before the next. Division by n is monotone and correctly
-    rounded, so dividing the maxima gives the bits of dividing every entry.
-    """
-    Z, varies = _standardized_columns(X)
-    R, n, p = Z.shape
-    buf = np.empty((R, p, p))
-    maxima = np.empty((R, H))
-    for h in range(1, H + 1):
-        np.matmul(Z[:, h:].transpose(0, 2, 1), Z[:, : n - h], out=buf)
-        np.maximum(buf.max(axis=(1, 2)), -buf.min(axis=(1, 2)), out=maxima[:, h - 1])
-    maxima /= n
-    return maxima, varies
 
 
 def _gumbel_upper_tail(g):
@@ -181,13 +144,13 @@ def _fisher_combine(p_max: float, p_flm: float) -> tuple[float, float]:
 _Entry = HdwnError | list[tuple[float, float, float, dict[str, float]]]
 
 
-def _sum_results(v: np.ndarray, n: int, H_list, clip: float):
-    """ss (sign Grams, trace clipped at 1) or flm entries, and the partials: each
-    window's partial sum over sqrt(H/2) times the trace, to the normal tail."""
-    partials = _pair_partials(v, n, max(H_list))
+def _sum_results(rows: np.ndarray, H_list, clip: float):
+    """ss (sign rows, trace clipped at 1) or flm entries of a block, and the partials:
+    each window's partial sum over sqrt(H/2) times the trace, to the normal tail."""
+    partials, traces = _pair_sums(rows, max(H_list))
     what, key = ("sign", "trace_omega2_hat") if clip == 1.0 else ("inner", "trace_sigma2_hat")
     entries: list[_Entry] = []
-    for row, trace in zip(partials.tolist(), _pair_square_means(v, n)):
+    for row, trace in zip(partials.tolist(), traces):
         trace = min(trace, clip)
         if trace <= 0.0:
             entries.append(DegenerateDataError(
@@ -214,8 +177,14 @@ def _max_results(X: np.ndarray, H_list) -> list[_Entry]:
     R, n, p = X.shape
     if min(H_list) * p * p < 3:
         return [InvalidInputError("extreme-value calibration needs H * p * p >= 3")] * R
-    maxima, varies = _lag_maxima(X, max(H_list))
-    stat = np.maximum.accumulate(maxima, axis=-1)[:, [H - 1 for H in H_list]]
+    # per-lag maxima of |cross_correlations|, each lag reduced before the next
+    # is made; division by n is monotone and correctly rounded, so dividing
+    # the maxima gives the bits of dividing every entry
+    varies, products = _lag_products(X, max(H_list))
+    maxima = np.empty((R, max(H_list)))
+    for h, buf in enumerate(products):
+        np.maximum(buf.max(axis=(1, 2)), -buf.min(axis=(1, 2)), out=maxima[:, h])
+    stat = np.maximum.accumulate(maxima / n, axis=-1)[:, [H - 1 for H in H_list]]
     n_comp = [H * p * p for H in H_list]
     logs = [math.log(N) for N in n_comp]
     gumbel = n * stat * stat - [2.0 * L for L in logs] + [math.log(L) for L in logs]
@@ -248,20 +217,19 @@ def _evaluate_block(X: np.ndarray, names, H_list, *, own: bool = False
     standardized copy, and the signs last: a block the caller marks as its
     own is overwritten by its signs, any other is left as it was.
     """
-    n, p = X.shape[1:]
     want = set(names)
     found: dict[str, list[_Entry]] = {}
     if want & {"flm", "fc"}:
-        found["flm"], _ = _sum_results(_packed_gram(X), n, H_list, math.inf)
+        found["flm"], _ = _sum_results(X, H_list, math.inf)
     if want & {"max", "fc"}:
         found["max"] = _max_results(X, H_list)
     if "fc" in want:
         found["fc"] = [_fc_entry(mx, fl) for mx, fl in zip(found["max"], found["flm"])]
     if want & {"ss", "pv"}:
         signs = _sign_rows(X, out=X if own else None)
-        found["ss"], partials = _sum_results(_packed_gram(signs), n, H_list, 1.0)
+        found["ss"], partials = _sum_results(signs, H_list, 1.0)
         if "pv" in want:
-            found["pv"] = _pv_results(partials, p, H_list)
+            found["pv"] = _pv_results(partials, X.shape[2], H_list)
     return found
 
 
@@ -276,10 +244,15 @@ def evaluate_tests_collect(eps, tests, H_values, alpha=0.05):
     here; evaluate_tests and the five tests pass theirs through unchecked.
     """
     X = as_series(eps)
-    if not 0.0 < float(alpha) < 1.0:
+    try:
+        alpha = float(alpha)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"alpha must be a number, got {alpha!r}") from None
+    if not 0.0 < alpha < 1.0:
         raise InvalidInputError("alpha must lie strictly between 0 and 1")
-    alpha = float(alpha)
     names = tuple(tests)
+    if not names:
+        raise InvalidInputError("tests must not be empty")
     for name in names:
         if name not in TEST_NAMES:
             raise InvalidInputError(f"unknown test {name!r}; expected one of {TEST_NAMES}")

@@ -220,6 +220,37 @@ class TestCmdSimulate:
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "oops.wat" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key", ["df", "mixture_gamma", "mixture_scale", "burn_in", "alpha", "threads"])
+    def test_bad_value_exits_two_naming_section_and_key(self, tmp_path, capsys, monkeypatch,
+                                                        key):
+        monkeypatch.delenv("HDWN_THREADS", raising=False)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMALL_CFG.replace("[cell-null]\n", f"[cell-null]\n{key} = abc\n"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "[cell-null]" in err and repr(key) in err
+
+    def test_kind_values_are_case_insensitive(self):
+        from hdwn.cli import _encode
+
+        shouted = SMALL_CFG
+        for kind in ("normal", "t", "iid", "var1", "dense", "identity"):
+            shouted = shouted.replace(f"= {kind}\n", f"= {kind.upper()}\n")
+        assert shouted != SMALL_CFG
+        assert ([_encode(c) for c in parse_experiment_configs(shouted, seed=3)]
+                == [_encode(c) for c in parse_experiment_configs(SMALL_CFG, seed=3)])
+
+    def test_config_keys_agree_with_the_docs(self):
+        from hdwn import cli
+
+        def listed(text):
+            keys = text.split("Recognized keys:", 1)[1].split(".", 1)[0]
+            return {key.strip(" `\n") for key in keys.split(",")}
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        assert listed(cli.__doc__) == listed(readme) == cli._CONFIG_KEYS
+
     def test_unknown_config_name(self, capsys):
         assert main(["simulate", "--config", "no-such-file.cfg"]) == 2
 

@@ -11,6 +11,7 @@ from hdwn import (
     CovarianceSpec,
     ExplosiveModelError,
     H1Spec,
+    HdwnError,
     InvalidSpecError,
     ModelKind,
     ModelSpec,
@@ -44,6 +45,21 @@ class TestCovariance:
         np.linalg.cholesky(S)
 
 
+@pytest.mark.parametrize("make, allowed", [
+    (lambda: ScenarioSpec("bogus"), "'normal', 't', 'mixture'"),
+    (lambda: CovarianceSpec("bogus", 3), "'identity', 'polydecay'"),
+    (lambda: CoeffSpec("bogus", 3), "'dense', 'sparse', 'explicit'"),
+    (lambda: ModelSpec("bogus"), "'iid', 'var1', 'vma1', 'varma1', 'h1'"),
+    (lambda: H1Spec(CovarianceSpec("identity", 3), radial="bogus"),
+     "'chi_p', 'constant', 'custom'"),
+], ids=["ScenarioSpec", "CovarianceSpec", "CoeffSpec", "ModelSpec", "H1Spec"])
+def test_unknown_kind_is_a_spec_error_listing_the_kinds(make, allowed):
+    with pytest.raises(InvalidSpecError) as info:
+        make()
+    assert "'bogus'" in str(info.value)
+    assert str(info.value).endswith(f"expected one of {allowed}")
+
+
 class TestInnovations:
     def test_normal_sample_covariance(self):
         X = gen_innovations(ScenarioSpec.normal(), np.eye(2), 5000, 1).data
@@ -73,6 +89,15 @@ class TestInnovations:
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotPositiveDefiniteError):
             gen_innovations(ScenarioSpec.normal(), bad, 10, 0)
+
+    @pytest.mark.parametrize("cov", [np.float64(2.0), np.ones(3), np.ones((2, 3))],
+                             ids=["0-d", "1-D", "2x3"])
+    def test_malformed_scatter_matrix_fails_as_in_gen_series(self, cov):
+        with pytest.raises(HdwnError) as via_series:
+            gen_series(ModelSpec(ModelKind.IID), ScenarioSpec.normal(), 10, 3, 0, innov_cov=cov)
+        with pytest.raises(HdwnError) as via_innovations:
+            gen_innovations(ScenarioSpec.normal(), cov, 10, 0)
+        assert type(via_innovations.value) is type(via_series.value)
 
     def test_df_must_exceed_two(self):
         with pytest.raises(InvalidSpecError):

@@ -9,6 +9,7 @@ from scipy.stats import kstest
 from hdwn import (
     TEST_NAMES,
     DegenerateDataError,
+    InvalidInputError,
     InvalidLagError,
     cross_correlations,
     derive_rng,
@@ -326,8 +327,7 @@ class TestPackedPairKernel:
         assert abs(trace_sigma2_hat(X) - tr_sigma) <= 1e-12 * max(1.0, tr_sigma)
 
     def test_every_lag_of_the_packed_kernel_matches_the_naive_loop(self):
-        from hdwn.core import _packed_gram
-        from hdwn.stats_tests import _pair_partials
+        from hdwn.core import _packed_gram, _pair_partials
 
         n = 11
         X = self._series(n, 3, zero_rows=(4,))
@@ -458,6 +458,14 @@ class TestEvaluator:
         assert isinstance(errors[("ss", 1)], DegenerateDataError)
         assert ("pv", 1) in outcomes
         assert ("max", 1) in outcomes
+
+    @pytest.mark.parametrize("tests, H_values, alpha", [
+        ((), (1,), 0.05), (("ss",), (), 0.05), (("ss",), (1,), "high"), (("ss",), (1,), None),
+    ], ids=["no tests", "no windows", "text alpha", "no alpha"])
+    def test_bad_requests_raise_invalid_input(self, tests, H_values, alpha):
+        X = derive_rng(71, "bad-requests").standard_normal((20, 3))
+        with pytest.raises(InvalidInputError):
+            evaluate_tests_collect(X, tests, H_values, alpha)
 
     def test_strict_raises_on_failure(self):
         with pytest.raises(DegenerateDataError):
