@@ -259,9 +259,8 @@ def parse_experiment_configs(text: str, *, seed: int, reps_override: int | None 
 
     unknown = []
     for label in ("DEFAULT", *parser.sections()):
-        section = parser.defaults() if label == "DEFAULT" else parser[label]
-        for key in section:
-            if key not in _CONFIG_KEYS:
+        for key in parser[label]:  # a section lists the [DEFAULT] keys too; report them once
+            if key not in _CONFIG_KEYS and (label == "DEFAULT" or key not in parser.defaults()):
                 unknown.append(f"{label}.{key}")
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -361,8 +360,6 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.reps is not None and args.reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {args.reps}")
     threads = args.threads
     if threads is None:
         env = os.environ.get("HDWN_THREADS")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,14 +105,37 @@ class LagWindow:
         if self.H < 1:
             raise InvalidLagError("H must be at least 1")
 
-    def check_against(self, n: int) -> None:
-        """Lags past n - 1 index before the start of the sample; reject them.
+    def check_against(self, n: int) -> int:
+        """H; lags past n - 1 index before the start of the sample, so they are rejected.
 
         A lag h = n - 1 is allowed and contributes an empty (hence zero) pair
         sum; the normalization 1/(n - h) only breaks down at h = n.
         """
         if self.H > n - 1:
             raise InvalidLagError(f"H={self.H} too large for n={n} rows (need H <= n-1)")
+        return self.H
+
+
+def _integer(value, name: str, low: int, error=InvalidInputError) -> int:
+    """value as a Python int: a Python or numpy integer, not a bool, at least low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _real(value, name: str, error=InvalidInputError) -> float:
+    """value as a float: a Python or numpy real number, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _fraction(value, name: str, error=InvalidInputError) -> float:
+    """A probability as a float in the open interval (0, 1)."""
+    x = _real(value, name, error)
+    if not 0.0 < x < 1.0:
+        raise error(f"{name} must lie strictly between 0 and 1, got {value!r}")
+    return x
 
 
 def as_lag(H) -> LagWindow:
@@ -146,8 +170,7 @@ class TestOutcome:
     nuisance: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidInputError("alpha must lie strictly between 0 and 1")
+        object.__setattr__(self, "alpha", _fraction(self.alpha, "alpha"))
         if not 0.0 <= self.p_value <= 1.0:
             raise InvalidInputError("p_value must lie in [0, 1]")
         if bool(self.reject) != (self.p_value < self.alpha):
@@ -309,7 +332,6 @@ def normal_upper_quantile(alpha: float) -> float:
     ndtri to 7.7e-16 relative; adding 0.0 normalizes the -0.0 produced at
     alpha = 0.5.
     """
-    if not 0.0 < float(alpha) < 1.0:
-        raise InvalidInputError("alpha must lie strictly between 0 and 1")
+    alpha = _fraction(alpha, "alpha")
     from statistics import NormalDist  # here, so that importing hdwn stays cheap
-    return -NormalDist().inv_cdf(float(alpha)) + 0.0
+    return -NormalDist().inv_cdf(alpha) + 0.0

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from ._blas import _single_threaded_blas
-from .core import SeriesMatrix, ZERO_NORM_THRESHOLD
+from .core import SeriesMatrix, ZERO_NORM_THRESHOLD, _fraction, _integer, _real
 from .errors import (
     ExplosiveModelError,
     InvalidInputError,
@@ -71,10 +71,7 @@ def derive_seed(master_seed: int, *path) -> int:
 
 
 def _seed_sequence(master_seed, path) -> np.random.SeedSequence:
-    if isinstance(master_seed, bool) or not isinstance(master_seed, (int, np.integer)):
-        raise InvalidInputError("master_seed must be an integer")
-    if master_seed < 0:
-        raise InvalidInputError("master_seed must be nonnegative")
+    entropy = _integer(master_seed, "master_seed", 0)
     key = []
     for part in path:
         if isinstance(part, str):
@@ -85,7 +82,7 @@ def _seed_sequence(master_seed, path) -> np.random.SeedSequence:
             raise InvalidInputError(
                 f"stream path parts must be strings or uint32 ints, got {part!r}"
             )
-    return np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(key))
+    return np.random.SeedSequence(entropy=entropy, spawn_key=tuple(key))
 
 
 def _member(kind: type[Enum], value) -> Enum:
@@ -120,11 +117,10 @@ class ScenarioSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _member(ScenarioKind, self.kind))
-        if self.kind is ScenarioKind.STUDENT_T and not self.df > 2.0:
+        object.__setattr__(self, "gamma", _fraction(self.gamma, "gamma", InvalidSpecError))
+        if not _real(self.df, "df", InvalidSpecError) > 2.0 and self.kind is ScenarioKind.STUDENT_T:
             raise InvalidSpecError("t innovations need df > 2 for a finite covariance")
-        if not 0.0 < self.gamma < 1.0:
-            raise InvalidSpecError("gamma must lie strictly between 0 and 1")
-        if not self.scale_factor > 0.0:
+        if not _real(self.scale_factor, "scale_factor", InvalidSpecError) > 0.0:
             raise InvalidSpecError("scale_factor must be positive")
 
     @classmethod
@@ -152,9 +148,7 @@ class CovarianceSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _member(CovarianceKind, self.kind))
-        if not isinstance(self.p, (int, np.integer)) or self.p < 1:
-            raise InvalidSpecError("p must be a positive integer")
-        object.__setattr__(self, "p", int(self.p))
+        object.__setattr__(self, "p", _integer(self.p, "p", 1, InvalidSpecError))
 
 
 def build_covariance(spec: CovarianceSpec) -> np.ndarray:
@@ -236,21 +230,19 @@ class CoeffSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "regime", _member(CoeffRegime, self.regime))
-        if not isinstance(self.p, (int, np.integer)) or self.p < 1:
-            raise InvalidSpecError("p must be a positive integer")
-        object.__setattr__(self, "p", int(self.p))
+        object.__setattr__(self, "p", _integer(self.p, "p", 1, InvalidSpecError))
         if self.regime is CoeffRegime.EXPLICIT:
-            if self.m is None or self.low is None or self.high is None:
-                raise InvalidSpecError("explicit coefficients need m, low and high")
-            if not 1 <= int(self.m) <= self.p:
+            object.__setattr__(self, "m", _integer(self.m, "m", 1, InvalidSpecError))
+            if self.m > self.p:
                 raise InvalidSpecError(f"m must lie in [1, p], got {self.m}")
-            if not self.low <= self.high:
+            low, high = (_real(getattr(self, k), k, InvalidSpecError) for k in ("low", "high"))
+            if not low <= high:
                 raise InvalidSpecError("low must not exceed high")
 
     def block(self) -> tuple[int, float, float]:
         """Resolved (m, low, high) for this regime."""
         if self.regime is CoeffRegime.EXPLICIT:
-            return int(self.m), float(self.low), float(self.high)
+            return self.m, float(self.low), float(self.high)
         if self.regime is CoeffRegime.DENSE:
             m = int(math.floor(0.8 * self.p))
             half = 1.0 / (4.0 * math.sqrt(m)) if m else 0.0
@@ -305,10 +297,10 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _member(ModelKind, self.kind))
-        if self.burn_in is not None and (
-            not isinstance(self.burn_in, (int, np.integer)) or self.burn_in < 0
-        ):
-            raise InvalidSpecError("burn_in must be a nonnegative integer")
+        if self.burn_in is not None:  # vma1 needs a step to seed its lagged innovation
+            low = 1 if self.kind is ModelKind.VMA1 else 0
+            object.__setattr__(self, "burn_in", _integer(self.burn_in, "burn_in", low,
+                                                         InvalidSpecError))
         if self.kind is ModelKind.H1_SIGN and self.h1 is None:
             raise InvalidSpecError("h1 model needs an H1Spec")
         if self.kind in (ModelKind.IID, ModelKind.H1_SIGN):
@@ -326,16 +318,13 @@ class ModelSpec:
                 object.__setattr__(self, "coeff", arr)
 
     def effective_burn_in(self) -> int:
-        return DEFAULT_BURN_IN[self.kind] if self.burn_in is None else int(self.burn_in)
+        return DEFAULT_BURN_IN[self.kind] if self.burn_in is None else self.burn_in
 
 
 def resolve_coeff(model: ModelSpec, seed) -> np.ndarray | None:
-    """Concrete coefficient matrix for a model, drawing from seed if needed."""
-    if model.coeff is None:
-        return None
-    if isinstance(model.coeff, CoeffSpec):
-        return gen_coeff(model.coeff, seed)
-    return np.asarray(model.coeff, dtype=float)
+    """Concrete coefficient matrix for a model, drawing a CoeffSpec from seed; an
+    explicit matrix, a float array as ModelSpec stores it, or None comes back as is."""
+    return gen_coeff(model.coeff, seed) if isinstance(model.coeff, CoeffSpec) else model.coeff
 
 
 def _spectral_radius(A: np.ndarray) -> float:
@@ -353,12 +342,11 @@ def gen_series(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int, seed,
     integer seed draws h1 rows from (seed, "h1"), and otherwise fixes the
     coefficients from (seed, "coeff") and innovations from (seed, "innov").
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidInputError("n must be an integer >= 2")
+    n, p = _integer(n, "n", 2), _integer(p, "p", 1)
     given = isinstance(seed, np.random.Generator)
-    if isinstance(model.coeff, CoeffSpec):
-        coeff = gen_coeff(model.coeff, seed if given else derive_rng(seed, "coeff"))
-        model = replace(model, coeff=coeff)
+    if model.coeff is not None:  # fixed as run_experiment fixes them
+        coeff_seed = seed if given else derive_rng(seed, "coeff")
+        model = replace(model, coeff=resolve_coeff(model, coeff_seed))
     if not given:
         seed = derive_rng(seed, "h1" if model.kind is ModelKind.H1_SIGN else "innov")
     return SeriesMatrix(_series_sampler(model, scenario, n, p, innov_cov)([seed])[0])
@@ -377,7 +365,7 @@ def _series_sampler(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int,
     if model.kind is ModelKind.H1_SIGN:
         return partial(_fill, _h1_setup(model.h1, n, p)[-1], n, p)
     burn, L = _checked_model(model, p, innov_cov)
-    return partial(_draw_block, model.kind, model.coeff, burn, scenario, int(n), int(p), L)
+    return partial(_draw_block, model.kind, model.coeff, burn, scenario, n, p, L)
 
 
 def _fill(one: Callable, n: int, p: int, rngs) -> np.ndarray:
@@ -399,9 +387,6 @@ def _checked_model(model: ModelSpec, p: int, innov_cov) -> tuple[int, np.ndarray
         raise ExplosiveModelError("VARMA(1) autoregressive part has spectral radius >= 1")
 
     burn = model.effective_burn_in()
-    if model.kind is ModelKind.VMA1 and burn < 1:
-        raise InvalidSpecError("vma1 needs burn_in >= 1 to seed the lagged innovation")
-
     if innov_cov is None:
         return burn, None
     if np.shape(innov_cov) != (p, p):
@@ -492,12 +477,12 @@ class H1Spec:
         object.__setattr__(self, "radial", _member(RadialKind, self.radial))
         if not isinstance(self.sigma0, CovarianceSpec):
             object.__setattr__(self, "sigma0", np.asarray(self.sigma0, dtype=float))
-        if self.sigma1_scale is not None and not self.sigma1_scale >= 0.0:
-            raise InvalidSpecError("sigma1_scale must be nonnegative")
         if self.radial is RadialKind.CUSTOM and self.radial_sampler is None:
             raise InvalidSpecError("custom radial law needs a radial_sampler")
-        if self.radial_c1 is not None and not self.radial_c1 >= 1.0:
-            raise InvalidSpecError("radial_c1 = E(r) E(1/r) is at least 1")
+        for name, low in (("sigma1_scale", 0.0), ("radial_c1", 1.0)):
+            value = getattr(self, name)
+            if value is not None and not _real(value, name, InvalidSpecError) >= low:
+                raise InvalidSpecError(f"{name} must be at least {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -524,18 +509,11 @@ def _h1_setup(spec: H1Spec, n: int, p: int) -> tuple:
     Gaussian norms, which are independent of the directions, as radii. c1
     is None for a custom law without radial_c1.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidInputError("n must be an integer >= 2")
-    if not isinstance(p, (int, np.integer)) or p < 2:
-        raise InvalidInputError("p must be an integer >= 2")
-    if isinstance(spec.sigma0, CovarianceSpec):
-        if spec.sigma0.p != p:
-            raise InvalidSpecError(f"sigma0 is for p={spec.sigma0.p}, expected {p}")
-        Sigma0 = build_covariance(spec.sigma0)
-    else:
-        Sigma0 = np.asarray(spec.sigma0, dtype=float)
-        if Sigma0.shape != (p, p):
-            raise InvalidSpecError(f"sigma0 is {Sigma0.shape}, expected ({p}, {p})")
+    n, p = _integer(n, "n", 2), _integer(p, "p", 2)
+    sigma0 = spec.sigma0  # H1Spec keeps a matrix as a float array
+    Sigma0 = build_covariance(sigma0) if isinstance(sigma0, CovarianceSpec) else sigma0
+    if Sigma0.shape != (p, p):
+        raise InvalidSpecError(f"sigma0 is {Sigma0.shape}, expected ({p}, {p})")
     A0 = _cholesky(Sigma0).T  # A0' A0 = Sigma0
     tau = float(spec.sigma1_scale) if spec.sigma1_scale is not None else 1.0 / math.sqrt(n)
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._blas import _single_threaded_blas
+from .core import _fraction, _integer
 from .dgp import (
     CovarianceSpec,
     ModelKind,
@@ -31,7 +32,7 @@ from .dgp import (
     resolve_coeff,
 )
 from .errors import HdwnError, InvalidSpecError, McRunError
-from .stats_tests import TEST_NAMES, _evaluate_block
+from .stats_tests import _evaluate_block, _test_names
 
 __all__ = [
     "McCell",
@@ -71,6 +72,8 @@ class McConfig:
     keeps one pair in the last lag.
 
     An h1 cell's rows come from its H1Spec alone; scenario and cov go unread.
+    Integer fields, master_seed too, take Python or numpy integers, never bools
+    or floats, and are stored as int. A refusal is an InvalidSpecError naming its field.
     """
 
     tests: tuple[str, ...]
@@ -87,30 +90,20 @@ class McConfig:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "tests", tuple(self.tests))
-        object.__setattr__(self, "H_values", tuple(int(h) for h in self.H_values))
-        if not self.tests:
-            raise InvalidSpecError("tests must not be empty")
-        for name in self.tests:
-            if name not in TEST_NAMES:
-                raise InvalidSpecError(f"unknown test {name!r}; expected one of {TEST_NAMES}")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 4:
-            raise InvalidSpecError("n must be an integer >= 4")
-        if not isinstance(self.p, (int, np.integer)) or self.p < 1:
-            raise InvalidSpecError("p must be a positive integer")
+        object.__setattr__(self, "tests", _test_names(self.tests, InvalidSpecError))
+        for name, low in (("n", 4), ("p", 1), ("reps", 1), ("master_seed", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, low,
+                                                    InvalidSpecError))
+        object.__setattr__(self, "H_values", tuple(
+            _integer(h, "H in H_values", 1, InvalidSpecError) for h in self.H_values))
         if not self.H_values:
             raise InvalidSpecError("H_values must not be empty")
-        for h in self.H_values:
-            if h < 1 or h > self.n - 2:
-                raise InvalidSpecError(f"H={h} must lie in [1, n-2] = [1, {self.n - 2}]")
-        if not isinstance(self.reps, (int, np.integer)) or self.reps < 1:
-            raise InvalidSpecError("reps must be a positive integer")
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidSpecError("alpha must lie strictly between 0 and 1")
-        if self.threads is not None and (
-            not isinstance(self.threads, (int, np.integer)) or self.threads < 1
-        ):
-            raise InvalidSpecError("threads must be a positive integer or None")
+        if max(self.H_values) > self.n - 2:
+            raise InvalidSpecError(f"H={max(self.H_values)} must be at most n-2 = {self.n - 2}")
+        object.__setattr__(self, "alpha", _fraction(self.alpha, "alpha", InvalidSpecError))
+        if self.threads is not None:
+            object.__setattr__(self, "threads", _integer(self.threads, "threads", 1,
+                                                         InvalidSpecError))
         if self.cov.p != self.p:
             raise InvalidSpecError(f"cov is for p={self.cov.p}, expected {self.p}")
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import normal_upper_quantile, normal_upper_tail
+from .core import _fraction, _integer, _real, normal_upper_quantile, normal_upper_tail
 from .errors import InvalidInputError, UndefinedMomentError
 
 __all__ = [
@@ -46,7 +46,7 @@ class StudentT:
     v: float
 
     def __post_init__(self):
-        if not self.v > 2.0:
+        if not _real(self.v, "v") > 2.0:
             raise UndefinedMomentError("StudentT needs v > 2 for a finite second moment")
 
 
@@ -62,9 +62,8 @@ class MixtureNormal:
     sigma: float
 
     def __post_init__(self):
-        if not 0.0 < self.v < 1.0:
-            raise InvalidInputError("mixture weight v must lie strictly between 0 and 1")
-        if not self.sigma > 0.0:
+        object.__setattr__(self, "v", _fraction(self.v, "mixture weight v"))
+        if not _real(self.sigma, "sigma") > 0.0:
             raise InvalidInputError("sigma must be positive")
 
 
@@ -77,7 +76,7 @@ def chi_radial_c1(dof: float) -> float:
     Gamma(x + 1/2) Gamma(x - 1/2) / Gamma(x)^2 with x = dof/2; from 1e3 dof on,
     its log is the asymptotic series in 1/x, first omitted term 1/(384 x^6).
     """
-    if not dof > 1.0:
+    if not _real(dof, "dof") > 1.0:
         raise UndefinedMomentError("chi radial c1 needs more than 1 degree of freedom")
     if dof < 1e3:
         return math.exp(math.lgamma((dof + 1.0) / 2.0) + math.lgamma((dof - 1.0) / 2.0)
@@ -102,16 +101,15 @@ class PowerInput:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if not isinstance(self.n, (int,)) or self.n < 1:
-            raise InvalidInputError("n must be a positive integer")
-        if not self.tr_s0sq > 0.0:
+        object.__setattr__(self, "n", _integer(self.n, "n", 1))
+        object.__setattr__(self, "alpha", _fraction(self.alpha, "alpha"))
+        _real(self.tr_s0s1, "tr_s0s1")
+        if not _real(self.tr_s0sq, "tr_s0sq") > 0.0:
             raise InvalidInputError("tr_s0sq must be positive")
-        if not self.c1 >= 1.0:
+        if not _real(self.c1, "c1") >= 1.0:
             raise InvalidInputError("c1 = E(r) E(1/r) is at least 1")
-        if not 0.0 < self.moment_ratio <= 1.0 + 1e-12:
+        if not 0.0 < _real(self.moment_ratio, "moment_ratio") <= 1.0 + 1e-12:
             raise InvalidInputError("moment_ratio = E^2(r)/E(r^2) must lie in (0, 1]")
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidInputError("alpha must lie strictly between 0 and 1")
 
 
 def _power(shift: float, alpha: float) -> float:
@@ -150,8 +148,7 @@ def radial_moments(dist: RadialDistribution, p: int) -> RadialMoments:
     normalizes the scatter to the covariance; E(r^2) and c1 use the exact
     unnormalized scale-mixture moments.
     """
-    if not isinstance(p, (int,)) or p < 2:
-        raise InvalidInputError("p must be an integer >= 2")
+    p = _integer(p, "p", 2)
     half_ratio = math.lgamma((p - 1) / 2.0) - math.lgamma(p / 2.0)
     if isinstance(dist, Normal):
         e_r_inv = math.exp(half_ratio) / math.sqrt(2.0)

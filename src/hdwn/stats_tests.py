@@ -29,6 +29,7 @@ import numpy as np
 
 from .core import (
     TestOutcome,
+    _fraction,
     _pair_sums,
     _sign_rows,
     as_lag,
@@ -75,9 +76,7 @@ def ss_statistic(signs, H) -> float:
 def flm_statistic(eps, H) -> float:
     """Same lag-aligned pair sum as ss_statistic, on raw rows instead of signs."""
     X = as_series(eps)
-    lag = as_lag(H)
-    lag.check_against(X.n)
-    return float(_pair_sums(X.data[None], lag.H)[0][0, -1])
+    return float(_pair_sums(X.data[None], as_lag(H).check_against(X.n))[0][0, -1])
 
 
 def _lag_products(X: np.ndarray, H: int):
@@ -110,12 +109,11 @@ def cross_correlations(eps, H) -> np.ndarray:
     do not build it.
     """
     X = as_series(eps)
-    lag = as_lag(H)
-    lag.check_against(X.n)
-    varies, products = _lag_products(X.data[None], lag.H)
+    H = as_lag(H).check_against(X.n)
+    varies, products = _lag_products(X.data[None], H)
     if not varies[0]:
         raise DegenerateDataError("zero-variance column; correlations undefined")
-    out = np.empty((lag.H, X.p, X.p))
+    out = np.empty((H, X.p, X.p))
     for h, buf in enumerate(products):
         np.divide(buf[0], X.n, out=out[h])
     return out
@@ -206,6 +204,17 @@ def _fc_entry(mx: _Entry, fl: _Entry) -> _Entry:
     return windows
 
 
+def _test_names(tests, error) -> tuple[str, ...]:
+    """tests as a nonempty tuple of known test names, or error naming the first unknown one."""
+    names = tuple(tests)
+    if not names:
+        raise error("tests must not be empty")
+    for name in names:
+        if name not in TEST_NAMES:
+            raise error(f"unknown test {name!r}; expected one of {TEST_NAMES}")
+    return names
+
+
 def _evaluate_block(X: np.ndarray, names, H_list, *, own: bool = False
                     ) -> dict[str, list[_Entry]]:
     """One entry per series of a block X (R, n, p), by test name; fc also
@@ -244,23 +253,9 @@ def evaluate_tests_collect(eps, tests, H_values, alpha=0.05):
     here; evaluate_tests and the five tests pass theirs through unchecked.
     """
     X = as_series(eps)
-    try:
-        alpha = float(alpha)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"alpha must be a number, got {alpha!r}") from None
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInputError("alpha must lie strictly between 0 and 1")
-    names = tuple(tests)
-    if not names:
-        raise InvalidInputError("tests must not be empty")
-    for name in names:
-        if name not in TEST_NAMES:
-            raise InvalidInputError(f"unknown test {name!r}; expected one of {TEST_NAMES}")
-    H_list = []
-    for H in H_values:
-        lag = as_lag(H)
-        lag.check_against(X.n)
-        H_list.append(lag.H)
+    alpha = _fraction(alpha, "alpha")
+    names = _test_names(tests, InvalidInputError)
+    H_list = [as_lag(H).check_against(X.n) for H in H_values]
     if not H_list:
         raise InvalidInputError("H_values must not be empty")
 

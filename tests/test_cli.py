@@ -220,6 +220,12 @@ class TestCmdSimulate:
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "oops.wat" in capsys.readouterr().err
 
+    def test_unknown_default_key_listed_once(self):
+        text = SMALL_CFG.replace("cov = identity\n", "cov = identity\nwat = 1\n")
+        with pytest.raises(ConfigError) as info:
+            parse_experiment_configs(text + "\n[cell-extra]\nwho = 2\n", seed=0)
+        assert str(info.value) == "unknown config keys: DEFAULT.wat, cell-extra.who"
+
     @pytest.mark.parametrize(
         "key", ["df", "mixture_gamma", "mixture_scale", "burn_in", "alpha", "threads"])
     def test_bad_value_exits_two_naming_section_and_key(self, tmp_path, capsys, monkeypatch,
