@@ -7,8 +7,10 @@ their data on construction and are safe to share across threads.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,6 +140,14 @@ def _fraction(value, name: str, error=InvalidInputError) -> float:
     return x
 
 
+def _nonempty(values, name: str, error=InvalidInputError) -> tuple:
+    """values as a tuple: a nonempty collection, not a string."""
+    items = () if isinstance(values, str) or not isinstance(values, Iterable) else tuple(values)
+    if not items:
+        raise error(f"{name} must be a nonempty collection, not a string, got {values!r}")
+    return items
+
+
 def as_lag(H) -> LagWindow:
     """Coerce an int or LagWindow to a LagWindow."""
     return H if isinstance(H, LagWindow) else LagWindow(H)
@@ -222,7 +232,7 @@ def _packed_index(n: int) -> np.ndarray:
     every sum adds, depends on n alone and never on the lag window: any
     window, and any single-test call, sums each lag in the same order and
     gets the same bits, which are a function of (n, h) and the Gram entries.
-    The index is cached per n and read-only; _packed_gram passes np.take its
+    The index is cached per n and read-only; _pair_sums passes np.take its
     writeable base, as take copies a read-only index on every call.
     """
     index = np.concatenate([d + (n + 1) * np.arange(n - d) for d in range(1, n)]).view()
@@ -242,56 +252,30 @@ def _straddling(n: int, h: int) -> np.ndarray:
     return slots
 
 
-def _pair_partials(v: np.ndarray, n: int, H: int) -> np.ndarray:
-    """Cumulative lag-aligned pair sums of packed Gram rows over lags 1..H, (R, H).
+def _pair_sums(x: np.ndarray, H: int) -> tuple[list[float], float]:
+    """The pair kernel of one series x (n, k), from its packed Gram triangle:
+    the cumulative lag pair sums over lags 1..H, and the trace mean, 2/(n(n-1))
+    times the triangle's sum of squares.
 
     Lag h adds 1/(n-h) times the sum over pairs s < t (both past lag h) of
-    G[s-h, t-h] * G[s, t]: in the packed layout, v[r, :-h] * v[r, h:] with
-    the products straddling two superdiagonals set to zero. Every row and
-    lag reuses one product buffer the size of a row, whose m-h leading
-    products are summed contiguously. cumsum is sequential, so a smaller
-    window's statistic is an exact prefix of the same accumulation.
+    G[s-h, t-h] * G[s, t]: in the packed layout, v[:-h] * v[h:] with the
+    products straddling two superdiagonals set to zero. Every lag reuses one
+    buffer of the triangle's m = n(n-1)/2 slots and sums its leading m-h
+    products contiguously. The accumulation is sequential, so a smaller
+    window's statistic is an exact prefix of the same accumulation. The
+    trace is one einsum: a BLAS dot would split the sum by the BLAS thread
+    count. The 'clip' take skips a bounds check the index never needs.
     """
-    buf = np.empty(v.shape[1])
-    terms = np.empty((len(v), H))
-    for row, term in zip(v, terms):
-        for h in range(1, H + 1):
-            np.multiply(row[:-h], row[h:], out=buf[:-h])
-            buf[_straddling(n, h)] = 0.0
-            term[h - 1] = np.add.reduce(buf[:-h])
-    terms /= np.arange(n - 1, n - H - 1, -1)
-    return terms.cumsum(axis=-1)
-
-
-def _packed_gram(rows: np.ndarray) -> np.ndarray:
-    """Strict upper triangles of rows[r] @ rows[r].T, (R, n(n-1)/2), for rows
-    (R, n, k), in the _packed_index layout.
-
-    Each Gram is the single-matrix BLAS call, made into one reused n x n
-    buffer and gathered straight into its row; a 'clip' take writes there
-    unbuffered, and the index never leaves its range.
-    """
-    R, n = rows.shape[:2]
-    gram, index = np.empty((n, n)), _packed_index(n).base
-    packed = np.empty((R, n * (n - 1) // 2))
-    for series, row in zip(rows, packed):
-        np.matmul(series, series.T, out=gram)
-        gram.take(index, out=row, mode="clip")
-    return packed
-
-
-def _pair_sums(rows: np.ndarray, H: int) -> tuple[np.ndarray, list[float]]:
-    """The pair kernel of a block of rows (R, n, k), from one packed Gram per
-    series: the cumulative lag pair sums over lags 1..H, (R, H), and the trace
-    means, 2/(n(n-1)) times each packed row's sum of squares.
-
-    One einsum per row: a BLAS dot would split the sum by the BLAS thread
-    count, and one einsum over all rows sums in another order.
-    """
-    n = rows.shape[1]
-    v = _packed_gram(rows)
-    means = [2.0 * float(np.einsum("i,i->", row, row)) / (n * (n - 1)) for row in v]
-    return _pair_partials(v, n, H), means
+    n = len(x)
+    v = np.matmul(x, x.T).take(_packed_index(n).base, mode="clip")
+    buf = np.empty(len(v))
+    terms = []
+    for h in range(1, H + 1):
+        np.multiply(v[:-h], v[h:], out=buf[:-h])
+        buf[_straddling(n, h)] = 0.0
+        terms.append(float(np.add.reduce(buf[:-h])) / (n - h))
+    trace = 2.0 * float(np.einsum("i,i->", v, v)) / (n * (n - 1))
+    return list(itertools.accumulate(terms)), trace
 
 
 def trace_omega2_hat(signs) -> float:
@@ -306,7 +290,7 @@ def trace_omega2_hat(signs) -> float:
 
 def trace_sigma2_hat(eps) -> float:
     """Estimate tr(Sigma^2) from raw rows: mean squared inner product over pairs."""
-    return _pair_sums(as_series(eps).data[None], 0)[1][0]
+    return _pair_sums(as_series(eps).data, 0)[1]
 
 
 def normal_upper_tail(z: float) -> float:

@@ -118,9 +118,11 @@ class ScenarioSpec:
     def __post_init__(self):
         object.__setattr__(self, "kind", _member(ScenarioKind, self.kind))
         object.__setattr__(self, "gamma", _fraction(self.gamma, "gamma", InvalidSpecError))
-        if not _real(self.df, "df", InvalidSpecError) > 2.0 and self.kind is ScenarioKind.STUDENT_T:
+        for name in ("df", "scale_factor"):
+            object.__setattr__(self, name, _real(getattr(self, name), name, InvalidSpecError))
+        if not self.df > 2.0 and self.kind is ScenarioKind.STUDENT_T:
             raise InvalidSpecError("t innovations need df > 2 for a finite covariance")
-        if not _real(self.scale_factor, "scale_factor", InvalidSpecError) > 0.0:
+        if not self.scale_factor > 0.0:
             raise InvalidSpecError("scale_factor must be positive")
 
     @classmethod
@@ -235,14 +237,15 @@ class CoeffSpec:
             object.__setattr__(self, "m", _integer(self.m, "m", 1, InvalidSpecError))
             if self.m > self.p:
                 raise InvalidSpecError(f"m must lie in [1, p], got {self.m}")
-            low, high = (_real(getattr(self, k), k, InvalidSpecError) for k in ("low", "high"))
-            if not low <= high:
+            for k in ("low", "high"):
+                object.__setattr__(self, k, _real(getattr(self, k), k, InvalidSpecError))
+            if not self.low <= self.high:
                 raise InvalidSpecError("low must not exceed high")
 
     def block(self) -> tuple[int, float, float]:
         """Resolved (m, low, high) for this regime."""
         if self.regime is CoeffRegime.EXPLICIT:
-            return self.m, float(self.low), float(self.high)
+            return self.m, self.low, self.high
         if self.regime is CoeffRegime.DENSE:
             m = int(math.floor(0.8 * self.p))
             half = 1.0 / (4.0 * math.sqrt(m)) if m else 0.0
@@ -339,14 +342,15 @@ def gen_series(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int, seed,
     One draw of _series_sampler. Innovations come from the scenario with
     identity scatter unless innov_cov is given; the h1 model uses neither.
     A Generator seed is consumed sequentially, coefficients first. An
-    integer seed draws h1 rows from (seed, "h1"), and otherwise fixes the
-    coefficients from (seed, "coeff") and innovations from (seed, "innov").
+    integer seed draws h1 rows from (seed, "h1"), and otherwise draws a
+    CoeffSpec's coefficients from (seed, "coeff") and innovations from
+    (seed, "innov"); an explicit matrix is used as given.
     """
     n, p = _integer(n, "n", 2), _integer(p, "p", 1)
     given = isinstance(seed, np.random.Generator)
-    if model.coeff is not None:  # fixed as run_experiment fixes them
-        coeff_seed = seed if given else derive_rng(seed, "coeff")
-        model = replace(model, coeff=resolve_coeff(model, coeff_seed))
+    if isinstance(model.coeff, CoeffSpec):  # fixed as run_experiment fixes them
+        model = replace(model, coeff=gen_coeff(model.coeff,
+                                               seed if given else derive_rng(seed, "coeff")))
     if not given:
         seed = derive_rng(seed, "h1" if model.kind is ModelKind.H1_SIGN else "innov")
     return SeriesMatrix(_series_sampler(model, scenario, n, p, innov_cov)([seed])[0])
@@ -481,8 +485,10 @@ class H1Spec:
             raise InvalidSpecError("custom radial law needs a radial_sampler")
         for name, low in (("sigma1_scale", 0.0), ("radial_c1", 1.0)):
             value = getattr(self, name)
-            if value is not None and not _real(value, name, InvalidSpecError) >= low:
-                raise InvalidSpecError(f"{name} must be at least {low}, got {value!r}")
+            if value is not None:
+                object.__setattr__(self, name, _real(value, name, InvalidSpecError))
+                if not getattr(self, name) >= low:
+                    raise InvalidSpecError(f"{name} must be at least {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -515,7 +521,7 @@ def _h1_setup(spec: H1Spec, n: int, p: int) -> tuple:
     if Sigma0.shape != (p, p):
         raise InvalidSpecError(f"sigma0 is {Sigma0.shape}, expected ({p}, {p})")
     A0 = _cholesky(Sigma0).T  # A0' A0 = Sigma0
-    tau = float(spec.sigma1_scale) if spec.sigma1_scale is not None else 1.0 / math.sqrt(n)
+    tau = spec.sigma1_scale if spec.sigma1_scale is not None else 1.0 / math.sqrt(n)
 
     if spec.radial is RadialKind.CHI_P:
         radii, c1 = (lambda rng, norms: norms), chi_radial_c1(p)
@@ -528,7 +534,7 @@ def _h1_setup(spec: H1Spec, n: int, p: int) -> tuple:
                 raise InvalidSpecError("radial_sampler must return n+1 finite nonnegative values")
             return r
 
-        c1 = None if spec.radial_c1 is None else float(spec.radial_c1)
+        c1 = spec.radial_c1
 
     def rows(rng):
         G = rng.standard_normal((n + 1, p))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._blas import _single_threaded_blas
-from .core import _fraction, _integer
+from .core import _fraction, _integer, _nonempty
 from .dgp import (
     CovarianceSpec,
     ModelKind,
@@ -95,9 +95,8 @@ class McConfig:
             object.__setattr__(self, name, _integer(getattr(self, name), name, low,
                                                     InvalidSpecError))
         object.__setattr__(self, "H_values", tuple(
-            _integer(h, "H in H_values", 1, InvalidSpecError) for h in self.H_values))
-        if not self.H_values:
-            raise InvalidSpecError("H_values must not be empty")
+            _integer(h, "H in H_values", 1, InvalidSpecError)
+            for h in _nonempty(self.H_values, "H_values", InvalidSpecError)))
         if max(self.H_values) > self.n - 2:
             raise InvalidSpecError(f"H={max(self.H_values)} must be at most n-2 = {self.n - 2}")
         object.__setattr__(self, "alpha", _fraction(self.alpha, "alpha", InvalidSpecError))
@@ -162,13 +161,13 @@ def _eval_reps(n: int, p: int, burn: int) -> int:
     the block, its burn-in rows and one series' innovations with 128 KiB of
     scratch for scaling them (numpy's 64 KiB ufunc buffer, the t law's row
     scales or the mixture's inflated rows). With 1 KiB of results per
-    series, a Gram stage holds the block, its packed triangles and one n x n
-    Gram; the max stage holds the block, a standardized copy and one p x p
-    lag product per series.
+    series, a Gram stage holds the block, one series' n x n Gram and its
+    packed triangle; the max stage holds the block, a standardized copy and
+    one p x p lag product per series.
     """
     words = _EVAL_BLOCK_BYTES // 8
     draw = (words - (n + burn) * p - 16384) // ((n + burn) * p)
-    gram = (words - n * n) // (n * p + n * (n - 1) // 2 + 128)
+    gram = (words - n * n - n * (n - 1) // 2) // (n * p + 128)
     return max(1, min(draw, gram, words // (2 * n * p + p * p + 128)))
 
 

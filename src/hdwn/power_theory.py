@@ -46,7 +46,8 @@ class StudentT:
     v: float
 
     def __post_init__(self):
-        if not _real(self.v, "v") > 2.0:
+        object.__setattr__(self, "v", _real(self.v, "v"))
+        if not self.v > 2.0:
             raise UndefinedMomentError("StudentT needs v > 2 for a finite second moment")
 
 
@@ -63,7 +64,8 @@ class MixtureNormal:
 
     def __post_init__(self):
         object.__setattr__(self, "v", _fraction(self.v, "mixture weight v"))
-        if not _real(self.sigma, "sigma") > 0.0:
+        object.__setattr__(self, "sigma", _real(self.sigma, "sigma"))
+        if not self.sigma > 0.0:
             raise InvalidInputError("sigma must be positive")
 
 
@@ -103,12 +105,13 @@ class PowerInput:
     def __post_init__(self):
         object.__setattr__(self, "n", _integer(self.n, "n", 1))
         object.__setattr__(self, "alpha", _fraction(self.alpha, "alpha"))
-        _real(self.tr_s0s1, "tr_s0s1")
-        if not _real(self.tr_s0sq, "tr_s0sq") > 0.0:
+        for name in ("tr_s0s1", "tr_s0sq", "c1", "moment_ratio"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        if not self.tr_s0sq > 0.0:
             raise InvalidInputError("tr_s0sq must be positive")
-        if not _real(self.c1, "c1") >= 1.0:
+        if not self.c1 >= 1.0:
             raise InvalidInputError("c1 = E(r) E(1/r) is at least 1")
-        if not 0.0 < _real(self.moment_ratio, "moment_ratio") <= 1.0 + 1e-12:
+        if not 0.0 < self.moment_ratio <= 1.0 + 1e-12:
             raise InvalidInputError("moment_ratio = E^2(r)/E(r^2) must lie in (0, 1]")
 
 
@@ -154,7 +157,7 @@ def radial_moments(dist: RadialDistribution, p: int) -> RadialMoments:
         e_r_inv = math.exp(half_ratio) / math.sqrt(2.0)
         return RadialMoments(e_r_inv, float(p), chi_radial_c1(p))
     if isinstance(dist, StudentT):
-        v = float(dist.v)
+        v = dist.v
         e_r_inv = math.exp(
             math.lgamma((v + 1.0) / 2.0) - math.lgamma(v / 2.0) + half_ratio
         ) / math.sqrt(v)
@@ -162,7 +165,7 @@ def radial_moments(dist: RadialDistribution, p: int) -> RadialMoments:
         c1 = chi_radial_c1(p) * chi_radial_c1(v)
         return RadialMoments(e_r_inv, e_r2, c1)
     if isinstance(dist, MixtureNormal):
-        v, s = float(dist.v), float(dist.sigma)
+        v, s = dist.v, dist.sigma
         e_r_inv = (
             (v + (1.0 - v) / s)
             * math.sqrt(v + (1.0 - v) * s * s)
@@ -185,12 +188,12 @@ def are_ss_flm(dist: RadialDistribution) -> float:
     if isinstance(dist, Normal):
         return 1.0
     if isinstance(dist, StudentT):
-        v = float(dist.v)
+        v = dist.v
         return (2.0 / (v - 2.0)) * math.exp(
             2.0 * (math.lgamma((v + 1.0) / 2.0) - math.lgamma(v / 2.0))
         )
     if isinstance(dist, MixtureNormal):
-        v, s = float(dist.v), float(dist.sigma)
+        v, s = dist.v, dist.sigma
         spread = v * (1.0 - v)
         return (1.0 + spread * (s - 1.0 / s) ** 2) / (1.0 + spread * (1.0 - 1.0 / s) ** 2)
     raise InvalidInputError(f"unsupported distribution {dist!r}")

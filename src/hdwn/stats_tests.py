@@ -6,12 +6,14 @@ assumes spherical directions (pv), a max-cross-correlation scan with extreme
 value calibration (max), and the Fisher combination of the max and flm
 p-values (fc).
 
-The kernels take a block of R series, (R, n, p), and the public calls are
-the R=1 case. ss, flm and pv read one packed strict upper triangle per Gram
-(core._pair_sums): each lag's pair sum and the trace estimate come from it
-through numpy elementwise products and sums, never BLAS, in an order set by
-n and the lag alone, so a series gets the same bits in any block. max, fc
-and cross_correlations share one lag scan (_lag_products).
+The evaluator takes a block of R series, (R, n, p), and the public calls
+are the R=1 case. The signs and the lag scan (_lag_products), which max, fc
+and cross_correlations share, run over the whole block. The pair kernel of
+ss, flm and pv (core._pair_sums) takes one series at a time: each lag's
+pair sum and the trace estimate come from the packed strict upper triangle
+of its Gram through numpy elementwise products and sums, never BLAS, in an
+order set by n and the lag alone, so a series gets the same bits in any
+block.
 
 Statistics that aggregate squared singular values of lagged autocovariance
 matrices are a known alternative family and are deliberately not implemented.
@@ -30,6 +32,7 @@ import numpy as np
 from .core import (
     TestOutcome,
     _fraction,
+    _nonempty,
     _pair_sums,
     _sign_rows,
     as_lag,
@@ -76,7 +79,7 @@ def ss_statistic(signs, H) -> float:
 def flm_statistic(eps, H) -> float:
     """Same lag-aligned pair sum as ss_statistic, on raw rows instead of signs."""
     X = as_series(eps)
-    return float(_pair_sums(X.data[None], as_lag(H).check_against(X.n))[0][0, -1])
+    return _pair_sums(X.data, as_lag(H).check_against(X.n))[0][-1]
 
 
 def _lag_products(X: np.ndarray, H: int):
@@ -145,10 +148,10 @@ _Entry = HdwnError | list[tuple[float, float, float, dict[str, float]]]
 def _sum_results(rows: np.ndarray, H_list, clip: float):
     """ss (sign rows, trace clipped at 1) or flm entries of a block, and the partials:
     each window's partial sum over sqrt(H/2) times the trace, to the normal tail."""
-    partials, traces = _pair_sums(rows, max(H_list))
+    pairs = [_pair_sums(x, max(H_list)) for x in rows]
     what, key = ("sign", "trace_omega2_hat") if clip == 1.0 else ("inner", "trace_sigma2_hat")
     entries: list[_Entry] = []
-    for row, trace in zip(partials.tolist(), traces):
+    for row, trace in pairs:
         trace = min(trace, clip)
         if trace <= 0.0:
             entries.append(DegenerateDataError(
@@ -158,12 +161,12 @@ def _sum_results(rows: np.ndarray, H_list, clip: float):
         stds = [row[H - 1] / sigma for H, sigma in zip(H_list, sigmas)]
         entries.append([(row[H - 1], z, normal_upper_tail(z), {key: trace, "sigma_hat": sigma})
                         for H, sigma, z in zip(H_list, sigmas, stds)])
-    return entries, partials
+    return entries, [row for row, _ in pairs]
 
 
-def _pv_results(partials: np.ndarray, p: int, H_list) -> list[_Entry]:
+def _pv_results(partials: list[list[float]], p: int, H_list) -> list[_Entry]:
     entries: list[_Entry] = []
-    for row in partials.tolist():
+    for row in partials:
         stats = [math.sqrt(2.0 * p * p / H) * row[H - 1] for H in H_list]
         entries.append([(z, z, normal_upper_tail(z), {"kernel_sum": row[H - 1]})
                         for H, z in zip(H_list, stats)])
@@ -206,9 +209,7 @@ def _fc_entry(mx: _Entry, fl: _Entry) -> _Entry:
 
 def _test_names(tests, error) -> tuple[str, ...]:
     """tests as a nonempty tuple of known test names, or error naming the first unknown one."""
-    names = tuple(tests)
-    if not names:
-        raise error("tests must not be empty")
+    names = _nonempty(tests, "tests", error)
     for name in names:
         if name not in TEST_NAMES:
             raise error(f"unknown test {name!r}; expected one of {TEST_NAMES}")
@@ -255,9 +256,7 @@ def evaluate_tests_collect(eps, tests, H_values, alpha=0.05):
     X = as_series(eps)
     alpha = _fraction(alpha, "alpha")
     names = _test_names(tests, InvalidInputError)
-    H_list = [as_lag(H).check_against(X.n) for H in H_values]
-    if not H_list:
-        raise InvalidInputError("H_values must not be empty")
+    H_list = [as_lag(H).check_against(X.n) for H in _nonempty(H_values, "H_values")]
 
     outcomes: dict[tuple[str, int], TestOutcome] = {}
     errors: dict[tuple[str, int], HdwnError] = {}

@@ -189,6 +189,19 @@ class TestGenSeries:
         se = batches.std(axis=0, ddof=1) / math.sqrt(len(batches))
         assert np.all(np.abs(mean - A) <= 3.0 * se + 0.01)
 
+    def test_explicit_coefficients_derive_no_coefficient_stream(self, monkeypatch):
+        import hdwn.dgp as dgp
+
+        paths = []
+        real = dgp.derive_rng
+        monkeypatch.setattr(dgp, "derive_rng",
+                            lambda seed, *path: paths.append(path) or real(seed, *path))
+        model = ModelSpec(ModelKind.VAR1, coeff=0.5 * np.eye(3))
+        X = gen_series(model, ScenarioSpec.normal(), 20, 3, 9).data
+        assert paths == [("innov",)]
+        want = dgp._series_sampler(model, ScenarioSpec.normal(), 20, 3)([real(9, "innov")])[0]
+        assert np.array_equal(X, want)
+
     def test_var1_dense_stays_finite(self):
         model = ModelSpec(ModelKind.VAR1, coeff=CoeffSpec("dense", 80))
         X = gen_series(model, ScenarioSpec.student_t(3), 200, 80, 11).data
@@ -260,9 +273,9 @@ class TestGenSeries:
         does, stays small.
 
         Drawing four series needs their 512 kB, as much again for the
-        burn-in and 256 kB for one series' innovations. The evaluation's
-        widest stage holds the series, their packed Gram triangles (637 kB)
-        and one 320 kB Gram: 1.47 MB.
+        burn-in and 256 kB for one series' innovations: 1.28 MB, the widest
+        stage. The Gram stage holds the series and one series' 320 kB Gram
+        and 159 kB packed triangle: 0.99 MB.
         """
         import tracemalloc
 
@@ -285,7 +298,7 @@ class TestGenSeries:
         finally:
             tracemalloc.stop()
         assert block == 4
-        assert peak < 1.5e6
+        assert peak < 1.4e6
 
     def test_gen_series_bits_do_not_depend_on_blas_threads(self):
         import os

@@ -327,12 +327,12 @@ class TestPackedPairKernel:
         assert abs(trace_sigma2_hat(X) - tr_sigma) <= 1e-12 * max(1.0, tr_sigma)
 
     def test_every_lag_of_the_packed_kernel_matches_the_naive_loop(self):
-        from hdwn.core import _packed_gram, _pair_partials
+        from hdwn.core import _pair_sums
 
         n = 11
         X = self._series(n, 3, zero_rows=(4,))
         rows = [list(r) for r in X]
-        partials = _pair_partials(_packed_gram(X[None]), n, n - 1)[0]
+        partials = _pair_sums(X, n - 1)[0]
         for H in range(1, n):
             slow = naive_lagged_pair_sum(rows, H)
             assert abs(partials[H - 1] - slow) <= 1e-12 * max(1.0, abs(slow)), H
@@ -550,7 +550,8 @@ class TestBlockEvaluation:
             values = [_hex(w[:3]) for entry in kept for w in entry]
             assert values == [_hex(w[:3]) for entry in alone[name] for w in entry], name
 
-    @pytest.mark.parametrize("shape", ((200, 120), (100, 40)), ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("shape", ((200, 120), (100, 40), (200, 40)),
+                             ids=lambda s: f"{s[0]}x{s[1]}")
     def test_peak_memory_of_one_block_within_its_budget(self, shape):
         import tracemalloc
 
@@ -570,7 +571,7 @@ class TestBlockEvaluation:
             tracemalloc.stop()
         # the count behind R: the block's widest stage, the block included,
         # fits the budget: 737,280 bytes per replication at (200, 120), R = 2,
-        # and 81,920 at (100, 40), R = 18
+        # 81,920 at (100, 40), R = 18, and 147,456 at (200, 40), R = 10
         assert peak + X.nbytes <= _EVAL_BLOCK_BYTES
 
     def test_block_size_does_not_change_cells(self, monkeypatch):

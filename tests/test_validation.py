@@ -18,6 +18,7 @@ from hdwn import (
     CovarianceSpec,
     H1Spec,
     HdwnError,
+    InvalidInputError,
     InvalidSpecError,
     McConfig,
     MixtureNormal,
@@ -165,6 +166,54 @@ def test_stored_probabilities_are_floats():
     assert type(ScenarioSpec("mixture", gamma=np.float32(0.25)).gamma) is float
 
 
+# id: (what to read from a spec built with value, value)
+STORED_REALS = {
+    "ScenarioSpec.df": (lambda v: ScenarioSpec("t", df=v).df, 3),
+    "ScenarioSpec.scale_factor": (lambda v: ScenarioSpec("mixture", scale_factor=v).scale_factor,
+                                  3),
+    "CoeffSpec.low": (lambda v: CoeffSpec("explicit", 3, m=2, low=v, high=4.0).low, 3),
+    "CoeffSpec.high": (lambda v: CoeffSpec("explicit", 3, m=2, low=0.0, high=v).high, 3),
+    "H1Spec.sigma1_scale": (lambda v: H1Spec(CovarianceSpec("identity", 3),
+                                             sigma1_scale=v).sigma1_scale, 3),
+    "H1Spec.radial_c1": (lambda v: H1Spec(CovarianceSpec("identity", 3),
+                                          radial_c1=v).radial_c1, 3),
+    "StudentT.v": (lambda v: StudentT(v).v, 3),
+    "MixtureNormal.sigma": (lambda v: MixtureNormal(0.5, v).sigma, 3),
+    "PowerInput.tr_s0s1": (lambda v: PowerInput(10, v, 1.0).tr_s0s1, 3),
+    "PowerInput.tr_s0sq": (lambda v: PowerInput(10, 1.0, v).tr_s0sq, 3),
+    "PowerInput.c1": (lambda v: PowerInput(10, 1.0, 1.0, c1=v).c1, 3),
+    "PowerInput.moment_ratio": (lambda v: PowerInput(10, 1.0, 1.0, moment_ratio=v).moment_ratio,
+                                1),
+}
+
+
+@pytest.mark.parametrize("case", STORED_REALS)
+@pytest.mark.parametrize("kind", (int, np.float32, np.int64))
+def test_stored_reals_are_floats(case, kind):
+    read, value = STORED_REALS[case]
+    stored = read(kind(value))
+    assert type(stored) is float
+    assert stored == value
+
+
+def test_numpy_float_report_round_trips_through_json():
+    report = run_experiment(_config(scenario=ScenarioSpec("t", df=np.float32(3))))
+    back = report_from_dict(json.loads(json.dumps(report_to_dict(report))))
+    assert report_to_dict(back) == report_to_dict(report)
+    assert back.cells == report.cells
+
+
+@pytest.mark.parametrize("field", ("tests", "H_values"))
+@pytest.mark.parametrize("bad", ("ss", None, 3, ()), ids=repr)
+def test_collection_refusal_is_typed_and_named(field, bad):
+    message = f"{field} must be a nonempty collection, not a string"
+    with pytest.raises(InvalidSpecError, match=message):
+        _config(**{field: bad})
+    given = {"tests": ("ss",), "H_values": (1,), field: bad}
+    with pytest.raises(InvalidInputError, match=message):
+        evaluate_tests_collect(SERIES, given["tests"], given["H_values"])
+
+
 def test_numpy_integer_report_round_trips_through_json():
     def config(i):
         return McConfig(tests=("ss", "max"), scenario=ScenarioSpec.normal(),
@@ -207,3 +256,8 @@ def test_each_kind_of_input_is_checked_in_one_place():
     assert _owners("(int, np.integer)") == [
         "core.LagWindow.__post_init__", "core._integer", "dgp._seed_sequence"]
     assert _owners("not in TEST_NAMES") == ["stats_tests._test_names"]
+
+
+def test_packed_layout_is_read_by_the_pair_kernel_alone():
+    assert _owners("_packed_index(") == ["core._packed_index", "core._pair_sums"]
+    assert _owners("_straddling(") == ["core._straddling", "core._pair_sums"]
