@@ -367,17 +367,10 @@ def _series_sampler(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int,
     covariance factored. A CoeffSpec must be resolved to its matrix first.
     """
     if model.kind is ModelKind.H1_SIGN:
-        return partial(_fill, _h1_setup(model.h1, n, p)[-1], n, p)
+        return partial(_draw_block, model.kind, None, 0, _h1_setup(model.h1, n, p)[-1], n, p)
     burn, L = _checked_model(model, p, innov_cov)
-    return partial(_draw_block, model.kind, model.coeff, burn, scenario, n, p, L)
-
-
-def _fill(one: Callable, n: int, p: int, rngs) -> np.ndarray:
-    """(len(rngs), n, p) array whose slot i is one(rngs[i]), filled in turn."""
-    out = np.empty((len(rngs), n, p))
-    for slot, rng in zip(out, rngs):
-        slot[...] = one(rng)
-    return out
+    rows = partial(_innovation_rows, scenario, L, n + burn, p)
+    return partial(_draw_block, model.kind, model.coeff, burn, rows, n, p)
 
 
 def _checked_model(model: ModelSpec, p: int, innov_cov) -> tuple[int, np.ndarray | None]:
@@ -398,18 +391,19 @@ def _checked_model(model: ModelSpec, p: int, innov_cov) -> tuple[int, np.ndarray
     return burn, _innovation_factor(innov_cov)
 
 
-def _draw_block(kind: ModelKind, A, burn: int, scenario: ScenarioSpec, n: int, p: int,
-                L: np.ndarray | None, rngs) -> np.ndarray:
+def _draw_block(kind: ModelKind, A, burn: int, rows: Callable, n: int, p: int,
+                rngs) -> np.ndarray:
     """The series of a checked model drawn from each generator in turn, as one
-    (len(rngs), n, p) float array never validated again; L is the
-    _innovation_factor.
+    (len(rngs), n, p) float array never validated again; rows(rng) draws one
+    series' innovation rows, burn-in included, or an h1 series' rows.
 
-    IID and VMA(1) series are drawn one at a time into their slots. VAR(1)
-    and VARMA(1) series step through time together, every innovation row
-    first: x_0 = z_0, then x_t = A x_{t-1} + z_t, or for VARMA(1)
-    x_t = 0.5 A (x_{t-1} + z_{t-1}) + z_t. Their rows are stepped in place,
-    through the time-major view of the returned array; the burn-in rows
-    have a time-major array of their own, freed before return.
+    One loop fills every slot: each series' rows are drawn, VMA(1) takes
+    its moving average x_t = z_t + A z_{t-1}, and the last n rows go into
+    the series' slot. VAR(1) and VARMA(1) also keep their leading burn rows
+    in an array of their own, freed before return, and then step all their
+    series through time together: x_0 = z_0, then x_t = A x_{t-1} + z_t, or
+    for VARMA(1) x_t = 0.5 A (x_{t-1} + z_{t-1}) + z_t, in place through
+    the time-major view of the returned array.
 
     Each series has the same bits whichever generators share its block,
     because of two rules. The stacked (p, p) @ (R, p, 1) product is R
@@ -418,28 +412,26 @@ def _draw_block(kind: ModelKind, A, burn: int, scenario: ScenarioSpec, n: int, p
     each series' innovations are one (n + burn, p) product, never split by
     rows, which would also change the rounding.
     """
-    total = n + burn
-    if kind in (ModelKind.IID, ModelKind.VMA1):
-        def one(rng):
-            Z = _innovation_rows(scenario, L, total, p, rng)
-            return Z[burn:] if kind is ModelKind.IID else (Z[1:] + Z[:-1] @ A.T)[burn - 1:]
-
-        return _fill(one, n, p, rngs)
-
+    recursive = kind in (ModelKind.VAR1, ModelKind.VARMA1)
     # row t of series i at head[t, i, :, 0], or once past the burn-in at out[i, t]
-    out, head = np.empty((len(rngs), n, p)), np.empty((burn, len(rngs), p, 1))
+    out = np.empty((len(rngs), n, p))
+    head = np.empty((burn if recursive else 0, len(rngs), p, 1))
     for i, rng in enumerate(rngs):
-        Z = _innovation_rows(scenario, L, total, p, rng)
-        head[:, i, :, 0], out[i] = Z[:burn], Z[burn:]
-        del Z  # before the next series' innovations are drawn
+        Z = rows(rng)
+        if kind is ModelKind.VMA1:
+            Z = Z[1:] + Z[:-1] @ A.T
+        head[:, i, :, 0], out[i] = Z[:len(head)], Z[-n:]
+        del Z  # before the next series' rows are drawn
+    if not recursive:
+        return out
 
     varma = kind is ModelKind.VARMA1
     M = 0.5 * A if varma else A
-    rows = itertools.chain(head, out.transpose(1, 0, 2)[..., None])  # z_t until stepped
-    prev = next(rows)  # x_0 = z_0
+    times = itertools.chain(head, out.transpose(1, 0, 2)[..., None])  # z_t until stepped
+    prev = next(times)  # x_0 = z_0
     lagged = prev.copy()  # z_{t-1}, which VARMA(1) needs after row t-1 is stepped
     step = np.empty_like(prev)
-    for cur in rows:
+    for cur in times:
         if varma:
             np.add(prev, lagged, out=lagged)
             np.matmul(M, lagged, out=step)

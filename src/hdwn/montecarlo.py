@@ -22,6 +22,7 @@ import numpy as np
 from ._blas import _single_threaded_blas
 from .core import _fraction, _integer, _nonempty
 from .dgp import (
+    CovarianceKind,
     CovarianceSpec,
     ModelKind,
     ModelSpec,
@@ -48,12 +49,13 @@ __all__ = [
 #: Replications may error (degenerate data) up to this fraction per cell.
 ERROR_BUDGET = 0.01
 
-#: Freed once before replications run. glibc's malloc maps blocks above its
+#: Allocated and freed once, on import. glibc's malloc maps blocks above its
 #: mmap threshold (128 kB at start) afresh and hands heap tops above twice
 #: that threshold back to the OS; freeing a larger mapped block raises both.
-#: Replications allocate and free many 100-400 kB arrays, which then reuse
-#: heap pages instead of faulting in new ones. Other allocators ignore it.
+#: Replications and single calls then reuse heap pages for their many
+#: 100-400 kB arrays instead of faulting in new ones. Other allocators ignore it.
 _ALLOCATOR_WARMUP_BYTES = 4 << 20
+np.empty(_ALLOCATOR_WARMUP_BYTES // 8)
 
 #: Bytes one block of replications may take while it is drawn or evaluated:
 #: four VAR(1) replications at n=200, p=80 with the default burn-in of 200.
@@ -94,9 +96,9 @@ class McConfig:
         for name, low in (("n", 4), ("p", 1), ("reps", 1), ("master_seed", 0)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, low,
                                                     InvalidSpecError))
-        object.__setattr__(self, "H_values", tuple(
+        object.__setattr__(self, "H_values", tuple(dict.fromkeys(
             _integer(h, "H in H_values", 1, InvalidSpecError)
-            for h in _nonempty(self.H_values, "H_values", InvalidSpecError)))
+            for h in _nonempty(self.H_values, "H_values", InvalidSpecError))))
         if max(self.H_values) > self.n - 2:
             raise InvalidSpecError(f"H={max(self.H_values)} must be at most n-2 = {self.n - 2}")
         object.__setattr__(self, "alpha", _fraction(self.alpha, "alpha", InvalidSpecError))
@@ -105,6 +107,10 @@ class McConfig:
                                                          InvalidSpecError))
         if self.cov.p != self.p:
             raise InvalidSpecError(f"cov is for p={self.cov.p}, expected {self.p}")
+        coeff = self.model.coeff  # None, a CoeffSpec or a square float array
+        size = len(coeff) if isinstance(coeff, np.ndarray) else getattr(coeff, "p", self.p)
+        if size != self.p:
+            raise InvalidSpecError(f"coeff is for p={size}, expected {self.p}")
 
 
 @dataclass(frozen=True)
@@ -154,19 +160,19 @@ def _resolve_model(cfg: McConfig) -> tuple[ModelSpec, float | None]:
     return replace(model, coeff=A), float((A * A).sum())
 
 
-def _eval_reps(n: int, p: int, burn: int) -> int:
+def _eval_reps(n: int, p: int, burn: int, factored: bool = False) -> int:
     """Replications per block of n x p series after burn steps, at least one.
 
     The most whose widest stage fits _EVAL_BLOCK_BYTES. The draw stage holds
     the block, its burn-in rows and one series' innovations with 128 KiB of
     scratch for scaling them (numpy's 64 KiB ufunc buffer, the t law's row
-    scales or the mixture's inflated rows). With 1 KiB of results per
-    series, a Gram stage holds the block, one series' n x n Gram and its
-    packed triangle; the max stage holds the block, a standardized copy and
-    one p x p lag product per series.
+    scales or the mixture's inflated rows), twice if a factored scatter
+    multiplies them. With 1 KiB of results per series, a Gram stage holds
+    the block, one series' n x n Gram and its packed triangle; the max stage
+    holds the block, a standardized copy and one p x p lag product per series.
     """
     words = _EVAL_BLOCK_BYTES // 8
-    draw = (words - (n + burn) * p - 16384) // ((n + burn) * p)
+    draw = (words - (1 + factored) * (n + burn) * p - 16384) // ((n + burn) * p)
     gram = (words - n * n - n * (n - 1) // 2) // (n * p + 128)
     return max(1, min(draw, gram, words // (2 * n * p + p * p + 128)))
 
@@ -189,12 +195,12 @@ def run_experiment(cfg: McConfig) -> McReport:
     statistic depend on neither the executor nor the BLAS thread count.
     """
     start = time.perf_counter()
-    np.empty(_ALLOCATOR_WARMUP_BYTES // 8)  # allocated and freed at once
     model, fingerprint = _resolve_model(cfg)
     cov = None if model.kind is ModelKind.H1_SIGN else build_covariance(cfg.cov)
     draw = _series_sampler(model, cfg.scenario, cfg.n, cfg.p, cov)
     threads = cfg.threads if cfg.threads is not None else _auto_threads()
-    R = _eval_reps(cfg.n, cfg.p, model.effective_burn_in())
+    factored = cov is not None and cfg.cov.kind is not CovarianceKind.IDENTITY
+    R = _eval_reps(cfg.n, cfg.p, model.effective_burn_in(), factored)
     blocks = min(cfg.reps, threads * -(-cfg.reps // (threads * R)))
 
     def one_block(i: int) -> dict[str, list]:
@@ -220,7 +226,7 @@ def run_experiment(cfg: McConfig) -> McReport:
         errored = causes.total()
         effective = cfg.reps - errored
         for k, H in enumerate(cfg.H_values):
-            if errored > ERROR_BUDGET * cfg.reps or effective == 0:
+            if errored > ERROR_BUDGET * cfg.reps:
                 cause, count = causes.most_common(1)[0]
                 over_budget.append(f"{name}@H={H}: {errored} errors, {count} of them {cause}")
                 continue

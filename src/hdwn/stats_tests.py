@@ -208,12 +208,12 @@ def _fc_entry(mx: _Entry, fl: _Entry) -> _Entry:
 
 
 def _test_names(tests, error) -> tuple[str, ...]:
-    """tests as a nonempty tuple of known test names, or error naming the first unknown one."""
+    """tests as a nonempty tuple of known test names, each once; error names the first unknown."""
     names = _nonempty(tests, "tests", error)
     for name in names:
         if name not in TEST_NAMES:
             raise error(f"unknown test {name!r}; expected one of {TEST_NAMES}")
-    return names
+    return tuple(dict.fromkeys(names))
 
 
 def _evaluate_block(X: np.ndarray, names, H_list, *, own: bool = False
@@ -261,7 +261,7 @@ def evaluate_tests_collect(eps, tests, H_values, alpha=0.05):
     outcomes: dict[tuple[str, int], TestOutcome] = {}
     errors: dict[tuple[str, int], HdwnError] = {}
     found = _evaluate_block(X.data[None], names, H_list)
-    for name in dict.fromkeys(names):
+    for name in names:
         (entry,) = found[name]
         if isinstance(entry, HdwnError):
             errors.update(((name, H), entry) for H in H_list)

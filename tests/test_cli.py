@@ -209,6 +209,18 @@ class TestCmdSimulate:
         assert payload["seed"] == 7
         assert len(payload["reports"]) == 2
 
+    def test_repeated_tests_and_lags_write_each_row_once(self, tmp_path):
+        written = []
+        for tests, lags in (("ss,flm", "1,2"), ("ss,ss,flm", "1,1,2")):
+            cfg = tmp_path / "lags.cfg"
+            cfg.write_text(SMALL_CFG.replace("tests = ss,flm\nlags = 1\n",
+                                             f"tests = {tests}\nlags = {lags}\n"))
+            out_dir = tmp_path / tests
+            assert main(["simulate", "--config", str(cfg), "--out", str(out_dir),
+                         "--threads", "1"]) == 0
+            written.append((out_dir / "results.csv").read_bytes())
+        assert written[0] == written[1]
+
     def test_reps_zero_exits_two(self, tmp_path):
         cfg = tmp_path / "small.cfg"
         cfg.write_text(SMALL_CFG)

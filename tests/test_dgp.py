@@ -300,6 +300,31 @@ class TestGenSeries:
         assert block == 4
         assert peak < 1.4e6
 
+    def test_factored_block_draw_memory(self):
+        """A polydecay scatter holds each series' innovations twice, before
+        and after the product with its Cholesky factor; a block drawn at the
+        width _eval_reps gives it stays within the block budget."""
+        import tracemalloc
+
+        from hdwn.dgp import _series_sampler
+        from hdwn.montecarlo import _EVAL_BLOCK_BYTES, _eval_reps
+
+        A = gen_coeff(CoeffSpec("dense", 80), derive_rng(3, "coeff"))
+        draw = _series_sampler(ModelSpec(ModelKind.VAR1, coeff=A, burn_in=200),
+                               ScenarioSpec.student_t(3), 200, 80,
+                               build_covariance(CovarianceSpec("polydecay", 80)))
+        block = _eval_reps(200, 80, 200, factored=True)
+        draw([derive_rng(0, "warm")])  # first calls outside the trace
+        rngs = [derive_rng(0, "rep", r) for r in range(block)]
+        tracemalloc.start()
+        try:
+            draw(rngs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block == 3
+        assert peak <= _EVAL_BLOCK_BYTES
+
     def test_gen_series_bits_do_not_depend_on_blas_threads(self):
         import os
         import subprocess

@@ -9,6 +9,7 @@ import threading
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hdwn
@@ -96,11 +97,11 @@ class TestRunExperiment:
         # blocks of near-equal sizes: 13 at most 4 at a time is 3, 3, 3, 4,
         # not 4, 4, 4, 1
         sizes.clear()
-        monkeypatch.setattr(mc, "_eval_reps", lambda n, p, burn: 4)
+        monkeypatch.setattr(mc, "_eval_reps", lambda n, p, burn, factored: 4)
         run_experiment(null_config(reps=13, threads=1))
         assert sizes == [3, 3, 3, 4]
         sizes.clear()
-        monkeypatch.setattr(mc, "_eval_reps", lambda n, p, burn: 2)
+        monkeypatch.setattr(mc, "_eval_reps", lambda n, p, burn, factored: 2)
         run_experiment(null_config(reps=13, threads=1))
         assert sizes == [1, 2, 2, 2, 2, 2, 2]
 
@@ -200,7 +201,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(mc, "_series_sampler", sampler)
         monkeypatch.setattr(mc, "_evaluate_block", evaluate)
-        monkeypatch.setattr(mc, "_eval_reps", lambda n, p, burn: 3)
+        monkeypatch.setattr(mc, "_eval_reps", lambda n, p, burn, factored: 3)
         run_experiment(null_config(model=model, reps=13, threads=threads))
         assert len(evaluated) == len(drawn) > threads
         assert {id(X) for X in drawn} == {id(X) for X, _ in evaluated}
@@ -262,6 +263,20 @@ class TestRunExperiment:
         with pytest.raises(InvalidSpecError):
             null_config(cov=CovarianceSpec("identity", 4))
 
+    @pytest.mark.parametrize("coeff", (CoeffSpec("dense", 10), np.zeros((10, 10))))
+    def test_coefficients_sized_when_built(self, coeff):
+        with pytest.raises(InvalidSpecError, match="coeff is for p=10, expected 8"):
+            null_config(model=ModelSpec(ModelKind.VAR1, coeff=coeff),
+                        cov=CovarianceSpec("identity", 8), p=8)
+
+    def test_repeated_tests_and_lags_give_one_cell_each(self):
+        cfg = null_config(tests=("ss", "ss", "flm"), H_values=(2, 2, 1), reps=10)
+        assert cfg.tests == ("ss", "flm") and cfg.H_values == (2, 1)
+        cells = run_experiment(cfg).cells
+        assert [(c.test, c.H) for c in cells] == [("ss", 2), ("ss", 1), ("flm", 2), ("flm", 1)]
+        assert cells == run_experiment(null_config(tests=("ss", "flm"), H_values=(2, 1),
+                                                   reps=10)).cells
+
 
 def _failing_evaluator(real, fails):
     """Wraps the block evaluator: replication r, counted from 1 in the order
@@ -321,12 +336,12 @@ print(digest.hexdigest())
 def _task_peaks(cfg, monkeypatch) -> list[int]:
     """tracemalloc peak of each task of run_experiment(cfg) at one thread,
     above what was allocated when the task began, with its first
-    replication's stream; the allocator warm-up is left out. A task is one
-    block, so the next one begins where the evaluator's last block ended."""
+    replication's stream; the allocator warm-up, made on import, falls
+    outside it. A task is one block, so the next one begins where the
+    evaluator's last block ended."""
     import tracemalloc
 
     cfg = replace(cfg, threads=1)
-    monkeypatch.setattr(mc, "_ALLOCATOR_WARMUP_BYTES", 0)
     run_experiment(cfg)  # caches and first calls outside the trace
     real_rng, real_evaluate = mc.derive_rng, mc._evaluate_block
     peaks, start, blocks = [], [], []
@@ -388,6 +403,16 @@ class TestTaskMemory:
                           model=model, cov=CovarianceSpec("identity", 40), n=100, p=40,
                           H_values=(1, 2, 3), reps=6)
         assert mc._eval_reps(100, 40, 1000) == 2
+        assert max(_task_peaks(cfg, monkeypatch)) <= mc._EVAL_BLOCK_BYTES
+
+    def test_factored_scatter_within_the_block_budget(self, monkeypatch):
+        # a polydecay scatter holds each series' innovations twice while they
+        # are multiplied by its Cholesky factor, so such a cell gets one less
+        cfg = null_config(tests=("max", "ss", "flm", "fc"), scenario=ScenarioSpec.student_t(3),
+                          model=ModelSpec(ModelKind.VAR1, coeff=CoeffSpec("dense", 80)),
+                          cov=CovarianceSpec("polydecay", 80), n=200, p=80,
+                          H_values=(1, 2, 3), reps=6)
+        assert mc._eval_reps(200, 80, 200, factored=True) == 3
         assert max(_task_peaks(cfg, monkeypatch)) <= mc._EVAL_BLOCK_BYTES
 
 
@@ -601,7 +626,7 @@ for threads in (1, 2):
 def test_replications_reuse_heap_pages():
     """Replications reuse heap pages rather than faulting in fresh ones.
 
-    Without the allocator warm-up in run_experiment, 20 replications at
+    Without the allocator warm-up on import, 20 replications at
     n=200, p=120 fault in 3,000-5,000 pages, about one per kB allocated.
     """
     src = str(Path(hdwn.__file__).resolve().parent.parent)
@@ -609,3 +634,30 @@ def test_replications_reuse_heap_pages():
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     faults = [int(line) for line in out.stdout.split()]
     assert len(faults) == 2 and max(faults) < 1000, faults
+
+
+#: Minor page faults of 20 single calls after two untimed ones, in a fresh
+#: interpreter that has not imported scipy.
+_CALL_FAULTS_SCRIPT = """
+import resource
+import hdwn
+X = hdwn.gen_series(hdwn.ModelSpec("iid"), hdwn.ScenarioSpec.student_t(3), 200, 120, 0)
+for _ in range(2):
+    hdwn.evaluate_tests_collect(X, ("ss", "flm", "max", "fc"), (1, 2, 3))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    hdwn.evaluate_tests_collect(X, ("ss", "flm", "max", "fc"), (1, 2, 3))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+def test_single_calls_reuse_heap_pages():
+    """The allocator warm-up is made on import, so single calls get it too.
+
+    Without it, 20 calls at n=200, p=120 fault in about 2,800 pages.
+    """
+    src = str(Path(hdwn.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", _CALL_FAULTS_SCRIPT], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert int(out.stdout) < 500, out.stdout

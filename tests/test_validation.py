@@ -261,3 +261,10 @@ def test_each_kind_of_input_is_checked_in_one_place():
 def test_packed_layout_is_read_by_the_pair_kernel_alone():
     assert _owners("_packed_index(") == ["core._packed_index", "core._pair_sums"]
     assert _owners("_straddling(") == ["core._straddling", "core._pair_sums"]
+
+
+def test_every_model_is_drawn_by_one_loop():
+    assert _owners("_innovation_rows") == ["dgp._innovation_rows", "dgp._series_sampler"]
+    assert _owners("_draw_block") == [
+        "dgp._series_sampler", "dgp._series_sampler", "dgp._draw_block"]
+    assert _owners("_fill") == []
