@@ -2,8 +2,7 @@
 
 Exit codes: 0 on success; 2 on usage errors, OSError and every HdwnError but
 McRunError; 3 on McRunError (a cell over its error budget) and on any other
-failure. The HDWN_THREADS environment variable overrides the simulation
-thread count unless --threads is given explicitly.
+failure. --threads sets the simulation thread count, which changes no report.
 
 `simulate` writes each McReport to results.json as the dict of its dataclass
 fields, through one codec (_encode/_decode); README describes the layout.
@@ -11,12 +10,12 @@ fields, through one codec (_encode/_decode); README describes the layout.
 Config files are flat key=value INI files, one section per experiment cell;
 keys in [DEFAULT] apply to every section. Recognized keys: tests, lags,
 alpha, reps, scenario, df, mixture_gamma, mixture_scale, model, coeff,
-burn_in, cov, n, p, threads. Optional keys and their defaults: alpha 0.05,
-df 3, mixture_gamma 0.8, mixture_scale 9, cov identity, burn_in the model's
-own (dgp.DEFAULT_BURN_IN) and threads one per usable CPU up to 8. The rest
-are required, but iid takes no coeff and --reps stands in for reps. An
-empty value counts as absent. Kind values (scenario, model, coeff, cov) are
-case-insensitive. Any bad value exits 2 with a message naming its section.
+burn_in, cov, n, p. The optional ones set alpha, ScenarioSpec's df, gamma
+and scale_factor, and ModelSpec's burn_in; absent or empty, they pass
+nothing, so the dataclass default holds. cov is identity unless set. The
+rest are required, but iid takes no coeff and --reps stands in for reps.
+Kind values (scenario, model, coeff, cov) are case-insensitive. Any bad
+value, and any cell McConfig refuses, exits 2 naming its section.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import argparse
 import configparser
 import csv
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from enum import Enum
@@ -79,7 +77,7 @@ _PRESETS = ("table1", "table2")
 
 _CONFIG_KEYS = {
     "tests", "lags", "alpha", "reps", "scenario", "df", "mixture_gamma",
-    "mixture_scale", "model", "coeff", "burn_in", "cov", "n", "p", "threads",
+    "mixture_scale", "model", "coeff", "burn_in", "cov", "n", "p",
 }
 
 
@@ -227,21 +225,20 @@ def _resolve_config_path(name: str):
     return path
 
 
-_REQUIRED = object()
-
-
-def _get(section, key, cast, default=_REQUIRED):
-    """cast(section[key]), or the default if given and the key is absent or empty;
-    a missing required key or a value cast refuses is a ConfigError naming both."""
+def _get(section, key, cast):
+    """cast(section[key]); an absent or empty key, or a value cast refuses, is a ConfigError."""
     raw = section.get(key)
     if not raw:
-        if default is not _REQUIRED:
-            return default
         raise ConfigError(f"[{section.name}] missing required key {key!r}")
     try:
         return cast(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"[{section.name}] bad value for {key!r}: {raw!r}") from exc
+
+
+def _optional(section, cast, **keys) -> dict:
+    """{field: cast(section[key])} for each key=field the section sets; others pass nothing."""
+    return {field: _get(section, key, cast) for key, field in keys.items() if section.get(key)}
 
 
 def _str_list(raw: str) -> tuple[str, ...]:
@@ -286,21 +283,20 @@ def parse_experiment_configs(text: str, *, seed: int, reps_override: int | None 
                     tests=_get(section, "tests", _str_list),
                     scenario=ScenarioSpec(
                         _get(section, "scenario", str.lower),
-                        df=_get(section, "df", float, 3.0),
-                        gamma=_get(section, "mixture_gamma", float, 0.8),
-                        scale_factor=_get(section, "mixture_scale", float, 9.0),
+                        **_optional(section, float, df="df", mixture_gamma="gamma",
+                                    mixture_scale="scale_factor"),
                     ),
                     model=ModelSpec(model_kind, coeff=coeff,
-                                    burn_in=_get(section, "burn_in", int, None)),
-                    cov=CovarianceSpec(_get(section, "cov", str.lower, "identity"), p),
+                                    **_optional(section, int, burn_in="burn_in")),
+                    cov=CovarianceSpec((section.get("cov") or "identity").lower(), p),
                     n=n,
                     p=p,
                     H_values=_get(section, "lags", lambda raw: tuple(map(int, _str_list(raw)))),
                     reps=reps_override if reps_override is not None else _get(section, "reps", int),
                     master_seed=derive_seed(seed, label),
-                    alpha=_get(section, "alpha", float, 0.05),
-                    threads=threads if threads is not None else _get(section, "threads", int, None),
+                    threads=threads,
                     label=label,
+                    **_optional(section, float, alpha="alpha"),
                 )
             )
         except InvalidSpecError as exc:
@@ -360,18 +356,10 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("HDWN_THREADS")
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ConfigError(f"HDWN_THREADS must be an integer, got {env!r}") from None
     source = _resolve_config_path(args.config)
     text = source.read_text(encoding="utf-8")
     configs = parse_experiment_configs(
-        text, seed=args.seed, reps_override=args.reps, threads=threads
+        text, seed=args.seed, reps_override=args.reps, threads=args.threads
     )
 
     out_dir = Path(args.out)
@@ -460,9 +448,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_are.add_argument("--dist", required=True, choices=("normal", "t", "mixture"))
     p_are.add_argument("--df", type=float, default=None, help="degrees of freedom for t")
     p_are.add_argument("--gamma", type=float, default=None,
-                       help="mixture weight of the inflated component")
+                       help="weight of the inflated mixture component, 1 - mixture_gamma")
     p_are.add_argument("--sigma", type=float, default=None,
-                       help="mixture standard-deviation multiplier")
+                       help="its standard-deviation multiplier, sqrt(mixture_scale)")
     p_are.add_argument("--p", type=int, default=None, help="also report finite-p moments")
     p_are.add_argument("--format", choices=("text", "json"), default="text")
     p_are.set_defaults(func=_cmd_are)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import _single_threaded_blas
 from .errors import (
     InsufficientSampleError,
     InvalidInputError,
@@ -290,7 +291,8 @@ def trace_omega2_hat(signs) -> float:
 
 def trace_sigma2_hat(eps) -> float:
     """Estimate tr(Sigma^2) from raw rows: mean squared inner product over pairs."""
-    return _pair_sums(as_series(eps).data, 0)[1]
+    with _single_threaded_blas():
+        return _pair_sums(as_series(eps).data, 0)[1]
 
 
 def normal_upper_tail(z: float) -> float:

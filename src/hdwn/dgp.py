@@ -472,7 +472,10 @@ class H1Spec:
     def __post_init__(self):
         object.__setattr__(self, "radial", _member(RadialKind, self.radial))
         if not isinstance(self.sigma0, CovarianceSpec):
-            object.__setattr__(self, "sigma0", np.asarray(self.sigma0, dtype=float))
+            arr = np.asarray(self.sigma0, dtype=float)
+            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+                raise InvalidSpecError("explicit sigma0 must be square")
+            object.__setattr__(self, "sigma0", arr)
         if self.radial is RadialKind.CUSTOM and self.radial_sampler is None:
             raise InvalidSpecError("custom radial law needs a radial_sampler")
         for name, low in (("sigma1_scale", 0.0), ("radial_c1", 1.0)):
@@ -508,7 +511,7 @@ def _h1_setup(spec: H1Spec, n: int, p: int) -> tuple:
     is None for a custom law without radial_c1.
     """
     n, p = _integer(n, "n", 2), _integer(p, "p", 2)
-    sigma0 = spec.sigma0  # H1Spec keeps a matrix as a float array
+    sigma0 = spec.sigma0  # H1Spec keeps a matrix as a square float array
     Sigma0 = build_covariance(sigma0) if isinstance(sigma0, CovarianceSpec) else sigma0
     if Sigma0.shape != (p, p):
         raise InvalidSpecError(f"sigma0 is {Sigma0.shape}, expected ({p}, {p})")

@@ -33,7 +33,7 @@ from .dgp import (
     resolve_coeff,
 )
 from .errors import HdwnError, InvalidSpecError, McRunError
-from .stats_tests import _evaluate_block, _test_names
+from .stats_tests import _calibrates, _evaluate_block, _test_names
 
 __all__ = [
     "McCell",
@@ -76,6 +76,8 @@ class McConfig:
     An h1 cell's rows come from its H1Spec alone; scenario and cov go unread.
     Integer fields, master_seed too, take Python or numpy integers, never bools
     or floats, and are stored as int. A refusal is an InvalidSpecError naming its field.
+    A cell that builds can run, as far as is known without drawing: h1 needs p >= 2,
+    coeff and sigma0 must be for p, and max and fc need H * p * p >= 3 at every lag.
     """
 
     tests: tuple[str, ...]
@@ -93,7 +95,8 @@ class McConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "tests", _test_names(self.tests, InvalidSpecError))
-        for name, low in (("n", 4), ("p", 1), ("reps", 1), ("master_seed", 0)):
+        h1 = self.model.h1 if self.model.kind is ModelKind.H1_SIGN else None
+        for name, low in (("n", 4), ("p", 2 if h1 else 1), ("reps", 1), ("master_seed", 0)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, low,
                                                     InvalidSpecError))
         object.__setattr__(self, "H_values", tuple(dict.fromkeys(
@@ -101,16 +104,19 @@ class McConfig:
             for h in _nonempty(self.H_values, "H_values", InvalidSpecError))))
         if max(self.H_values) > self.n - 2:
             raise InvalidSpecError(f"H={max(self.H_values)} must be at most n-2 = {self.n - 2}")
+        if {"max", "fc"} & set(self.tests) and not _calibrates(min(self.H_values), self.p):
+            raise InvalidSpecError(f"H_values need H * p * p >= 3 for max and fc at p={self.p}")
         object.__setattr__(self, "alpha", _fraction(self.alpha, "alpha", InvalidSpecError))
         if self.threads is not None:
             object.__setattr__(self, "threads", _integer(self.threads, "threads", 1,
                                                          InvalidSpecError))
         if self.cov.p != self.p:
             raise InvalidSpecError(f"cov is for p={self.cov.p}, expected {self.p}")
-        coeff = self.model.coeff  # None, a CoeffSpec or a square float array
-        size = len(coeff) if isinstance(coeff, np.ndarray) else getattr(coeff, "p", self.p)
-        if size != self.p:
-            raise InvalidSpecError(f"coeff is for p={size}, expected {self.p}")
+        for name, spec in (("coeff", self.model.coeff), ("sigma0", getattr(h1, "sigma0", None))):
+            # None, a spec or a square float array
+            size = len(spec) if isinstance(spec, np.ndarray) else getattr(spec, "p", self.p)
+            if size != self.p:
+                raise InvalidSpecError(f"{name} is for p={size}, expected {self.p}")
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,11 @@ block.
 Statistics that aggregate squared singular values of lagged autocovariance
 matrices are a known alternative family and are deliberately not implemented.
 
-These calls run at the caller's BLAS thread count; only run_experiment pins
-BLAS to one thread. How BLAS splits a matrix product can move the last bits
-of a statistic, so outcomes here may follow OPENBLAS_NUM_THREADS.
+The Grams of ss, flm and pv are made with BLAS held at one thread, so their
+bits do not follow OPENBLAS_NUM_THREADS. The lag products of max, fc and
+cross_correlations run at the caller's BLAS thread count, whose split of a
+product can move their last bits; pinned, they took 16-37% longer at
+(60, 1000) on 2 vCPUs.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import math
 
 import numpy as np
 
+from ._blas import _single_threaded_blas
 from .core import (
     TestOutcome,
     _fraction,
@@ -79,7 +82,8 @@ def ss_statistic(signs, H) -> float:
 def flm_statistic(eps, H) -> float:
     """Same lag-aligned pair sum as ss_statistic, on raw rows instead of signs."""
     X = as_series(eps)
-    return _pair_sums(X.data, as_lag(H).check_against(X.n))[0][-1]
+    with _single_threaded_blas():
+        return _pair_sums(X.data, as_lag(H).check_against(X.n))[0][-1]
 
 
 def _lag_products(X: np.ndarray, H: int):
@@ -148,7 +152,8 @@ _Entry = HdwnError | list[tuple[float, float, float, dict[str, float]]]
 def _sum_results(rows: np.ndarray, H_list, clip: float):
     """ss (sign rows, trace clipped at 1) or flm entries of a block, and the partials:
     each window's partial sum over sqrt(H/2) times the trace, to the normal tail."""
-    pairs = [_pair_sums(x, max(H_list)) for x in rows]
+    with _single_threaded_blas():
+        pairs = [_pair_sums(x, max(H_list)) for x in rows]
     what, key = ("sign", "trace_omega2_hat") if clip == 1.0 else ("inner", "trace_sigma2_hat")
     entries: list[_Entry] = []
     for row, trace in pairs:
@@ -173,10 +178,15 @@ def _pv_results(partials: list[list[float]], p: int, H_list) -> list[_Entry]:
     return entries
 
 
+def _calibrates(H: int, p: int) -> bool:
+    """Whether max's extreme-value calibration has its N = H p^2 >= 3 comparisons."""
+    return H * p * p >= 3
+
+
 def _max_results(X: np.ndarray, H_list) -> list[_Entry]:
     """max entries; the Gumbel tail runs once over the whole block."""
     R, n, p = X.shape
-    if min(H_list) * p * p < 3:
+    if not _calibrates(min(H_list), p):
         return [InvalidInputError("extreme-value calibration needs H * p * p >= 3")] * R
     # per-lag maxima of |cross_correlations|, each lag reduced before the next
     # is made; division by n is monotone and correctly rounded, so dividing

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -73,6 +74,19 @@ p = 4
 [cell-var]
 scenario = t
 df = 3
+model = var1
+coeff = dense
+n = 30
+p = 4
+"""
+
+#: One cell that sets no optional key.
+ONE_CELL = """
+[c]
+tests = ss
+lags = 1
+reps = 5
+scenario = t
 model = var1
 coeff = dense
 n = 30
@@ -239,10 +253,8 @@ class TestCmdSimulate:
         assert str(info.value) == "unknown config keys: DEFAULT.wat, cell-extra.who"
 
     @pytest.mark.parametrize(
-        "key", ["df", "mixture_gamma", "mixture_scale", "burn_in", "alpha", "threads"])
-    def test_bad_value_exits_two_naming_section_and_key(self, tmp_path, capsys, monkeypatch,
-                                                        key):
-        monkeypatch.delenv("HDWN_THREADS", raising=False)
+        "key", ["df", "mixture_gamma", "mixture_scale", "burn_in", "alpha"])
+    def test_bad_value_exits_two_naming_section_and_key(self, tmp_path, capsys, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(SMALL_CFG.replace("[cell-null]\n", f"[cell-null]\n{key} = abc\n"))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -272,13 +284,55 @@ class TestCmdSimulate:
     def test_unknown_config_name(self, capsys):
         assert main(["simulate", "--config", "no-such-file.cfg"]) == 2
 
-    def test_env_threads_respected(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "small.cfg"
-        cfg.write_text(SMALL_CFG)
-        monkeypatch.setenv("HDWN_THREADS", "2")
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    def test_cell_that_cannot_run_exits_two(self, tmp_path, capsys):
+        # max needs H * p * p >= 3; a cell McConfig refuses never reaches the engine
+        cfg = tmp_path / "p1.cfg"
+        cfg.write_text(ONE_CELL.replace("tests = ss", "tests = max").replace("p = 4", "p = 1")
+                       .replace("model = var1\ncoeff = dense", "model = iid"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [c] H_values") and "internal" not in err
+
+    def test_threads_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "threads.cfg"
+        cfg.write_text(ONE_CELL + "threads = 2\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown config keys: c.threads" in capsys.readouterr().err
+
+    def test_thread_environment_variable_is_not_read(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HDWN_THREADS", "nope")
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o2")]) == 2
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(ONE_CELL)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("line", [
+        "alpha = 0.05", "df = 3", "mixture_gamma = 0.8", "mixture_scale = 9", "cov = identity",
+        "alpha =", "df =", "mixture_gamma =", "mixture_scale =", "cov =", "burn_in ="])
+    def test_omitted_optional_key_equals_its_default_written(self, line):
+        from hdwn.cli import _encode
+
+        text = ONE_CELL + line + "\n"
+        assert ([_encode(c) for c in parse_experiment_configs(text, seed=1)]
+                == [_encode(c) for c in parse_experiment_configs(ONE_CELL, seed=1)])
+
+    @pytest.mark.parametrize("cls, key, field, value", [
+        (ScenarioSpec, "df", "df", 5.0),
+        (ScenarioSpec, "mixture_gamma", "gamma", 0.6),
+        (ScenarioSpec, "mixture_scale", "scale_factor", 4.0),
+        (ModelSpec, "burn_in", "burn_in", 17),
+        (McConfig, "alpha", "alpha", 0.1),
+    ])
+    def test_omitted_optional_key_takes_the_dataclass_default(self, monkeypatch, cls, key,
+                                                              field, value):
+        # an absent key passes no argument, so the spec's own default, here
+        # changed for the test, is what the cell gets
+        params = [p for p in inspect.signature(cls).parameters.values()
+                  if p.default is not p.empty]
+        monkeypatch.setattr(cls.__init__, "__defaults__",
+                            tuple(value if p.name == field else p.default for p in params))
+        (cfg,) = parse_experiment_configs(ONE_CELL, seed=0)
+        owner = {ScenarioSpec: cfg.scenario, ModelSpec: cfg.model, McConfig: cfg}[cls]
+        assert getattr(owner, field) == value
 
     def test_presets_parse(self):
         from hdwn.cli import _resolve_config_path

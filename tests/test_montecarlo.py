@@ -269,6 +269,36 @@ class TestRunExperiment:
             null_config(model=ModelSpec(ModelKind.VAR1, coeff=coeff),
                         cov=CovarianceSpec("identity", 8), p=8)
 
+    @pytest.mark.parametrize("cell, message", [
+        pytest.param(dict(model=ModelSpec("h1", h1=H1Spec(CovarianceSpec("identity", 10))),
+                          cov=CovarianceSpec("identity", 8), p=8),
+                     "sigma0 is for p=10, expected 8", id="sigma0-spec"),
+        pytest.param(dict(model=ModelSpec("h1", h1=H1Spec(np.eye(10), radial_c1=1.0)),
+                          cov=CovarianceSpec("identity", 8), p=8),
+                     "sigma0 is for p=10, expected 8", id="sigma0-matrix"),
+        pytest.param(dict(model=ModelSpec("h1", h1=H1Spec(CovarianceSpec("identity", 1))),
+                          cov=CovarianceSpec("identity", 1), p=1),
+                     "p must be an integer >= 2, got 1", id="h1-p1"),
+        pytest.param(dict(tests=("max",), cov=CovarianceSpec("identity", 1), p=1),
+                     "H_values need H \\* p \\* p >= 3", id="max-p1"),
+        pytest.param(dict(tests=("ss", "fc"), cov=CovarianceSpec("identity", 1), p=1,
+                          H_values=(3, 2)),
+                     "H_values need H \\* p \\* p >= 3", id="fc-p1-H2"),
+    ])
+    def test_cells_that_cannot_run_are_refused_when_built(self, cell, message):
+        with pytest.raises(InvalidSpecError, match=message):
+            null_config(**cell)
+
+    @pytest.mark.parametrize("cell", [
+        dict(tests=("max", "fc"), cov=CovarianceSpec("identity", 1), p=1, H_values=(3,)),
+        dict(tests=("ss", "flm"), cov=CovarianceSpec("identity", 1), p=1),
+        dict(model=ModelSpec("h1", h1=H1Spec(CovarianceSpec("identity", 2))),
+             cov=CovarianceSpec("identity", 2), p=2),
+    ])
+    def test_cells_at_the_edge_build_and_run(self, cell):
+        report = run_experiment(null_config(reps=5, **cell))
+        assert all(c.errors == 0 for c in report.cells)
+
     def test_repeated_tests_and_lags_give_one_cell_each(self):
         cfg = null_config(tests=("ss", "ss", "flm"), H_values=(2, 2, 1), reps=10)
         assert cfg.tests == ("ss", "flm") and cfg.H_values == (2, 1)

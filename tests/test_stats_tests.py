@@ -613,3 +613,43 @@ class TestInPlaceBlock:
         got = _evaluate_block(X, TEST_NAMES, (1, 3), own=True)
         assert X.tobytes() == _sign_rows(kept).tobytes()
         assert repr(got) == repr(want)
+
+
+#: SHA-256 of the ss, flm and pv outcomes and the pair statistics and traces of
+#: five t(3) series at each shape; the Grams' inner dimension is p, which two
+#: BLAS threads split. Run under different OPENBLAS_NUM_THREADS settings.
+_SUM_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+import hdwn
+digest = hashlib.sha256()
+for n, p in ((100, 400), (400, 300)):
+    for r in range(5):
+        X = hdwn.gen_series(hdwn.ModelSpec("iid"), hdwn.ScenarioSpec.student_t(3), n, p,
+                            hdwn.derive_rng(11, "blas", r))
+        outcomes, _ = hdwn.evaluate_tests_collect(X, ("ss", "flm", "pv"), (1, 2, 3))
+        values = [v for key in sorted(outcomes) for v in
+                  (outcomes[key].statistic, outcomes[key].standardized, outcomes[key].p_value)]
+        values += [hdwn.ss_statistic(hdwn.sign_transform(X), 3), hdwn.flm_statistic(X, 3),
+                   hdwn.trace_omega2_hat(hdwn.sign_transform(X)), hdwn.trace_sigma2_hat(X)]
+        digest.update(np.array(values).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_sum_test_bits_do_not_depend_on_blas_threads():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hdwn
+
+    src = str(Path(hdwn.__file__).resolve().parent.parent)
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", _SUM_DIGEST_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1

@@ -4,6 +4,8 @@ Every public integer parameter goes through core._integer, every probability
 through core._fraction and every other bounded real through core._real. A
 refusal is a typed HdwnError whose message names the parameter; a numpy
 integer is accepted and stored as a Python int, so reports stay JSON-ready.
+REFUSALS covers the other refusals once each, and the _owners guards keep
+each check, and the thread and BLAS settings, in one place.
 """
 
 import ast
@@ -15,7 +17,10 @@ import pytest
 
 from hdwn import (
     CoeffSpec,
+    ConfigError,
     CovarianceSpec,
+    DegenerateDataError,
+    ExplosiveModelError,
     H1Spec,
     HdwnError,
     InvalidInputError,
@@ -26,9 +31,13 @@ from hdwn import (
     Normal,
     PowerInput,
     ScenarioSpec,
+    SeriesMatrix,
     StudentT,
     TestOutcome,
+    UndefinedMomentError,
+    are_ss_flm,
     chi_radial_c1,
+    cross_correlations,
     derive_rng,
     evaluate_tests_collect,
     gen_h1_model,
@@ -36,8 +45,16 @@ from hdwn import (
     normal_upper_quantile,
     radial_moments,
     run_experiment,
+    spatial_sign,
 )
-from hdwn.cli import report_from_dict, report_to_dict
+from hdwn.cli import (
+    _build_parser,
+    main,
+    parse_experiment_configs,
+    read_series_csv,
+    report_from_dict,
+    report_to_dict,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hdwn"
 
@@ -268,3 +285,131 @@ def test_every_model_is_drawn_by_one_loop():
     assert _owners("_draw_block") == [
         "dgp._series_sampler", "dgp._series_sampler", "dgp._draw_block"]
     assert _owners("_fill") == []
+
+
+def test_thread_count_has_one_channel_per_surface():
+    # --threads reaches McConfig.threads; no config key or environment variable does
+    assert _owners("HDWN_THREADS") == []
+    assert _owners('"threads"') == ["montecarlo.McConfig.__post_init__"] * 2
+
+
+def test_calibration_predicate_has_one_owner():
+    assert _owners("_calibrates(") == [
+        "montecarlo.McConfig.__post_init__", "stats_tests._calibrates", "stats_tests._max_results"]
+    assert _owners("p * p <") == []
+
+
+def test_blas_is_pinned_at_the_entry_points_alone():
+    # a decorator line lies before its def, so it counts for the module:
+    # dgp.gen_series, dgp.gen_h1_model and montecarlo.run_experiment
+    assert _owners("_single_threaded_blas(") == [
+        "_blas._single_threaded_blas", "core.trace_sigma2_hat", "dgp", "dgp", "montecarlo",
+        "stats_tests.flm_statistic", "stats_tests._sum_results"]
+
+
+_CELL = "[c]\ntests = ss\nlags = 1\nreps = 5\nscenario = normal\nn = 30\np = 4\n"
+
+
+def _csv(tmp_path, text):
+    path = tmp_path / "series.csv"
+    path.write_text(text)
+    return read_series_csv(path)
+
+
+def _cli(*argv):
+    args = _build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def _sampler_rows(sampler):
+    h1 = H1Spec(CovarianceSpec("identity", 3), radial="custom", radial_sampler=sampler,
+                radial_c1=1.0)
+    return gen_h1_model(h1, 6, 3, 0)
+
+
+# id "<owner>.<what>": (call of tmp_path, error type, a phrase of the message naming the cause)
+REFUSALS = {
+    "SeriesMatrix.one-dimensional": (lambda _: SeriesMatrix(np.ones(5)), InvalidInputError,
+                                     "series must be two-dimensional"),
+    "SeriesMatrix.no-columns": (lambda _: SeriesMatrix(np.ones((5, 0))), InvalidInputError,
+                                "at least 1 column"),
+    "TestOutcome.p_value": (lambda _: TestOutcome(1.0, 1.0, 1.5, False, 0.05), InvalidInputError,
+                            "p_value"),
+    "spatial_sign.matrix": (lambda _: spatial_sign(np.ones((2, 2))), InvalidInputError,
+                            "expected a vector"),
+    "ScenarioSpec.scale_factor": (lambda _: ScenarioSpec("mixture", scale_factor=0.0),
+                                  InvalidSpecError, "scale_factor"),
+    "CoeffSpec.low": (lambda _: CoeffSpec("explicit", 3, m=2, low=1.0, high=0.0),
+                      InvalidSpecError, "low must not exceed high"),
+    "ModelSpec.h1": (lambda _: ModelSpec("h1"), InvalidSpecError, "H1Spec"),
+    "ModelSpec.coeff-missing": (lambda _: ModelSpec("var1"), InvalidSpecError,
+                                "coefficient matrix"),
+    "ModelSpec.coeff-not-square": (lambda _: ModelSpec("var1", coeff=np.zeros((2, 3))),
+                                   InvalidSpecError, "coefficient matrix"),
+    "ModelSpec.coeff-not-finite": (lambda _: ModelSpec("var1", coeff=np.full((2, 2), np.nan)),
+                                   InvalidSpecError, "coefficient matrix"),
+    "gen_series.coeff-size": (lambda _: gen_series(ModelSpec("var1", coeff=np.zeros((3, 3))),
+                                                   ScenarioSpec.normal(), 10, 4, 0),
+                              InvalidSpecError, "coefficient matrix"),
+    "gen_series.explosive": (lambda _: gen_series(ModelSpec("varma1", coeff=3.0 * np.eye(2)),
+                                                  ScenarioSpec.normal(), 10, 2, 0),
+                             ExplosiveModelError, "VARMA(1)"),
+    "gen_series.innov_cov": (lambda _: gen_series(ModelSpec("iid"), ScenarioSpec.normal(), 10,
+                                                  2, 0, innov_cov=np.full((2, 2), np.inf)),
+                             InvalidInputError, "covariance"),
+    "H1Spec.radial_sampler-missing": (lambda _: H1Spec(CovarianceSpec("identity", 3),
+                                                       radial="custom"),
+                                      InvalidSpecError, "radial_sampler"),
+    "H1Spec.sigma1_scale-negative": (lambda _: H1Spec(CovarianceSpec("identity", 3),
+                                                      sigma1_scale=-1.0),
+                                     InvalidSpecError, "sigma1_scale"),
+    "H1Spec.sigma0-not-square": (lambda _: H1Spec(np.ones((2, 3))), InvalidSpecError, "sigma0"),
+    "H1Spec.radial_sampler-shape": (lambda _: _sampler_rows(lambda rng, k: np.ones(k - 1)),
+                                    InvalidSpecError, "radial_sampler"),
+    "H1Spec.radial_sampler-negative": (lambda _: _sampler_rows(lambda rng, k: -np.ones(k)),
+                                       InvalidSpecError, "radial_sampler"),
+    "MixtureNormal.sigma": (lambda _: MixtureNormal(0.5, 0.0), InvalidInputError, "sigma"),
+    "chi_radial_c1.dof": (lambda _: chi_radial_c1(1.0), UndefinedMomentError,
+                          "degree of freedom"),
+    "PowerInput.tr_s0sq": (lambda _: PowerInput(10, 1.0, 0.0), InvalidInputError, "tr_s0sq"),
+    "PowerInput.c1": (lambda _: PowerInput(10, 1.0, 1.0, c1=0.5), InvalidInputError, "c1"),
+    "PowerInput.moment_ratio": (lambda _: PowerInput(10, 1.0, 1.0, moment_ratio=1.5),
+                                InvalidInputError, "moment_ratio"),
+    "radial_moments.dist": (lambda _: radial_moments(object(), 10), InvalidInputError,
+                            "unsupported distribution"),
+    "are_ss_flm.dist": (lambda _: are_ss_flm(object()), InvalidInputError,
+                        "unsupported distribution"),
+    "cross_correlations.constant-column": (
+        lambda _: cross_correlations(np.column_stack([np.ones(10), np.arange(10.0)]), 1),
+        DegenerateDataError, "zero-variance column"),
+    "config.missing-key": (lambda _: parse_experiment_configs(_CELL, seed=0), ConfigError,
+                           "missing required key 'model'"),
+    "config.parse-error": (lambda _: parse_experiment_configs("[c\nn = 3\n", seed=0),
+                           ConfigError, "config parse error"),
+    "config.no-sections": (lambda _: parse_experiment_configs("[DEFAULT]\nn = 3\n", seed=0),
+                           ConfigError, "no experiment sections"),
+    "config.model-h1": (lambda _: parse_experiment_configs(_CELL + "model = h1\n", seed=0),
+                        ConfigError, "h1 model"),
+    "config.coeff-explicit": (lambda _: parse_experiment_configs(
+        _CELL + "model = var1\ncoeff = explicit\n", seed=0), ConfigError, "coeff"),
+    "are.df": (lambda _: _cli("are", "--dist", "t"), InvalidInputError, "--df"),
+    "csv.header-width": (lambda tmp: _csv(tmp, "a,b,c\n1,2\n3,4\n"), ConfigError, "header"),
+    "csv.non-finite": (lambda tmp: _csv(tmp, "1,2\n3,inf\n"), ConfigError, "non-finite"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusal_is_typed_and_names_its_cause(case, tmp_path):
+    call, error, phrase = REFUSALS[case]
+    with pytest.raises(HdwnError) as info:
+        call(tmp_path)
+    assert type(info.value) is error
+    assert phrase in str(info.value)
+
+
+def test_are_prints_finite_p_moments_as_text(capsys):
+    assert main(["are", "--dist", "mixture", "--gamma", "0.2", "--sigma", "3", "--p", "100"]) == 0
+    moments = radial_moments(MixtureNormal(0.2, 3.0), 100)
+    assert capsys.readouterr().out.splitlines() == [
+        f"are_ss_flm: {are_ss_flm(MixtureNormal(0.2, 3.0)):.6f}",
+        f"e_r_inv: {moments.e_r_inv:.6g}", f"e_r2: {moments.e_r2:.6g}", f"c1: {moments.c1:.6f}"]
