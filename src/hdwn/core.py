@@ -1,7 +1,8 @@
 """Domain types, the spatial-sign transform, the pair kernel and nuisance estimators.
 
-Everything here is a pure function of its inputs; the matrix types freeze
-their data on construction and are safe to share across threads.
+Everything here is a pure function of its inputs, which it never writes: a
+series enters as the checked private copy _series makes. The matrix types
+freeze their data on construction and are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "TestOutcome",
     "ZERO_NORM_THRESHOLD",
     "as_lag",
-    "as_series",
     "as_signs",
     "normal_upper_quantile",
     "normal_upper_tail",
@@ -47,6 +47,20 @@ _SIGN_NORM_TOL = 1e-9
 _SQRT1_2 = math.sqrt(0.5)
 
 
+def _series(data, name: str = "series") -> np.ndarray:
+    """data, an array or a matrix, as a checked float copy its caller may write."""
+    arr = np.array(data.data if isinstance(data, SeriesMatrix) else data, dtype=float)
+    if arr.ndim != 2:
+        raise InvalidInputError(f"{name} must be two-dimensional, got shape {arr.shape}")
+    if arr.shape[0] < 2:
+        raise InsufficientSampleError(f"{name} needs at least 2 rows, got {arr.shape[0]}")
+    if arr.shape[1] < 1:
+        raise InvalidInputError(f"{name} needs at least 1 column")
+    if not np.isfinite(arr).all():
+        raise InvalidInputError(f"{name} contains non-finite entries")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class SeriesMatrix:
     """An n-by-p block of observations, one time point per row, rows in time order.
@@ -59,17 +73,7 @@ class SeriesMatrix:
     _kind = "series"  # names the matrix in validation messages
 
     def __post_init__(self):
-        data = self.data
-        arr = np.array(data.data if isinstance(data, SeriesMatrix) else data, dtype=float)
-        name = self._kind
-        if arr.ndim != 2:
-            raise InvalidInputError(f"{name} must be two-dimensional, got shape {arr.shape}")
-        if arr.shape[0] < 2:
-            raise InsufficientSampleError(f"{name} needs at least 2 rows, got {arr.shape[0]}")
-        if arr.shape[1] < 1:
-            raise InvalidInputError(f"{name} needs at least 1 column")
-        if not np.isfinite(arr).all():
-            raise InvalidInputError(f"{name} contains non-finite entries")
+        arr = _series(self.data, self._kind)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -154,10 +158,6 @@ def as_lag(H) -> LagWindow:
     return H if isinstance(H, LagWindow) else LagWindow(H)
 
 
-def as_series(x) -> SeriesMatrix:
-    return x if isinstance(x, SeriesMatrix) else SeriesMatrix(x)
-
-
 def as_signs(x) -> SignMatrix:
     """A SignMatrix as is; anything else, a SeriesMatrix too, once validated."""
     return x if isinstance(x, SignMatrix) else SignMatrix(x)
@@ -195,7 +195,7 @@ def spatial_sign(x) -> np.ndarray:
     can neither overflow nor underflow; rescaling by a power of two is exact,
     which keeps the map exactly invariant under such scalings.
     """
-    v = np.asarray(x, dtype=float)
+    v = np.array(x, dtype=float)  # a copy, which _sign_rows overwrites
     if v.ndim != 1:
         raise InvalidInputError(f"expected a vector, got shape {v.shape}")
     if not np.isfinite(v).all():
@@ -203,20 +203,20 @@ def spatial_sign(x) -> np.ndarray:
     return _sign_rows(v)
 
 
-def _sign_rows(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Spatial signs of the rows of X (any leading axes), into out or a new array."""
+def _sign_rows(X: np.ndarray) -> np.ndarray:
+    """Spatial signs of the rows of X (any leading axes), written over X and returned."""
     scratch = np.abs(X)  # reused for the squares: one temporary, not two
     scales = scratch.max(axis=-1)
     # dividing near-zero rows by inf gives exact zeros without a branch
-    W = np.divide(X, np.where(scales < ZERO_NORM_THRESHOLD, np.inf, scales)[..., None], out=out)
-    norms = np.sqrt(np.multiply(W, W, out=scratch).sum(axis=-1))
-    W /= np.where(norms == 0.0, np.inf, norms)[..., None]
-    return W
+    X /= np.where(scales < ZERO_NORM_THRESHOLD, np.inf, scales)[..., None]
+    norms = np.sqrt(np.multiply(X, X, out=scratch).sum(axis=-1))
+    X /= np.where(norms == 0.0, np.inf, norms)[..., None]
+    return X
 
 
 def sign_transform(eps) -> SignMatrix:
     """Apply the spatial-sign map to every row of a series."""
-    return SignMatrix(_sign_rows(as_series(eps).data))
+    return SignMatrix(_sign_rows(_series(eps)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -292,7 +292,7 @@ def trace_omega2_hat(signs) -> float:
 def trace_sigma2_hat(eps) -> float:
     """Estimate tr(Sigma^2) from raw rows: mean squared inner product over pairs."""
     with _single_threaded_blas():
-        return _pair_sums(as_series(eps).data, 0)[1]
+        return _pair_sums(_series(eps), 0)[1]
 
 
 def normal_upper_tail(z: float) -> float:

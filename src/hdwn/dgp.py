@@ -290,7 +290,8 @@ class ModelSpec:
     """Temporal model plus its coefficient matrix (spec or explicit array).
 
     Only var1, vma1 and varma1 take coefficients, and they need them; iid
-    and h1 refuse them. h1 needs an H1Spec.
+    and h1 refuse them. An explicit var1 or varma1 matrix must be stationary.
+    h1 needs an H1Spec.
     """
 
     kind: ModelKind
@@ -318,6 +319,11 @@ class ModelSpec:
                     raise InvalidSpecError("explicit coefficient matrix must be square")
                 if not np.isfinite(arr).all():
                     raise InvalidSpecError("coefficient matrix contains non-finite entries")
+                if self.kind is ModelKind.VAR1 and _spectral_radius(arr) >= 1.0:
+                    raise ExplosiveModelError("VAR(1) coefficient matrix has spectral radius >= 1")
+                if self.kind is ModelKind.VARMA1 and _spectral_radius(0.5 * arr) >= 1.0:
+                    raise ExplosiveModelError(
+                        "VARMA(1) autoregressive part has spectral radius >= 1")
                 object.__setattr__(self, "coeff", arr)
 
     def effective_burn_in(self) -> int:
@@ -363,32 +369,20 @@ def _series_sampler(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int,
     The one draw path: draw(rngs) returns one C-contiguous (len(rngs), n, p)
     float array whose slot i is the series drawn from rngs[i]. What does not
     depend on the generator is done once, here: an h1 spec is checked and
-    Sigma0 factored, or the coefficient matrix checked and the innovation
-    covariance factored. A CoeffSpec must be resolved to its matrix first.
+    Sigma0 factored, or the coefficient matrix, which ModelSpec has checked,
+    sized against p and the innovation covariance factored. A CoeffSpec is
+    replaced by its matrix first.
     """
     if model.kind is ModelKind.H1_SIGN:
         return partial(_draw_block, model.kind, None, 0, _h1_setup(model.h1, n, p)[-1], n, p)
-    burn, L = _checked_model(model, p, innov_cov)
-    rows = partial(_innovation_rows, scenario, L, n + burn, p)
-    return partial(_draw_block, model.kind, model.coeff, burn, rows, n, p)
-
-
-def _checked_model(model: ModelSpec, p: int, innov_cov) -> tuple[int, np.ndarray | None]:
-    """Burn-in and _innovation_factor of a model with its coefficients fixed."""
-    A = model.coeff
+    A, burn = model.coeff, model.effective_burn_in()
     if A is not None and A.shape != (p, p):
         raise InvalidSpecError(f"coefficient matrix is {A.shape}, expected ({p}, {p})")
-    if model.kind is ModelKind.VAR1 and _spectral_radius(A) >= 1.0:
-        raise ExplosiveModelError("VAR(1) coefficient matrix has spectral radius >= 1")
-    if model.kind is ModelKind.VARMA1 and _spectral_radius(0.5 * A) >= 1.0:
-        raise ExplosiveModelError("VARMA(1) autoregressive part has spectral radius >= 1")
-
-    burn = model.effective_burn_in()
-    if innov_cov is None:
-        return burn, None
-    if np.shape(innov_cov) != (p, p):
+    if innov_cov is not None and np.shape(innov_cov) != (p, p):
         raise InvalidSpecError(f"innovation covariance must be ({p}, {p})")
-    return burn, _innovation_factor(innov_cov)
+    L = None if innov_cov is None else _innovation_factor(innov_cov)
+    rows = partial(_innovation_rows, scenario, L, n + burn, p)
+    return partial(_draw_block, model.kind, A, burn, rows, n, p)
 
 
 def _draw_block(kind: ModelKind, A, burn: int, rows: Callable, n: int, p: int,
@@ -453,7 +447,7 @@ class RadialKind(str, Enum):
 class H1Spec:
     """Lag-one signed-direction alternative eps_t = A0 r_t u_t + A1 r_{t-1} u_{t-1}.
 
-    sigma0 fixes A0'A0 (a CovarianceSpec or explicit matrix); A1 is
+    sigma0 fixes A0'A0 (a CovarianceSpec or positive definite matrix); A1 is
     sigma1_scale times the cyclic coordinate shift, defaulting to 1/sqrt(n)
     at generation time so that tr(Sigma1) = p/n exactly. The shift keeps
     A1'A1 proportional to the identity while leaving tr(A0'A1) = 0 for
@@ -475,6 +469,7 @@ class H1Spec:
             arr = np.asarray(self.sigma0, dtype=float)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise InvalidSpecError("explicit sigma0 must be square")
+            _cholesky(arr)  # refuses a matrix that is not positive definite
             object.__setattr__(self, "sigma0", arr)
         if self.radial is RadialKind.CUSTOM and self.radial_sampler is None:
             raise InvalidSpecError("custom radial law needs a radial_sampler")

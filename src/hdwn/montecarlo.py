@@ -78,6 +78,7 @@ class McConfig:
     or floats, and are stored as int. A refusal is an InvalidSpecError naming its field.
     A cell that builds can run, as far as is known without drawing: h1 needs p >= 2,
     coeff and sigma0 must be for p, and max and fc need H * p * p >= 3 at every lag.
+    ModelSpec and H1Spec themselves refuse an explosive matrix or a sigma0 not positive definite.
     """
 
     tests: tuple[str, ...]
@@ -188,8 +189,8 @@ def run_experiment(cfg: McConfig) -> McReport:
     """Run every requested test at every lag window over reps replications.
 
     Replication r generates one series from the stream (master_seed, "rep", r)
-    and records a reject flag per (test, H). Replications where a test raises
-    a degenerate-data style error are excluded from that test's denominator
+    and records a reject flag per (test, H). A replication where a (test, H)
+    pair errs, as on degenerate data, is excluded from that cell's denominator
     and counted; a cell whose error fraction exceeds 1% fails the whole run.
 
     Each executor task draws one block of consecutive replications into one
@@ -210,12 +211,12 @@ def run_experiment(cfg: McConfig) -> McReport:
     blocks = min(cfg.reps, threads * -(-cfg.reps // (threads * R)))
 
     def one_block(i: int) -> dict[str, list]:
-        # per test and replication: reject flags by window, or "Type: message"
+        # per test and replication, by window: a reject flag or "Type: message"
         reps = range(i * cfg.reps // blocks, (i + 1) * cfg.reps // blocks)
         found = _evaluate_block(draw([derive_rng(cfg.master_seed, "rep", r) for r in reps]),
-                                cfg.tests, cfg.H_values, own=True)
-        return {name: [f"{type(e).__name__}: {e}" if isinstance(e, HdwnError)
-                       else [p < cfg.alpha for _, _, p, _ in e] for e in found[name]]
+                                cfg.tests, cfg.H_values)
+        return {name: [[f"{type(w).__name__}: {w}" if isinstance(w, HdwnError)
+                        else w[2] < cfg.alpha for w in entry] for entry in found[name]]
                 for name in cfg.tests}
 
     if threads == 1:
@@ -228,15 +229,16 @@ def run_experiment(cfg: McConfig) -> McReport:
     over_budget = []
     for name in cfg.tests:
         per_rep = [flags for task in tasks for flags in task[name]]
-        causes = Counter(flags for flags in per_rep if isinstance(flags, str))
-        errored = causes.total()
-        effective = cfg.reps - errored
         for k, H in enumerate(cfg.H_values):
+            window = [flags[k] for flags in per_rep]
+            causes = Counter(flag for flag in window if isinstance(flag, str))
+            errored = causes.total()
+            effective = cfg.reps - errored
             if errored > ERROR_BUDGET * cfg.reps:
                 cause, count = causes.most_common(1)[0]
                 over_budget.append(f"{name}@H={H}: {errored} errors, {count} of them {cause}")
                 continue
-            rate = sum(flags[k] for flags in per_rep if not isinstance(flags, str)) / effective
+            rate = sum(flag for flag in window if not isinstance(flag, str)) / effective
             se = math.sqrt(rate * (1.0 - rate) / effective)
             cells.append(McCell(name, H, rate, se, effective, errored))
     if over_budget:

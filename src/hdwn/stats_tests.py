@@ -6,14 +6,15 @@ assumes spherical directions (pv), a max-cross-correlation scan with extreme
 value calibration (max), and the Fisher combination of the max and flm
 p-values (fc).
 
-The evaluator takes a block of R series, (R, n, p), and the public calls
-are the R=1 case. The signs and the lag scan (_lag_products), which max, fc
-and cross_correlations share, run over the whole block. The pair kernel of
-ss, flm and pv (core._pair_sums) takes one series at a time: each lag's
-pair sum and the trace estimate come from the packed strict upper triangle
-of its Gram through numpy elementwise products and sums, never BLAS, in an
-order set by n and the lag alone, so a series gets the same bits in any
-block.
+The evaluator takes a block of R series, (R, n, p), and overwrites it with
+their signs; a public call checks its input into one private copy
+(core._series) and hands it over as the R=1 case. The signs and the lag
+scan (_lag_products), which max, fc and cross_correlations share, run over
+the whole block. The pair kernel of ss, flm and pv (core._pair_sums) takes
+one series at a time: each lag's pair sum and the trace estimate come from
+the packed strict upper triangle of its Gram through numpy elementwise
+products and sums, never BLAS, in an order set by n and the lag alone, so
+a series gets the same bits in any block.
 
 Statistics that aggregate squared singular values of lagged autocovariance
 matrices are a known alternative family and are deliberately not implemented.
@@ -37,9 +38,9 @@ from .core import (
     _fraction,
     _nonempty,
     _pair_sums,
+    _series,
     _sign_rows,
     as_lag,
-    as_series,
     as_signs,
     normal_upper_tail,
 )
@@ -81,9 +82,9 @@ def ss_statistic(signs, H) -> float:
 
 def flm_statistic(eps, H) -> float:
     """Same lag-aligned pair sum as ss_statistic, on raw rows instead of signs."""
-    X = as_series(eps)
+    X = _series(eps)
     with _single_threaded_blas():
-        return _pair_sums(X.data, as_lag(H).check_against(X.n))[0][-1]
+        return _pair_sums(X, as_lag(H).check_against(len(X)))[0][-1]
 
 
 def _lag_products(X: np.ndarray, H: int):
@@ -115,14 +116,14 @@ def cross_correlations(eps, H) -> np.ndarray:
     z[t, i] * z[t-h, j]. The result holds H p^2 floats; max_test and fc_test
     do not build it.
     """
-    X = as_series(eps)
-    H = as_lag(H).check_against(X.n)
-    varies, products = _lag_products(X.data[None], H)
+    X = _series(eps)
+    (n, p), H = X.shape, as_lag(H).check_against(len(X))
+    varies, products = _lag_products(X[None], H)
     if not varies[0]:
         raise DegenerateDataError("zero-variance column; correlations undefined")
-    out = np.empty((H, X.p, X.p))
+    out = np.empty((H, p, p))
     for h, buf in enumerate(products):
-        np.divide(buf[0], X.n, out=out[h])
+        np.divide(buf[0], n, out=out[h])
     return out
 
 
@@ -145,8 +146,8 @@ def _fisher_combine(p_max: float, p_flm: float) -> tuple[float, float]:
     return stat, _chi2_4_upper_tail(stat)
 
 
-#: One test on one series: its error, or (statistic, standardized, p, nuisance) by window.
-_Entry = HdwnError | list[tuple[float, float, float, dict[str, float]]]
+#: One test on one series, by window: its error or (statistic, standardized, p, nuisance).
+_Entry = list[HdwnError | tuple[float, float, float, dict[str, float]]]
 
 
 def _sum_results(rows: np.ndarray, H_list, clip: float):
@@ -159,8 +160,8 @@ def _sum_results(rows: np.ndarray, H_list, clip: float):
     for row, trace in pairs:
         trace = min(trace, clip)
         if trace <= 0.0:
-            entries.append(DegenerateDataError(
-                f"pairwise {what} products all vanish; sigma estimate is zero"))
+            entries.append([DegenerateDataError(
+                f"pairwise {what} products all vanish; sigma estimate is zero")] * len(H_list))
             continue
         sigmas = [math.sqrt(H / 2.0) * trace for H in H_list]
         stds = [row[H - 1] / sigma for H, sigma in zip(H_list, sigmas)]
@@ -184,10 +185,8 @@ def _calibrates(H: int, p: int) -> bool:
 
 
 def _max_results(X: np.ndarray, H_list) -> list[_Entry]:
-    """max entries; the Gumbel tail runs once over the whole block."""
+    """max entries, a window too short to calibrate refused alone; one Gumbel tail per block."""
     R, n, p = X.shape
-    if not _calibrates(min(H_list), p):
-        return [InvalidInputError("extreme-value calibration needs H * p * p >= 3")] * R
     # per-lag maxima of |cross_correlations|, each lag reduced before the next
     # is made; division by n is monotone and correctly rounded, so dividing
     # the maxima gives the bits of dividing every entry
@@ -197,23 +196,27 @@ def _max_results(X: np.ndarray, H_list) -> list[_Entry]:
         np.maximum(buf.max(axis=(1, 2)), -buf.min(axis=(1, 2)), out=maxima[:, h])
     stat = np.maximum.accumulate(maxima / n, axis=-1)[:, [H - 1 for H in H_list]]
     n_comp = [H * p * p for H in H_list]
-    logs = [math.log(N) for N in n_comp]
+    calibrated = [_calibrates(H, p) for H in H_list]
+    logs = [math.log(N) if fit else math.nan for N, fit in zip(n_comp, calibrated)]
     gumbel = n * stat * stat - [2.0 * L for L in logs] + [math.log(L) for L in logs]
+    refused = InvalidInputError("extreme-value calibration needs H * p * p >= 3")
+    degenerate = DegenerateDataError("zero-variance column; correlations undefined")
     rows = zip(stat.tolist(), gumbel.tolist(), _gumbel_upper_tail(gumbel).tolist())
-    return [[(s, g, pval, {"n_comparisons": float(N)}) for s, g, pval, N in zip(*row, n_comp)]
-            if ok else DegenerateDataError("zero-variance column; correlations undefined")
+    return [[(s, g, pval, {"n_comparisons": float(N)}) if fit and ok else degenerate if fit
+             else refused for s, g, pval, N, fit in zip(*row, n_comp, calibrated)]
             for row, ok in zip(rows, varies.tolist())]
 
 
 def _fc_entry(mx: _Entry, fl: _Entry) -> _Entry:
-    """Fisher combination of one series' max and flm p-values, or their error."""
-    for failed in (mx, fl):
-        if isinstance(failed, HdwnError):
-            return failed
+    """Fisher combination of one series' max and flm p-values by window, or max's or flm's error."""
     windows = []
-    for (_, _, pm, _), (_, _, pf, _) in zip(mx, fl):
-        stat, pval = _fisher_combine(pm, pf)
-        windows.append((stat, stat, pval, {"p_max": pm, "p_flm": pf}))
+    for m, f in zip(mx, fl):
+        failed = [w for w in (m, f) if isinstance(w, HdwnError)]
+        if failed:
+            windows.append(failed[0])
+            continue
+        stat, pval = _fisher_combine(m[2], f[2])
+        windows.append((stat, stat, pval, {"p_max": m[2], "p_flm": f[2]}))
     return windows
 
 
@@ -226,16 +229,15 @@ def _test_names(tests, error) -> tuple[str, ...]:
     return tuple(dict.fromkeys(names))
 
 
-def _evaluate_block(X: np.ndarray, names, H_list, *, own: bool = False
-                    ) -> dict[str, list[_Entry]]:
+def _evaluate_block(X: np.ndarray, names, H_list) -> dict[str, list[_Entry]]:
     """One entry per series of a block X (R, n, p), by test name; fc also
     brings flm and max. Trusts its inputs: known names, windows in 1..n-1.
 
-    Every kernel runs on X where it lies, each over the whole block, and
-    every series gets the bits it gets alone, so no result depends on which
-    series share a block. The raw Grams and flm come first, then max on a
-    standardized copy, and the signs last: a block the caller marks as its
-    own is overwritten by its signs, any other is left as it was.
+    X is the caller's own, and every kernel runs on it where it lies, each
+    over the whole block. Every series gets the bits it gets alone, so no
+    result depends on which series share a block. The raw Grams and flm come
+    first, then max on a standardized copy, and the signs last: when ss or
+    pv asks for them, they are written over X.
     """
     want = set(names)
     found: dict[str, list[_Entry]] = {}
@@ -246,8 +248,7 @@ def _evaluate_block(X: np.ndarray, names, H_list, *, own: bool = False
     if "fc" in want:
         found["fc"] = [_fc_entry(mx, fl) for mx, fl in zip(found["max"], found["flm"])]
     if want & {"ss", "pv"}:
-        signs = _sign_rows(X, out=X if own else None)
-        found["ss"], partials = _sum_results(signs, H_list, 1.0)
+        found["ss"], partials = _sum_results(_sign_rows(X), H_list, 1.0)
         if "pv" in want:
             found["pv"] = _pv_results(partials, X.shape[2], H_list)
     return found
@@ -259,24 +260,26 @@ def evaluate_tests_collect(eps, tests, H_values, alpha=0.05):
     The one-series case of the block evaluator that run_experiment uses, so
     every outcome is bitwise identical to the corresponding single-test call
     and to the same series in any block. Returns (outcomes, errors), both
-    keyed by (test, H) in request order; a test that cannot be standardized
-    lands in errors instead of aborting the others. The inputs are checked
-    here; evaluate_tests and the five tests pass theirs through unchecked.
+    keyed by (test, H) in request order; a pair that cannot be standardized
+    or calibrated lands in errors alone. The inputs are checked here, the
+    series into the copy the evaluator overwrites; evaluate_tests and the
+    five tests pass theirs through unchecked.
     """
-    X = as_series(eps)
+    X = _series(eps)
     alpha = _fraction(alpha, "alpha")
     names = _test_names(tests, InvalidInputError)
-    H_list = [as_lag(H).check_against(X.n) for H in _nonempty(H_values, "H_values")]
+    H_list = [as_lag(H).check_against(len(X)) for H in _nonempty(H_values, "H_values")]
 
     outcomes: dict[tuple[str, int], TestOutcome] = {}
     errors: dict[tuple[str, int], HdwnError] = {}
-    found = _evaluate_block(X.data[None], names, H_list)
+    found = _evaluate_block(X[None], names, H_list)
     for name in names:
         (entry,) = found[name]
-        if isinstance(entry, HdwnError):
-            errors.update(((name, H), entry) for H in H_list)
-            continue
-        for H, (stat, std, pval, nuisance) in zip(H_list, entry):
+        for H, window in zip(H_list, entry):
+            if isinstance(window, HdwnError):
+                errors[(name, H)] = window
+                continue
+            stat, std, pval, nuisance = window
             outcomes[(name, H)] = TestOutcome(stat, std, pval, pval < alpha, alpha, nuisance)
     return outcomes, errors
 

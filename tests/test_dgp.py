@@ -289,11 +289,11 @@ class TestGenSeries:
         block = _eval_reps(200, 80, model.effective_burn_in())
         tests, lags = ("ss", "flm", "max", "fc"), (1, 2, 3)
         # first calls outside the trace
-        _evaluate_block(draw([derive_rng(0, "warm")]), tests, lags, own=True)
+        _evaluate_block(draw([derive_rng(0, "warm")]), tests, lags)
         rngs = [derive_rng(0, "rep", r) for r in range(block)]
         tracemalloc.start()
         try:
-            _evaluate_block(draw(rngs), tests, lags, own=True)
+            _evaluate_block(draw(rngs), tests, lags)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -380,8 +380,8 @@ class TestGenSeries:
     def test_sampler_checks_the_model_once_up_front(self):
         from hdwn.dgp import _series_sampler
 
-        model = ModelSpec(ModelKind.VAR1, coeff=1.1 * np.eye(3))
         with pytest.raises(ExplosiveModelError):
+            model = ModelSpec(ModelKind.VAR1, coeff=1.1 * np.eye(3))
             _series_sampler(model, ScenarioSpec.normal(), 20, 3)
 
     def test_iid_and_h1_models_refuse_coefficients(self):
@@ -393,9 +393,33 @@ class TestGenSeries:
                 ModelSpec(ModelKind.H1_SIGN, h1=h1, coeff=coeff)
 
     def test_explosive_matrix_rejected(self):
-        model = ModelSpec(ModelKind.VAR1, coeff=1.1 * np.eye(3))
+        with pytest.raises(ExplosiveModelError):
+            model = ModelSpec(ModelKind.VAR1, coeff=1.1 * np.eye(3))
+            gen_series(model, ScenarioSpec.normal(), 20, 3, 0)
+
+    @pytest.mark.parametrize("kind, scale", (("var1", 2.0), ("varma1", 2.5)))
+    def test_explosive_matrix_refused_when_the_spec_is_built(self, kind, scale):
+        with pytest.raises(ExplosiveModelError, match="spectral radius >= 1"):
+            ModelSpec(kind, coeff=scale * np.eye(3))
+        ModelSpec(kind, coeff=0.5 * np.eye(3))  # a stationary one builds
+
+    def test_drawn_explosive_matrix_refused_when_fixed(self):
+        from hdwn import McConfig, run_experiment
+
+        model = ModelSpec("var1", coeff=CoeffSpec("explicit", 3, m=3, low=2.0, high=3.0))
         with pytest.raises(ExplosiveModelError):
             gen_series(model, ScenarioSpec.normal(), 20, 3, 0)
+        cfg = McConfig(("ss",), ScenarioSpec.normal(), model, CovarianceSpec("identity", 3),
+                       n=20, p=3, H_values=(1,), reps=2)
+        with pytest.raises(ExplosiveModelError):
+            run_experiment(cfg)
+
+    def test_sigma0_not_positive_definite_refused_when_the_spec_is_built(self):
+        from hdwn import NotPositiveDefiniteError
+
+        with pytest.raises(NotPositiveDefiniteError):
+            H1Spec(-np.eye(3))
+        assert np.array_equal(H1Spec(2.0 * np.eye(3)).sigma0, 2.0 * np.eye(3))
 
     def test_reproducible_streams(self):
         model = ModelSpec(ModelKind.VARMA1, coeff=CoeffSpec("dense", 10))

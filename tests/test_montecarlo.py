@@ -205,7 +205,7 @@ class TestRunExperiment:
         run_experiment(null_config(model=model, reps=13, threads=threads))
         assert len(evaluated) == len(drawn) > threads
         assert {id(X) for X in drawn} == {id(X) for X, _ in evaluated}
-        assert all(kw == {"own": True} for _, kw in evaluated)
+        assert all(kw == {} for _, kw in evaluated)
         assert all(X.flags.c_contiguous and X.shape[1:] == (30, 5) for X in drawn)
 
     def test_same_seed_same_report(self):
@@ -310,18 +310,18 @@ class TestRunExperiment:
 
 def _failing_evaluator(real, fails):
     """Wraps the block evaluator: replication r, counted from 1 in the order
-    the wrapper sees them, fails every test when fails(r) is true."""
+    the wrapper sees them, fails every test at every window when fails(r) is true."""
     from hdwn.errors import DegenerateDataError
 
     seen = [0]
 
-    def evaluate(X, tests, H_values, **kw):
-        found = real(X, tests, H_values, **kw)
+    def evaluate(X, tests, H_values):
+        found = real(X, tests, H_values)
         for i in range(len(X)):
             seen[0] += 1
             if fails(seen[0]):
                 for entries in found.values():
-                    entries[i] = DegenerateDataError("synthetic failure")
+                    entries[i] = [DegenerateDataError("synthetic failure")] * len(H_values)
         return found
 
     return evaluate
@@ -330,6 +330,25 @@ def _failing_evaluator(real, fails):
 def _erroring_evaluator(real):
     """Wraps the block evaluator so that every replication errors."""
     return _failing_evaluator(real, lambda r: True)
+
+
+def test_errors_are_counted_per_test_and_window(monkeypatch):
+    from hdwn.errors import DegenerateDataError
+
+    real, seen = mc._evaluate_block, [0]
+
+    def evaluate(X, tests, H_values):
+        found = real(X, tests, H_values)
+        for i in range(len(X)):
+            seen[0] += 1
+            if seen[0] == 5:
+                found["ss"][i][0] = DegenerateDataError("synthetic failure")  # ss at H=1 only
+        return found
+
+    monkeypatch.setattr(mc, "_evaluate_block", evaluate)
+    report = run_experiment(null_config(reps=200, H_values=(1, 2)))
+    assert {(c.test, c.H): (c.errors, c.reps) for c in report.cells} == {
+        ("ss", 1): (1, 199), ("ss", 2): (0, 200), ("flm", 1): (0, 200), ("flm", 2): (0, 200)}
 
 
 def test_run_error_names_the_most_common_cause(monkeypatch):

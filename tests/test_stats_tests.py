@@ -11,6 +11,7 @@ from hdwn import (
     DegenerateDataError,
     InvalidInputError,
     InvalidLagError,
+    SeriesMatrix,
     cross_correlations,
     derive_rng,
     evaluate_tests,
@@ -21,6 +22,7 @@ from hdwn import (
     max_test,
     pv_test,
     sign_transform,
+    spatial_sign,
     ss_statistic,
     ss_test,
     trace_omega2_hat,
@@ -505,12 +507,12 @@ class TestBlockEvaluation:
         for r in range(len(X)):
             outcomes, errors = evaluate_tests_collect(X[r], TEST_NAMES, windows, 0.05)
             for name in TEST_NAMES:
-                entry = found[name][r]
-                if (name, windows[0]) in errors:
-                    want = errors[(name, windows[0])]
-                    assert type(entry) is type(want) and str(entry) == str(want), (r, name)
-                    continue
-                for H, (stat, std, pval, nuisance) in zip(windows, entry):
+                for H, window in zip(windows, found[name][r]):
+                    if (name, H) in errors:
+                        want = errors[(name, H)]
+                        assert type(window) is type(want) and str(window) == str(want), (r, name)
+                        continue
+                    stat, std, pval, nuisance = window
                     want = outcomes[(name, H)]
                     assert _hex((stat, std, pval)) == _hex(
                         (want.statistic, want.standardized, want.p_value)), (r, name, H)
@@ -528,7 +530,7 @@ class TestBlockEvaluation:
         if R >= 5:
             X[3, :, p // 2] = -1.25  # a zero-variance column: max and fc fail there
         for windows in self._windows(n):
-            found = _evaluate_block(X, TEST_NAMES, windows)
+            found = _evaluate_block(X.copy(), TEST_NAMES, windows)
             self._assert_rows_match_single_calls(X, windows, found)
 
     def test_degenerate_series_errors_alone(self):
@@ -537,11 +539,11 @@ class TestBlockEvaluation:
 
         X = derive_rng(53, "block-degenerate").standard_t(3, size=(5, 30, 6))
         X[2] = 0.0  # no direction and no variance: all but pv fail
-        found = _evaluate_block(X, TEST_NAMES, (1, 2))
+        found = _evaluate_block(X.copy(), TEST_NAMES, (1, 2))
         for name in TEST_NAMES:
-            failed = [isinstance(entry, HdwnError) for entry in found[name]]
-            assert failed == [False, False, name != "pv", False, False], name
-        assert isinstance(found["ss"][2], DegenerateDataError)
+            failed = [[isinstance(w, HdwnError) for w in entry] for entry in found[name]]
+            assert failed == [[False] * 2] * 2 + [[name != "pv"] * 2] + [[False] * 2] * 2, name
+        assert isinstance(found["ss"][2][0], DegenerateDataError)
         self._assert_rows_match_single_calls(X, (1, 2), found)
         # the neighbours have the bits they get in a block without the failure
         alone = _evaluate_block(X[[0, 1, 3, 4]], TEST_NAMES, (1, 2))
@@ -562,10 +564,10 @@ class TestBlockEvaluation:
         R = _eval_reps(n, p, 0)
         X = derive_rng(59, "block-memory").standard_t(3, size=(R, n, p))
         tests = ("max", "ss", "flm", "fc")
-        _evaluate_block(X.copy(), tests, (1, 2, 3), own=True)  # first call outside the trace
+        _evaluate_block(X.copy(), tests, (1, 2, 3))  # first call outside the trace
         tracemalloc.start()
         try:
-            _evaluate_block(X, tests, (1, 2, 3), own=True)  # as run_experiment does
+            _evaluate_block(X, tests, (1, 2, 3))  # as run_experiment does
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -589,30 +591,53 @@ class TestBlockEvaluation:
 
 
 class TestInPlaceBlock:
-    """Only a block the engine marks as its own is overwritten, by its signs."""
+    """A public call checks its input into a private copy; the evaluator writes
+    the signs over the block it is given."""
 
     def test_public_inputs_are_never_written(self):
         X = derive_rng(61, "unwritten").standard_t(3, size=(40, 12))
-        before = X.tobytes()
-        evaluate_tests_collect(X, TEST_NAMES, (1, 2, 3))
-        for test in (ss_test, flm_test, pv_test, max_test, fc_test):
-            test(X, 2)
-        cross_correlations(X, 3)
-        sign_transform(X)
-        assert X.flags.writeable and X.tobytes() == before
+        for given in (X, SeriesMatrix(X), sign_transform(X)):
+            data = given if given is X else given.data
+            before = data.tobytes()
+            evaluate_tests_collect(given, TEST_NAMES, (1, 2, 3))
+            for test in (ss_test, flm_test, pv_test, max_test, fc_test):
+                test(given, 2)
+            cross_correlations(given, 3)
+            sign_transform(given)
+            flm_statistic(given, 2)
+            trace_sigma2_hat(given)
+            assert data.flags.writeable == (given is X) and data.tobytes() == before
+        v = X[0].copy()
+        spatial_sign(v)
+        assert v.tobytes() == X[0].tobytes()
 
-    def test_own_block_ends_as_its_signs_with_the_same_entries(self):
+    def test_block_ends_as_its_signs_with_the_entries_of_its_single_calls(self):
         from hdwn.core import _sign_rows
         from hdwn.stats_tests import _evaluate_block
 
         X = derive_rng(67, "own-block").standard_t(3, size=(5, 40, 12))
         X[2, :, 4] = 1.5  # a zero-variance column
         kept = X.copy()
-        want = _evaluate_block(X, TEST_NAMES, (1, 3))
-        assert X.tobytes() == kept.tobytes()
-        got = _evaluate_block(X, TEST_NAMES, (1, 3), own=True)
-        assert X.tobytes() == _sign_rows(kept).tobytes()
-        assert repr(got) == repr(want)
+        found = _evaluate_block(X, TEST_NAMES, (1, 3))
+        assert X.tobytes() == _sign_rows(kept.copy()).tobytes()
+        TestBlockEvaluation._assert_rows_match_single_calls(kept, (1, 3), found)
+
+
+def test_a_window_too_short_to_calibrate_errs_alone():
+    # p = 1: H = 1 makes N = H p^2 = 1 comparison, H = 3 makes the 3 that max needs
+    x = derive_rng(71, "one-column").standard_t(3, size=(20, 1))
+    outcomes, errors = evaluate_tests_collect(x, ("max", "fc"), (1, 3))
+    assert list(errors) == [("max", 1), ("fc", 1)] and list(outcomes) == [("max", 3), ("fc", 3)]
+    for error in errors.values():
+        assert type(error) is InvalidInputError and "H * p * p >= 3" in str(error)
+    for name, single in (("max", max_test), ("fc", fc_test)):
+        got, want = outcomes[(name, 3)], single(x, 3)
+        assert _hex((got.statistic, got.standardized, got.p_value)) == _hex(
+            (want.statistic, want.standardized, want.p_value)), name
+        assert got.nuisance == want.nuisance and _hex(got.nuisance.values()) == _hex(
+            want.nuisance.values()), name
+    with pytest.raises(InvalidInputError, match="H \\* p \\* p >= 3"):
+        max_test(x, 1)
 
 
 #: SHA-256 of the ss, flm and pv outcomes and the pair statistics and traces of

@@ -275,6 +275,14 @@ def test_each_kind_of_input_is_checked_in_one_place():
     assert _owners("not in TEST_NAMES") == ["stats_tests._test_names"]
 
 
+def test_a_series_is_checked_and_copied_in_one_place():
+    # every public call takes a private copy from core._series, which the
+    # evaluator overwrites; no caller decides whether an array may be written
+    assert _owners("must be two-dimensional") == ["core._series"]
+    assert _owners("as_series") == []
+    assert _owners("own=") == []
+
+
 def test_packed_layout_is_read_by_the_pair_kernel_alone():
     assert _owners("_packed_index(") == ["core._packed_index", "core._pair_sums"]
     assert _owners("_straddling(") == ["core._straddling", "core._pair_sums"]
