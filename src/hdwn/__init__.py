@@ -3,159 +3,19 @@
 The package bundles five portmanteau-style tests (ss, flm, pv, max, fc),
 generators for the null and alternative designs they are usually judged on,
 a deterministic Monte Carlo harness for empirical size and power tables, and
-closed-form asymptotic power and efficiency formulas.
+closed-form asymptotic power and efficiency formulas. Each module keeps its
+own export list; the package exports their union, and not the cli module.
 """
 
-from .core import (
-    LagWindow,
-    SeriesMatrix,
-    SignMatrix,
-    TestOutcome,
-    normal_upper_quantile,
-    normal_upper_tail,
-    sign_transform,
-    spatial_sign,
-    trace_omega2_hat,
-    trace_sigma2_hat,
-)
-from .dgp import (
-    CoeffRegime,
-    CoeffSpec,
-    CovarianceKind,
-    CovarianceSpec,
-    H1Metadata,
-    H1Spec,
-    ModelKind,
-    ModelSpec,
-    RadialKind,
-    ScenarioKind,
-    ScenarioSpec,
-    build_covariance,
-    derive_rng,
-    derive_seed,
-    gen_coeff,
-    gen_h1_model,
-    gen_innovations,
-    gen_series,
-)
-from .errors import (
-    ConfigError,
-    DegenerateDataError,
-    ExplosiveModelError,
-    HdwnError,
-    InsufficientSampleError,
-    InvalidInputError,
-    InvalidLagError,
-    InvalidSpecError,
-    McRunError,
-    NotPositiveDefiniteError,
-    UndefinedMomentError,
-)
-from .montecarlo import (
-    McCell,
-    McConfig,
-    McReport,
-    McTable,
-    power_table,
-    run_experiment,
-    size_table,
-    tabulate_reports,
-)
-from .power_theory import (
-    MixtureNormal,
-    Normal,
-    PowerInput,
-    RadialMoments,
-    StudentT,
-    are_ss_flm,
-    chi_radial_c1,
-    power_flm,
-    power_ss,
-    radial_moments,
-)
-from .stats_tests import (
-    TEST_NAMES,
-    cross_correlations,
-    evaluate_tests,
-    evaluate_tests_collect,
-    fc_test,
-    flm_statistic,
-    flm_test,
-    max_test,
-    pv_test,
-    ss_statistic,
-    ss_test,
-)
+from . import core, dgp, errors, montecarlo, power_theory, stats_tests
+from .core import *
+from .dgp import *
+from .errors import *
+from .montecarlo import *
+from .power_theory import *
+from .stats_tests import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoeffRegime",
-    "CoeffSpec",
-    "ConfigError",
-    "CovarianceKind",
-    "CovarianceSpec",
-    "DegenerateDataError",
-    "ExplosiveModelError",
-    "H1Metadata",
-    "H1Spec",
-    "HdwnError",
-    "InsufficientSampleError",
-    "InvalidInputError",
-    "InvalidLagError",
-    "InvalidSpecError",
-    "LagWindow",
-    "McCell",
-    "McConfig",
-    "McReport",
-    "McRunError",
-    "McTable",
-    "MixtureNormal",
-    "ModelKind",
-    "ModelSpec",
-    "Normal",
-    "NotPositiveDefiniteError",
-    "PowerInput",
-    "RadialKind",
-    "RadialMoments",
-    "ScenarioKind",
-    "ScenarioSpec",
-    "SeriesMatrix",
-    "SignMatrix",
-    "StudentT",
-    "TEST_NAMES",
-    "TestOutcome",
-    "UndefinedMomentError",
-    "are_ss_flm",
-    "build_covariance",
-    "chi_radial_c1",
-    "cross_correlations",
-    "derive_rng",
-    "derive_seed",
-    "evaluate_tests",
-    "evaluate_tests_collect",
-    "fc_test",
-    "flm_statistic",
-    "flm_test",
-    "gen_coeff",
-    "gen_h1_model",
-    "gen_innovations",
-    "gen_series",
-    "max_test",
-    "normal_upper_quantile",
-    "normal_upper_tail",
-    "power_flm",
-    "power_ss",
-    "power_table",
-    "pv_test",
-    "radial_moments",
-    "run_experiment",
-    "sign_transform",
-    "size_table",
-    "spatial_sign",
-    "ss_statistic",
-    "ss_test",
-    "tabulate_reports",
-    "trace_omega2_hat",
-    "trace_sigma2_hat",
-]
+__all__ = sorted(name for module in (core, dgp, errors, montecarlo, power_theory, stats_tests)
+                 for name in module.__all__)

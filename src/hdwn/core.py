@@ -1,8 +1,9 @@
 """Domain types, the spatial-sign transform, the pair kernel and nuisance estimators.
 
 Everything here is a pure function of its inputs, which it never writes: a
-series enters as the checked private copy _series makes. The matrix types
-freeze their data on construction and are safe to share across threads.
+series enters as the checked private copy _series makes, and signs as the
+frozen data of a SignMatrix. The matrix types freeze their data on
+construction and are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ __all__ = [
     "SeriesMatrix",
     "SignMatrix",
     "TestOutcome",
-    "ZERO_NORM_THRESHOLD",
-    "as_lag",
-    "as_signs",
     "normal_upper_quantile",
     "normal_upper_tail",
     "sign_transform",
@@ -286,7 +284,9 @@ def trace_omega2_hat(signs) -> float:
     pairs s != t. Consistent for tr(Omega^2) under the null; clipped at 1, so
     always in [0, 1], the exact range for unit or zero rows.
     """
-    return min(trace_sigma2_hat(as_signs(signs)), 1.0)
+    U = as_signs(signs).data  # read-only and unwritten by _pair_sums: no second copy
+    with _single_threaded_blas():
+        return min(_pair_sums(U, 0)[1], 1.0)
 
 
 def trace_sigma2_hat(eps) -> float:

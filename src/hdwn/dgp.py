@@ -51,7 +51,6 @@ __all__ = [
     "gen_h1_model",
     "gen_innovations",
     "gen_series",
-    "resolve_coeff",
 ]
 
 

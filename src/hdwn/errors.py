@@ -43,3 +43,8 @@ class McRunError(HdwnError, RuntimeError):
 
 class ConfigError(HdwnError, ValueError):
     """A config file or CSV input could not be parsed."""
+
+
+# every error type above, each named once
+__all__ = sorted(name for name, value in globals().items()
+                 if isinstance(value, type) and issubclass(value, HdwnError))

@@ -75,9 +75,11 @@ def ss_statistic(signs, H) -> float:
 
     Sum over h of 1/(n-h) times the pairwise products U_{s-h}'U_{t-h} U_s'U_t
     with h+1 <= s < t <= n, computed from one packed sign Gram triangle: the
-    flm_statistic of the checked signs, which are a SeriesMatrix.
+    flm_statistic of the checked signs, taken from their frozen data uncopied.
     """
-    return flm_statistic(as_signs(signs), H)
+    U = as_signs(signs).data
+    with _single_threaded_blas():
+        return _pair_sums(U, as_lag(H).check_against(len(U)))[0][-1]
 
 
 def flm_statistic(eps, H) -> float:

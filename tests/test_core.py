@@ -281,6 +281,23 @@ class TestDomainTypes:
             with pytest.raises(InvalidInputError):
                 call(bad)
 
+    def test_signs_are_read_without_a_second_copy(self, rng):
+        """At (100, 400) the peak of ss_statistic and trace_omega2_hat holds
+        the 80 kB Gram and its 40 kB packed triangle; a copy of the 320 kB
+        signs would take the peak past their size."""
+        import tracemalloc
+
+        U = sign_transform(rng.standard_normal((100, 400)))
+        for call in (lambda: ss_statistic(U, 3), lambda: trace_omega2_hat(U)):
+            call()  # first calls outside the trace
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < U.data.nbytes
+
     def test_lag_window_validation(self):
         assert LagWindow(3).H == 3
         with pytest.raises(InvalidLagError):

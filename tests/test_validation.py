@@ -9,12 +9,17 @@ each check, and the thread and BLAS settings, in one place.
 """
 
 import ast
+import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hdwn
 from hdwn import (
     CoeffSpec,
     ConfigError,
@@ -244,11 +249,11 @@ def test_numpy_integer_report_round_trips_through_json():
     assert back.cells == report.cells == run_experiment(config(int)).cells
 
 
-def _owners(phrase: str) -> list[str]:
+def _owners(phrase: str, files: str = "*.py") -> list[str]:
     """The innermost definition (module.Class.function) around each occurrence of
-    phrase in the package source, in file and line order."""
+    phrase in the package source files matching files, in file and line order."""
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob(files)):
         text = path.read_text(encoding="utf-8")
         scopes = []
 
@@ -311,8 +316,36 @@ def test_blas_is_pinned_at_the_entry_points_alone():
     # a decorator line lies before its def, so it counts for the module:
     # dgp.gen_series, dgp.gen_h1_model and montecarlo.run_experiment
     assert _owners("_single_threaded_blas(") == [
-        "_blas._single_threaded_blas", "core.trace_sigma2_hat", "dgp", "dgp", "montecarlo",
-        "stats_tests.flm_statistic", "stats_tests._sum_results"]
+        "_blas._single_threaded_blas", "core.trace_omega2_hat", "core.trace_sigma2_hat", "dgp",
+        "dgp", "montecarlo", "stats_tests.ss_statistic", "stats_tests.flm_statistic",
+        "stats_tests._sum_results"]
+
+
+_EXPORTERS = ("core", "dgp", "errors", "montecarlo", "power_theory", "stats_tests")
+
+
+def test_the_package_exports_the_union_of_its_modules_lists():
+    modules = [importlib.import_module(f"hdwn.{name}") for name in _EXPORTERS]
+    for module in modules:
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
+    names = [name for module in modules for name in module.__all__]
+    # a name in two lists would be shadowed silently by the later star-import
+    assert len(set(names)) == len(names)
+    assert hdwn.__all__ == sorted(set(hdwn.__all__)) == sorted(names)
+    # __init__.py names no public name: each is written in its own module alone
+    assert [name for name in hdwn.__all__ if _owners(name, "__init__.py")] == []
+
+
+def test_module_helpers_stay_out_of_the_package_namespace():
+    from hdwn.core import ZERO_NORM_THRESHOLD, as_lag, as_signs  # noqa: F401
+    from hdwn.dgp import resolve_coeff  # noqa: F401
+
+    for name in ("ZERO_NORM_THRESHOLD", "as_lag", "as_signs", "resolve_coeff"):
+        assert name not in hdwn.__all__ and not hasattr(hdwn, name)
+    code = "import sys, hdwn; print(sorted({'argparse', 'csv', 'json'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "[]"
 
 
 _CELL = "[c]\ntests = ss\nlags = 1\nreps = 5\nscenario = normal\nn = 30\np = 4\n"
