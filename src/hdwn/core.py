@@ -45,17 +45,30 @@ _SIGN_NORM_TOL = 1e-9
 _SQRT1_2 = math.sqrt(0.5)
 
 
+def _floats(data, name: str, error=InvalidInputError) -> np.ndarray:
+    """data as a new array of finite floats; ragged, non-numeric or complex input is refused."""
+    try:
+        arr = np.asarray(data)
+        if arr.dtype.kind in "biufO":  # an object array converts entry by entry
+            arr = np.array(arr, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.dtype != float:
+        raise error(f"{name} must be a rectangular array of real numbers")
+    if not np.isfinite(arr).all():
+        raise error(f"{name} contains non-finite entries")
+    return arr
+
+
 def _series(data, name: str = "series") -> np.ndarray:
     """data, an array or a matrix, as a checked float copy its caller may write."""
-    arr = np.array(data.data if isinstance(data, SeriesMatrix) else data, dtype=float)
+    arr = _floats(data.data if isinstance(data, SeriesMatrix) else data, name)
     if arr.ndim != 2:
         raise InvalidInputError(f"{name} must be two-dimensional, got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise InsufficientSampleError(f"{name} needs at least 2 rows, got {arr.shape[0]}")
     if arr.shape[1] < 1:
         raise InvalidInputError(f"{name} needs at least 1 column")
-    if not np.isfinite(arr).all():
-        raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
 
 
@@ -193,11 +206,9 @@ def spatial_sign(x) -> np.ndarray:
     can neither overflow nor underflow; rescaling by a power of two is exact,
     which keeps the map exactly invariant under such scalings.
     """
-    v = np.array(x, dtype=float)  # a copy, which _sign_rows overwrites
-    if v.ndim != 1:
-        raise InvalidInputError(f"expected a vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise InvalidInputError("spatial_sign input contains non-finite entries")
+    v = _floats(x, "spatial_sign input")  # a copy, which _sign_rows overwrites
+    if v.ndim != 1 or not v.size:
+        raise InvalidInputError(f"expected a vector with at least one entry, got shape {v.shape}")
     return _sign_rows(v)
 
 
@@ -266,7 +277,8 @@ def _pair_sums(x: np.ndarray, H: int) -> tuple[list[float], float]:
     count. The 'clip' take skips a bounds check the index never needs.
     """
     n = len(x)
-    v = np.matmul(x, x.T).take(_packed_index(n).base, mode="clip")
+    with _single_threaded_blas():  # the n x n Gram stays unnamed: freed by the take
+        v = np.matmul(x, x.T).take(_packed_index(n).base, mode="clip")
     buf = np.empty(len(v))
     terms = []
     for h in range(1, H + 1):
@@ -285,14 +297,12 @@ def trace_omega2_hat(signs) -> float:
     always in [0, 1], the exact range for unit or zero rows.
     """
     U = as_signs(signs).data  # read-only and unwritten by _pair_sums: no second copy
-    with _single_threaded_blas():
-        return min(_pair_sums(U, 0)[1], 1.0)
+    return min(_pair_sums(U, 0)[1], 1.0)
 
 
 def trace_sigma2_hat(eps) -> float:
     """Estimate tr(Sigma^2) from raw rows: mean squared inner product over pairs."""
-    with _single_threaded_blas():
-        return _pair_sums(_series(eps), 0)[1]
+    return _pair_sums(_series(eps), 0)[1]
 
 
 def normal_upper_tail(z: float) -> float:

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from ._blas import _single_threaded_blas
-from .core import SeriesMatrix, ZERO_NORM_THRESHOLD, _fraction, _integer, _real
+from .core import SeriesMatrix, ZERO_NORM_THRESHOLD, _floats, _fraction, _integer, _real
 from .errors import (
     ExplosiveModelError,
     InvalidInputError,
@@ -165,11 +165,10 @@ def build_covariance(spec: CovarianceSpec) -> np.ndarray:
 
 def _cholesky(cov: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a square matrix, whose shape the callers check."""
-    cov = np.asarray(cov, dtype=float)
-    if not np.isfinite(cov).all():
-        raise InvalidInputError("covariance contains non-finite entries")
+    cov = _floats(cov, "covariance")
     try:
-        return np.linalg.cholesky(cov)
+        with _single_threaded_blas():
+            return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("covariance is not positive definite") from exc
 
@@ -203,7 +202,8 @@ def gen_innovations(scenario: ScenarioSpec, cov, n: int, seed) -> SeriesMatrix:
     Normal rows are L z; t rows divide by sqrt(chi2_df / df) per row; mixture
     rows inflate by sqrt(scale_factor) with probability 1 - gamma.
     """
-    p = np.shape(cov)[0] if np.ndim(cov) else 1  # gen_series refuses any cov not (p, p)
+    cov = _floats(cov, "covariance")
+    p = cov.shape[0] if cov.ndim else 1  # gen_series refuses any cov not (p, p)
     return gen_series(ModelSpec(ModelKind.IID), scenario, n, p, np.random.default_rng(seed),
                       innov_cov=cov)
 
@@ -313,11 +313,9 @@ class ModelSpec:
             if self.coeff is None:
                 raise InvalidSpecError(f"{self.kind.value} model needs a coefficient matrix")
             if not isinstance(self.coeff, CoeffSpec):
-                arr = np.asarray(self.coeff, dtype=float)
+                arr = _floats(self.coeff, "coefficient matrix", InvalidSpecError)
                 if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                     raise InvalidSpecError("explicit coefficient matrix must be square")
-                if not np.isfinite(arr).all():
-                    raise InvalidSpecError("coefficient matrix contains non-finite entries")
                 if self.kind is ModelKind.VAR1 and _spectral_radius(arr) >= 1.0:
                     raise ExplosiveModelError("VAR(1) coefficient matrix has spectral radius >= 1")
                 if self.kind is ModelKind.VARMA1 and _spectral_radius(0.5 * arr) >= 1.0:
@@ -339,7 +337,6 @@ def _spectral_radius(A: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
-@_single_threaded_blas()
 def gen_series(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int, seed,
                innov_cov=None) -> SeriesMatrix:
     """Generate n rows from a temporal model after discarding its burn-in.
@@ -377,13 +374,14 @@ def _series_sampler(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int,
     A, burn = model.coeff, model.effective_burn_in()
     if A is not None and A.shape != (p, p):
         raise InvalidSpecError(f"coefficient matrix is {A.shape}, expected ({p}, {p})")
-    if innov_cov is not None and np.shape(innov_cov) != (p, p):
+    if innov_cov is not None and _floats(innov_cov, "innovation covariance").shape != (p, p):
         raise InvalidSpecError(f"innovation covariance must be ({p}, {p})")
     L = None if innov_cov is None else _innovation_factor(innov_cov)
     rows = partial(_innovation_rows, scenario, L, n + burn, p)
     return partial(_draw_block, model.kind, A, burn, rows, n, p)
 
 
+@_single_threaded_blas()
 def _draw_block(kind: ModelKind, A, burn: int, rows: Callable, n: int, p: int,
                 rngs) -> np.ndarray:
     """The series of a checked model drawn from each generator in turn, as one
@@ -465,7 +463,7 @@ class H1Spec:
     def __post_init__(self):
         object.__setattr__(self, "radial", _member(RadialKind, self.radial))
         if not isinstance(self.sigma0, CovarianceSpec):
-            arr = np.asarray(self.sigma0, dtype=float)
+            arr = _floats(self.sigma0, "sigma0", InvalidSpecError)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise InvalidSpecError("explicit sigma0 must be square")
             _cholesky(arr)  # refuses a matrix that is not positive definite
@@ -518,8 +516,8 @@ def _h1_setup(spec: H1Spec, n: int, p: int) -> tuple:
         radii, c1 = (lambda rng, norms: np.ones(n + 1)), 1.0
     else:
         def radii(rng, norms):
-            r = np.asarray(spec.radial_sampler(rng, n + 1), dtype=float)
-            if r.shape != (n + 1,) or not np.isfinite(r).all() or np.any(r < 0):
+            r = _floats(spec.radial_sampler(rng, n + 1), "radial_sampler output", InvalidSpecError)
+            if r.shape != (n + 1,) or np.any(r < 0):
                 raise InvalidSpecError("radial_sampler must return n+1 finite nonnegative values")
             return r
 
@@ -538,7 +536,6 @@ def _h1_setup(spec: H1Spec, n: int, p: int) -> tuple:
     return Sigma0, tau, c1, rows
 
 
-@_single_threaded_blas()
 def gen_h1_model(spec: H1Spec, n: int, p: int, seed) -> tuple[SeriesMatrix, H1Metadata]:
     """Generate the lag-one alternative and report its population constants.
 
@@ -548,7 +545,7 @@ def gen_h1_model(spec: H1Spec, n: int, p: int, seed) -> tuple[SeriesMatrix, H1Me
     """
     Sigma0, tau, c1, rows = _h1_setup(spec, n, p)
     rng = derive_rng(seed, "h1") if not isinstance(seed, np.random.Generator) else seed
-    eps = rows(rng)
+    eps = _draw_block(ModelKind.H1_SIGN, None, 0, rows, n, p, [rng])[0]
     if c1 is None:
         est = np.asarray(spec.radial_sampler(rng.spawn(1)[0], 200_000), dtype=float)
         c1 = float(est.mean() * (1.0 / est).mean())

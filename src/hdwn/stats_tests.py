@@ -19,11 +19,11 @@ a series gets the same bits in any block.
 Statistics that aggregate squared singular values of lagged autocovariance
 matrices are a known alternative family and are deliberately not implemented.
 
-The Grams of ss, flm and pv are made with BLAS held at one thread, so their
-bits do not follow OPENBLAS_NUM_THREADS. The lag products of max, fc and
-cross_correlations run at the caller's BLAS thread count, whose split of a
-product can move their last bits; pinned, they took 16-37% longer at
-(60, 1000) on 2 vCPUs.
+BLAS holds one thread in the Gram of _pair_sums, the draw and the Cholesky
+factor (dgp) and in all of run_experiment, so their bits do not follow
+OPENBLAS_NUM_THREADS. The one exception, outside run_experiment, is the lag
+scan of max, fc and cross_correlations: at the caller's count its last bits
+can move, and pinned it took 16-37% longer at (60, 1000) on 2 vCPUs.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import math
 
 import numpy as np
 
-from ._blas import _single_threaded_blas
 from .core import (
     TestOutcome,
     _fraction,
@@ -78,15 +77,13 @@ def ss_statistic(signs, H) -> float:
     flm_statistic of the checked signs, taken from their frozen data uncopied.
     """
     U = as_signs(signs).data
-    with _single_threaded_blas():
-        return _pair_sums(U, as_lag(H).check_against(len(U)))[0][-1]
+    return _pair_sums(U, as_lag(H).check_against(len(U)))[0][-1]
 
 
 def flm_statistic(eps, H) -> float:
     """Same lag-aligned pair sum as ss_statistic, on raw rows instead of signs."""
     X = _series(eps)
-    with _single_threaded_blas():
-        return _pair_sums(X, as_lag(H).check_against(len(X)))[0][-1]
+    return _pair_sums(X, as_lag(H).check_against(len(X)))[0][-1]
 
 
 def _lag_products(X: np.ndarray, H: int):
@@ -155,8 +152,7 @@ _Entry = list[HdwnError | tuple[float, float, float, dict[str, float]]]
 def _sum_results(rows: np.ndarray, H_list, clip: float):
     """ss (sign rows, trace clipped at 1) or flm entries of a block, and the partials:
     each window's partial sum over sqrt(H/2) times the trace, to the normal tail."""
-    with _single_threaded_blas():
-        pairs = [_pair_sums(x, max(H_list)) for x in rows]
+    pairs = [_pair_sums(x, max(H_list)) for x in rows]
     what, key = ("sign", "trace_omega2_hat") if clip == 1.0 else ("inner", "trace_sigma2_hat")
     entries: list[_Entry] = []
     for row, trace in pairs:

@@ -137,16 +137,22 @@ class TestCoeff:
             CoeffSpec("explicit", 3, m=4, low=0.0, high=0.1)
 
 
-# SHA-256 of gen_series output over VAR(1)/VARMA(1) models up to p = 200,
-# where two BLAS threads split the innovation product and the recursion
+# SHA-256 of gen_series output over VAR(1)/VMA(1)/VARMA(1) models, and apart
+# of gen_h1_model output, up to p = 200. On OpenBLAS's SkylakeX kernels, two
+# unpinned threads change the bits of the p = 200 Cholesky factor, which
+# both digests see; the draws' products kept theirs there even unpinned.
 _GEN_DIGEST_SCRIPT = """
 import hashlib
-from hdwn import (CoeffSpec, CovarianceSpec, ModelKind, ModelSpec, ScenarioSpec,
-                  build_covariance, gen_series)
-digest = hashlib.sha256()
+from hdwn import (CoeffSpec, CovarianceSpec, H1Spec, ModelKind, ModelSpec, ScenarioSpec,
+                  build_covariance, gen_h1_model, gen_series)
+digest, h1 = hashlib.sha256(), hashlib.sha256()
 for p in (3, 40, 120, 200):
     cov = build_covariance(CovarianceSpec("polydecay", p))
-    for kind in (ModelKind.VAR1, ModelKind.VARMA1):
+    if p >= 40:
+        for seed in range(2):
+            X, _ = gen_h1_model(H1Spec(CovarianceSpec("polydecay", p)), 60, p, seed)
+            h1.update(X.data.tobytes())
+    for kind in (ModelKind.VAR1, ModelKind.VMA1, ModelKind.VARMA1):
         for spec in (CoeffSpec("explicit", p, m=p, low=-0.1, high=0.1), CoeffSpec("sparse", p)):
             if spec.regime.value == "sparse" and p < 20:
                 continue
@@ -154,7 +160,7 @@ for p in (3, 40, 120, 200):
                 X = gen_series(ModelSpec(kind, coeff=spec), ScenarioSpec.student_t(3), 60, p,
                                seed, innov_cov=cov)
                 digest.update(X.data.tobytes())
-print(digest.hexdigest())
+print(digest.hexdigest(), h1.hexdigest())
 """
 
 

@@ -46,11 +46,14 @@ from hdwn import (
     derive_rng,
     evaluate_tests_collect,
     gen_h1_model,
+    gen_innovations,
     gen_series,
     normal_upper_quantile,
     radial_moments,
     run_experiment,
     spatial_sign,
+    ss_statistic,
+    ss_test,
 )
 from hdwn.cli import (
     _build_parser,
@@ -278,6 +281,7 @@ def test_each_kind_of_input_is_checked_in_one_place():
     assert _owners("(int, np.integer)") == [
         "core.LagWindow.__post_init__", "core._integer", "dgp._seed_sequence"]
     assert _owners("not in TEST_NAMES") == ["stats_tests._test_names"]
+    assert _owners("non-finite entries") == ["core._floats"]
 
 
 def test_a_series_is_checked_and_copied_in_one_place():
@@ -288,6 +292,19 @@ def test_a_series_is_checked_and_copied_in_one_place():
     assert _owners("own=") == []
 
 
+_WINDOWED = ("ss_statistic", "flm_statistic", "cross_correlations", "ss_test", "flm_test",
+             "pv_test", "max_test", "fc_test")
+
+
+@pytest.mark.parametrize("name", ("SeriesMatrix", "SignMatrix", "sign_transform",
+                                  "trace_omega2_hat", "trace_sigma2_hat", "evaluate_tests",
+                                  "evaluate_tests_collect", *_WINDOWED))
+def test_every_public_call_refuses_a_ragged_series(name):
+    args = (1,) if name in _WINDOWED else (("ss",), (1,)) if name.startswith("evaluate") else ()
+    with pytest.raises(InvalidInputError, match="must be a rectangular array of real numbers"):
+        getattr(hdwn, name)([[1.0, 2.0], [3.0, 4.0], [5.0]], *args)
+
+
 def test_packed_layout_is_read_by_the_pair_kernel_alone():
     assert _owners("_packed_index(") == ["core._packed_index", "core._pair_sums"]
     assert _owners("_straddling(") == ["core._straddling", "core._pair_sums"]
@@ -296,7 +313,7 @@ def test_packed_layout_is_read_by_the_pair_kernel_alone():
 def test_every_model_is_drawn_by_one_loop():
     assert _owners("_innovation_rows") == ["dgp._innovation_rows", "dgp._series_sampler"]
     assert _owners("_draw_block") == [
-        "dgp._series_sampler", "dgp._series_sampler", "dgp._draw_block"]
+        "dgp._series_sampler", "dgp._series_sampler", "dgp._draw_block", "dgp.gen_h1_model"]
     assert _owners("_fill") == []
 
 
@@ -312,13 +329,13 @@ def test_calibration_predicate_has_one_owner():
     assert _owners("p * p <") == []
 
 
-def test_blas_is_pinned_at_the_entry_points_alone():
-    # a decorator line lies before its def, so it counts for the module:
-    # dgp.gen_series, dgp.gen_h1_model and montecarlo.run_experiment
+def test_blas_is_pinned_in_the_kernels_alone():
+    # the Gram, the draw and the Cholesky factor hold one thread themselves, and
+    # run_experiment for its whole run; a decorator line lies before its def, so
+    # it counts for the module: dgp._draw_block and montecarlo.run_experiment
     assert _owners("_single_threaded_blas(") == [
-        "_blas._single_threaded_blas", "core.trace_omega2_hat", "core.trace_sigma2_hat", "dgp",
-        "dgp", "montecarlo", "stats_tests.ss_statistic", "stats_tests.flm_statistic",
-        "stats_tests._sum_results"]
+        "_blas._single_threaded_blas", "core._pair_sums", "dgp._cholesky", "dgp", "montecarlo"]
+    assert _owners("_blas", "stats_tests.py") == []
 
 
 _EXPORTERS = ("core", "dgp", "errors", "montecarlo", "power_theory", "stats_tests")
@@ -378,6 +395,11 @@ REFUSALS = {
                             "p_value"),
     "spatial_sign.matrix": (lambda _: spatial_sign(np.ones((2, 2))), InvalidInputError,
                             "expected a vector"),
+    "spatial_sign.empty": (lambda _: spatial_sign([]), InvalidInputError, "expected a vector"),
+    "spatial_sign.complex": (lambda _: spatial_sign([1j, 1.0]), InvalidInputError,
+                             "real numbers"),
+    "ss_test.complex": (lambda _: ss_test(SERIES + 0j, 1), InvalidInputError, "real numbers"),
+    "ss_statistic.text": (lambda _: ss_statistic("signs", 1), InvalidInputError, "real numbers"),
     "ScenarioSpec.scale_factor": (lambda _: ScenarioSpec("mixture", scale_factor=0.0),
                                   InvalidSpecError, "scale_factor"),
     "CoeffSpec.low": (lambda _: CoeffSpec("explicit", 3, m=2, low=1.0, high=0.0),
@@ -389,6 +411,10 @@ REFUSALS = {
                                    InvalidSpecError, "coefficient matrix"),
     "ModelSpec.coeff-not-finite": (lambda _: ModelSpec("var1", coeff=np.full((2, 2), np.nan)),
                                    InvalidSpecError, "coefficient matrix"),
+    "ModelSpec.coeff-ragged": (lambda _: ModelSpec("var1", coeff=[[0.1, 0.2], [0.3]]),
+                               InvalidSpecError, "coefficient matrix"),
+    "ModelSpec.coeff-text": (lambda _: ModelSpec("var1", coeff="dense"), InvalidSpecError,
+                             "coefficient matrix"),
     "gen_series.coeff-size": (lambda _: gen_series(ModelSpec("var1", coeff=np.zeros((3, 3))),
                                                    ScenarioSpec.normal(), 10, 4, 0),
                               InvalidSpecError, "coefficient matrix"),
@@ -398,6 +424,12 @@ REFUSALS = {
     "gen_series.innov_cov": (lambda _: gen_series(ModelSpec("iid"), ScenarioSpec.normal(), 10,
                                                   2, 0, innov_cov=np.full((2, 2), np.inf)),
                              InvalidInputError, "covariance"),
+    "gen_series.innov_cov-ragged": (lambda _: gen_series(ModelSpec("iid"), ScenarioSpec.normal(),
+                                                         10, 2, 0, innov_cov=[[1.0, 0.0], [0.0]]),
+                                    InvalidInputError, "covariance"),
+    "gen_innovations.cov-ragged": (lambda _: gen_innovations(ScenarioSpec.normal(),
+                                                             [[1.0, 0.0], [0.0]], 10, 0),
+                                   InvalidInputError, "covariance"),
     "H1Spec.radial_sampler-missing": (lambda _: H1Spec(CovarianceSpec("identity", 3),
                                                        radial="custom"),
                                       InvalidSpecError, "radial_sampler"),
@@ -405,10 +437,14 @@ REFUSALS = {
                                                       sigma1_scale=-1.0),
                                      InvalidSpecError, "sigma1_scale"),
     "H1Spec.sigma0-not-square": (lambda _: H1Spec(np.ones((2, 3))), InvalidSpecError, "sigma0"),
+    "H1Spec.sigma0-ragged": (lambda _: H1Spec([[1.0, 0.0], [0.0]]), InvalidSpecError, "sigma0"),
+    "H1Spec.sigma0-text": (lambda _: H1Spec("identity"), InvalidSpecError, "sigma0"),
     "H1Spec.radial_sampler-shape": (lambda _: _sampler_rows(lambda rng, k: np.ones(k - 1)),
                                     InvalidSpecError, "radial_sampler"),
     "H1Spec.radial_sampler-negative": (lambda _: _sampler_rows(lambda rng, k: -np.ones(k)),
                                        InvalidSpecError, "radial_sampler"),
+    "H1Spec.radial_sampler-complex": (lambda _: _sampler_rows(lambda rng, k: np.ones(k) + 0j),
+                                      InvalidSpecError, "radial_sampler"),
     "MixtureNormal.sigma": (lambda _: MixtureNormal(0.5, 0.0), InvalidInputError, "sigma"),
     "chi_radial_c1.dof": (lambda _: chi_radial_c1(1.0), UndefinedMomentError,
                           "degree of freedom"),
