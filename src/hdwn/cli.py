@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SeriesMatrix, TestOutcome
+from .core import SeriesMatrix, TestOutcome, _floats
 from .dgp import (
     CoeffSpec,
     CovarianceSpec,
@@ -106,37 +106,31 @@ def read_series_csv(path) -> CsvSeries:
     """
     rows: list[list[float]] = []
     header: tuple[str, ...] | None = None
-    width: int | None = None
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, record in enumerate(csv.reader(fh), start=1):
             if not record or all(not f.strip() for f in record):
                 continue
             fields = [f.strip() for f in record]
-            if width is None and header is None:
+            if not rows and header is None:
                 try:
                     rows.append([float(f) for f in fields])
-                    width = len(fields)
                 except ValueError:
                     header = tuple(fields)
                 continue
-            if width is not None and len(fields) != width:
+            if rows and len(fields) != len(rows[0]):
                 raise ConfigError(
-                    f"{path}: line {lineno}: expected {width} fields, got {len(fields)}"
+                    f"{path}: line {lineno}: expected {len(rows[0])} fields, got {len(fields)}"
                 )
             try:
                 rows.append([float(f) for f in fields])
             except ValueError as exc:
                 raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
-            if width is None:
-                width = len(fields)
     if len(rows) < 2:
         raise ConfigError(f"{path}: need at least 2 data rows, got {len(rows)}")
-    if header is not None and len(header) != width:
-        raise ConfigError(f"{path}: header has {len(header)} fields, data has {width}")
-    arr = np.asarray(rows, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ConfigError(f"{path}: non-finite values in data")
-    return CsvSeries(header, SeriesMatrix(arr))
+    if header is not None and len(header) != len(rows[0]):
+        raise ConfigError(f"{path}: header has {len(header)} fields, data has {len(rows[0])}")
+    arr = _floats(rows, f"{path}: data", ConfigError)
+    return CsvSeries(header, object.__new__(SeriesMatrix)._freeze(arr))
 
 
 # ---------------------------------------------------------------------------

@@ -84,9 +84,13 @@ class SeriesMatrix:
     _kind = "series"  # names the matrix in validation messages
 
     def __post_init__(self):
-        arr = _series(self.data, self._kind)
+        self._freeze(_series(self.data, self._kind))
+
+    def _freeze(self, arr: np.ndarray) -> "SeriesMatrix":
+        """This matrix with arr, a fresh array no caller holds, as its read-only data."""
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
+        return self
 
     @property
     def n(self) -> int:
@@ -142,9 +146,9 @@ def _integer(value, name: str, low: int, error=InvalidInputError) -> int:
 
 
 def _real(value, name: str, error=InvalidInputError) -> float:
-    """value as a float: a Python or numpy real number, not a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise error(f"{name} must be a real number, got {value!r}")
+    """value as a float: a finite Python or numpy real number, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise error(f"{name} must be a finite real number, got {value!r}")
     return float(value)
 
 
@@ -224,8 +228,8 @@ def _sign_rows(X: np.ndarray) -> np.ndarray:
 
 
 def sign_transform(eps) -> SignMatrix:
-    """Apply the spatial-sign map to every row of a series."""
-    return SignMatrix(_sign_rows(_series(eps)))
+    """Apply the spatial-sign map to every row; its unit or zero rows are frozen as made."""
+    return object.__new__(SignMatrix)._freeze(_sign_rows(_series(eps)))
 
 
 @functools.lru_cache(maxsize=8)

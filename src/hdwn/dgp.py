@@ -29,6 +29,7 @@ from .errors import (
     InvalidInputError,
     InvalidSpecError,
     NotPositiveDefiniteError,
+    UndefinedMomentError,
 )
 from .power_theory import chi_radial_c1
 
@@ -158,14 +159,12 @@ def build_covariance(spec: CovarianceSpec) -> np.ndarray:
         return np.eye(spec.p)
     idx = np.arange(spec.p)
     gap = np.abs(idx[:, None] - idx[None, :])
-    with np.errstate(divide="ignore"):
-        off = 0.5 / np.maximum(gap, 1) ** 2
+    off = 0.5 / np.maximum(gap, 1) ** 2
     return np.where(gap == 0, 1.0, off)
 
 
 def _cholesky(cov: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a square matrix, whose shape the callers check."""
-    cov = _floats(cov, "covariance")
+    """Lower Cholesky factor of a square float array, which the callers check."""
     try:
         with _single_threaded_blas():
             return np.linalg.cholesky(cov)
@@ -220,7 +219,7 @@ class CoeffSpec:
 
     Dense: m = floor(0.8 p), entries uniform on +-1/(4 sqrt(m)). Sparse:
     m = floor(0.05 p), entries uniform on +-3/(4 sqrt(m)). Explicit supplies
-    m, low, high directly.
+    m, low, high directly; the other regimes refuse them.
     """
 
     regime: CoeffRegime
@@ -240,21 +239,21 @@ class CoeffSpec:
                 object.__setattr__(self, k, _real(getattr(self, k), k, InvalidSpecError))
             if not self.low <= self.high:
                 raise InvalidSpecError("low must not exceed high")
+        elif any(getattr(self, k) is not None for k in ("m", "low", "high")):
+            raise InvalidSpecError(f"{self.regime.value} regime takes no m, low or high")
+        self.block()  # refuses a p too small for the regime's block
 
     def block(self) -> tuple[int, float, float]:
         """Resolved (m, low, high) for this regime."""
         if self.regime is CoeffRegime.EXPLICIT:
             return self.m, self.low, self.high
-        if self.regime is CoeffRegime.DENSE:
-            m = int(math.floor(0.8 * self.p))
-            half = 1.0 / (4.0 * math.sqrt(m)) if m else 0.0
-        else:
-            m = int(math.floor(0.05 * self.p))
-            half = 3.0 / (4.0 * math.sqrt(m)) if m else 0.0
+        share, width = (0.8, 1.0) if self.regime is CoeffRegime.DENSE else (0.05, 3.0)
+        m = int(math.floor(share * self.p))
         if m < 1:
             raise InvalidSpecError(
                 f"{self.regime.value} regime needs a bigger p, got block size {m}"
             )
+        half = width / (4.0 * math.sqrt(m))
         return m, -half, half
 
 
@@ -374,9 +373,10 @@ def _series_sampler(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int,
     A, burn = model.coeff, model.effective_burn_in()
     if A is not None and A.shape != (p, p):
         raise InvalidSpecError(f"coefficient matrix is {A.shape}, expected ({p}, {p})")
-    if innov_cov is not None and _floats(innov_cov, "innovation covariance").shape != (p, p):
+    cov = None if innov_cov is None else _floats(innov_cov, "innovation covariance")
+    if cov is not None and cov.shape != (p, p):
         raise InvalidSpecError(f"innovation covariance must be ({p}, {p})")
-    L = None if innov_cov is None else _innovation_factor(innov_cov)
+    L = None if cov is None else _innovation_factor(cov)
     rows = partial(_innovation_rows, scenario, L, n + burn, p)
     return partial(_draw_block, model.kind, A, burn, rows, n, p)
 
@@ -477,6 +477,12 @@ class H1Spec:
                 if not getattr(self, name) >= low:
                     raise InvalidSpecError(f"{name} must be at least {low}, got {value!r}")
 
+    def _radii(self, rng, k: int) -> np.ndarray:
+        r = _floats(self.radial_sampler(rng, k), "radial_sampler output", InvalidSpecError)
+        if r.shape != (k,) or np.any(r < 0):
+            raise InvalidSpecError(f"radial_sampler must return {k} finite nonnegative values")
+        return r
+
 
 @dataclass(frozen=True)
 class H1Metadata:
@@ -515,13 +521,7 @@ def _h1_setup(spec: H1Spec, n: int, p: int) -> tuple:
     elif spec.radial is RadialKind.CONSTANT:
         radii, c1 = (lambda rng, norms: np.ones(n + 1)), 1.0
     else:
-        def radii(rng, norms):
-            r = _floats(spec.radial_sampler(rng, n + 1), "radial_sampler output", InvalidSpecError)
-            if r.shape != (n + 1,) or np.any(r < 0):
-                raise InvalidSpecError("radial_sampler must return n+1 finite nonnegative values")
-            return r
-
-        c1 = spec.radial_c1
+        radii, c1 = (lambda rng, norms: spec._radii(rng, n + 1)), spec.radial_c1
 
     def rows(rng):
         G = rng.standard_normal((n + 1, p))
@@ -547,7 +547,9 @@ def gen_h1_model(spec: H1Spec, n: int, p: int, seed) -> tuple[SeriesMatrix, H1Me
     rng = derive_rng(seed, "h1") if not isinstance(seed, np.random.Generator) else seed
     eps = _draw_block(ModelKind.H1_SIGN, None, 0, rows, n, p, [rng])[0]
     if c1 is None:
-        est = np.asarray(spec.radial_sampler(rng.spawn(1)[0], 200_000), dtype=float)
+        est = spec._radii(rng.spawn(1)[0], 200_000)
+        if not est.all():
+            raise UndefinedMomentError("radial_c1 is undefined: the radial law has a zero radius")
         c1 = float(est.mean() * (1.0 / est).mean())
 
     tr_s0 = float(np.trace(Sigma0))

@@ -298,6 +298,28 @@ class TestDomainTypes:
                 tracemalloc.stop()
             assert peak < U.data.nbytes
 
+    def test_sign_transform_freezes_the_signs_it_made(self, rng):
+        """The signs _sign_rows writes over sign_transform's private copy are
+        the matrix's data: the bits of the checked constructor, no memory
+        shared with the input, and a traced peak of that copy and one scratch
+        array, under 2.5 times the input's bytes (a second copy and its norm
+        check took it to about 3)."""
+        import tracemalloc
+
+        from hdwn.core import _sign_rows
+
+        x = rng.standard_normal((100, 400))
+        U = sign_transform(x)
+        assert U.data.tobytes() == SignMatrix(_sign_rows(x.copy())).data.tobytes()
+        assert not np.shares_memory(U.data, x) and not U.data.flags.writeable
+        tracemalloc.start()
+        try:
+            sign_transform(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * x.nbytes
+
     def test_lag_window_validation(self):
         assert LagWindow(3).H == 3
         with pytest.raises(InvalidLagError):

@@ -11,6 +11,7 @@ each check, and the thread and BLAS settings, in one place.
 import ast
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -121,6 +122,8 @@ PROBABILITIES = {
 REALS = {
     "ScenarioSpec.df": (lambda v: ScenarioSpec("t", df=v), False),
     "ScenarioSpec.scale_factor": (lambda v: ScenarioSpec("mixture", scale_factor=v), False),
+    "CoeffSpec.low": (lambda v: CoeffSpec("explicit", 3, m=2, low=v, high=4.0), False),
+    "CoeffSpec.high": (lambda v: CoeffSpec("explicit", 3, m=2, low=0.0, high=v), False),
     "H1Spec.sigma1_scale": (lambda v: H1Spec(CovarianceSpec("identity", 3), sigma1_scale=v),
                             True),
     "H1Spec.radial_c1": (lambda v: H1Spec(CovarianceSpec("identity", 3), radial_c1=v), True),
@@ -172,7 +175,8 @@ def test_numpy_probability_is_accepted(case):
     PROBABILITIES[case](np.float64(0.25))
 
 
-@pytest.mark.parametrize("case, bad", _refusals(REALS, (True, "x", "5", None),
+@pytest.mark.parametrize("case, bad", _refusals(REALS, (True, "x", "5", None, math.inf,
+                                                       -math.inf, math.nan),
                                                 lambda case: REALS[case][1]))
 def test_real_refusal_is_typed_and_named(case, bad):
     _refused(REALS[case][0], bad, case)
@@ -182,6 +186,13 @@ def test_vma1_burn_in_is_checked_when_built():
     # one step of burn-in seeds the lagged innovation
     with pytest.raises(InvalidSpecError, match="burn_in must be an integer >= 1, got 0"):
         ModelSpec("vma1", coeff=np.zeros((2, 2)), burn_in=0)
+
+
+def test_coefficient_block_is_checked_when_built():
+    # at p = 10 the sparse block floor(0.05 p) is empty: refused before any run
+    with pytest.raises(InvalidSpecError, match="sparse regime needs a bigger p, got block size 0"):
+        _config(model=ModelSpec("var1", coeff=CoeffSpec("sparse", 10)), p=10,
+                cov=CovarianceSpec("identity", 10))
 
 
 def test_stored_probabilities_are_floats():
@@ -282,6 +293,7 @@ def test_each_kind_of_input_is_checked_in_one_place():
         "core.LagWindow.__post_init__", "core._integer", "dgp._seed_sequence"]
     assert _owners("not in TEST_NAMES") == ["stats_tests._test_names"]
     assert _owners("non-finite entries") == ["core._floats"]
+    assert _owners("np.isfinite") == ["core._floats"]
 
 
 def test_a_series_is_checked_and_copied_in_one_place():
@@ -290,6 +302,9 @@ def test_a_series_is_checked_and_copied_in_one_place():
     assert _owners("must be two-dimensional") == ["core._series"]
     assert _owners("as_series") == []
     assert _owners("own=") == []
+    # an array the package has just made, and no caller holds, is frozen as it is
+    assert _owners("_freeze(") == ["cli.read_series_csv", "core.SeriesMatrix.__post_init__",
+                                   "core.SeriesMatrix._freeze", "core.sign_transform"]
 
 
 _WINDOWED = ("ss_statistic", "flm_statistic", "cross_correlations", "ss_test", "flm_test",
@@ -385,6 +400,12 @@ def _sampler_rows(sampler):
     return gen_h1_model(h1, 6, 3, 0)
 
 
+def _c1_estimate(sampler):
+    # without radial_c1, c1 is estimated from 200,000 radii of the sampler
+    h1 = H1Spec(CovarianceSpec("identity", 3), radial="custom", radial_sampler=sampler)
+    return gen_h1_model(h1, 6, 3, 0)[1].c1
+
+
 # id "<owner>.<what>": (call of tmp_path, error type, a phrase of the message naming the cause)
 REFUSALS = {
     "SeriesMatrix.one-dimensional": (lambda _: SeriesMatrix(np.ones(5)), InvalidInputError,
@@ -404,6 +425,8 @@ REFUSALS = {
                                   InvalidSpecError, "scale_factor"),
     "CoeffSpec.low": (lambda _: CoeffSpec("explicit", 3, m=2, low=1.0, high=0.0),
                       InvalidSpecError, "low must not exceed high"),
+    "CoeffSpec.dense-block": (lambda _: CoeffSpec("dense", 5, m=3, low=9, high=10),
+                              InvalidSpecError, "dense regime takes no m, low or high"),
     "ModelSpec.h1": (lambda _: ModelSpec("h1"), InvalidSpecError, "H1Spec"),
     "ModelSpec.coeff-missing": (lambda _: ModelSpec("var1"), InvalidSpecError,
                                 "coefficient matrix"),
@@ -445,6 +468,12 @@ REFUSALS = {
                                        InvalidSpecError, "radial_sampler"),
     "H1Spec.radial_sampler-complex": (lambda _: _sampler_rows(lambda rng, k: np.ones(k) + 0j),
                                       InvalidSpecError, "radial_sampler"),
+    "gen_h1_model.c1-estimate-nan": (lambda _: _c1_estimate(
+        lambda rng, k: np.ones(k) if k < 100 else np.full(k, np.nan)),
+        InvalidSpecError, "radial_sampler"),
+    "gen_h1_model.c1-zero-radius": (lambda _: _c1_estimate(
+        lambda rng, k: np.where(rng.random(k) < 0.01, 0.0, 1.0)),
+        UndefinedMomentError, "radial_c1"),
     "MixtureNormal.sigma": (lambda _: MixtureNormal(0.5, 0.0), InvalidInputError, "sigma"),
     "chi_radial_c1.dof": (lambda _: chi_radial_c1(1.0), UndefinedMomentError,
                           "degree of freedom"),
