@@ -147,9 +147,12 @@ def _integer(value, name: str, low: int, error=InvalidInputError) -> int:
 
 def _real(value, name: str, error=InvalidInputError) -> float:
     """value as a float: a finite Python or numpy real number, not a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise error(f"{name} must be a finite real number, got {value!r}")
-    return float(value)
+    try:  # math.isfinite raises OverflowError on an int too large for a float
+        if not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise error(f"{name} must be a finite real number, got {value!r}")
 
 
 def _fraction(value, name: str, error=InvalidInputError) -> float:

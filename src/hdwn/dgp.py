@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from ._blas import _single_threaded_blas
-from .core import SeriesMatrix, ZERO_NORM_THRESHOLD, _floats, _fraction, _integer, _real
+from .core import SeriesMatrix, _floats, _fraction, _integer, _real
 from .errors import (
     ExplosiveModelError,
     InvalidInputError,
@@ -289,7 +289,7 @@ class ModelSpec:
 
     Only var1, vma1 and varma1 take coefficients, and they need them; iid
     and h1 refuse them. An explicit var1 or varma1 matrix must be stationary.
-    h1 needs an H1Spec.
+    h1 needs an H1Spec, and no other model takes one.
     """
 
     kind: ModelKind
@@ -303,8 +303,8 @@ class ModelSpec:
             low = 1 if self.kind is ModelKind.VMA1 else 0
             object.__setattr__(self, "burn_in", _integer(self.burn_in, "burn_in", low,
                                                          InvalidSpecError))
-        if self.kind is ModelKind.H1_SIGN and self.h1 is None:
-            raise InvalidSpecError("h1 model needs an H1Spec")
+        if (self.h1 is None) is (self.kind is ModelKind.H1_SIGN):
+            raise InvalidSpecError("h1 model needs an H1Spec, which no other model takes")
         if self.kind in (ModelKind.IID, ModelKind.H1_SIGN):
             if self.coeff is not None:
                 raise InvalidSpecError(f"{self.kind.value} model takes no coefficient matrix")
@@ -501,12 +501,11 @@ class H1Metadata:
 
 
 def _h1_setup(spec: H1Spec, n: int, p: int) -> tuple:
-    """(Sigma0, tau, c1, rows) of a checked H1Spec at shape (n, p).
+    """(Sigma0, tau, rows) of a checked H1Spec at shape (n, p).
 
     rows(rng) draws one series from n + 1 directions, uniform on the sphere
-    as normalized Gaussians, and n + 1 radii; the chi law reuses the
-    Gaussian norms, which are independent of the directions, as radii. c1
-    is None for a custom law without radial_c1.
+    as normalized Gaussians, times n + 1 radii: the Gaussian norms for chi,
+    independent of the directions, 1 for constant, or custom draws made next.
     """
     n, p = _integer(n, "n", 2), _integer(p, "p", 2)
     sigma0 = spec.sigma0  # H1Spec keeps a matrix as a square float array
@@ -516,24 +515,18 @@ def _h1_setup(spec: H1Spec, n: int, p: int) -> tuple:
     A0 = _cholesky(Sigma0).T  # A0' A0 = Sigma0
     tau = spec.sigma1_scale if spec.sigma1_scale is not None else 1.0 / math.sqrt(n)
 
-    if spec.radial is RadialKind.CHI_P:
-        radii, c1 = (lambda rng, norms: norms), chi_radial_c1(p)
-    elif spec.radial is RadialKind.CONSTANT:
-        radii, c1 = (lambda rng, norms: np.ones(n + 1)), 1.0
-    else:
-        radii, c1 = (lambda rng, norms: spec._radii(rng, n + 1)), spec.radial_c1
-
     def rows(rng):
         G = rng.standard_normal((n + 1, p))
         norms = np.sqrt((G * G).sum(axis=1))
-        if not np.all(norms > ZERO_NORM_THRESHOLD):
-            raise InvalidInputError("degenerate sphere draw")
-        u = G / norms[:, None]
-        ru = radii(rng, norms)[:, None] * u
+        ru = G / norms[:, None]
+        if spec.radial is RadialKind.CHI_P:
+            ru *= norms[:, None]
+        elif spec.radial is RadialKind.CUSTOM:
+            ru *= spec._radii(rng, n + 1)[:, None]
         # A1 = tau * P with P the cyclic shift: orthogonal, so A1'A1 = tau^2 I
         return ru[1:] @ A0.T + tau * np.roll(ru[:-1], 1, axis=1)
 
-    return Sigma0, tau, c1, rows
+    return Sigma0, tau, rows
 
 
 def gen_h1_model(spec: H1Spec, n: int, p: int, seed) -> tuple[SeriesMatrix, H1Metadata]:
@@ -543,17 +536,20 @@ def gen_h1_model(spec: H1Spec, n: int, p: int, seed) -> tuple[SeriesMatrix, H1Me
     (seed, "h1"). A custom law without radial_c1 has c1 estimated from
     200,000 radii drawn from rng.spawn, which leaves the rows unchanged.
     """
-    Sigma0, tau, c1, rows = _h1_setup(spec, n, p)
+    Sigma0, tau, rows = _h1_setup(spec, n, p)
     rng = derive_rng(seed, "h1") if not isinstance(seed, np.random.Generator) else seed
     eps = _draw_block(ModelKind.H1_SIGN, None, 0, rows, n, p, [rng])[0]
-    if c1 is None:
+    c1 = spec.radial_c1 if spec.radial is RadialKind.CUSTOM else 1.0  # only custom reads it
+    if spec.radial is RadialKind.CHI_P:
+        c1 = chi_radial_c1(p)
+    elif c1 is None:
         est = spec._radii(rng.spawn(1)[0], 200_000)
         if not est.all():
             raise UndefinedMomentError("radial_c1 is undefined: the radial law has a zero radius")
         c1 = float(est.mean() * (1.0 / est).mean())
 
     tr_s0 = float(np.trace(Sigma0))
-    meta = H1Metadata(
+    return SeriesMatrix(eps), H1Metadata(
         c1=c1,
         omega=math.sqrt(tr_s0 / p),
         tr_s0=tr_s0,
@@ -561,4 +557,3 @@ def gen_h1_model(spec: H1Spec, n: int, p: int, seed) -> tuple[SeriesMatrix, H1Me
         tr_s0sq=float((Sigma0 * Sigma0).sum()),
         sigma1_scale=tau,
     )
-    return SeriesMatrix(eps), meta

@@ -18,7 +18,7 @@ class InvalidLagError(HdwnError, ValueError):
 
 
 class DegenerateDataError(HdwnError, ValueError):
-    """The data admit no standardization (zero variance or zero trace estimate)."""
+    """The data admit no standardization: zero variance, a zero trace estimate, or overflow."""
 
 
 class NotPositiveDefiniteError(HdwnError, ValueError):

@@ -96,7 +96,7 @@ class McConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "tests", _test_names(self.tests, InvalidSpecError))
-        h1 = self.model.h1 if self.model.kind is ModelKind.H1_SIGN else None
+        h1 = self.model.h1  # None unless the model is h1
         for name, low in (("n", 4), ("p", 2 if h1 else 1), ("reps", 1), ("master_seed", 0)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, low,
                                                     InvalidSpecError))

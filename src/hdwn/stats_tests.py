@@ -87,10 +87,10 @@ def flm_statistic(eps, H) -> float:
 
 
 def _lag_products(X: np.ndarray, H: int):
-    """The lag scan of a block X (R, n, p): the (R,) mask of series whose
-    columns all vary, and an iterator over lags h = 1..H of the (R, p, p)
-    products sum_t z[t]' z[t-h] of the centered columns z scaled by their
-    standard deviation (denominator n), a zero-variance column left centered.
+    """The lag scan of a block X (R, n, p): per series, None or the error of a
+    column whose standard deviation (denominator n) is zero or overflows, and
+    an iterator over lags h = 1..H of the (R, p, p) products sum_t z[t]' z[t-h]
+    of the centered columns z scaled by that deviation, a zero one left centered.
 
     The squares go into the scaled copy, which is centered again: no third
     array. Each lag's product is made into one reused buffer: use it first.
@@ -98,13 +98,16 @@ def _lag_products(X: np.ndarray, H: int):
     mean = X.mean(axis=-2, keepdims=True)
     Z = np.subtract(X, mean)
     sd = np.sqrt(np.multiply(Z, Z, out=Z).mean(axis=-2, keepdims=True))
-    varies = sd > 0.0
-    np.divide(np.subtract(X, mean, out=Z), sd, out=Z, where=varies)
+    np.divide(np.subtract(X, mean, out=Z), sd, out=Z, where=sd > 0.0)
     R, n, p = Z.shape
     buf = np.empty((R, p, p))
     products = (np.matmul(Z[:, h:].transpose(0, 2, 1), Z[:, : n - h], out=buf)
                 for h in range(1, H + 1))
-    return varies.all(axis=(1, 2)), products
+    overflow = DegenerateDataError("column squares overflow; correlations undefined")
+    constant = DegenerateDataError("zero-variance column; correlations undefined")
+    low, high = sd.min(axis=(1, 2)).tolist(), sd.max(axis=(1, 2)).tolist()  # nan stays nan
+    return [overflow if not b < math.inf else constant if not a > 0.0 else None
+            for a, b in zip(low, high)], products
 
 
 def cross_correlations(eps, H) -> np.ndarray:
@@ -117,9 +120,9 @@ def cross_correlations(eps, H) -> np.ndarray:
     """
     X = _series(eps)
     (n, p), H = X.shape, as_lag(H).check_against(len(X))
-    varies, products = _lag_products(X[None], H)
-    if not varies[0]:
-        raise DegenerateDataError("zero-variance column; correlations undefined")
+    (fault,), products = _lag_products(X[None], H)
+    if fault:
+        raise fault
     out = np.empty((H, p, p))
     for h, buf in enumerate(products):
         np.divide(buf[0], n, out=out[h])
@@ -157,9 +160,9 @@ def _sum_results(rows: np.ndarray, H_list, clip: float):
     entries: list[_Entry] = []
     for row, trace in pairs:
         trace = min(trace, clip)
-        if trace <= 0.0:
-            entries.append([DegenerateDataError(
-                f"pairwise {what} products all vanish; sigma estimate is zero")] * len(H_list))
+        if not 0.0 < trace < math.inf:  # inf once the raw Gram's squares overflow
+            cause = "all vanish; sigma estimate is zero" if trace <= 0.0 else "overflow"
+            entries.append([DegenerateDataError(f"pairwise {what} products {cause}")] * len(H_list))
             continue
         sigmas = [math.sqrt(H / 2.0) * trace for H in H_list]
         stds = [row[H - 1] / sigma for H, sigma in zip(H_list, sigmas)]
@@ -188,7 +191,7 @@ def _max_results(X: np.ndarray, H_list) -> list[_Entry]:
     # per-lag maxima of |cross_correlations|, each lag reduced before the next
     # is made; division by n is monotone and correctly rounded, so dividing
     # the maxima gives the bits of dividing every entry
-    varies, products = _lag_products(X, max(H_list))
+    faults, products = _lag_products(X, max(H_list))
     maxima = np.empty((R, max(H_list)))
     for h, buf in enumerate(products):
         np.maximum(buf.max(axis=(1, 2)), -buf.min(axis=(1, 2)), out=maxima[:, h])
@@ -198,11 +201,10 @@ def _max_results(X: np.ndarray, H_list) -> list[_Entry]:
     logs = [math.log(N) if fit else math.nan for N, fit in zip(n_comp, calibrated)]
     gumbel = n * stat * stat - [2.0 * L for L in logs] + [math.log(L) for L in logs]
     refused = InvalidInputError("extreme-value calibration needs H * p * p >= 3")
-    degenerate = DegenerateDataError("zero-variance column; correlations undefined")
     rows = zip(stat.tolist(), gumbel.tolist(), _gumbel_upper_tail(gumbel).tolist())
-    return [[(s, g, pval, {"n_comparisons": float(N)}) if fit and ok else degenerate if fit
-             else refused for s, g, pval, N, fit in zip(*row, n_comp, calibrated)]
-            for row, ok in zip(rows, varies.tolist())]
+    return [[(fault or (s, g, pval, {"n_comparisons": float(N)})) if fit else refused
+             for s, g, pval, N, fit in zip(*row, n_comp, calibrated)]
+            for row, fault in zip(rows, faults)]
 
 
 def _fc_entry(mx: _Entry, fl: _Entry) -> _Entry:

@@ -108,6 +108,14 @@ class TestReadCsv:
         assert parsed.header is None
         assert parsed.series.n == 3
 
+    def test_blank_lines_between_rows_are_skipped(self, tmp_path):
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        plain.write_text("a,b\n1,2\n3,4\n5,6\n")
+        spaced.write_text("a,b\n1,2\n\n3,4\n , \n5,6\n")
+        read = read_series_csv(spaced)
+        assert read.header == read_series_csv(plain).header == ("a", "b")
+        assert read.series.data.tobytes() == read_series_csv(plain).series.data.tobytes()
+
     def test_ragged_row_reports_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("1,2\n3,4\n5\n")

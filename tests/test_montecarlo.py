@@ -253,6 +253,22 @@ class TestRunExperiment:
             assert cell.errors == 1
             assert cell.reps == 199
 
+    def test_cell_not_run_is_a_key_error(self):
+        report = run_experiment(null_config(reps=2))
+        assert report.cell("ss", 1).reps == 2
+        with pytest.raises(KeyError):
+            report.cell("ss", 99)
+
+    def test_overflowing_raw_squares_fail_the_run(self):
+        # VMA(1) rows near 1e150: the raw Gram's squares overflow, so flm and fc
+        # err in every replication, where they were read as "no reject"
+        cfg = null_config(tests=("ss", "flm", "fc"), cov=CovarianceSpec("identity", 4), p=4,
+                          model=ModelSpec("vma1", coeff=1e150 * np.eye(4)), reps=20)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                McRunError, match="flm@H=1: 20 errors, 20 of them DegenerateDataError: "
+                                  "pairwise inner products overflow; fc@H=1: 20 errors"):
+            run_experiment(cfg)
+
     def test_config_validation(self):
         with pytest.raises(InvalidSpecError):
             null_config(reps=0)

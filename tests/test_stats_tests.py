@@ -484,6 +484,56 @@ class TestEvaluator:
         assert list(errors) == [("max", 2), ("max", 1), ("ss", 2), ("ss", 1)]
 
 
+class TestRawScaleOverflow:
+    """flm, fc and max square the raw data: squares past the largest float are
+    refused, where they gave p-values outside [0, 1] or a max p-value of 1."""
+
+    X = np.random.default_rng(0).standard_normal((60, 5))
+
+    @pytest.fixture(autouse=True)
+    def _quiet_overflow(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+
+    @pytest.mark.parametrize("test", (flm_test, fc_test))
+    def test_sum_tests_refuse_a_trace_that_overflows(self, test):
+        assert test(1e75 * self.X, 2).p_value == pytest.approx(test(self.X, 2).p_value, rel=1e-12)
+        with pytest.raises(DegenerateDataError, match="pairwise inner products overflow"):
+            test(1e77 * self.X, 2)
+
+    def test_max_refuses_a_column_scale_that_overflows(self):
+        assert max_test(1e150 * self.X, 2).p_value == pytest.approx(max_test(self.X, 2).p_value)
+        with pytest.raises(DegenerateDataError, match="column squares overflow"):
+            max_test(1e155 * self.X, 2)
+        with pytest.raises(DegenerateDataError, match="column squares overflow"):
+            fc_test(1e155 * self.X, 2)
+
+    def test_cross_correlations_refuse_a_column_scale_that_overflows(self):
+        with pytest.raises(DegenerateDataError, match="column squares overflow"):
+            cross_correlations(1e155 * self.X, 2)
+        # a column whose sum overflows has no finite mean either
+        X = np.column_stack([np.tile([1e308, 1e308, -1e308, -1e308], 5), np.arange(20.0)])
+        with pytest.raises(DegenerateDataError, match="column squares overflow"):
+            cross_correlations(X, 1)
+
+    @pytest.mark.parametrize("scale, failed", [(1e77, {"flm", "fc"}),
+                                               (1e155, {"flm", "fc", "max"})])
+    def test_the_evaluator_files_each_overflow_under_errors(self, scale, failed):
+        outcomes, errors = evaluate_tests_collect(scale * self.X, TEST_NAMES, (1, 2))
+        assert set(errors) == {(name, H) for name in failed for H in (1, 2)}
+        assert set(outcomes) == {(name, H) for name in TEST_NAMES for H in (1, 2)} - set(errors)
+        assert all(type(e) is DegenerateDataError and "overflow" in str(e)
+                   for e in errors.values())
+
+    def test_sign_tests_keep_their_bits_at_a_power_of_two_scale(self):
+        base, _ = evaluate_tests_collect(self.X, TEST_NAMES, (1, 2))
+        scaled, errors = evaluate_tests_collect(2.0**500 * self.X, TEST_NAMES, (1, 2))
+        assert set(errors) == {(name, H) for name in ("flm", "fc") for H in (1, 2)}
+        for key in scaled:
+            assert _outcomes_equal(scaled[key], base[key]), key
+        assert {name for name, _ in scaled} == {"ss", "pv", "max"}
+
+
 def _hex(values):
     return [float(v).hex() for v in values]
 

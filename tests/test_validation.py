@@ -332,6 +332,13 @@ def test_every_model_is_drawn_by_one_loop():
     assert _owners("_fill") == []
 
 
+def test_h1_settings_are_read_in_one_place():
+    # c1 is computed where it is reported; the row sampler keeps no unreachable check
+    assert _owners("chi_radial_c1(", "dgp.py") == ["dgp.gen_h1_model"]
+    assert _owners("degenerate sphere draw", "dgp.py") == []
+    assert _owners("ZERO_NORM_THRESHOLD", "dgp.py") == []
+
+
 def test_thread_count_has_one_channel_per_surface():
     # --threads reaches McConfig.threads; no config key or environment variable does
     assert _owners("HDWN_THREADS") == []
@@ -428,6 +435,8 @@ REFUSALS = {
     "CoeffSpec.dense-block": (lambda _: CoeffSpec("dense", 5, m=3, low=9, high=10),
                               InvalidSpecError, "dense regime takes no m, low or high"),
     "ModelSpec.h1": (lambda _: ModelSpec("h1"), InvalidSpecError, "H1Spec"),
+    "ModelSpec.h1-on-iid": (lambda _: ModelSpec("iid", h1=H1Spec(CovarianceSpec("identity", 3))),
+                            InvalidSpecError, "H1Spec"),
     "ModelSpec.coeff-missing": (lambda _: ModelSpec("var1"), InvalidSpecError,
                                 "coefficient matrix"),
     "ModelSpec.coeff-not-square": (lambda _: ModelSpec("var1", coeff=np.zeros((2, 3))),
@@ -468,6 +477,9 @@ REFUSALS = {
                                        InvalidSpecError, "radial_sampler"),
     "H1Spec.radial_sampler-complex": (lambda _: _sampler_rows(lambda rng, k: np.ones(k) + 0j),
                                       InvalidSpecError, "radial_sampler"),
+    "gen_h1_model.sigma0-size": (lambda _: gen_h1_model(H1Spec(CovarianceSpec("identity", 5)),
+                                                        20, 4, 0),
+                                 InvalidSpecError, "sigma0 is (5, 5), expected (4, 4)"),
     "gen_h1_model.c1-estimate-nan": (lambda _: _c1_estimate(
         lambda rng, k: np.ones(k) if k < 100 else np.full(k, np.nan)),
         InvalidSpecError, "radial_sampler"),
@@ -478,6 +490,13 @@ REFUSALS = {
     "chi_radial_c1.dof": (lambda _: chi_radial_c1(1.0), UndefinedMomentError,
                           "degree of freedom"),
     "PowerInput.tr_s0sq": (lambda _: PowerInput(10, 1.0, 0.0), InvalidInputError, "tr_s0sq"),
+    # an int too large for a float is not finite, and raises no bare OverflowError
+    "PowerInput.tr_s0s1-huge-int": (lambda _: PowerInput(10, 10**400, 1.0), InvalidInputError,
+                                    "tr_s0s1 must be a finite real number"),
+    "ScenarioSpec.df-huge-int": (lambda _: ScenarioSpec("t", df=10**400), InvalidSpecError,
+                                 "df must be a finite real number"),
+    "McConfig.alpha-huge-int": (lambda _: _config(alpha=10**400), InvalidSpecError,
+                                "alpha must be a finite real number"),
     "PowerInput.c1": (lambda _: PowerInput(10, 1.0, 1.0, c1=0.5), InvalidInputError, "c1"),
     "PowerInput.moment_ratio": (lambda _: PowerInput(10, 1.0, 1.0, moment_ratio=1.5),
                                 InvalidInputError, "moment_ratio"),
