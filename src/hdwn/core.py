@@ -19,6 +19,7 @@ import numpy as np
 
 from ._blas import _single_threaded_blas
 from .errors import (
+    DegenerateDataError,
     InsufficientSampleError,
     InvalidInputError,
     InvalidLagError,
@@ -109,7 +110,7 @@ class SignMatrix(SeriesMatrix):
 
     def __post_init__(self):
         super().__post_init__()
-        norms = np.sqrt((self.data * self.data).sum(axis=1))
+        norms = np.sqrt(np.einsum("ij,ij->i", self.data, self.data))  # inf is refused, unwarned
         if not bool(((np.abs(norms - 1.0) <= _SIGN_NORM_TOL) | (norms == 0.0)).all()):
             raise InvalidInputError("sign rows must have norm 1 or be exactly zero")
 
@@ -272,7 +273,7 @@ def _straddling(n: int, h: int) -> np.ndarray:
 def _pair_sums(x: np.ndarray, H: int) -> tuple[list[float], float]:
     """The pair kernel of one series x (n, k), from its packed Gram triangle:
     the cumulative lag pair sums over lags 1..H, and the trace mean, 2/(n(n-1))
-    times the triangle's sum of squares.
+    times the triangle's sum of squares; DegenerateDataError, not a warning, if it overflows.
 
     Lag h adds 1/(n-h) times the sum over pairs s < t (both past lag h) of
     G[s-h, t-h] * G[s, t]: in the packed layout, v[:-h] * v[h:] with the
@@ -280,19 +281,21 @@ def _pair_sums(x: np.ndarray, H: int) -> tuple[list[float], float]:
     buffer of the triangle's m = n(n-1)/2 slots and sums its leading m-h
     products contiguously. The accumulation is sequential, so a smaller
     window's statistic is an exact prefix of the same accumulation. The
-    trace is one einsum: a BLAS dot would split the sum by the BLAS thread
-    count. The 'clip' take skips a bounds check the index never needs.
+    trace is one einsum, as a BLAS dot splits by thread count, and comes
+    first: once finite, no pair product overflows. 'clip' skips a bounds check.
     """
     n = len(x)
-    with _single_threaded_blas():  # the n x n Gram stays unnamed: freed by the take
-        v = np.matmul(x, x.T).take(_packed_index(n).base, mode="clip")
+    with _single_threaded_blas(), np.errstate(over="ignore", invalid="ignore"):
+        v = np.matmul(x, x.T).take(_packed_index(n).base, mode="clip")  # the Gram freed by take
+        trace = 2.0 * float(np.einsum("i,i->", v, v)) / (n * (n - 1))
+    if not trace < math.inf:  # nan too, from an inf Gram entry
+        raise DegenerateDataError("pairwise inner products overflow")
     buf = np.empty(len(v))
     terms = []
     for h in range(1, H + 1):
         np.multiply(v[:-h], v[h:], out=buf[:-h])
         buf[_straddling(n, h)] = 0.0
         terms.append(float(np.add.reduce(buf[:-h])) / (n - h))
-    trace = 2.0 * float(np.einsum("i,i->", v, v)) / (n * (n - 1))
     return list(itertools.accumulate(terms)), trace
 
 
@@ -308,7 +311,7 @@ def trace_omega2_hat(signs) -> float:
 
 
 def trace_sigma2_hat(eps) -> float:
-    """Estimate tr(Sigma^2) from raw rows: mean squared inner product over pairs."""
+    """Mean squared inner product of raw row pairs, estimating tr(Sigma^2); refuses overflow."""
     return _pair_sums(_series(eps), 0)[1]
 
 

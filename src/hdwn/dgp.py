@@ -58,8 +58,8 @@ __all__ = [
 def derive_rng(master_seed: int, *path) -> np.random.Generator:
     """Independent generator keyed by (master_seed, path).
 
-    Path parts may be short strings (hashed with crc32) or nonnegative ints
-    below 2**32, e.g. derive_rng(seed, "rep", 17). Identical inputs always
+    Path parts may be short strings (hashed with crc32) or nonnegative ints, not
+    bools, below 2**32, e.g. derive_rng(seed, "rep", 17). Identical inputs always
     produce the identical stream, on any platform.
     """
     return np.random.default_rng(_seed_sequence(master_seed, path))
@@ -75,13 +75,11 @@ def _seed_sequence(master_seed, path) -> np.random.SeedSequence:
     key = []
     for part in path:
         if isinstance(part, str):
-            key.append(zlib.crc32(part.encode("utf-8")))
-        elif isinstance(part, (int, np.integer)) and 0 <= int(part) < 2**32:
-            key.append(int(part))
-        else:
-            raise InvalidInputError(
-                f"stream path parts must be strings or uint32 ints, got {part!r}"
-            )
+            part = zlib.crc32(part.encode("utf-8"))
+        elif type(part) is bool or not isinstance(part, (int, np.integer)) or not 0 <= part < 2**32:
+            raise InvalidInputError(f"stream path parts must be strings or uint32 ints, "
+                                    f"got {part!r}")
+        key.append(int(part))
     return np.random.SeedSequence(entropy=entropy, spawn_key=tuple(key))
 
 
@@ -287,9 +285,8 @@ DEFAULT_BURN_IN = {
 class ModelSpec:
     """Temporal model plus its coefficient matrix (spec or explicit array).
 
-    Only var1, vma1 and varma1 take coefficients, and they need them; iid
-    and h1 refuse them. An explicit var1 or varma1 matrix must be stationary.
-    h1 needs an H1Spec, and no other model takes one.
+    var1, vma1 and varma1 need a coefficient matrix, which no other model takes; an explicit
+    var1 or varma1 one must be stationary. Only h1 takes an H1Spec, needs it, and has no burn_in.
     """
 
     kind: ModelKind
@@ -299,28 +296,26 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _member(ModelKind, self.kind))
-        if self.burn_in is not None:  # vma1 needs a step to seed its lagged innovation
-            low = 1 if self.kind is ModelKind.VMA1 else 0
+        if self.burn_in is not None:
+            if self.kind is ModelKind.H1_SIGN:
+                raise InvalidSpecError("h1 model takes no burn_in")
+            low = 1 if self.kind is ModelKind.VMA1 else 0  # a step seeds vma1's lagged innovation
             object.__setattr__(self, "burn_in", _integer(self.burn_in, "burn_in", low,
                                                          InvalidSpecError))
         if (self.h1 is None) is (self.kind is ModelKind.H1_SIGN):
             raise InvalidSpecError("h1 model needs an H1Spec, which no other model takes")
-        if self.kind in (ModelKind.IID, ModelKind.H1_SIGN):
-            if self.coeff is not None:
-                raise InvalidSpecError(f"{self.kind.value} model takes no coefficient matrix")
-        else:
-            if self.coeff is None:
-                raise InvalidSpecError(f"{self.kind.value} model needs a coefficient matrix")
-            if not isinstance(self.coeff, CoeffSpec):
-                arr = _floats(self.coeff, "coefficient matrix", InvalidSpecError)
-                if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                    raise InvalidSpecError("explicit coefficient matrix must be square")
-                if self.kind is ModelKind.VAR1 and _spectral_radius(arr) >= 1.0:
-                    raise ExplosiveModelError("VAR(1) coefficient matrix has spectral radius >= 1")
-                if self.kind is ModelKind.VARMA1 and _spectral_radius(0.5 * arr) >= 1.0:
-                    raise ExplosiveModelError(
-                        "VARMA(1) autoregressive part has spectral radius >= 1")
-                object.__setattr__(self, "coeff", arr)
+        if (self.coeff is None) is (self.kind not in (ModelKind.IID, ModelKind.H1_SIGN)):
+            need = "needs a" if self.coeff is None else "takes no"
+            raise InvalidSpecError(f"{self.kind.value} model {need} coefficient matrix")
+        if self.coeff is not None and not isinstance(self.coeff, CoeffSpec):
+            arr = _floats(self.coeff, "coefficient matrix", InvalidSpecError)
+            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+                raise InvalidSpecError("explicit coefficient matrix must be square")
+            if self.kind is ModelKind.VAR1 and _spectral_radius(arr) >= 1.0:
+                raise ExplosiveModelError("VAR(1) coefficient matrix has spectral radius >= 1")
+            if self.kind is ModelKind.VARMA1 and _spectral_radius(0.5 * arr) >= 1.0:
+                raise ExplosiveModelError("VARMA(1) autoregressive part has spectral radius >= 1")
+            object.__setattr__(self, "coeff", arr)
 
     def effective_burn_in(self) -> int:
         return DEFAULT_BURN_IN[self.kind] if self.burn_in is None else self.burn_in
@@ -450,8 +445,8 @@ class H1Spec:
     A1'A1 proportional to the identity while leaving tr(A0'A1) = 0 for
     identity sigma0; aligning A1 with A0 instead would add a lag-one mean
     term of the same order as the target signal. The radial law r_t is chi
-    with p degrees of freedom, a constant 1, or a custom sampler (which then
-    needs radial_c1 unless a numeric estimate is acceptable).
+    with p degrees of freedom, a constant 1, or custom. Only custom takes a
+    radial_sampler, which it needs, and a radial_c1, else estimated.
     """
 
     sigma0: "CovarianceSpec | np.ndarray"
@@ -468,8 +463,10 @@ class H1Spec:
                 raise InvalidSpecError("explicit sigma0 must be square")
             _cholesky(arr)  # refuses a matrix that is not positive definite
             object.__setattr__(self, "sigma0", arr)
-        if self.radial is RadialKind.CUSTOM and self.radial_sampler is None:
-            raise InvalidSpecError("custom radial law needs a radial_sampler")
+        if (self.radial_sampler is None) is (self.radial is RadialKind.CUSTOM):
+            raise InvalidSpecError("custom radial law needs a radial_sampler, which no other takes")
+        if self.radial_c1 is not None and self.radial is not RadialKind.CUSTOM:
+            raise InvalidSpecError(f"{self.radial.value} radial law takes no radial_c1")
         for name, low in (("sigma1_scale", 0.0), ("radial_c1", 1.0)):
             value = getattr(self, name)
             if value is not None:
@@ -539,7 +536,7 @@ def gen_h1_model(spec: H1Spec, n: int, p: int, seed) -> tuple[SeriesMatrix, H1Me
     Sigma0, tau, rows = _h1_setup(spec, n, p)
     rng = derive_rng(seed, "h1") if not isinstance(seed, np.random.Generator) else seed
     eps = _draw_block(ModelKind.H1_SIGN, None, 0, rows, n, p, [rng])[0]
-    c1 = spec.radial_c1 if spec.radial is RadialKind.CUSTOM else 1.0  # only custom reads it
+    c1 = 1.0 if spec.radial is RadialKind.CONSTANT else spec.radial_c1
     if spec.radial is RadialKind.CHI_P:
         c1 = chi_radial_c1(p)
     elif c1 is None:
@@ -547,13 +544,7 @@ def gen_h1_model(spec: H1Spec, n: int, p: int, seed) -> tuple[SeriesMatrix, H1Me
         if not est.all():
             raise UndefinedMomentError("radial_c1 is undefined: the radial law has a zero radius")
         c1 = float(est.mean() * (1.0 / est).mean())
-
     tr_s0 = float(np.trace(Sigma0))
     return SeriesMatrix(eps), H1Metadata(
-        c1=c1,
-        omega=math.sqrt(tr_s0 / p),
-        tr_s0=tr_s0,
-        tr_s0s1=tau * tau * tr_s0,
-        tr_s0sq=float((Sigma0 * Sigma0).sum()),
-        sigma1_scale=tau,
-    )
+        c1=c1, omega=math.sqrt(tr_s0 / p), tr_s0=tr_s0, tr_s0s1=tau * tau * tr_s0,
+        tr_s0sq=float((Sigma0 * Sigma0).sum()), sigma1_scale=tau)

@@ -81,7 +81,7 @@ def ss_statistic(signs, H) -> float:
 
 
 def flm_statistic(eps, H) -> float:
-    """Same lag-aligned pair sum as ss_statistic, on raw rows instead of signs."""
+    """ss_statistic's pair sum on raw rows; squares that overflow raise DegenerateDataError."""
     X = _series(eps)
     return _pair_sums(X, as_lag(H).check_against(len(X)))[0][-1]
 
@@ -95,10 +95,11 @@ def _lag_products(X: np.ndarray, H: int):
     The squares go into the scaled copy, which is centered again: no third
     array. Each lag's product is made into one reused buffer: use it first.
     """
-    mean = X.mean(axis=-2, keepdims=True)
-    Z = np.subtract(X, mean)
-    sd = np.sqrt(np.multiply(Z, Z, out=Z).mean(axis=-2, keepdims=True))
-    np.divide(np.subtract(X, mean, out=Z), sd, out=Z, where=sd > 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is returned, not warned
+        mean = X.mean(axis=-2, keepdims=True)
+        Z = np.subtract(X, mean)
+        sd = np.sqrt(np.multiply(Z, Z, out=Z).mean(axis=-2, keepdims=True))
+        np.divide(np.subtract(X, mean, out=Z), sd, out=Z, where=sd > 0.0)
     R, n, p = Z.shape
     buf = np.empty((R, p, p))
     products = (np.matmul(Z[:, h:].transpose(0, 2, 1), Z[:, : n - h], out=buf)
@@ -153,22 +154,27 @@ _Entry = list[HdwnError | tuple[float, float, float, dict[str, float]]]
 
 
 def _sum_results(rows: np.ndarray, H_list, clip: float):
-    """ss (sign rows, trace clipped at 1) or flm entries of a block, and the partials:
-    each window's partial sum over sqrt(H/2) times the trace, to the normal tail."""
-    pairs = [_pair_sums(x, max(H_list)) for x in rows]
+    """ss (signs, trace at most 1) or flm entries of a block, and its partials, None if refused."""
     what, key = ("sign", "trace_omega2_hat") if clip == 1.0 else ("inner", "trace_sigma2_hat")
+    vanish = DegenerateDataError(f"pairwise {what} products all vanish; sigma estimate is zero")
     entries: list[_Entry] = []
-    for row, trace in pairs:
-        trace = min(trace, clip)
-        if not 0.0 < trace < math.inf:  # inf once the raw Gram's squares overflow
-            cause = "all vanish; sigma estimate is zero" if trace <= 0.0 else "overflow"
-            entries.append([DegenerateDataError(f"pairwise {what} products {cause}")] * len(H_list))
+    partials = []
+    for x in rows:
+        try:
+            row, trace = _pair_sums(x, max(H_list))
+            trace = min(trace, clip)
+            fault = None if trace > 0.0 else vanish
+        except DegenerateDataError as overflow:
+            row, fault = None, overflow
+        partials.append(row)
+        if fault:
+            entries.append([fault] * len(H_list))
             continue
         sigmas = [math.sqrt(H / 2.0) * trace for H in H_list]
         stds = [row[H - 1] / sigma for H, sigma in zip(H_list, sigmas)]
         entries.append([(row[H - 1], z, normal_upper_tail(z), {key: trace, "sigma_hat": sigma})
                         for H, sigma, z in zip(H_list, sigmas, stds)])
-    return entries, [row for row, _ in pairs]
+    return entries, partials
 
 
 def _pv_results(partials: list[list[float]], p: int, H_list) -> list[_Entry]:

@@ -462,7 +462,7 @@ class TestRoundTrip:
         pytest.param(H1Spec(CovarianceSpec("polydecay", 4)), id="chi_p"),
         pytest.param(H1Spec(CovarianceSpec("identity", 4), sigma1_scale=0.4, radial="constant"),
                      id="constant"),
-        pytest.param(H1Spec(np.diag([1.0, 2.0, 0.5, 1.5]), radial_c1=1.1), id="sigma0-matrix"),
+        pytest.param(H1Spec(np.diag([1.0, 2.0, 0.5, 1.5])), id="sigma0-matrix"),
     ])
     def test_h1_report_round_trip(self, h1):
         report = run_experiment(self._h1_config(h1))

@@ -255,7 +255,8 @@ class TestGenSeries:
         for cov_kind in ("identity", "polydecay"):
             cov = build_covariance(CovarianceSpec(cov_kind, p))
             for burn in (None, 0, 1, 7):
-                if kind is ModelKind.VMA1 and burn == 0:
+                # vma1 needs a step of burn-in, and h1 takes none
+                if (kind is ModelKind.VMA1 and burn == 0) or (h1 and burn is not None):
                     continue
                 model = ModelSpec(kind, coeff=coeff, burn_in=burn, h1=h1)
                 for scenario in (ScenarioSpec.normal(), ScenarioSpec.student_t(3),

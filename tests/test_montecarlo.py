@@ -264,9 +264,8 @@ class TestRunExperiment:
         # err in every replication, where they were read as "no reject"
         cfg = null_config(tests=("ss", "flm", "fc"), cov=CovarianceSpec("identity", 4), p=4,
                           model=ModelSpec("vma1", coeff=1e150 * np.eye(4)), reps=20)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                McRunError, match="flm@H=1: 20 errors, 20 of them DegenerateDataError: "
-                                  "pairwise inner products overflow; fc@H=1: 20 errors"):
+        with pytest.raises(McRunError, match="flm@H=1: 20 errors, 20 of them DegenerateDataError: "
+                                             "pairwise inner products overflow; fc@H=1: 20 errors"):
             run_experiment(cfg)
 
     def test_config_validation(self):
@@ -289,7 +288,7 @@ class TestRunExperiment:
         pytest.param(dict(model=ModelSpec("h1", h1=H1Spec(CovarianceSpec("identity", 10))),
                           cov=CovarianceSpec("identity", 8), p=8),
                      "sigma0 is for p=10, expected 8", id="sigma0-spec"),
-        pytest.param(dict(model=ModelSpec("h1", h1=H1Spec(np.eye(10), radial_c1=1.0)),
+        pytest.param(dict(model=ModelSpec("h1", h1=H1Spec(np.eye(10))),
                           cov=CovarianceSpec("identity", 8), p=8),
                      "sigma0 is for p=10, expected 8", id="sigma0-matrix"),
         pytest.param(dict(model=ModelSpec("h1", h1=H1Spec(CovarianceSpec("identity", 1))),

@@ -1,6 +1,7 @@
 """The five tests: exact kernels, calibration conventions, and invariances."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from scipy.stats import kstest
 from hdwn import (
     TEST_NAMES,
     DegenerateDataError,
+    HdwnError,
     InvalidInputError,
     InvalidLagError,
     SeriesMatrix,
+    SignMatrix,
     cross_correlations,
     derive_rng,
     evaluate_tests,
@@ -490,11 +493,6 @@ class TestRawScaleOverflow:
 
     X = np.random.default_rng(0).standard_normal((60, 5))
 
-    @pytest.fixture(autouse=True)
-    def _quiet_overflow(self):
-        with np.errstate(over="ignore", invalid="ignore"):
-            yield
-
     @pytest.mark.parametrize("test", (flm_test, fc_test))
     def test_sum_tests_refuse_a_trace_that_overflows(self, test):
         assert test(1e75 * self.X, 2).p_value == pytest.approx(test(self.X, 2).p_value, rel=1e-12)
@@ -524,6 +522,39 @@ class TestRawScaleOverflow:
         assert set(outcomes) == {(name, H) for name in TEST_NAMES for H in (1, 2)} - set(errors)
         assert all(type(e) is DegenerateDataError and "overflow" in str(e)
                    for e in errors.values())
+
+    def test_raw_estimators_refuse_squares_that_overflow(self):
+        assert trace_sigma2_hat(1e75 * self.X) == pytest.approx(
+            1e300 * trace_sigma2_hat(self.X), rel=1e-12)
+        assert flm_statistic(1e75 * self.X, 2) == pytest.approx(
+            1e300 * flm_statistic(self.X, 2), rel=1e-12)
+        for scale in (1e77, 1e155, 1e160):
+            with pytest.raises(DegenerateDataError, match="pairwise inner products overflow"):
+                trace_sigma2_hat(scale * self.X)
+            with pytest.raises(DegenerateDataError, match="pairwise inner products overflow"):
+                flm_statistic(scale * self.X, 2)
+
+    # every public call that takes a series or signs, at H = 2 where it takes a window
+    PUBLIC_CALLS = {
+        **{test.__name__: lambda x, test=test: test(x, 2)
+           for test in (ss_test, flm_test, pv_test, max_test, fc_test, cross_correlations,
+                        flm_statistic, ss_statistic)},
+        **{call.__name__: call for call in (trace_sigma2_hat, trace_omega2_hat, sign_transform,
+                                            SeriesMatrix, SignMatrix)},
+        "spatial_sign": lambda x: spatial_sign(x[0]),
+        "evaluate_tests_collect": lambda x: evaluate_tests_collect(x, TEST_NAMES, (1, 2)),
+    }
+
+    @pytest.mark.parametrize("scale", (1e77, 1e155, 1e160))
+    @pytest.mark.parametrize("name", PUBLIC_CALLS)
+    def test_overflow_is_signalled_by_a_typed_error_alone(self, name, scale):
+        # a call returns or raises an HdwnError; any RuntimeWarning fails it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                self.PUBLIC_CALLS[name](scale * self.X)
+            except HdwnError:
+                pass
 
     def test_sign_tests_keep_their_bits_at_a_power_of_two_scale(self):
         base, _ = evaluate_tests_collect(self.X, TEST_NAMES, (1, 2))

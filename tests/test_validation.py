@@ -33,9 +33,11 @@ from hdwn import (
     InvalidSpecError,
     McConfig,
     MixtureNormal,
+    ModelKind,
     ModelSpec,
     Normal,
     PowerInput,
+    RadialKind,
     ScenarioSpec,
     SeriesMatrix,
     StudentT,
@@ -45,7 +47,9 @@ from hdwn import (
     chi_radial_c1,
     cross_correlations,
     derive_rng,
+    derive_seed,
     evaluate_tests_collect,
+    flm_statistic,
     gen_h1_model,
     gen_innovations,
     gen_series,
@@ -55,6 +59,7 @@ from hdwn import (
     spatial_sign,
     ss_statistic,
     ss_test,
+    trace_sigma2_hat,
 )
 from hdwn.cli import (
     _build_parser,
@@ -68,6 +73,9 @@ from hdwn.cli import (
 SRC = Path(__file__).resolve().parents[1] / "src" / "hdwn"
 
 SERIES = np.random.default_rng(0).standard_normal((12, 3))
+
+# seed-0 normals whose squared inner products overflow a float
+HUGE = 1e77 * np.random.default_rng(0).standard_normal((60, 5))
 
 
 def _config(**fields):
@@ -126,7 +134,7 @@ REALS = {
     "CoeffSpec.high": (lambda v: CoeffSpec("explicit", 3, m=2, low=0.0, high=v), False),
     "H1Spec.sigma1_scale": (lambda v: H1Spec(CovarianceSpec("identity", 3), sigma1_scale=v),
                             True),
-    "H1Spec.radial_c1": (lambda v: H1Spec(CovarianceSpec("identity", 3), radial_c1=v), True),
+    "H1Spec.radial_c1": (lambda v: _h1_spec("custom", radial_c1=v), True),
     "StudentT.v": (StudentT, False),
     "MixtureNormal.sigma": (lambda v: MixtureNormal(0.5, v), False),
     "PowerInput.tr_s0s1": (lambda v: PowerInput(10, v, 1.0), False),
@@ -211,8 +219,7 @@ STORED_REALS = {
     "CoeffSpec.high": (lambda v: CoeffSpec("explicit", 3, m=2, low=0.0, high=v).high, 3),
     "H1Spec.sigma1_scale": (lambda v: H1Spec(CovarianceSpec("identity", 3),
                                              sigma1_scale=v).sigma1_scale, 3),
-    "H1Spec.radial_c1": (lambda v: H1Spec(CovarianceSpec("identity", 3),
-                                          radial_c1=v).radial_c1, 3),
+    "H1Spec.radial_c1": (lambda v: _h1_spec("custom", radial_c1=v).radial_c1, 3),
     "StudentT.v": (lambda v: StudentT(v).v, 3),
     "MixtureNormal.sigma": (lambda v: MixtureNormal(0.5, v).sigma, 3),
     "PowerInput.tr_s0s1": (lambda v: PowerInput(10, v, 1.0).tr_s0s1, 3),
@@ -339,6 +346,11 @@ def test_h1_settings_are_read_in_one_place():
     assert _owners("ZERO_NORM_THRESHOLD", "dgp.py") == []
 
 
+def test_pair_sum_overflow_is_refused_by_the_raw_pair_kernel_alone():
+    # flm, fc, flm_statistic and trace_sigma2_hat all meet it in core._pair_sums
+    assert _owners("inner products overflow") == ["core._pair_sums"]
+
+
 def test_thread_count_has_one_channel_per_surface():
     # --threads reaches McConfig.threads; no config key or environment variable does
     assert _owners("HDWN_THREADS") == []
@@ -413,6 +425,23 @@ def _c1_estimate(sampler):
     return gen_h1_model(h1, 6, 3, 0)[1].c1
 
 
+def _model(kind, **fields):
+    coeff = 0.3 * np.eye(3) if kind in ("var1", "vma1", "varma1") else None
+    h1 = H1Spec(CovarianceSpec("identity", 3)) if kind == "h1" else None
+    return ModelSpec(kind, coeff=coeff, h1=h1, **fields)
+
+
+def _radii(rng, k):
+    return rng.uniform(0.5, 1.5, size=k)
+
+
+def _h1_spec(radial, **fields):
+    # a custom law needs a sampler; the others take none
+    sampler = _radii if radial == "custom" else None
+    return H1Spec(CovarianceSpec("identity", 3), radial=radial,
+                  **{"radial_sampler": sampler, **fields})
+
+
 # id "<owner>.<what>": (call of tmp_path, error type, a phrase of the message naming the cause)
 REFUSALS = {
     "SeriesMatrix.one-dimensional": (lambda _: SeriesMatrix(np.ones(5)), InvalidInputError,
@@ -437,6 +466,8 @@ REFUSALS = {
     "ModelSpec.h1": (lambda _: ModelSpec("h1"), InvalidSpecError, "H1Spec"),
     "ModelSpec.h1-on-iid": (lambda _: ModelSpec("iid", h1=H1Spec(CovarianceSpec("identity", 3))),
                             InvalidSpecError, "H1Spec"),
+    "ModelSpec.burn_in-on-h1": (lambda _: _model("h1", burn_in=50), InvalidSpecError,
+                                "h1 model takes no burn_in"),
     "ModelSpec.coeff-missing": (lambda _: ModelSpec("var1"), InvalidSpecError,
                                 "coefficient matrix"),
     "ModelSpec.coeff-not-square": (lambda _: ModelSpec("var1", coeff=np.zeros((2, 3))),
@@ -465,6 +496,12 @@ REFUSALS = {
     "H1Spec.radial_sampler-missing": (lambda _: H1Spec(CovarianceSpec("identity", 3),
                                                        radial="custom"),
                                       InvalidSpecError, "radial_sampler"),
+    "H1Spec.radial_c1-on-chi_p": (lambda _: _h1_spec("chi_p", radial_c1=5.0), InvalidSpecError,
+                                  "chi_p radial law takes no radial_c1"),
+    "H1Spec.radial_c1-on-constant": (lambda _: _h1_spec("constant", radial_c1=7.0),
+                                     InvalidSpecError, "constant radial law takes no radial_c1"),
+    "H1Spec.radial_sampler-on-chi_p": (lambda _: _h1_spec("chi_p", radial_sampler=_radii),
+                                       InvalidSpecError, "radial_sampler"),
     "H1Spec.sigma1_scale-negative": (lambda _: H1Spec(CovarianceSpec("identity", 3),
                                                       sigma1_scale=-1.0),
                                      InvalidSpecError, "sigma1_scale"),
@@ -504,6 +541,12 @@ REFUSALS = {
                             "unsupported distribution"),
     "are_ss_flm.dist": (lambda _: are_ss_flm(object()), InvalidInputError,
                         "unsupported distribution"),
+    "flm_statistic.overflow": (lambda _: flm_statistic(HUGE, 2), DegenerateDataError,
+                               "pairwise inner products overflow"),
+    "trace_sigma2_hat.overflow": (lambda _: trace_sigma2_hat(HUGE), DegenerateDataError,
+                                  "pairwise inner products overflow"),
+    "derive_seed.bool-path-part": (lambda _: derive_seed(0, True), InvalidInputError,
+                                   "stream path parts must be strings or uint32 ints, got True"),
     "cross_correlations.constant-column": (
         lambda _: cross_correlations(np.column_stack([np.ones(10), np.arange(10.0)]), 1),
         DegenerateDataError, "zero-variance column"),
@@ -530,6 +573,33 @@ def test_refusal_is_typed_and_names_its_cause(case, tmp_path):
         call(tmp_path)
     assert type(info.value) is error
     assert phrase in str(info.value)
+
+
+# (kind, an optional field, a value that is not the field's default)
+OPTIONAL_FIELDS = [(kind.value, "burn_in", 7) for kind in ModelKind] + [
+    (radial.value, name, value) for radial in RadialKind
+    for name, value in (("radial_c1", 1.5), ("radial_sampler", lambda rng, k: np.full(k, 2.0)))]
+
+
+def _draws(spec):
+    """What a spec decides: a model's gen_series bytes, or an H1Spec's rows and H1Metadata."""
+    if isinstance(spec, ModelSpec):
+        return gen_series(spec, ScenarioSpec.normal(), 12, 3, 0).data.tobytes()
+    series, meta = gen_h1_model(spec, 12, 3, 0)
+    return series.data.tobytes(), meta
+
+
+@pytest.mark.parametrize("kind, name, value", OPTIONAL_FIELDS,
+                         ids=[f"{kind}-{name}" for kind, name, _ in OPTIONAL_FIELDS])
+def test_every_optional_field_is_read_or_refused(kind, name, value):
+    # a spec that takes a field must draw or report something else with it
+    build = _model if name == "burn_in" else _h1_spec
+    try:
+        spec = build(kind, **{name: value})
+    except InvalidSpecError as exc:
+        assert name in str(exc)
+        return
+    assert _draws(spec) != _draws(build(kind))
 
 
 def test_are_prints_finite_p_moments_as_text(capsys):
