@@ -12,10 +12,11 @@ keys in [DEFAULT] apply to every section. Recognized keys: tests, lags,
 alpha, reps, scenario, df, mixture_gamma, mixture_scale, model, coeff,
 burn_in, cov, n, p. The optional ones set alpha, ScenarioSpec's df, gamma
 and scale_factor, and ModelSpec's burn_in; absent or empty, they pass
-nothing, so the dataclass default holds. cov is identity unless set. The
-rest are required, but iid takes no coeff and --reps stands in for reps.
-Kind values (scenario, model, coeff, cov) are case-insensitive. Any bad
-value, and any cell McConfig refuses, exits 2 naming its section.
+nothing, so the spec's default holds. cov is identity unless set. The rest
+are required, but --reps stands in for reps and only var1, vma1 and varma1
+take coeff. A spec refuses a key its kind does not read (coeff on iid, df
+on normal), from [DEFAULT] too. Kind values (scenario, model, coeff, cov)
+are case-insensitive. A bad value or refused cell exits 2 naming its section.
 """
 
 from __future__ import annotations
@@ -266,12 +267,9 @@ def parse_experiment_configs(text: str, *, seed: int, reps_override: int | None 
             model_kind = _get(section, "model", lambda raw: ModelKind(raw.lower()))
             if model_kind is ModelKind.H1_SIGN:
                 raise ConfigError(f"[{label}] the h1 model is not configurable from files")
-            coeff = None
-            if model_kind is not ModelKind.IID:
-                regime = _get(section, "coeff", str.lower)
-                if regime not in ("dense", "sparse"):
-                    raise ConfigError(f"[{label}] coeff must be dense or sparse, got {regime!r}")
-                coeff = CoeffSpec(regime, p)
+            regime = (section.get("coeff") or "").lower()
+            if regime not in ("", "dense", "sparse"):
+                raise ConfigError(f"[{label}] coeff must be dense or sparse, got {regime!r}")
             configs.append(
                 McConfig(
                     tests=_get(section, "tests", _str_list),
@@ -280,7 +278,7 @@ def parse_experiment_configs(text: str, *, seed: int, reps_override: int | None 
                         **_optional(section, float, df="df", mixture_gamma="gamma",
                                     mixture_scale="scale_factor"),
                     ),
-                    model=ModelSpec(model_kind, coeff=coeff,
+                    model=ModelSpec(model_kind, coeff=CoeffSpec(regime, p) if regime else None,
                                     **_optional(section, int, burn_in="burn_in")),
                     cov=CovarianceSpec((section.get("cov") or "identity").lower(), p),
                     n=n,
@@ -385,22 +383,22 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+#: Each law of `are --dist`: its class and the flags it reads, in argument order.
+_ARE_LAWS = {"normal": (Normal, ()), "t": (StudentT, ("df",)),
+             "mixture": (MixtureNormal, ("gamma", "sigma"))}
+
+
 def _cmd_are(args) -> int:
-    if args.dist == "normal":
-        dist = Normal()
-    elif args.dist == "t":
-        if args.df is None:
-            raise InvalidInputError("--dist t needs --df")
-        dist = StudentT(args.df)
-    else:
-        if args.gamma is None or args.sigma is None:
-            raise InvalidInputError("--dist mixture needs --gamma and --sigma")
-        dist = MixtureNormal(args.gamma, args.sigma)
+    cls, reads = _ARE_LAWS[args.dist]
+    given = {key: getattr(args, key) for key in ("df", "gamma", "sigma")
+             if getattr(args, key) is not None}
+    if set(given) != set(reads):
+        needs = " and ".join(f"--{key}" for key in reads) or "no shape flag"
+        got = " ".join(f"--{key}" for key in given) or "none"
+        raise InvalidInputError(f"--dist {args.dist} takes {needs}, got {got}")
+    dist = cls(*(given[key] for key in reads))
     value = are_ss_flm(dist)
-    payload = {"distribution": args.dist, "are_ss_flm": value}
-    for key in ("df", "gamma", "sigma"):
-        if getattr(args, key) is not None:
-            payload[key] = getattr(args, key)
+    payload = {"distribution": args.dist, "are_ss_flm": value, **given}
     if args.p is not None:
         payload.update(p=args.p, **_encode(radial_moments(dist, args.p)))
     if args.format == "json":
@@ -439,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_are = sub.add_parser("are", help="asymptotic relative efficiency of ss vs flm")
-    p_are.add_argument("--dist", required=True, choices=("normal", "t", "mixture"))
+    p_are.add_argument("--dist", required=True, choices=tuple(_ARE_LAWS))
     p_are.add_argument("--df", type=float, default=None, help="degrees of freedom for t")
     p_are.add_argument("--gamma", type=float, default=None,
                        help="weight of the inflated mixture component, 1 - mixture_gamma")

@@ -99,28 +99,39 @@ class ScenarioKind(str, Enum):
     MIXTURE = "mixture"
 
 
+#: The shape parameters each innovation family reads, with their defaults.
+FAMILY_PARAMS = {ScenarioKind.NORMAL: {}, ScenarioKind.STUDENT_T: {"df": 3.0},
+                 ScenarioKind.MIXTURE: {"gamma": 0.8, "scale_factor": 9.0}}
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Innovation distribution: which family and its shape parameters.
 
-    df applies to the t family and must exceed 2 so covariances exist. gamma
-    is the probability of the unit-scale mixture component; scale_factor
-    multiplies the covariance of the inflated component.
+    A family takes only the parameters FAMILY_PARAMS lists for it, where None
+    means its default, and refuses the others. t takes df, above 2 so that
+    covariances exist; mixture takes gamma, the probability of its unit-scale
+    component, and scale_factor, which multiplies its inflated covariance.
     """
 
     kind: ScenarioKind
-    df: float = 3.0
-    gamma: float = 0.8
-    scale_factor: float = 9.0
+    df: float | None = None
+    gamma: float | None = None
+    scale_factor: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _member(ScenarioKind, self.kind))
-        object.__setattr__(self, "gamma", _fraction(self.gamma, "gamma", InvalidSpecError))
-        for name in ("df", "scale_factor"):
-            object.__setattr__(self, name, _real(getattr(self, name), name, InvalidSpecError))
-        if not self.df > 2.0 and self.kind is ScenarioKind.STUDENT_T:
+        reads = FAMILY_PARAMS[self.kind]
+        for name in ("df", "gamma", "scale_factor"):
+            if name not in reads and getattr(self, name) is not None:
+                raise InvalidSpecError(f"{self.kind.value} innovations take no {name}")
+        for name, default in reads.items():
+            value = default if getattr(self, name) is None else getattr(self, name)
+            check = _fraction if name == "gamma" else _real
+            object.__setattr__(self, name, check(value, name, InvalidSpecError))
+        if self.kind is ScenarioKind.STUDENT_T and not self.df > 2.0:
             raise InvalidSpecError("t innovations need df > 2 for a finite covariance")
-        if not self.scale_factor > 0.0:
+        if self.kind is ScenarioKind.MIXTURE and not self.scale_factor > 0.0:
             raise InvalidSpecError("scale_factor must be positive")
 
     @classmethod
@@ -128,11 +139,12 @@ class ScenarioSpec:
         return cls(ScenarioKind.NORMAL)
 
     @classmethod
-    def student_t(cls, df: float = 3.0) -> "ScenarioSpec":
+    def student_t(cls, df: float | None = None) -> "ScenarioSpec":
         return cls(ScenarioKind.STUDENT_T, df=df)
 
     @classmethod
-    def mixture(cls, gamma: float = 0.8, scale_factor: float = 9.0) -> "ScenarioSpec":
+    def mixture(cls, gamma: float | None = None,
+                scale_factor: float | None = None) -> "ScenarioSpec":
         return cls(ScenarioKind.MIXTURE, gamma=gamma, scale_factor=scale_factor)
 
 

@@ -25,6 +25,7 @@ from hdwn.cli import (
     report_to_dict,
 )
 from hdwn import errors
+from hdwn.dgp import FAMILY_PARAMS
 from hdwn.errors import ConfigError, HdwnError, McRunError
 from hdwn import (
     TEST_NAMES,
@@ -319,9 +320,13 @@ class TestCmdSimulate:
     def test_omitted_optional_key_equals_its_default_written(self, line):
         from hdwn.cli import _encode
 
-        text = ONE_CELL + line + "\n"
+        # a mixture key is written on a mixture cell, the only family that reads it
+        cell = ONE_CELL
+        if line.startswith("mixture") and not line.endswith("="):
+            cell = ONE_CELL.replace("scenario = t", "scenario = mixture")
+        text = cell + line + "\n"
         assert ([_encode(c) for c in parse_experiment_configs(text, seed=1)]
-                == [_encode(c) for c in parse_experiment_configs(ONE_CELL, seed=1)])
+                == [_encode(c) for c in parse_experiment_configs(cell, seed=1)])
 
     @pytest.mark.parametrize("cls, key, field, value", [
         (ScenarioSpec, "df", "df", 5.0),
@@ -333,12 +338,19 @@ class TestCmdSimulate:
     def test_omitted_optional_key_takes_the_dataclass_default(self, monkeypatch, cls, key,
                                                               field, value):
         # an absent key passes no argument, so the spec's own default, here
-        # changed for the test, is what the cell gets
-        params = [p for p in inspect.signature(cls).parameters.values()
-                  if p.default is not p.empty]
-        monkeypatch.setattr(cls.__init__, "__defaults__",
-                            tuple(value if p.name == field else p.default for p in params))
-        (cfg,) = parse_experiment_configs(ONE_CELL, seed=0)
+        # changed for the test, is what the cell gets; a family's defaults are
+        # in FAMILY_PARAMS, and the cell is of the family that reads the field
+        text = ONE_CELL
+        if cls is ScenarioSpec:
+            kind = next(kind for kind, reads in FAMILY_PARAMS.items() if field in reads)
+            monkeypatch.setitem(FAMILY_PARAMS[kind], field, value)
+            text = ONE_CELL.replace("scenario = t", f"scenario = {kind.value}")
+        else:
+            params = [p for p in inspect.signature(cls).parameters.values()
+                      if p.default is not p.empty]
+            monkeypatch.setattr(cls.__init__, "__defaults__",
+                                tuple(value if p.name == field else p.default for p in params))
+        (cfg,) = parse_experiment_configs(text, seed=0)
         owner = {ScenarioSpec: cfg.scenario, ModelSpec: cfg.model, McConfig: cfg}[cls]
         assert getattr(owner, field) == value
 
@@ -386,6 +398,19 @@ class TestCmdAre:
 
     def test_mixture_needs_parameters(self):
         assert main(["are", "--dist", "mixture"]) == 2
+
+    def test_flag_the_law_does_not_read_exits_two(self, capsys):
+        assert main(["are", "--dist", "normal", "--df", "5", "--format", "json"]) == 2
+        assert "--df" in capsys.readouterr().err
+        assert main(["are", "--dist", "t", "--df", "4", "--gamma", "0.2"]) == 2
+        assert "--gamma" in capsys.readouterr().err
+
+    def test_json_echoes_the_flags_its_law_reads(self, capsys):
+        assert main(["are", "--dist", "mixture", "--gamma", "0.2", "--sigma", "3",
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"distribution", "are_ss_flm", "gamma", "sigma"}
+        assert (payload["gamma"], payload["sigma"]) == (0.2, 3.0)
 
 
 def _assert_same(got, want):
@@ -495,6 +520,10 @@ class TestRoundTrip:
             ".reports[].config.model.coeff": {("high", "low", "m", "p", "regime")},
             ".reports[].config.cov": {("kind", "p")},
         }
+        # a family stores null for the parameters it does not read
+        assert [r["config"]["scenario"] for r in payload["reports"]] == [
+            {"kind": "normal", "df": None, "gamma": None, "scale_factor": None},
+            {"kind": "t", "df": 3.0, "gamma": None, "scale_factor": None}]
         model = payload["reports"][1]["config"]["model"]
         assert model == {"kind": "var1", "burn_in": None, "h1": None,
                          "coeff": {"regime": "dense", "p": 4, "m": None, "low": None,

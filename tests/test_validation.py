@@ -38,6 +38,7 @@ from hdwn import (
     Normal,
     PowerInput,
     RadialKind,
+    ScenarioKind,
     ScenarioSpec,
     SeriesMatrix,
     StudentT,
@@ -128,8 +129,8 @@ PROBABILITIES = {
 
 # id: (call, optional)
 REALS = {
-    "ScenarioSpec.df": (lambda v: ScenarioSpec("t", df=v), False),
-    "ScenarioSpec.scale_factor": (lambda v: ScenarioSpec("mixture", scale_factor=v), False),
+    "ScenarioSpec.df": (lambda v: ScenarioSpec("t", df=v), True),
+    "ScenarioSpec.scale_factor": (lambda v: ScenarioSpec("mixture", scale_factor=v), True),
     "CoeffSpec.low": (lambda v: CoeffSpec("explicit", 3, m=2, low=v, high=4.0), False),
     "CoeffSpec.high": (lambda v: CoeffSpec("explicit", 3, m=2, low=0.0, high=v), False),
     "H1Spec.sigma1_scale": (lambda v: H1Spec(CovarianceSpec("identity", 3), sigma1_scale=v),
@@ -171,8 +172,9 @@ def test_numpy_integer_is_accepted_as_int(case):
         assert type(value) is int
 
 
+# None gives a mixture its default gamma, as it gives H1Spec its sigma1_scale
 @pytest.mark.parametrize("case, bad", _refusals(PROBABILITIES, (True, 1.5, 0.0, 1.0, "x", None),
-                                                lambda case: False))
+                                                lambda case: case == "ScenarioSpec.gamma"))
 def test_probability_refusal_is_typed_and_named(case, bad):
     _refused(PROBABILITIES[case], bad, case)
 
@@ -344,6 +346,16 @@ def test_h1_settings_are_read_in_one_place():
     assert _owners("chi_radial_c1(", "dgp.py") == ["dgp.gen_h1_model"]
     assert _owners("degenerate sphere draw", "dgp.py") == []
     assert _owners("ZERO_NORM_THRESHOLD", "dgp.py") == []
+
+
+def test_family_parameters_are_known_to_their_spec_alone():
+    # FAMILY_PARAMS holds each family's defaults and ScenarioSpec refuses the other
+    # parameters; no signature repeats a default, and no front end branches on a kind
+    assert _owners("FAMILY_PARAMS[") == ["dgp.ScenarioSpec.__post_init__"]
+    assert _owners("innovations take no") == ["dgp.ScenarioSpec.__post_init__"]
+    assert [_owners(f"= {default}") for default in ("3.0", "0.8", "9.0")] == [[], [], []]
+    assert _owners("ModelKind.IID", "cli.py") == ["cli._cmd_simulate"] * 2
+    assert _owners("args.dist ==", "cli.py") == []
 
 
 def test_pair_sum_overflow_is_refused_by_the_raw_pair_kernel_alone():
@@ -560,7 +572,18 @@ REFUSALS = {
                         ConfigError, "h1 model"),
     "config.coeff-explicit": (lambda _: parse_experiment_configs(
         _CELL + "model = var1\ncoeff = explicit\n", seed=0), ConfigError, "coeff"),
+    # a family's key on a cell of another family is refused, from [DEFAULT] too
+    "config.df-on-normal": (lambda _: parse_experiment_configs(
+        _CELL + "model = iid\ndf = 9\n", seed=0), ConfigError, "[c] normal innovations take no df"),
+    "config.default-df-on-normal": (lambda _: parse_experiment_configs(
+        "[DEFAULT]\ndf = 5\n" + _CELL + "model = iid\n", seed=0), ConfigError,
+        "[c] normal innovations take no df"),
+    "config.coeff-on-iid": (lambda _: parse_experiment_configs(
+        _CELL + "model = iid\ncoeff = dense\n", seed=0), ConfigError,
+        "[c] iid model takes no coefficient matrix"),
     "are.df": (lambda _: _cli("are", "--dist", "t"), InvalidInputError, "--df"),
+    "are.df-on-normal": (lambda _: _cli("are", "--dist", "normal", "--df", "5"),
+                         InvalidInputError, "--dist normal takes no shape flag, got --df"),
     "csv.header-width": (lambda tmp: _csv(tmp, "a,b,c\n1,2\n3,4\n"), ConfigError, "header"),
     "csv.non-finite": (lambda tmp: _csv(tmp, "1,2\n3,inf\n"), ConfigError, "non-finite"),
 }
@@ -578,13 +601,18 @@ def test_refusal_is_typed_and_names_its_cause(case, tmp_path):
 # (kind, an optional field, a value that is not the field's default)
 OPTIONAL_FIELDS = [(kind.value, "burn_in", 7) for kind in ModelKind] + [
     (radial.value, name, value) for radial in RadialKind
-    for name, value in (("radial_c1", 1.5), ("radial_sampler", lambda rng, k: np.full(k, 2.0)))]
+    for name, value in (("radial_c1", 1.5), ("radial_sampler", lambda rng, k: np.full(k, 2.0)))
+] + [(family.value, name, value) for family in ScenarioKind
+     for name, value in (("df", 5.0), ("gamma", 0.3), ("scale_factor", 4.0))]
 
 
 def _draws(spec):
-    """What a spec decides: a model's gen_series bytes, or an H1Spec's rows and H1Metadata."""
+    """What a spec decides: a model's or scenario's gen_series bytes, or an H1Spec's rows
+    and H1Metadata."""
     if isinstance(spec, ModelSpec):
         return gen_series(spec, ScenarioSpec.normal(), 12, 3, 0).data.tobytes()
+    if isinstance(spec, ScenarioSpec):
+        return gen_series(ModelSpec("iid"), spec, 12, 3, 0).data.tobytes()
     series, meta = gen_h1_model(spec, 12, 3, 0)
     return series.data.tobytes(), meta
 
@@ -593,7 +621,7 @@ def _draws(spec):
                          ids=[f"{kind}-{name}" for kind, name, _ in OPTIONAL_FIELDS])
 def test_every_optional_field_is_read_or_refused(kind, name, value):
     # a spec that takes a field must draw or report something else with it
-    build = _model if name == "burn_in" else _h1_spec
+    build = _model if name == "burn_in" else _h1_spec if name.startswith("radial") else ScenarioSpec
     try:
         spec = build(kind, **{name: value})
     except InvalidSpecError as exc:
