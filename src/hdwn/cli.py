@@ -107,7 +107,7 @@ def read_series_csv(path) -> CsvSeries:
     """
     rows: list[list[float]] = []
     header: tuple[str, ...] | None = None
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, record in enumerate(csv.reader(fh), start=1):
             if not record or all(not f.strip() for f in record):
                 continue
@@ -171,8 +171,12 @@ _NESTED = {
 }
 
 
-def _decode(cls, d: dict):
-    """Inverse of _encode for a dict that came from an instance of cls."""
+def _decode(cls, d: dict, where: str | None = None):
+    """Inverse of _encode for a dict that came from an instance of cls; a non-object, or a
+    field cls lacks or needs (a key an older file stored), is a ConfigError naming where."""
+    where = where or cls.__name__
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
     nested = _NESTED.get(cls, {})
     kwargs = {}
     for name, value in d.items():
@@ -180,12 +184,15 @@ def _decode(cls, d: dict):
         if inner is None or value is None:
             kwargs[name] = value
         elif isinstance(value, list):
-            kwargs[name] = tuple(_decode(inner, v) for v in value)
-        elif "matrix" in value:
+            kwargs[name] = tuple(_decode(inner, v, f"{where}.{name}") for v in value)
+        elif isinstance(value, dict) and "matrix" in value:
             kwargs[name] = value["matrix"]
         else:
-            kwargs[name] = _decode(inner, value)
-    return cls(**kwargs)
+            kwargs[name] = _decode(inner, value, f"{where}.{name}")
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def outcome_to_dict(outcome: TestOutcome) -> dict:
@@ -268,8 +275,6 @@ def parse_experiment_configs(text: str, *, seed: int, reps_override: int | None 
             if model_kind is ModelKind.H1_SIGN:
                 raise ConfigError(f"[{label}] the h1 model is not configurable from files")
             regime = (section.get("coeff") or "").lower()
-            if regime not in ("", "dense", "sparse"):
-                raise ConfigError(f"[{label}] coeff must be dense or sparse, got {regime!r}")
             configs.append(
                 McConfig(
                     tests=_get(section, "tests", _str_list),

@@ -220,7 +220,6 @@ def gen_innovations(scenario: ScenarioSpec, cov, n: int, seed) -> SeriesMatrix:
 class CoeffRegime(str, Enum):
     DENSE = "dense"
     SPARSE = "sparse"
-    EXPLICIT = "explicit"
 
 
 @dataclass(frozen=True)
@@ -228,35 +227,20 @@ class CoeffSpec:
     """Leading m-by-m block of i.i.d. uniform entries, zero elsewhere.
 
     Dense: m = floor(0.8 p), entries uniform on +-1/(4 sqrt(m)). Sparse:
-    m = floor(0.05 p), entries uniform on +-3/(4 sqrt(m)). Explicit supplies
-    m, low, high directly; the other regimes refuse them.
+    m = floor(0.05 p), entries uniform on +-3/(4 sqrt(m)). Any other matrix
+    is passed to ModelSpec as an array.
     """
 
     regime: CoeffRegime
     p: int
-    m: int | None = None
-    low: float | None = None
-    high: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "regime", _member(CoeffRegime, self.regime))
         object.__setattr__(self, "p", _integer(self.p, "p", 1, InvalidSpecError))
-        if self.regime is CoeffRegime.EXPLICIT:
-            object.__setattr__(self, "m", _integer(self.m, "m", 1, InvalidSpecError))
-            if self.m > self.p:
-                raise InvalidSpecError(f"m must lie in [1, p], got {self.m}")
-            for k in ("low", "high"):
-                object.__setattr__(self, k, _real(getattr(self, k), k, InvalidSpecError))
-            if not self.low <= self.high:
-                raise InvalidSpecError("low must not exceed high")
-        elif any(getattr(self, k) is not None for k in ("m", "low", "high")):
-            raise InvalidSpecError(f"{self.regime.value} regime takes no m, low or high")
         self.block()  # refuses a p too small for the regime's block
 
     def block(self) -> tuple[int, float, float]:
         """Resolved (m, low, high) for this regime."""
-        if self.regime is CoeffRegime.EXPLICIT:
-            return self.m, self.low, self.high
         share, width = (0.8, 1.0) if self.regime is CoeffRegime.DENSE else (0.05, 3.0)
         m = int(math.floor(share * self.p))
         if m < 1:

@@ -48,7 +48,7 @@ class TestCovariance:
 @pytest.mark.parametrize("make, allowed", [
     (lambda: ScenarioSpec("bogus"), "'normal', 't', 'mixture'"),
     (lambda: CovarianceSpec("bogus", 3), "'identity', 'polydecay'"),
-    (lambda: CoeffSpec("bogus", 3), "'dense', 'sparse', 'explicit'"),
+    (lambda: CoeffSpec("bogus", 3), "'dense', 'sparse'"),
     (lambda: ModelSpec("bogus"), "'iid', 'var1', 'vma1', 'varma1', 'h1'"),
     (lambda: H1Spec(CovarianceSpec("identity", 3), radial="bogus"),
      "'chi_p', 'constant', 'custom'"),
@@ -126,15 +126,27 @@ class TestCoeff:
         with pytest.raises(InvalidSpecError):
             gen_coeff(CoeffSpec("sparse", 10), 0)
 
-    def test_explicit_block(self):
-        spec = CoeffSpec("explicit", 5, m=2, low=0.1, high=0.2)
-        A = gen_coeff(spec, 1)
-        assert np.all((A[:2, :2] >= 0.1) & (A[:2, :2] <= 0.2))
-        assert np.count_nonzero(A) == 4
+    def test_spec_is_a_regime_and_a_dimension(self):
+        from dataclasses import fields
 
-    def test_explicit_m_exceeding_p(self):
-        with pytest.raises(InvalidSpecError):
-            CoeffSpec("explicit", 3, m=4, low=0.0, high=0.1)
+        from hdwn.dgp import CoeffRegime
+
+        assert [f.name for f in fields(CoeffSpec)] == ["regime", "p"]
+        assert [r.value for r in CoeffRegime] == ["dense", "sparse"]
+
+    # (regime, p, block size m): dense m = floor(0.8 p), sparse m = floor(0.05 p)
+    @pytest.mark.parametrize("regime, p, m", [
+        ("dense", 20, 16), ("dense", 50, 40), ("dense", 120, 96),
+        ("sparse", 20, 1), ("sparse", 50, 2), ("sparse", 120, 6),
+    ])
+    def test_block_is_uniform_on_the_regime_width(self, regime, p, m):
+        half = {"dense": 1.0, "sparse": 3.0}[regime] / (4.0 * math.sqrt(m))
+        spec = CoeffSpec(regime, p)
+        assert spec.block() == (m, -half, half)
+        A = gen_coeff(spec, 3)
+        assert np.all(A[m:, :] == 0.0) and np.all(A[:, m:] == 0.0)
+        assert np.count_nonzero(A) == m * m
+        assert np.all(np.abs(A) < half)
 
 
 # SHA-256 of gen_series output over VAR(1)/VMA(1)/VARMA(1) models, and apart
@@ -144,7 +156,7 @@ class TestCoeff:
 _GEN_DIGEST_SCRIPT = """
 import hashlib
 from hdwn import (CoeffSpec, CovarianceSpec, H1Spec, ModelKind, ModelSpec, ScenarioSpec,
-                  build_covariance, gen_h1_model, gen_series)
+                  build_covariance, derive_rng, gen_h1_model, gen_series)
 digest, h1 = hashlib.sha256(), hashlib.sha256()
 for p in (3, 40, 120, 200):
     cov = build_covariance(CovarianceSpec("polydecay", p))
@@ -152,14 +164,15 @@ for p in (3, 40, 120, 200):
         for seed in range(2):
             X, _ = gen_h1_model(H1Spec(CovarianceSpec("polydecay", p)), 60, p, seed)
             h1.update(X.data.tobytes())
-    specs = [CoeffSpec("explicit", p, m=p, low=-0.1, high=0.1)]
+    # a full uniform matrix from the stream gen_series draws a CoeffSpec's from
+    specs = [lambda seed: derive_rng(seed, "coeff").uniform(-0.1, 0.1, (p, p))]
     if p >= 20:  # below, the sparse block is empty and CoeffSpec refuses it
-        specs.append(CoeffSpec("sparse", p))
+        specs.append(lambda seed: CoeffSpec("sparse", p))
     for kind in (ModelKind.VAR1, ModelKind.VMA1, ModelKind.VARMA1):
         for spec in specs:
             for seed in range(2):
-                X = gen_series(ModelSpec(kind, coeff=spec), ScenarioSpec.student_t(3), 60, p,
-                               seed, innov_cov=cov)
+                X = gen_series(ModelSpec(kind, coeff=spec(seed)), ScenarioSpec.student_t(3), 60,
+                               p, seed, innov_cov=cov)
                 digest.update(X.data.tobytes())
 print(digest.hexdigest(), h1.hexdigest())
 """
@@ -185,7 +198,7 @@ class TestGenSeries:
         assert abs(r1 - 0.4) < 0.025
 
     def test_vma1_lag_one_autocovariance_matches_coefficients(self):
-        A = gen_coeff(CoeffSpec("explicit", 3, m=3, low=-0.4, high=0.4), 5)
+        A = np.random.default_rng(5).uniform(-0.4, 0.4, (3, 3))
         model = ModelSpec(ModelKind.VMA1, coeff=A)
         batches = []
         for r in range(20):
@@ -248,7 +261,7 @@ class TestGenSeries:
     def test_block_draws_equal_gen_series(self, kind, p):
         from hdwn.dgp import _series_sampler
 
-        A = gen_coeff(CoeffSpec("explicit", p, m=p, low=-0.1, high=0.1), derive_rng(5, "A", p))
+        A = derive_rng(5, "A", p).uniform(-0.1, 0.1, (p, p))
         h1 = H1Spec(CovarianceSpec("identity", p)) if kind is ModelKind.H1_SIGN else None
         coeff = None if kind in (ModelKind.IID, ModelKind.H1_SIGN) else A
         reps = 13
@@ -357,7 +370,7 @@ class TestGenSeries:
         from hdwn.dgp import _series_sampler
 
         p, n = 12, 25
-        A = gen_coeff(CoeffSpec("explicit", p, m=p, low=-0.1, high=0.1), derive_rng(5, "A"))
+        A = derive_rng(5, "A").uniform(-0.1, 0.1, (p, p))
         h1 = H1Spec(CovarianceSpec("identity", p)) if kind is ModelKind.H1_SIGN else None
         coeff = None if kind in (ModelKind.IID, ModelKind.H1_SIGN) else A
         model = ModelSpec(kind, coeff=coeff, h1=h1)
@@ -414,11 +427,12 @@ class TestGenSeries:
     def test_drawn_explosive_matrix_refused_when_fixed(self):
         from hdwn import McConfig, run_experiment
 
-        model = ModelSpec("var1", coeff=CoeffSpec("explicit", 3, m=3, low=2.0, high=3.0))
+        # at this seed the sparse p = 40 block (m = 2) has spectral radius 1.0131
+        model = ModelSpec("var1", coeff=CoeffSpec("sparse", 40))
         with pytest.raises(ExplosiveModelError):
-            gen_series(model, ScenarioSpec.normal(), 20, 3, 0)
-        cfg = McConfig(("ss",), ScenarioSpec.normal(), model, CovarianceSpec("identity", 3),
-                       n=20, p=3, H_values=(1,), reps=2)
+            gen_series(model, ScenarioSpec.normal(), 20, 40, 25770)
+        cfg = McConfig(("ss",), ScenarioSpec.normal(), model, CovarianceSpec("identity", 40),
+                       n=20, p=40, H_values=(1,), reps=2, master_seed=25770)
         with pytest.raises(ExplosiveModelError):
             run_experiment(cfg)
 

@@ -32,6 +32,7 @@ from hdwn import (
     InvalidInputError,
     InvalidSpecError,
     McConfig,
+    McReport,
     MixtureNormal,
     ModelKind,
     ModelSpec,
@@ -65,6 +66,7 @@ from hdwn import (
 from hdwn.cli import (
     _build_parser,
     main,
+    outcome_from_dict,
     parse_experiment_configs,
     read_series_csv,
     report_from_dict,
@@ -131,8 +133,6 @@ PROBABILITIES = {
 REALS = {
     "ScenarioSpec.df": (lambda v: ScenarioSpec("t", df=v), True),
     "ScenarioSpec.scale_factor": (lambda v: ScenarioSpec("mixture", scale_factor=v), True),
-    "CoeffSpec.low": (lambda v: CoeffSpec("explicit", 3, m=2, low=v, high=4.0), False),
-    "CoeffSpec.high": (lambda v: CoeffSpec("explicit", 3, m=2, low=0.0, high=v), False),
     "H1Spec.sigma1_scale": (lambda v: H1Spec(CovarianceSpec("identity", 3), sigma1_scale=v),
                             True),
     "H1Spec.radial_c1": (lambda v: _h1_spec("custom", radial_c1=v), True),
@@ -217,8 +217,6 @@ STORED_REALS = {
     "ScenarioSpec.df": (lambda v: ScenarioSpec("t", df=v).df, 3),
     "ScenarioSpec.scale_factor": (lambda v: ScenarioSpec("mixture", scale_factor=v).scale_factor,
                                   3),
-    "CoeffSpec.low": (lambda v: CoeffSpec("explicit", 3, m=2, low=v, high=4.0).low, 3),
-    "CoeffSpec.high": (lambda v: CoeffSpec("explicit", 3, m=2, low=0.0, high=v).high, 3),
     "H1Spec.sigma1_scale": (lambda v: H1Spec(CovarianceSpec("identity", 3),
                                              sigma1_scale=v).sigma1_scale, 3),
     "H1Spec.radial_c1": (lambda v: _h1_spec("custom", radial_c1=v).radial_c1, 3),
@@ -303,6 +301,7 @@ def test_each_kind_of_input_is_checked_in_one_place():
     assert _owners("not in TEST_NAMES") == ["stats_tests._test_names"]
     assert _owners("non-finite entries") == ["core._floats"]
     assert _owners("np.isfinite") == ["core._floats"]
+    assert [_owners(f'"{regime}"') for regime in ("dense", "sparse")] == [["dgp.CoeffRegime"]] * 2
 
 
 def test_a_series_is_checked_and_copied_in_one_place():
@@ -454,6 +453,19 @@ def _h1_spec(radial, **fields):
                   **{"radial_sampler": sampler, **fields})
 
 
+def _report_json(field=None, value=None):
+    """report_to_dict of an empty iid report, with value as the JSON of its config's field."""
+    report = report_to_dict(McReport((), _config(), 0.0))
+    if field is not None:
+        report["config"][field] = value
+    return report
+
+
+def _var1_json(coeff):
+    """The JSON of a var1 ModelSpec whose coeff is this JSON."""
+    return {"kind": "var1", "burn_in": None, "h1": None, "coeff": coeff}
+
+
 # id "<owner>.<what>": (call of tmp_path, error type, a phrase of the message naming the cause)
 REFUSALS = {
     "SeriesMatrix.one-dimensional": (lambda _: SeriesMatrix(np.ones(5)), InvalidInputError,
@@ -471,10 +483,9 @@ REFUSALS = {
     "ss_statistic.text": (lambda _: ss_statistic("signs", 1), InvalidInputError, "real numbers"),
     "ScenarioSpec.scale_factor": (lambda _: ScenarioSpec("mixture", scale_factor=0.0),
                                   InvalidSpecError, "scale_factor"),
-    "CoeffSpec.low": (lambda _: CoeffSpec("explicit", 3, m=2, low=1.0, high=0.0),
-                      InvalidSpecError, "low must not exceed high"),
-    "CoeffSpec.dense-block": (lambda _: CoeffSpec("dense", 5, m=3, low=9, high=10),
-                              InvalidSpecError, "dense regime takes no m, low or high"),
+    "CoeffSpec.explicit": (lambda _: CoeffSpec("explicit", 3), InvalidSpecError,
+                           "'explicit' is not a valid CoeffRegime; expected one of 'dense', "
+                           "'sparse'"),
     "ModelSpec.h1": (lambda _: ModelSpec("h1"), InvalidSpecError, "H1Spec"),
     "ModelSpec.h1-on-iid": (lambda _: ModelSpec("iid", h1=H1Spec(CovarianceSpec("identity", 3))),
                             InvalidSpecError, "H1Spec"),
@@ -571,7 +582,11 @@ REFUSALS = {
     "config.model-h1": (lambda _: parse_experiment_configs(_CELL + "model = h1\n", seed=0),
                         ConfigError, "h1 model"),
     "config.coeff-explicit": (lambda _: parse_experiment_configs(
-        _CELL + "model = var1\ncoeff = explicit\n", seed=0), ConfigError, "coeff"),
+        _CELL + "model = var1\ncoeff = explicit\n", seed=0), ConfigError,
+        "not a valid CoeffRegime"),
+    "config.coeff-small-p": (lambda _: parse_experiment_configs(
+        _CELL + "model = var1\ncoeff = sparse\n", seed=0), ConfigError,
+        "[c] sparse regime needs a bigger p"),
     # a family's key on a cell of another family is refused, from [DEFAULT] too
     "config.df-on-normal": (lambda _: parse_experiment_configs(
         _CELL + "model = iid\ndf = 9\n", seed=0), ConfigError, "[c] normal innovations take no df"),
@@ -584,6 +599,41 @@ REFUSALS = {
     "are.df": (lambda _: _cli("are", "--dist", "t"), InvalidInputError, "--df"),
     "are.df-on-normal": (lambda _: _cli("are", "--dist", "normal", "--df", "5"),
                          InvalidInputError, "--dist normal takes no shape flag, got --df"),
+    # a results.json written before CoeffSpec lost m, low and high
+    "report_from_dict.coeff-m": (lambda _: report_from_dict(_report_json("model", _var1_json(
+        {"regime": "dense", "p": 3, "m": None, "low": None, "high": None}))),
+        ConfigError, "McReport.config.model.coeff: CoeffSpec.__init__() got an unexpected "
+        "keyword argument 'm'"),
+    "report_from_dict.coeff-low": (lambda _: report_from_dict(_report_json("model", _var1_json(
+        {"regime": "dense", "p": 3, "low": None}))), ConfigError, "argument 'low'"),
+    "report_from_dict.coeff-high": (lambda _: report_from_dict(_report_json("model", _var1_json(
+        {"regime": "dense", "p": 3, "high": None}))), ConfigError, "argument 'high'"),
+    "report_from_dict.coeff-explicit": (lambda _: report_from_dict(_report_json(
+        "model", _var1_json({"regime": "explicit", "p": 3}))), InvalidSpecError,
+        "'explicit' is not a valid CoeffRegime"),
+    "report_from_dict.coeff-not-object": (lambda _: report_from_dict(_report_json(
+        "model", _var1_json("dense"))), ConfigError,
+        "McReport.config.model.coeff must be a JSON object"),
+    "report_from_dict.model-not-object": (lambda _: report_from_dict(_report_json(
+        "model", "var1")), ConfigError, "McReport.config.model must be a JSON object"),
+    "report_from_dict.scenario-not-object": (lambda _: report_from_dict(_report_json(
+        "scenario", "normal")), ConfigError, "McReport.config.scenario must be a JSON object"),
+    "report_from_dict.not-object": (lambda _: report_from_dict([]), ConfigError,
+                                    "McReport must be a JSON object"),
+    "report_from_dict.cell-not-object": (lambda _: report_from_dict(
+        {**_report_json(), "cells": [1]}), ConfigError, "McReport.cells must be a JSON object"),
+    "report_from_dict.missing-field": (lambda _: report_from_dict(
+        {k: v for k, v in _report_json().items() if k != "cells"}), ConfigError, "'cells'"),
+    "report_from_dict.unknown-field": (lambda _: report_from_dict(
+        {**_report_json(), "version": 1}), ConfigError, "argument 'version'"),
+    "outcome_from_dict.missing-field": (lambda _: outcome_from_dict({"statistic": 1.0}),
+                                        ConfigError, "'standardized'"),
+    "outcome_from_dict.not-object": (lambda _: outcome_from_dict(1.0), ConfigError,
+                                     "TestOutcome must be a JSON object"),
+    "outcome_from_dict.unknown-field": (lambda _: outcome_from_dict(
+        {"statistic": 1.0, "standardized": 1.0, "p_value": 0.5, "reject": False, "alpha": 0.05,
+         "nuisance": {}, "extra": 1}), ConfigError, "TestOutcome: TestOutcome.__init__() got "
+        "an unexpected keyword argument 'extra'"),
     "csv.header-width": (lambda tmp: _csv(tmp, "a,b,c\n1,2\n3,4\n"), ConfigError, "header"),
     "csv.non-finite": (lambda tmp: _csv(tmp, "1,2\n3,inf\n"), ConfigError, "non-finite"),
 }
