@@ -8,15 +8,15 @@ failure. --threads sets the simulation thread count, which changes no report.
 fields, through one codec (_encode/_decode); README describes the layout.
 
 Config files are flat key=value INI files, one section per experiment cell;
-keys in [DEFAULT] apply to every section. Recognized keys: tests, lags,
-alpha, reps, scenario, df, mixture_gamma, mixture_scale, model, coeff,
-burn_in, cov, n, p. The optional ones set alpha, ScenarioSpec's df, gamma
-and scale_factor, and ModelSpec's burn_in; absent or empty, they pass
-nothing, so the spec's default holds. cov is identity unless set. The rest
-are required, but --reps stands in for reps and only var1, vma1 and varma1
-take coeff. A spec refuses a key its kind does not read (coeff on iid, df
-on normal), from [DEFAULT] too. Kind values (scenario, model, coeff, cov)
-are case-insensitive. A bad value or refused cell exits 2 naming its section.
+keys in [DEFAULT] apply to every section. Recognized keys: tests, lags, alpha,
+reps, scenario, df, mixture_gamma, mixture_scale, model, coeff, cov, n, p. The
+optional ones set alpha and ScenarioSpec's df, gamma and scale_factor; absent
+or empty, they pass nothing, so the spec's default holds. cov is identity
+unless set. The rest are required, but --reps stands in for reps and only var1,
+vma1 and varma1 take coeff. A model's burn-in is its kind's (dgp.BURN_IN). A
+spec refuses a key its kind does not read (coeff on iid, df on normal), from
+[DEFAULT] too. Kind values (scenario, model, coeff, cov) are case-insensitive.
+A bad value or refused cell exits 2 naming its section.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ _PRESETS = ("table1", "table2")
 
 _CONFIG_KEYS = {
     "tests", "lags", "alpha", "reps", "scenario", "df", "mixture_gamma",
-    "mixture_scale", "model", "coeff", "burn_in", "cov", "n", "p",
+    "mixture_scale", "model", "coeff", "cov", "n", "p",
 }
 
 
@@ -283,8 +283,7 @@ def parse_experiment_configs(text: str, *, seed: int, reps_override: int | None 
                         **_optional(section, float, df="df", mixture_gamma="gamma",
                                     mixture_scale="scale_factor"),
                     ),
-                    model=ModelSpec(model_kind, coeff=CoeffSpec(regime, p) if regime else None,
-                                    **_optional(section, int, burn_in="burn_in")),
+                    model=ModelSpec(model_kind, coeff=CoeffSpec(regime, p) if regime else None),
                     cov=CovarianceSpec((section.get("cov") or "identity").lower(), p),
                     n=n,
                     p=p,

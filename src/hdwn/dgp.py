@@ -268,7 +268,7 @@ class ModelKind(str, Enum):
 
 
 #: Steps discarded before collecting output, by model kind.
-DEFAULT_BURN_IN = {
+BURN_IN = {
     ModelKind.IID: 0,
     ModelKind.VAR1: 200,
     ModelKind.VMA1: 1,
@@ -282,22 +282,16 @@ class ModelSpec:
     """Temporal model plus its coefficient matrix (spec or explicit array).
 
     var1, vma1 and varma1 need a coefficient matrix, which no other model takes; an explicit
-    var1 or varma1 one must be stationary. Only h1 takes an H1Spec, needs it, and has no burn_in.
+    var1 or varma1 one must be stationary. Only h1 takes an H1Spec, and needs it. A model
+    discards the BURN_IN steps of its kind before its output rows.
     """
 
     kind: ModelKind
     coeff: "CoeffSpec | np.ndarray | None" = None
-    burn_in: int | None = None
     h1: "H1Spec | None" = None
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _member(ModelKind, self.kind))
-        if self.burn_in is not None:
-            if self.kind is ModelKind.H1_SIGN:
-                raise InvalidSpecError("h1 model takes no burn_in")
-            low = 1 if self.kind is ModelKind.VMA1 else 0  # a step seeds vma1's lagged innovation
-            object.__setattr__(self, "burn_in", _integer(self.burn_in, "burn_in", low,
-                                                         InvalidSpecError))
         if (self.h1 is None) is (self.kind is ModelKind.H1_SIGN):
             raise InvalidSpecError("h1 model needs an H1Spec, which no other model takes")
         if (self.coeff is None) is (self.kind not in (ModelKind.IID, ModelKind.H1_SIGN)):
@@ -312,9 +306,6 @@ class ModelSpec:
             if self.kind is ModelKind.VARMA1 and _spectral_radius(0.5 * arr) >= 1.0:
                 raise ExplosiveModelError("VARMA(1) autoregressive part has spectral radius >= 1")
             object.__setattr__(self, "coeff", arr)
-
-    def effective_burn_in(self) -> int:
-        return DEFAULT_BURN_IN[self.kind] if self.burn_in is None else self.burn_in
 
 
 def resolve_coeff(model: ModelSpec, seed) -> np.ndarray | None:
@@ -361,7 +352,7 @@ def _series_sampler(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int,
     """
     if model.kind is ModelKind.H1_SIGN:
         return partial(_draw_block, model.kind, None, 0, _h1_setup(model.h1, n, p)[-1], n, p)
-    A, burn = model.coeff, model.effective_burn_in()
+    A, burn = model.coeff, BURN_IN[model.kind]
     if A is not None and A.shape != (p, p):
         raise InvalidSpecError(f"coefficient matrix is {A.shape}, expected ({p}, {p})")
     cov = None if innov_cov is None else _floats(innov_cov, "innovation covariance")

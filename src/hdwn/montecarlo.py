@@ -22,6 +22,7 @@ import numpy as np
 from ._blas import _single_threaded_blas
 from .core import _fraction, _integer, _nonempty
 from .dgp import (
+    BURN_IN,
     CovarianceKind,
     CovarianceSpec,
     ModelKind,
@@ -58,7 +59,7 @@ _ALLOCATOR_WARMUP_BYTES = 4 << 20
 np.empty(_ALLOCATOR_WARMUP_BYTES // 8)
 
 #: Bytes one block of replications may take while it is drawn or evaluated:
-#: four VAR(1) replications at n=200, p=80 with the default burn-in of 200.
+#: four VAR(1) replications at n=200, p=80 with their burn-in of 200.
 _EVAL_BLOCK_BYTES = 1440 << 10
 
 @dataclass(frozen=True, eq=False)
@@ -73,9 +74,10 @@ class McConfig:
     that carries no information and shrink every rejection rate. H = n-2
     keeps one pair in the last lag.
 
-    An h1 cell's rows come from its H1Spec alone; scenario and cov go unread.
-    Integer fields, master_seed too, take Python or numpy integers, never bools
-    or floats, and are stored as int. A refusal is an InvalidSpecError naming its field.
+    scenario, model and cov hold a ScenarioSpec, ModelSpec and CovarianceSpec; an h1 cell's
+    rows come from its H1Spec alone, and scenario and cov go unread. Integer fields, master_seed
+    too, take Python or numpy integers, never bools or floats, and are stored as int. A refusal
+    is an InvalidSpecError naming its field.
     A cell that builds can run, as far as is known without drawing: h1 needs p >= 2,
     coeff and sigma0 must be for p, and max and fc need H * p * p >= 3 at every lag.
     ModelSpec and H1Spec themselves refuse an explosive matrix or a sigma0 not positive definite.
@@ -95,6 +97,11 @@ class McConfig:
     label: str = ""
 
     def __post_init__(self):
+        for name, spec in (("scenario", ScenarioSpec), ("model", ModelSpec),
+                           ("cov", CovarianceSpec)):
+            if not isinstance(value := getattr(self, name), spec):
+                raise InvalidSpecError(f"{name} must be a {spec.__name__}, "
+                                       f"got {type(value).__name__}")
         object.__setattr__(self, "tests", _test_names(self.tests, InvalidSpecError))
         h1 = self.model.h1  # None unless the model is h1
         for name, low in (("n", 4), ("p", 2 if h1 else 1), ("reps", 1), ("master_seed", 0)):
@@ -207,7 +214,7 @@ def run_experiment(cfg: McConfig) -> McReport:
     draw = _series_sampler(model, cfg.scenario, cfg.n, cfg.p, cov)
     threads = cfg.threads if cfg.threads is not None else _auto_threads()
     factored = cov is not None and cfg.cov.kind is not CovarianceKind.IDENTITY
-    R = _eval_reps(cfg.n, cfg.p, model.effective_burn_in(), factored)
+    R = _eval_reps(cfg.n, cfg.p, BURN_IN[model.kind], factored)
     blocks = min(cfg.reps, threads * -(-cfg.reps // (threads * R)))
 
     def one_block(i: int) -> dict[str, list]:

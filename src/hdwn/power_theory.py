@@ -115,24 +115,19 @@ class PowerInput:
             raise InvalidInputError("moment_ratio = E^2(r)/E(r^2) must lie in (0, 1]")
 
 
-def _power(shift: float, alpha: float) -> float:
-    return normal_upper_tail(normal_upper_quantile(alpha) - shift)
+def _power(inputs: PowerInput, factor: float) -> float:
+    shift = factor * inputs.n * inputs.tr_s0s1 / (math.sqrt(2.0) * inputs.tr_s0sq)
+    return normal_upper_tail(normal_upper_quantile(inputs.alpha) - shift)
 
 
 def power_ss(inputs: PowerInput) -> float:
     """Limiting power of the sign sum test under the lag-one alternative."""
-    shift = (
-        inputs.c1**2 * inputs.n * inputs.tr_s0s1 / (math.sqrt(2.0) * inputs.tr_s0sq)
-    )
-    return _power(shift, inputs.alpha)
+    return _power(inputs, inputs.c1**2)
 
 
 def power_flm(inputs: PowerInput) -> float:
     """Limiting power of the raw-vector sum test under the same alternative."""
-    shift = (
-        inputs.moment_ratio * inputs.n * inputs.tr_s0s1 / (math.sqrt(2.0) * inputs.tr_s0sq)
-    )
-    return _power(shift, inputs.alpha)
+    return _power(inputs, inputs.moment_ratio)
 
 
 @dataclass(frozen=True)

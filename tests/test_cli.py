@@ -285,8 +285,16 @@ class TestCmdSimulate:
             parse_experiment_configs(text + "\n[cell-extra]\nwho = 2\n", seed=0)
         assert str(info.value) == "unknown config keys: DEFAULT.wat, cell-extra.who"
 
+    @pytest.mark.parametrize("section", ["DEFAULT", "cell-var"])
+    def test_burn_in_key_exits_two_naming_it(self, tmp_path, capsys, section):
+        # a model's burn-in is its kind's constant: no section may set it
+        cfg = tmp_path / "burn.cfg"
+        cfg.write_text(SMALL_CFG.replace(f"[{section}]\n", f"[{section}]\nburn_in = 50\n"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown config keys: {section}.burn_in" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
-        "key", ["df", "mixture_gamma", "mixture_scale", "burn_in", "alpha"])
+        "key", ["df", "mixture_gamma", "mixture_scale", "alpha"])
     def test_bad_value_exits_two_naming_section_and_key(self, tmp_path, capsys, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(SMALL_CFG.replace("[cell-null]\n", f"[cell-null]\n{key} = abc\n"))
@@ -340,7 +348,7 @@ class TestCmdSimulate:
 
     @pytest.mark.parametrize("line", [
         "alpha = 0.05", "df = 3", "mixture_gamma = 0.8", "mixture_scale = 9", "cov = identity",
-        "alpha =", "df =", "mixture_gamma =", "mixture_scale =", "cov =", "burn_in ="])
+        "alpha =", "df =", "mixture_gamma =", "mixture_scale =", "cov ="])
     def test_omitted_optional_key_equals_its_default_written(self, line):
         from hdwn.cli import _encode
 
@@ -356,7 +364,6 @@ class TestCmdSimulate:
         (ScenarioSpec, "df", "df", 5.0),
         (ScenarioSpec, "mixture_gamma", "gamma", 0.6),
         (ScenarioSpec, "mixture_scale", "scale_factor", 4.0),
-        (ModelSpec, "burn_in", "burn_in", 17),
         (McConfig, "alpha", "alpha", 0.1),
     ])
     def test_omitted_optional_key_takes_the_dataclass_default(self, monkeypatch, cls, key,
@@ -375,7 +382,7 @@ class TestCmdSimulate:
             monkeypatch.setattr(cls.__init__, "__defaults__",
                                 tuple(value if p.name == field else p.default for p in params))
         (cfg,) = parse_experiment_configs(text, seed=0)
-        owner = {ScenarioSpec: cfg.scenario, ModelSpec: cfg.model, McConfig: cfg}[cls]
+        owner = cfg.scenario if cls is ScenarioSpec else cfg
         assert getattr(owner, field) == value
 
     def test_presets_parse(self):
@@ -539,7 +546,7 @@ class TestRoundTrip:
             ".reports[].config": {("H_values", "alpha", "cov", "label", "master_seed", "model",
                                    "n", "p", "reps", "scenario", "tests", "threads")},
             ".reports[].config.scenario": {("df", "gamma", "kind", "scale_factor")},
-            ".reports[].config.model": {("burn_in", "coeff", "h1", "kind")},
+            ".reports[].config.model": {("coeff", "h1", "kind")},
             ".reports[].config.model.coeff": {("p", "regime")},
             ".reports[].config.cov": {("kind", "p")},
         }
@@ -548,8 +555,7 @@ class TestRoundTrip:
             {"kind": "normal", "df": None, "gamma": None, "scale_factor": None},
             {"kind": "t", "df": 3.0, "gamma": None, "scale_factor": None}]
         model = payload["reports"][1]["config"]["model"]
-        assert model == {"kind": "var1", "burn_in": None, "h1": None,
-                         "coeff": {"regime": "dense", "p": 4}}
+        assert model == {"kind": "var1", "h1": None, "coeff": {"regime": "dense", "p": 4}}
 
     def test_csv_precision(self):
         from hdwn.cli import _fmt

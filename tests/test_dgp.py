@@ -25,6 +25,7 @@ from hdwn import (
     gen_series,
     ss_test,
 )
+from hdwn.dgp import BURN_IN
 
 
 class TestCovariance:
@@ -181,15 +182,27 @@ print(digest.hexdigest(), h1.hexdigest())
 class TestGenSeries:
     def test_zero_coefficients_reduce_to_innovations(self):
         zero = np.zeros((4, 4))
-        outs = []
         for kind in (ModelKind.VAR1, ModelKind.VMA1, ModelKind.VARMA1):
-            model = ModelSpec(kind, coeff=zero, burn_in=1)
-            outs.append(gen_series(model, ScenarioSpec.normal(), 50, 4, 123).data)
-        assert np.array_equal(outs[0], outs[1])
-        assert np.array_equal(outs[0], outs[2])
-        # and exactly the innovation stream beyond the burn-in
-        Z = gen_innovations(ScenarioSpec.normal(), np.eye(4), 51, derive_rng(123, "innov")).data
-        assert np.array_equal(outs[0], Z[1:])
+            X = gen_series(ModelSpec(kind, coeff=zero), ScenarioSpec.normal(), 50, 4, 123).data
+            # exactly the innovation stream beyond the kind's burn-in
+            burn = BURN_IN[kind]
+            Z = gen_innovations(ScenarioSpec.normal(), np.eye(4), 50 + burn,
+                                derive_rng(123, "innov")).data
+            assert np.array_equal(X, Z[burn:]), kind
+
+    @pytest.mark.parametrize("kind", ["iid", "var1", "vma1", "varma1"])
+    def test_burn_in_discards_the_head_of_the_path(self, kind, monkeypatch):
+        # the kind's burn-in drops that many steps of the path a shorter burn-in would keep
+        coeff = None if kind == "iid" else derive_rng(5, "A").uniform(-0.3, 0.3, (4, 4))
+        model = ModelSpec(kind, coeff=coeff)
+        X = gen_series(model, ScenarioSpec.normal(), 30, 4, 11).data
+        burn, least = BURN_IN[model.kind] + 3, int(kind == "vma1")  # vma1 seeds one lag
+        monkeypatch.setitem(BURN_IN, model.kind, burn)
+        Y = gen_series(model, ScenarioSpec.normal(), 30, 4, 11).data
+        monkeypatch.setitem(BURN_IN, model.kind, least)
+        Z = gen_series(model, ScenarioSpec.normal(), 30 + burn - least, 4, 11).data
+        assert np.array_equal(Y, Z[burn - least:])
+        assert np.array_equal(X, Z[burn - 3 - least:-3])
 
     def test_vma1_scalar_autocorrelation(self):
         model = ModelSpec(ModelKind.VMA1, coeff=np.array([[0.5]]))
@@ -258,7 +271,7 @@ class TestGenSeries:
 
     @pytest.mark.parametrize("p", (3, 40, 80))
     @pytest.mark.parametrize("kind", list(ModelKind))
-    def test_block_draws_equal_gen_series(self, kind, p):
+    def test_block_draws_equal_gen_series(self, kind, p, monkeypatch):
         from hdwn.dgp import _series_sampler
 
         A = derive_rng(5, "A", p).uniform(-0.1, 0.1, (p, p))
@@ -267,11 +280,12 @@ class TestGenSeries:
         reps = 13
         for cov_kind in ("identity", "polydecay"):
             cov = build_covariance(CovarianceSpec(cov_kind, p))
-            for burn in (None, 0, 1, 7):
-                # vma1 needs a step of burn-in, and h1 takes none
-                if (kind is ModelKind.VMA1 and burn == 0) or (h1 and burn is not None):
+            for burn in dict.fromkeys((BURN_IN[kind], 0, 1, 7)):
+                # vma1 needs a step of burn-in, and h1 has none
+                if (kind is ModelKind.VMA1 and burn == 0) or (h1 and burn):
                     continue
-                model = ModelSpec(kind, coeff=coeff, burn_in=burn, h1=h1)
+                monkeypatch.setitem(BURN_IN, kind, burn)
+                model = ModelSpec(kind, coeff=coeff, h1=h1)
                 for scenario in (ScenarioSpec.normal(), ScenarioSpec.student_t(3),
                                  ScenarioSpec.mixture()):
                     want = [gen_series(model, scenario, 12, p, derive_rng(8, "rep", r),
@@ -307,7 +321,7 @@ class TestGenSeries:
         A = gen_coeff(CoeffSpec("dense", 80), derive_rng(3, "coeff"))
         model = ModelSpec(ModelKind.VAR1, coeff=A)
         draw = _series_sampler(model, ScenarioSpec.student_t(3), 200, 80)
-        block = _eval_reps(200, 80, model.effective_burn_in())
+        block = _eval_reps(200, 80, BURN_IN[model.kind])
         tests, lags = ("ss", "flm", "max", "fc"), (1, 2, 3)
         # first calls outside the trace
         _evaluate_block(draw([derive_rng(0, "warm")]), tests, lags)
@@ -331,7 +345,7 @@ class TestGenSeries:
         from hdwn.montecarlo import _EVAL_BLOCK_BYTES, _eval_reps
 
         A = gen_coeff(CoeffSpec("dense", 80), derive_rng(3, "coeff"))
-        draw = _series_sampler(ModelSpec(ModelKind.VAR1, coeff=A, burn_in=200),
+        draw = _series_sampler(ModelSpec(ModelKind.VAR1, coeff=A),
                                ScenarioSpec.student_t(3), 200, 80,
                                build_covariance(CovarianceSpec("polydecay", 80)))
         block = _eval_reps(200, 80, 200, factored=True)
@@ -449,11 +463,12 @@ class TestGenSeries:
         b = gen_series(model, ScenarioSpec.mixture(), 40, 10, 99).data
         assert np.array_equal(a, b)
 
-    def test_burn_in_insensitivity_of_size(self):
+    def test_burn_in_insensitivity_of_size(self, monkeypatch):
         coeff = gen_coeff(CoeffSpec("dense", 20), derive_rng(13, "A"))
+        model = ModelSpec(ModelKind.VAR1, coeff=coeff)
         rates = []
         for burn in (200, 400):
-            model = ModelSpec(ModelKind.VAR1, coeff=coeff, burn_in=burn)
+            monkeypatch.setitem(BURN_IN, ModelKind.VAR1, burn)
             rej = 0
             for r in range(200):
                 X = gen_series(model, ScenarioSpec.normal(), 60, 20, derive_rng(13, "burn", r))

@@ -30,6 +30,7 @@ from hdwn import (
     size_table,
     tabulate_reports,
 )
+from hdwn.dgp import BURN_IN
 
 
 def null_config(**overrides):
@@ -91,7 +92,7 @@ class TestRunExperiment:
             sizes.clear()
             run_experiment(null_config(model=model, cov=CovarianceSpec("identity", p), n=n, p=p,
                                        reps=50, threads=2))
-            R = mc._eval_reps(n, p, model.effective_burn_in())
+            R = mc._eval_reps(n, p, BURN_IN[model.kind])
             assert sum(sizes) == 50 and len(sizes) % 2 == 0, (n, p, sizes)
             assert max(sizes) - min(sizes) <= 1 and max(sizes) <= R, (n, p, sizes)
         # blocks of near-equal sizes: 13 at most 4 at a time is 3, 3, 3, 4,
@@ -225,7 +226,7 @@ class TestRunExperiment:
 
     def test_coefficient_fixed_across_replications(self):
         cfg = null_config(
-            model=ModelSpec(ModelKind.VAR1, coeff=CoeffSpec("dense", 5), burn_in=10),
+            model=ModelSpec(ModelKind.VAR1, coeff=CoeffSpec("dense", 5)),
             reps=25,
         )
         a = run_experiment(cfg)
@@ -233,7 +234,7 @@ class TestRunExperiment:
         assert a.coeff_fingerprint == b.coeff_fingerprint
         assert a.coeff_fingerprint is not None
         other = run_experiment(null_config(
-            model=ModelSpec(ModelKind.VAR1, coeff=CoeffSpec("dense", 5), burn_in=10),
+            model=ModelSpec(ModelKind.VAR1, coeff=CoeffSpec("dense", 5)),
             reps=25, master_seed=1,
         ))
         assert other.coeff_fingerprint != a.coeff_fingerprint
@@ -462,7 +463,8 @@ class TestTaskMemory:
         # the draw holds a block's burn-in rows: 18 series would fit the Gram
         # and max stages at (100, 40), but not their 5.8 MB of burn-in; and
         # three would overrun by the scratch of their t innovations
-        model = ModelSpec(ModelKind.VAR1, coeff=CoeffSpec("dense", 40), burn_in=1000)
+        monkeypatch.setitem(BURN_IN, ModelKind.VAR1, 1000)
+        model = ModelSpec(ModelKind.VAR1, coeff=CoeffSpec("dense", 40))
         cfg = null_config(tests=("max", "ss", "flm", "fc"), scenario=ScenarioSpec.student_t(3),
                           model=model, cov=CovarianceSpec("identity", 40), n=100, p=40,
                           H_values=(1, 2, 3), reps=6)
@@ -611,7 +613,7 @@ class TestTables:
     def test_power_table_model_labels(self):
         cfg = null_config(
             label="dense-var",
-            model=ModelSpec(ModelKind.VAR1, coeff=CoeffSpec("dense", 5), burn_in=10),
+            model=ModelSpec(ModelKind.VAR1, coeff=CoeffSpec("dense", 5)),
             reps=10,
         )
         table = power_table([cfg])

@@ -137,7 +137,7 @@ class TestSsTest:
 
                 base = gen_coeff(CoeffSpec("dense", 15), derive_rng(11, "mono-coeff"))
             for scale, sink in ((1.0, p_weak), (2.0, p_strong)):
-                model = ModelSpec(ModelKind.VAR1, coeff=scale * base, burn_in=50)
+                model = ModelSpec(ModelKind.VAR1, coeff=scale * base)
                 X = gen_series(model, ScenarioSpec.normal(), 60, 15, g.spawn(1)[0])
                 sink.append(ss_test(X, 1).p_value)
         assert np.median(p_strong) <= np.median(p_weak) + 1e-12

@@ -34,7 +34,6 @@ from hdwn import (
     McConfig,
     McReport,
     MixtureNormal,
-    ModelKind,
     ModelSpec,
     Normal,
     PowerInput,
@@ -105,8 +104,6 @@ INTEGERS = {
                              True, False),
     "McConfig.H_values": (lambda v: _config(H_values=(v,)), 2, lambda c: c.H_values[0],
                           True, False),
-    "ModelSpec.burn_in": (lambda v: ModelSpec("iid", burn_in=v), 3, lambda m: m.burn_in,
-                          True, True),
     "CovarianceSpec.p": (lambda v: CovarianceSpec("identity", v), 4, lambda c: c.p, True, False),
     "CoeffSpec.p": (lambda v: CoeffSpec("dense", v), 5, lambda c: c.p, True, False),
     "gen_series.n": (lambda v: _iid(v, 3), 6, lambda x: x, False, False),
@@ -192,12 +189,6 @@ def test_real_refusal_is_typed_and_named(case, bad):
     _refused(REALS[case][0], bad, case)
 
 
-def test_vma1_burn_in_is_checked_when_built():
-    # one step of burn-in seeds the lagged innovation
-    with pytest.raises(InvalidSpecError, match="burn_in must be an integer >= 1, got 0"):
-        ModelSpec("vma1", coeff=np.zeros((2, 2)), burn_in=0)
-
-
 def test_coefficient_block_is_checked_when_built():
     # at p = 10 the sparse block floor(0.05 p) is empty: refused before any run
     with pytest.raises(InvalidSpecError, match="sparse regime needs a bigger p, got block size 0"):
@@ -260,7 +251,7 @@ def test_collection_refusal_is_typed_and_named(field, bad):
 def test_numpy_integer_report_round_trips_through_json():
     def config(i):
         return McConfig(tests=("ss", "max"), scenario=ScenarioSpec.normal(),
-                        model=ModelSpec("var1", coeff=CoeffSpec("dense", i(5)), burn_in=i(20)),
+                        model=ModelSpec("var1", coeff=CoeffSpec("dense", i(5))),
                         cov=CovarianceSpec("identity", i(5)), n=i(20), p=i(5),
                         H_values=(i(1), i(2)), reps=i(8), master_seed=i(3), threads=i(1))
 
@@ -338,6 +329,13 @@ def test_every_model_is_drawn_by_one_loop():
     assert _owners("_draw_block") == [
         "dgp._series_sampler", "dgp._series_sampler", "dgp._draw_block", "dgp.gen_h1_model"]
     assert _owners("_fill") == []
+
+
+def test_burn_in_is_a_constant_of_the_model_kind():
+    # no spec field, config key or JSON key sets it; the draw and the block size read it
+    assert [path.name for path in sorted(SRC.rglob("*"))
+            if path.suffix in (".py", ".cfg") and "burn_in" in path.read_text()] == []
+    assert _owners("BURN_IN[") == ["dgp._series_sampler", "montecarlo.run_experiment"]
 
 
 def test_h1_settings_are_read_in_one_place():
@@ -436,12 +434,6 @@ def _c1_estimate(sampler):
     return gen_h1_model(h1, 6, 3, 0)[1].c1
 
 
-def _model(kind, **fields):
-    coeff = 0.3 * np.eye(3) if kind in ("var1", "vma1", "varma1") else None
-    h1 = H1Spec(CovarianceSpec("identity", 3)) if kind == "h1" else None
-    return ModelSpec(kind, coeff=coeff, h1=h1, **fields)
-
-
 def _radii(rng, k):
     return rng.uniform(0.5, 1.5, size=k)
 
@@ -463,7 +455,7 @@ def _report_json(field=None, value=None):
 
 def _var1_json(coeff):
     """The JSON of a var1 ModelSpec whose coeff is this JSON."""
-    return {"kind": "var1", "burn_in": None, "h1": None, "coeff": coeff}
+    return {"kind": "var1", "h1": None, "coeff": coeff}
 
 
 # id "<owner>.<what>": (call of tmp_path, error type, a phrase of the message naming the cause)
@@ -489,8 +481,6 @@ REFUSALS = {
     "ModelSpec.h1": (lambda _: ModelSpec("h1"), InvalidSpecError, "H1Spec"),
     "ModelSpec.h1-on-iid": (lambda _: ModelSpec("iid", h1=H1Spec(CovarianceSpec("identity", 3))),
                             InvalidSpecError, "H1Spec"),
-    "ModelSpec.burn_in-on-h1": (lambda _: _model("h1", burn_in=50), InvalidSpecError,
-                                "h1 model takes no burn_in"),
     "ModelSpec.coeff-missing": (lambda _: ModelSpec("var1"), InvalidSpecError,
                                 "coefficient matrix"),
     "ModelSpec.coeff-not-square": (lambda _: ModelSpec("var1", coeff=np.zeros((2, 3))),
@@ -596,6 +586,10 @@ REFUSALS = {
     "config.coeff-on-iid": (lambda _: parse_experiment_configs(
         _CELL + "model = iid\ncoeff = dense\n", seed=0), ConfigError,
         "[c] iid model takes no coefficient matrix"),
+    # a model's burn-in is its kind's, with no key
+    "config.burn_in": (lambda _: parse_experiment_configs(
+        _CELL + "model = var1\ncoeff = dense\nburn_in = 50\n", seed=0), ConfigError,
+        "unknown config keys: c.burn_in"),
     "are.df": (lambda _: _cli("are", "--dist", "t"), InvalidInputError, "--df"),
     "are.df-on-normal": (lambda _: _cli("are", "--dist", "normal", "--df", "5"),
                          InvalidInputError, "--dist normal takes no shape flag, got --df"),
@@ -608,6 +602,11 @@ REFUSALS = {
         {"regime": "dense", "p": 3, "low": None}))), ConfigError, "argument 'low'"),
     "report_from_dict.coeff-high": (lambda _: report_from_dict(_report_json("model", _var1_json(
         {"regime": "dense", "p": 3, "high": None}))), ConfigError, "argument 'high'"),
+    # a results.json written while ModelSpec had a burn_in field
+    "report_from_dict.model-burn_in": (lambda _: report_from_dict(_report_json(
+        "model", {**_var1_json({"regime": "dense", "p": 3}), "burn_in": None})), ConfigError,
+        "McReport.config.model: ModelSpec.__init__() got an unexpected keyword argument "
+        "'burn_in'"),
     "report_from_dict.coeff-explicit": (lambda _: report_from_dict(_report_json(
         "model", _var1_json({"regime": "explicit", "p": 3}))), InvalidSpecError,
         "'explicit' is not a valid CoeffRegime"),
@@ -618,6 +617,20 @@ REFUSALS = {
         "model", "var1")), ConfigError, "McReport.config.model must be a JSON object"),
     "report_from_dict.scenario-not-object": (lambda _: report_from_dict(_report_json(
         "scenario", "normal")), ConfigError, "McReport.config.scenario must be a JSON object"),
+    # a spec field holding anything but its spec, from Python or as a JSON matrix
+    "McConfig.scenario-list": (lambda _: _config(scenario=[[1]]), InvalidSpecError,
+                               "scenario must be a ScenarioSpec, got list"),
+    "McConfig.model-str": (lambda _: _config(model="iid"), InvalidSpecError,
+                           "model must be a ModelSpec, got str"),
+    "McConfig.cov-ndarray": (lambda _: _config(cov=np.eye(3)), InvalidSpecError,
+                             "cov must be a CovarianceSpec, got ndarray"),
+    "report_from_dict.scenario-matrix": (lambda _: report_from_dict(_report_json(
+        "scenario", {"matrix": [[1.0]]})), InvalidSpecError,
+        "scenario must be a ScenarioSpec, got list"),
+    "report_from_dict.cov-matrix": (lambda _: report_from_dict(_report_json(
+        "cov", {"matrix": [[1.0]]})), InvalidSpecError, "cov must be a CovarianceSpec, got list"),
+    "report_from_dict.model-matrix": (lambda _: report_from_dict(_report_json(
+        "model", {"matrix": [[1.0]]})), InvalidSpecError, "model must be a ModelSpec, got list"),
     "report_from_dict.not-object": (lambda _: report_from_dict([]), ConfigError,
                                     "McReport must be a JSON object"),
     "report_from_dict.cell-not-object": (lambda _: report_from_dict(
@@ -649,7 +662,7 @@ def test_refusal_is_typed_and_names_its_cause(case, tmp_path):
 
 
 # (kind, an optional field, a value that is not the field's default)
-OPTIONAL_FIELDS = [(kind.value, "burn_in", 7) for kind in ModelKind] + [
+OPTIONAL_FIELDS = [
     (radial.value, name, value) for radial in RadialKind
     for name, value in (("radial_c1", 1.5), ("radial_sampler", lambda rng, k: np.full(k, 2.0)))
 ] + [(family.value, name, value) for family in ScenarioKind
@@ -657,10 +670,8 @@ OPTIONAL_FIELDS = [(kind.value, "burn_in", 7) for kind in ModelKind] + [
 
 
 def _draws(spec):
-    """What a spec decides: a model's or scenario's gen_series bytes, or an H1Spec's rows
-    and H1Metadata."""
-    if isinstance(spec, ModelSpec):
-        return gen_series(spec, ScenarioSpec.normal(), 12, 3, 0).data.tobytes()
+    """What a spec decides: a scenario's gen_series bytes, or an H1Spec's rows and
+    H1Metadata."""
     if isinstance(spec, ScenarioSpec):
         return gen_series(ModelSpec("iid"), spec, 12, 3, 0).data.tobytes()
     series, meta = gen_h1_model(spec, 12, 3, 0)
@@ -671,7 +682,7 @@ def _draws(spec):
                          ids=[f"{kind}-{name}" for kind, name, _ in OPTIONAL_FIELDS])
 def test_every_optional_field_is_read_or_refused(kind, name, value):
     # a spec that takes a field must draw or report something else with it
-    build = _model if name == "burn_in" else _h1_spec if name.startswith("radial") else ScenarioSpec
+    build = _h1_spec if name.startswith("radial") else ScenarioSpec
     try:
         spec = build(kind, **{name: value})
     except InvalidSpecError as exc:
