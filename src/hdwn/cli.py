@@ -12,11 +12,12 @@ keys in [DEFAULT] apply to every section. Recognized keys: tests, lags, alpha,
 reps, scenario, df, mixture_gamma, mixture_scale, model, coeff, cov, n, p. The
 optional ones set alpha and ScenarioSpec's df, gamma and scale_factor; absent
 or empty, they pass nothing, so the spec's default holds. cov is identity
-unless set. The rest are required, but --reps stands in for reps and only var1,
-vma1 and varma1 take coeff. A model's burn-in is its kind's (dgp.BURN_IN). A
-spec refuses a key its kind does not read (coeff on iid, df on normal), from
-[DEFAULT] too. Kind values (scenario, model, coeff, cov) are case-insensitive.
-A bad value or refused cell exits 2 naming its section.
+unless set, and model = h1 takes it as Sigma0: H1Spec(cov), whose radii come
+from the scenario. The rest are required, but --reps stands in for reps and
+only var1, vma1 and varma1 take coeff. A model's burn-in is its kind's
+(dgp.BURN_IN). A spec refuses a key its kind does not read (coeff on iid, df
+on normal), from [DEFAULT] too. Kind values (scenario, model, coeff, cov) are
+case-insensitive. A bad value or refused cell exits 2 naming its section.
 """
 
 from __future__ import annotations
@@ -141,14 +142,9 @@ def read_series_csv(path) -> CsvSeries:
 def _encode(obj):
     """JSON form of a result, with each dataclass as the dict of its fields.
 
-    Enums go by value, tuples as lists, an explicit array as {"matrix": rows};
-    a field holding a function (a custom radial sampler) raises InvalidSpecError.
+    Enums go by value, tuples as lists, an explicit array as {"matrix": rows}.
     """
     if is_dataclass(obj):
-        for f in fields(obj):
-            if callable(getattr(obj, f.name)):
-                raise InvalidSpecError(
-                    f"{type(obj).__name__}.{f.name} holds a function; JSON cannot store it")
         return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, Enum):
         return obj.value
@@ -272,9 +268,9 @@ def parse_experiment_configs(text: str, *, seed: int, reps_override: int | None 
         try:
             n, p = _get(section, "n", int), _get(section, "p", int)
             model_kind = _get(section, "model", lambda raw: ModelKind(raw.lower()))
-            if model_kind is ModelKind.H1_SIGN:
-                raise ConfigError(f"[{label}] the h1 model is not configurable from files")
             regime = (section.get("coeff") or "").lower()
+            cov = CovarianceSpec((section.get("cov") or "identity").lower(), p)
+            h1 = H1Spec(cov) if model_kind is ModelKind.H1_SIGN else None
             configs.append(
                 McConfig(
                     tests=_get(section, "tests", _str_list),
@@ -283,8 +279,9 @@ def parse_experiment_configs(text: str, *, seed: int, reps_override: int | None 
                         **_optional(section, float, df="df", mixture_gamma="gamma",
                                     mixture_scale="scale_factor"),
                     ),
-                    model=ModelSpec(model_kind, coeff=CoeffSpec(regime, p) if regime else None),
-                    cov=CovarianceSpec((section.get("cov") or "identity").lower(), p),
+                    model=ModelSpec(model_kind, coeff=CoeffSpec(regime, p) if regime else None,
+                                    h1=h1),
+                    cov=cov,
                     n=n,
                     p=p,
                     H_values=_get(section, "lags", lambda raw: tuple(map(int, _str_list(raw)))),

@@ -29,9 +29,8 @@ from .errors import (
     InvalidInputError,
     InvalidSpecError,
     NotPositiveDefiniteError,
-    UndefinedMomentError,
 )
-from .power_theory import chi_radial_c1
+from .power_theory import MixtureNormal, Normal, RadialDistribution, StudentT, radial_moments
 
 __all__ = [
     "CoeffRegime",
@@ -323,7 +322,7 @@ def gen_series(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int, seed,
     """Generate n rows from a temporal model after discarding its burn-in.
 
     One draw of _series_sampler. Innovations come from the scenario with
-    identity scatter unless innov_cov is given; the h1 model uses neither.
+    identity scatter unless innov_cov is given, which the h1 model ignores.
     A Generator seed is consumed sequentially, coefficients first. An
     integer seed draws h1 rows from (seed, "h1"), and otherwise draws a
     CoeffSpec's coefficients from (seed, "coeff") and innovations from
@@ -351,7 +350,8 @@ def _series_sampler(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int,
     replaced by its matrix first.
     """
     if model.kind is ModelKind.H1_SIGN:
-        return partial(_draw_block, model.kind, None, 0, _h1_setup(model.h1, n, p)[-1], n, p)
+        rows = _h1_setup(model.h1, scenario, n, p)[-1]
+        return partial(_draw_block, model.kind, None, 0, rows, n, p)
     A, burn = model.coeff, BURN_IN[model.kind]
     if A is not None and A.shape != (p, p):
         raise InvalidSpecError(f"coefficient matrix is {A.shape}, expected ({p}, {p})")
@@ -419,7 +419,6 @@ def _draw_block(kind: ModelKind, A, burn: int, rows: Callable, n: int, p: int,
 class RadialKind(str, Enum):
     CHI_P = "chi_p"
     CONSTANT = "constant"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,16 +430,15 @@ class H1Spec:
     at generation time so that tr(Sigma1) = p/n exactly. The shift keeps
     A1'A1 proportional to the identity while leaving tr(A0'A1) = 0 for
     identity sigma0; aligning A1 with A0 instead would add a lag-one mean
-    term of the same order as the target signal. The radial law r_t is chi
-    with p degrees of freedom, a constant 1, or custom. Only custom takes a
-    radial_sampler, which it needs, and a radial_c1, else estimated.
+    term of the same order as the target signal. For chi_p, r_t u_t is a row
+    of the series' innovations with identity scatter, so r_t is chi with p
+    degrees of freedom times the t or mixture scale; constant takes normal
+    innovations alone and sets r_t = 1.
     """
 
     sigma0: "CovarianceSpec | np.ndarray"
     sigma1_scale: float | None = None
     radial: RadialKind = RadialKind.CHI_P
-    radial_sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
-    radial_c1: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "radial", _member(RadialKind, self.radial))
@@ -450,22 +448,10 @@ class H1Spec:
                 raise InvalidSpecError("explicit sigma0 must be square")
             _cholesky(arr)  # refuses a matrix that is not positive definite
             object.__setattr__(self, "sigma0", arr)
-        if (self.radial_sampler is None) is (self.radial is RadialKind.CUSTOM):
-            raise InvalidSpecError("custom radial law needs a radial_sampler, which no other takes")
-        if self.radial_c1 is not None and self.radial is not RadialKind.CUSTOM:
-            raise InvalidSpecError(f"{self.radial.value} radial law takes no radial_c1")
-        for name, low in (("sigma1_scale", 0.0), ("radial_c1", 1.0)):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _real(value, name, InvalidSpecError))
-                if not getattr(self, name) >= low:
-                    raise InvalidSpecError(f"{name} must be at least {low}, got {value!r}")
-
-    def _radii(self, rng, k: int) -> np.ndarray:
-        r = _floats(self.radial_sampler(rng, k), "radial_sampler output", InvalidSpecError)
-        if r.shape != (k,) or np.any(r < 0):
-            raise InvalidSpecError(f"radial_sampler must return {k} finite nonnegative values")
-        return r
+        if (value := self.sigma1_scale) is not None:
+            object.__setattr__(self, "sigma1_scale", _real(value, "sigma1_scale", InvalidSpecError))
+            if not self.sigma1_scale >= 0.0:
+                raise InvalidSpecError(f"sigma1_scale must be at least 0.0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -484,14 +470,34 @@ class H1Metadata:
     sigma1_scale: float
 
 
-def _h1_setup(spec: H1Spec, n: int, p: int) -> tuple:
-    """(Sigma0, tau, rows) of a checked H1Spec at shape (n, p).
+def _radial_law(spec: H1Spec, scenario: ScenarioSpec) -> RadialDistribution | None:
+    """The power_theory law of an h1 series' radii r_t, or None for the constant law.
 
-    rows(rng) draws one series from n + 1 directions, uniform on the sphere
-    as normalized Gaussians, times n + 1 radii: the Gaussian norms for chi,
-    independent of the directions, 1 for constant, or custom draws made next.
+    Normal and t(df) innovations are Normal() and StudentT(df); the mixture,
+    inflated with probability 1 - gamma, is MixtureNormal(1 - gamma,
+    sqrt(scale_factor)), its weight held one ulp below 1 where 1 - gamma rounds up.
+    """
+    if spec.radial is RadialKind.CONSTANT:
+        if scenario.kind is not ScenarioKind.NORMAL:
+            raise InvalidSpecError(f"constant radial law takes normal innovations, "
+                                   f"got {scenario.kind.value}")
+        return None
+    if scenario.kind is ScenarioKind.STUDENT_T:
+        return StudentT(scenario.df)
+    if scenario.kind is ScenarioKind.MIXTURE:
+        return MixtureNormal(min(1.0 - scenario.gamma, math.nextafter(1.0, 0.0)),
+                             math.sqrt(scenario.scale_factor))
+    return Normal()
+
+
+def _h1_setup(spec: H1Spec, scenario: ScenarioSpec, n: int, p: int) -> tuple:
+    """(Sigma0, tau, law, rows) of a checked H1Spec at shape (n, p), law as _radial_law's.
+
+    rows(rng) draws one series from n + 1 rows r_t u_t: the scenario's
+    innovations with identity scatter, divided by their norms for constant.
     """
     n, p = _integer(n, "n", 2), _integer(p, "p", 2)
+    law = _radial_law(spec, scenario)
     sigma0 = spec.sigma0  # H1Spec keeps a matrix as a square float array
     Sigma0 = build_covariance(sigma0) if isinstance(sigma0, CovarianceSpec) else sigma0
     if Sigma0.shape != (p, p):
@@ -500,37 +506,27 @@ def _h1_setup(spec: H1Spec, n: int, p: int) -> tuple:
     tau = spec.sigma1_scale if spec.sigma1_scale is not None else 1.0 / math.sqrt(n)
 
     def rows(rng):
-        G = rng.standard_normal((n + 1, p))
-        norms = np.sqrt((G * G).sum(axis=1))
-        ru = G / norms[:, None]
-        if spec.radial is RadialKind.CHI_P:
-            ru *= norms[:, None]
-        elif spec.radial is RadialKind.CUSTOM:
-            ru *= spec._radii(rng, n + 1)[:, None]
+        ru = _innovation_rows(scenario, None, n + 1, p, rng)
+        if law is None:
+            ru /= np.sqrt((ru * ru).sum(axis=1))[:, None]
         # A1 = tau * P with P the cyclic shift: orthogonal, so A1'A1 = tau^2 I
         return ru[1:] @ A0.T + tau * np.roll(ru[:-1], 1, axis=1)
 
-    return Sigma0, tau, rows
+    return Sigma0, tau, law, rows
 
 
-def gen_h1_model(spec: H1Spec, n: int, p: int, seed) -> tuple[SeriesMatrix, H1Metadata]:
+def gen_h1_model(spec: H1Spec, n: int, p: int, seed,
+                 scenario: ScenarioSpec | None = None) -> tuple[SeriesMatrix, H1Metadata]:
     """Generate the lag-one alternative and report its population constants.
 
-    The rows are drawn as _series_sampler draws them, from seed or from
-    (seed, "h1"). A custom law without radial_c1 has c1 estimated from
-    200,000 radii drawn from rng.spawn, which leaves the rows unchanged.
+    The rows are drawn as _series_sampler draws them for the scenario, normal
+    if None, from seed or from (seed, "h1"). c1 is 1 for the constant law and
+    otherwise radial_moments' closed form for the law of the radii.
     """
-    Sigma0, tau, rows = _h1_setup(spec, n, p)
+    Sigma0, tau, law, rows = _h1_setup(spec, scenario or ScenarioSpec.normal(), n, p)
     rng = derive_rng(seed, "h1") if not isinstance(seed, np.random.Generator) else seed
     eps = _draw_block(ModelKind.H1_SIGN, None, 0, rows, n, p, [rng])[0]
-    c1 = 1.0 if spec.radial is RadialKind.CONSTANT else spec.radial_c1
-    if spec.radial is RadialKind.CHI_P:
-        c1 = chi_radial_c1(p)
-    elif c1 is None:
-        est = spec._radii(rng.spawn(1)[0], 200_000)
-        if not est.all():
-            raise UndefinedMomentError("radial_c1 is undefined: the radial law has a zero radius")
-        c1 = float(est.mean() * (1.0 / est).mean())
+    c1 = 1.0 if law is None else radial_moments(law, p).c1
     tr_s0 = float(np.trace(Sigma0))
     return SeriesMatrix(eps), H1Metadata(
         c1=c1, omega=math.sqrt(tr_s0 / p), tr_s0=tr_s0, tr_s0s1=tau * tau * tr_s0,

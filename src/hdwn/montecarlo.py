@@ -28,6 +28,7 @@ from .dgp import (
     ModelKind,
     ModelSpec,
     ScenarioSpec,
+    _radial_law,
     _series_sampler,
     build_covariance,
     derive_rng,
@@ -74,13 +75,13 @@ class McConfig:
     that carries no information and shrink every rejection rate. H = n-2
     keeps one pair in the last lag.
 
-    scenario, model and cov hold a ScenarioSpec, ModelSpec and CovarianceSpec; an h1 cell's
-    rows come from its H1Spec alone, and scenario and cov go unread. Integer fields, master_seed
+    scenario, model and cov hold a ScenarioSpec, ModelSpec and CovarianceSpec; an h1 cell
+    draws its radii from its scenario, and its cov is its Sigma0. Integer fields, master_seed
     too, take Python or numpy integers, never bools or floats, and are stored as int. A refusal
     is an InvalidSpecError naming its field.
-    A cell that builds can run, as far as is known without drawing: h1 needs p >= 2,
-    coeff and sigma0 must be for p, and max and fc need H * p * p >= 3 at every lag.
-    ModelSpec and H1Spec themselves refuse an explosive matrix or a sigma0 not positive definite.
+    A cell that builds can run, as far as is known without drawing: h1 needs p >= 2, its
+    sigma0 must be its cov and a constant radial law normal innovations, coeff must be for p,
+    and max and fc need H * p * p >= 3 at every lag. ModelSpec refuses an explosive matrix.
     """
 
     tests: tuple[str, ...]
@@ -120,11 +121,14 @@ class McConfig:
                                                          InvalidSpecError))
         if self.cov.p != self.p:
             raise InvalidSpecError(f"cov is for p={self.cov.p}, expected {self.p}")
-        for name, spec in (("coeff", self.model.coeff), ("sigma0", getattr(h1, "sigma0", None))):
-            # None, a spec or a square float array
-            size = len(spec) if isinstance(spec, np.ndarray) else getattr(spec, "p", self.p)
-            if size != self.p:
-                raise InvalidSpecError(f"{name} is for p={size}, expected {self.p}")
+        coeff = self.model.coeff  # None, a CoeffSpec or a square float array
+        size = len(coeff) if isinstance(coeff, np.ndarray) else getattr(coeff, "p", self.p)
+        if size != self.p:
+            raise InvalidSpecError(f"coeff is for p={size}, expected {self.p}")
+        if h1 is not None:
+            if not (isinstance(h1.sigma0, CovarianceSpec) and h1.sigma0 == self.cov):
+                raise InvalidSpecError("sigma0 must be the cell's cov, an h1 cell's Sigma0")
+            _radial_law(h1, self.scenario)  # refuses a constant law on other innovations
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from hdwn import (
     CoeffSpec,
     CovarianceSpec,
     H1Spec,
-    InvalidSpecError,
     McConfig,
     ModelKind,
     ModelSpec,
@@ -79,6 +78,25 @@ model = var1
 coeff = dense
 n = 30
 p = 4
+"""
+
+#: Two lag-one alternative cells whose radii come from their scenario; cov is Sigma0.
+H1_CFG = """
+[DEFAULT]
+tests = ss,flm
+lags = 1,2
+reps = 25
+cov = polydecay
+model = h1
+n = 30
+p = 4
+
+[h1-normal]
+scenario = normal
+
+[h1-t5]
+scenario = t
+df = 5
 """
 
 #: One cell that sets no optional key.
@@ -506,35 +524,53 @@ class TestRoundTrip:
         _assert_same(recovered, report)
         assert (report.coeff_fingerprint is None) == (model.kind is ModelKind.IID)
 
-    @staticmethod
-    def _h1_config(h1):
-        return McConfig(tests=("ss", "flm"), scenario=ScenarioSpec.normal(),
-                        model=ModelSpec(ModelKind.H1_SIGN, h1=h1),
-                        cov=CovarianceSpec("identity", 4), n=20, p=4, H_values=(1, 2),
-                        reps=10, master_seed=3, threads=1, label="h1")
-
-    @pytest.mark.parametrize("h1", [
-        pytest.param(H1Spec(CovarianceSpec("polydecay", 4)), id="chi_p"),
+    @pytest.mark.parametrize("h1, scenario", [
+        pytest.param(H1Spec(CovarianceSpec("polydecay", 4)), ScenarioSpec.normal(), id="chi_p"),
         pytest.param(H1Spec(CovarianceSpec("identity", 4), sigma1_scale=0.4, radial="constant"),
-                     id="constant"),
-        pytest.param(H1Spec(np.diag([1.0, 2.0, 0.5, 1.5])), id="sigma0-matrix"),
+                     ScenarioSpec.normal(), id="constant"),
+        pytest.param(H1Spec(CovarianceSpec("polydecay", 4)), ScenarioSpec.student_t(5),
+                     id="chi_p-t"),
+        pytest.param(H1Spec(CovarianceSpec("identity", 4)), ScenarioSpec.mixture(),
+                     id="chi_p-mixture"),
     ])
-    def test_h1_report_round_trip(self, h1):
-        report = run_experiment(self._h1_config(h1))
+    def test_h1_report_round_trip(self, h1, scenario):
+        cfg = McConfig(tests=("ss", "flm"), scenario=scenario,
+                       model=ModelSpec(ModelKind.H1_SIGN, h1=h1), cov=h1.sigma0, n=20, p=4,
+                       H_values=(1, 2), reps=10, master_seed=3, threads=1, label="h1")
+        report = run_experiment(cfg)
         recovered = report_from_dict(json.loads(json.dumps(report_to_dict(report))))
         _assert_same(recovered, report)
         assert run_experiment(recovered.config).cells == report.cells
 
-    def test_custom_radial_sampler_is_not_stored(self):
-        h1 = H1Spec(CovarianceSpec("identity", 4), radial="custom", radial_c1=1.0,
-                    radial_sampler=lambda rng, size: np.ones(size))
-        report = run_experiment(self._h1_config(h1))
-        with pytest.raises(InvalidSpecError, match="H1Spec.radial_sampler"):
-            report_to_dict(report)
+    def test_h1_cells_run_from_a_config_file(self, tmp_path, capsys):
+        from hdwn.cli import _encode
+
+        cfg = tmp_path / "h1.cfg"
+        cfg.write_text(H1_CFG)
+        assert main(["simulate", "--config", str(cfg), "--reps", "20", "--out", str(tmp_path),
+                     "--threads", "1"]) == 0
+        with open(tmp_path / "power_table.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["label"], row["scenario"], row["model"]) for row in rows] == [
+            ("h1-normal", "normal", "h1"), ("h1-t5", "t", "h1")]
+        assert not (tmp_path / "size_table.csv").exists()
+        payload = json.loads((tmp_path / "results.json").read_text())
+        reports = [report_from_dict(d) for d in payload["reports"]]
+        assert [report_to_dict(r) for r in reports] == payload["reports"]
+        # the recovered config is the file's, and reruns to the same cells
+        configs = parse_experiment_configs(H1_CFG, seed=0, reps_override=20, threads=1)
+        for report, config in zip(reports, configs, strict=True):
+            assert _encode(report.config) == _encode(config)
+            assert report.config.model.h1.sigma0 == report.config.cov
+            assert run_experiment(report.config).cells == report.cells
+            assert [(c.test, c.H) for c in report.cells] == [
+                ("ss", 1), ("ss", 2), ("flm", 1), ("flm", 2)]
+        assert reports[0].cells != reports[1].cells
 
     def test_results_json_keys_frozen(self, tmp_path, capsys):
         cfg = tmp_path / "small.cfg"
-        cfg.write_text(SMALL_CFG)
+        cfg.write_text(SMALL_CFG + "\n[cell-h1]\nscenario = t\ndf = 5\nmodel = h1\nn = 30\n"
+                       "p = 4\n")
         assert main(["simulate", "--config", str(cfg), "--reps", "5", "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "results.json").read_text())
         keys = {path: {tuple(sorted(k)) for k in sets}
@@ -548,14 +584,20 @@ class TestRoundTrip:
             ".reports[].config.scenario": {("df", "gamma", "kind", "scale_factor")},
             ".reports[].config.model": {("coeff", "h1", "kind")},
             ".reports[].config.model.coeff": {("p", "regime")},
+            ".reports[].config.model.h1": {("radial", "sigma0", "sigma1_scale")},
+            ".reports[].config.model.h1.sigma0": {("kind", "p")},
             ".reports[].config.cov": {("kind", "p")},
         }
         # a family stores null for the parameters it does not read
         assert [r["config"]["scenario"] for r in payload["reports"]] == [
             {"kind": "normal", "df": None, "gamma": None, "scale_factor": None},
-            {"kind": "t", "df": 3.0, "gamma": None, "scale_factor": None}]
-        model = payload["reports"][1]["config"]["model"]
-        assert model == {"kind": "var1", "h1": None, "coeff": {"regime": "dense", "p": 4}}
+            {"kind": "t", "df": 3.0, "gamma": None, "scale_factor": None},
+            {"kind": "t", "df": 5.0, "gamma": None, "scale_factor": None}]
+        models = [r["config"]["model"] for r in payload["reports"]]
+        assert models[1] == {"kind": "var1", "h1": None, "coeff": {"regime": "dense", "p": 4}}
+        # an h1 cell's sigma0 is its cov, and its radial law the default chi_p
+        assert models[2] == {"kind": "h1", "coeff": None, "h1": {
+            "sigma0": {"kind": "identity", "p": 4}, "sigma1_scale": None, "radial": "chi_p"}}
 
     def test_csv_precision(self):
         from hdwn.cli import _fmt

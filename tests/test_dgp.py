@@ -13,16 +13,21 @@ from hdwn import (
     H1Spec,
     HdwnError,
     InvalidSpecError,
+    MixtureNormal,
     ModelKind,
     ModelSpec,
+    Normal,
     ScenarioSpec,
+    StudentT,
     build_covariance,
+    chi_radial_c1,
     derive_rng,
     derive_seed,
     gen_coeff,
     gen_h1_model,
     gen_innovations,
     gen_series,
+    radial_moments,
     ss_test,
 )
 from hdwn.dgp import BURN_IN
@@ -52,7 +57,7 @@ class TestCovariance:
     (lambda: CoeffSpec("bogus", 3), "'dense', 'sparse'"),
     (lambda: ModelSpec("bogus"), "'iid', 'var1', 'vma1', 'varma1', 'h1'"),
     (lambda: H1Spec(CovarianceSpec("identity", 3), radial="bogus"),
-     "'chi_p', 'constant', 'custom'"),
+     "'chi_p', 'constant'"),
 ], ids=["ScenarioSpec", "CovarianceSpec", "CoeffSpec", "ModelSpec", "H1Spec"])
 def test_unknown_kind_is_a_spec_error_listing_the_kinds(make, allowed):
     with pytest.raises(InvalidSpecError) as info:
@@ -514,43 +519,65 @@ class TestH1Model:
         assert abs(X.var() - (1.0 + meta.sigma1_scale**2)) < 0.05
         assert meta.c1 == pytest.approx(1.0, abs=0.1)
 
-    def test_custom_radial_with_declared_c1(self):
-        spec = H1Spec(
-            sigma0=CovarianceSpec("identity", 12),
-            radial="custom",
-            radial_sampler=lambda rng, size: rng.uniform(0.5, 1.5, size=size),
-            radial_c1=1.0397,
-        )
-        series, meta = gen_h1_model(spec, 60, 12, 2)
-        assert meta.c1 == 1.0397
-        assert series.n == 60
+    @pytest.mark.parametrize("scenario", [ScenarioSpec.normal(), ScenarioSpec.student_t(5),
+                                          ScenarioSpec.mixture()], ids=lambda s: s.kind.value)
+    def test_closed_form_c1_matches_the_drawn_radii(self, scenario):
+        # with sigma1_scale = 0 and identity sigma0 each row is r_t u_t, so the
+        # mean radius times the mean inverse radius of 200,000 rows estimates c1;
+        # its standard error is at most 0.3% here
+        spec = H1Spec(CovarianceSpec("identity", 50), sigma1_scale=0.0)
+        radii = []
+        for seed in range(20):
+            series, meta = gen_h1_model(spec, 10_000, 50, derive_rng(31, "c1", seed), scenario)
+            radii.append(np.linalg.norm(series.data, axis=1))
+        r = np.concatenate(radii)
+        assert meta.c1 == pytest.approx(r.mean() * (1.0 / r).mean(), rel=1e-2)
 
-    def test_custom_radial_estimates_c1(self):
-        # uniform(0.5, 1.5): E(r) = 1 and E(1/r) = log 3, so c1 = log 3
-        spec = H1Spec(
-            sigma0=CovarianceSpec("identity", 12),
-            radial="custom",
-            radial_sampler=lambda rng, size: rng.uniform(0.5, 1.5, size=size),
-        )
-        _, meta = gen_h1_model(spec, 60, 12, 2)
-        assert abs(meta.c1 - math.log(3.0)) < 0.01
+    @pytest.mark.parametrize("scenario, law", [
+        (ScenarioSpec.normal(), Normal()),
+        (ScenarioSpec.student_t(5), StudentT(5.0)),
+        (ScenarioSpec.mixture(), MixtureNormal(1.0 - 0.8, math.sqrt(9.0))),
+    ], ids=["normal", "t", "mixture"])
+    def test_c1_is_the_closed_form_of_the_scenario_law(self, scenario, law):
+        _, meta = gen_h1_model(H1Spec(CovarianceSpec("identity", 30)), 10, 30, 0, scenario)
+        assert meta.c1 == radial_moments(law, 30).c1
+        if scenario.kind.value == "normal":
+            assert meta.c1 == chi_radial_c1(30)
 
-    def test_c1_estimate_leaves_the_stream_alone(self):
-        # the estimate draws from rng.spawn, so the rows match a declared c1
-        def spec(c1):
-            return H1Spec(sigma0=CovarianceSpec("polydecay", 12), radial="custom",
-                          radial_sampler=lambda rng, size: rng.uniform(0.5, 1.5, size=size),
-                          radial_c1=c1)
+    @pytest.mark.parametrize("scenario", [
+        ScenarioSpec.mixture(gamma=1e-20), ScenarioSpec.mixture(gamma=1.0 - 2.0**-53),
+        ScenarioSpec.mixture(scale_factor=5e-324), ScenarioSpec.mixture(scale_factor=1e300),
+        ScenarioSpec.student_t(2.0 + 1e-12), ScenarioSpec.student_t(1e300),
+    ], ids=["gamma-1e-20", "gamma-1-2^-53", "scale-5e-324", "scale-1e300", "df-2+1e-12",
+            "df-1e300"])
+    def test_every_scenario_has_a_finite_c1(self, scenario):
+        _, meta = gen_h1_model(H1Spec(CovarianceSpec("identity", 8)), 10, 8, 0, scenario)
+        assert math.isfinite(meta.c1) and meta.c1 >= 1.0
 
-        est, m_est = gen_h1_model(spec(None), 60, 12, 2)
-        given, m_given = gen_h1_model(spec(1.1), 60, 12, 2)
-        assert est.data.tobytes() == given.data.tobytes()
-        assert m_given.c1 == 1.1 and m_est.c1 != 1.1
-        g_est, g_given = np.random.default_rng(2), np.random.default_rng(2)
-        est, _ = gen_h1_model(spec(None), 60, 12, g_est)
-        given, _ = gen_h1_model(spec(1.1), 60, 12, g_given)
-        assert est.data.tobytes() == given.data.tobytes()
-        assert g_est.random() == g_given.random()
+    def test_mixture_weight_that_rounds_to_one_is_the_scaled_normal(self):
+        # 1 - 1e-20 rounds to 1.0, which MixtureNormal refuses; the law keeps its
+        # weight one ulp below 1, whose c1 is the normal's to double precision
+        spec = H1Spec(CovarianceSpec("identity", 20))
+        _, mixed = gen_h1_model(spec, 10, 20, 0, ScenarioSpec.mixture(gamma=1e-20))
+        _, normal = gen_h1_model(spec, 10, 20, 0)
+        assert mixed.c1 == pytest.approx(normal.c1, rel=1e-15)
+
+    @pytest.mark.parametrize("scenario", [ScenarioSpec.normal(), ScenarioSpec.student_t(5),
+                                          ScenarioSpec.mixture()], ids=lambda s: s.kind.value)
+    def test_h1_rows_are_the_scenario_rows_of_gen_series(self, scenario):
+        # an h1 series draws its scenario's innovations, whichever call draws it
+        model = ModelSpec(ModelKind.H1_SIGN, h1=H1Spec(CovarianceSpec("polydecay", 6)))
+        X, _ = gen_h1_model(model.h1, 20, 6, 4, scenario)
+        assert X.data.tobytes() == gen_series(model, scenario, 20, 6, 4).data.tobytes()
+        if scenario.kind.value != "normal":
+            assert X.data.tobytes() != gen_h1_model(model.h1, 20, 6, 4)[0].data.tobytes()
+
+    def test_constant_radial_law_takes_normal_innovations_alone(self):
+        spec = H1Spec(CovarianceSpec("identity", 5), radial="constant")
+        assert gen_h1_model(spec, 10, 5, 0, ScenarioSpec.normal())[1].c1 == 1.0
+        for scenario in (ScenarioSpec.student_t(5), ScenarioSpec.mixture()):
+            with pytest.raises(InvalidSpecError, match="constant radial law takes normal"):
+                gen_h1_model(spec, 10, 5, 0, scenario)
 
     def test_sphere_uniformity(self):
         spec = H1Spec(sigma0=CovarianceSpec("identity", 10), sigma1_scale=0.0,

@@ -109,7 +109,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("model", (ModelSpec(ModelKind.IID),
                                        ModelSpec(ModelKind.VAR1, coeff=CoeffSpec("dense", 5)),
                                        ModelSpec(ModelKind.H1_SIGN,
-                                                 h1=H1Spec(CovarianceSpec("polydecay", 5)))))
+                                                 h1=H1Spec(CovarianceSpec("identity", 5)))))
     def test_replications_build_no_series_matrix(self, model, monkeypatch):
         # the sampler yields plain arrays; only the public calls validate.
         # It factors one covariance once: an h1 cell's sigma0, or else the
@@ -135,9 +135,9 @@ class TestRunExperiment:
     def test_h1_cells_equal_the_public_calls(self, threads):
         model = ModelSpec(ModelKind.H1_SIGN, h1=H1Spec(CovarianceSpec("polydecay", 6),
                                                        sigma1_scale=0.3))
-        cfg = null_config(model=model, cov=CovarianceSpec("identity", 6), n=30, p=6,
-                          tests=hdwn.TEST_NAMES, H_values=(1, 2), reps=20, master_seed=3,
-                          threads=threads)
+        cfg = null_config(model=model, cov=CovarianceSpec("polydecay", 6), n=30, p=6,
+                          scenario=ScenarioSpec.student_t(5), tests=hdwn.TEST_NAMES,
+                          H_values=(1, 2), reps=20, master_seed=3, threads=threads)
         rejects = dict.fromkeys(((t, H) for t in cfg.tests for H in cfg.H_values), 0)
         with mc._single_threaded_blas():
             for r in range(cfg.reps):
@@ -152,29 +152,17 @@ class TestRunExperiment:
             (t, H, count / cfg.reps, 0) for (t, H), count in rejects.items()]
         assert 0.0 < max(rejects.values()) < cfg.reps
 
-    def test_h1_custom_radii_are_drawn_per_series_only(self):
-        # without radial_c1 the engine needs no c1, so it never estimates it
-        sizes = []
-
-        def radii(rng, size):
-            sizes.append(size)
-            return rng.uniform(0.5, 1.5, size=size)
-
-        h1 = H1Spec(CovarianceSpec("identity", 5), radial="custom", radial_sampler=radii)
-        run_experiment(null_config(model=ModelSpec(ModelKind.H1_SIGN, h1=h1), reps=12,
-                                   threads=2))
-        assert sizes == [31] * 12
-
-    def test_h1_cells_read_neither_cov_nor_scenario(self, monkeypatch):
-        model = ModelSpec(ModelKind.H1_SIGN, h1=H1Spec(CovarianceSpec("identity", 6),
-                                                       sigma1_scale=0.3))
-        cell = dict(model=model, n=30, p=6, tests=hdwn.TEST_NAMES, H_values=(1, 2), reps=20,
-                    master_seed=5)
-        a = run_experiment(null_config(cov=CovarianceSpec("identity", 6), **cell))
-        monkeypatch.setattr(mc, "build_covariance", lambda spec: pytest.fail("cov was built"))
-        b = run_experiment(null_config(cov=CovarianceSpec("polydecay", 6),
-                                       scenario=ScenarioSpec.student_t(3), **cell))
-        assert a.cells == b.cells
+    def test_h1_cells_read_cov_and_scenario(self):
+        # the scenario draws the radii, and the cov is Sigma0: no other sigma0 builds
+        cov = CovarianceSpec("identity", 6)
+        model = ModelSpec(ModelKind.H1_SIGN, h1=H1Spec(cov, sigma1_scale=0.3))
+        cell = dict(model=model, cov=cov, n=30, p=6, tests=hdwn.TEST_NAMES, H_values=(1, 2),
+                    reps=20, master_seed=5)
+        a = run_experiment(null_config(**cell))
+        b = run_experiment(null_config(scenario=ScenarioSpec.student_t(3), **cell))
+        assert a.cells != b.cells
+        with pytest.raises(InvalidSpecError, match="sigma0 must be the cell's cov"):
+            null_config(**{**cell, "cov": CovarianceSpec("polydecay", 6)})
 
     @pytest.mark.parametrize("threads", (1, 2))
     @pytest.mark.parametrize("model", (ModelSpec(ModelKind.IID),
@@ -288,10 +276,14 @@ class TestRunExperiment:
     @pytest.mark.parametrize("cell, message", [
         pytest.param(dict(model=ModelSpec("h1", h1=H1Spec(CovarianceSpec("identity", 10))),
                           cov=CovarianceSpec("identity", 8), p=8),
-                     "sigma0 is for p=10, expected 8", id="sigma0-spec"),
-        pytest.param(dict(model=ModelSpec("h1", h1=H1Spec(np.eye(10))),
+                     "sigma0 must be the cell's cov", id="sigma0-spec"),
+        pytest.param(dict(model=ModelSpec("h1", h1=H1Spec(np.eye(8))),
                           cov=CovarianceSpec("identity", 8), p=8),
-                     "sigma0 is for p=10, expected 8", id="sigma0-matrix"),
+                     "sigma0 must be the cell's cov", id="sigma0-matrix"),
+        pytest.param(dict(model=ModelSpec("h1", h1=H1Spec(CovarianceSpec("identity", 5),
+                                                          radial="constant")),
+                          scenario=ScenarioSpec.student_t(5)),
+                     "constant radial law takes normal innovations, got t", id="constant-t"),
         pytest.param(dict(model=ModelSpec("h1", h1=H1Spec(CovarianceSpec("identity", 1))),
                           cov=CovarianceSpec("identity", 1), p=1),
                      "p must be an integer >= 2, got 1", id="h1-p1"),

@@ -9,10 +9,12 @@ each check, and the thread and BLAS settings, in one place.
 """
 
 import ast
+import dataclasses
 import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -132,7 +134,6 @@ REALS = {
     "ScenarioSpec.scale_factor": (lambda v: ScenarioSpec("mixture", scale_factor=v), True),
     "H1Spec.sigma1_scale": (lambda v: H1Spec(CovarianceSpec("identity", 3), sigma1_scale=v),
                             True),
-    "H1Spec.radial_c1": (lambda v: _h1_spec("custom", radial_c1=v), True),
     "StudentT.v": (StudentT, False),
     "MixtureNormal.sigma": (lambda v: MixtureNormal(0.5, v), False),
     "PowerInput.tr_s0s1": (lambda v: PowerInput(10, v, 1.0), False),
@@ -210,7 +211,6 @@ STORED_REALS = {
                                   3),
     "H1Spec.sigma1_scale": (lambda v: H1Spec(CovarianceSpec("identity", 3),
                                              sigma1_scale=v).sigma1_scale, 3),
-    "H1Spec.radial_c1": (lambda v: _h1_spec("custom", radial_c1=v).radial_c1, 3),
     "StudentT.v": (lambda v: StudentT(v).v, 3),
     "MixtureNormal.sigma": (lambda v: MixtureNormal(0.5, v).sigma, 3),
     "PowerInput.tr_s0s1": (lambda v: PowerInput(10, v, 1.0).tr_s0s1, 3),
@@ -325,7 +325,8 @@ def test_packed_layout_is_read_by_the_pair_kernel_alone():
 
 
 def test_every_model_is_drawn_by_one_loop():
-    assert _owners("_innovation_rows") == ["dgp._innovation_rows", "dgp._series_sampler"]
+    assert _owners("_innovation_rows") == ["dgp._innovation_rows", "dgp._series_sampler",
+                                           "dgp._h1_setup.rows"]
     assert _owners("_draw_block") == [
         "dgp._series_sampler", "dgp._series_sampler", "dgp._draw_block", "dgp.gen_h1_model"]
     assert _owners("_fill") == []
@@ -339,8 +340,14 @@ def test_burn_in_is_a_constant_of_the_model_kind():
 
 
 def test_h1_settings_are_read_in_one_place():
-    # c1 is computed where it is reported; the row sampler keeps no unreachable check
-    assert _owners("chi_radial_c1(", "dgp.py") == ["dgp.gen_h1_model"]
+    # c1 is computed in closed form where it is reported, from the law _radial_law maps
+    # the scenario to; no spec field holds a sampler or a c1, and no reader checks for one
+    assert _owners("radial_moments(", "dgp.py") == ["dgp.gen_h1_model"]
+    assert _owners("chi_radial_c1(", "dgp.py") == []
+    assert [path.name for path in sorted(SRC.glob("*.py")) if re.search(
+        r"radial_sampler|(?<!chi_)radial_c1|_radii|callable\(", path.read_text())] == []
+    assert [kind.value for kind in RadialKind] == ["chi_p", "constant"]
+    assert [f.name for f in dataclasses.fields(H1Spec)] == ["sigma0", "sigma1_scale", "radial"]
     assert _owners("degenerate sphere draw", "dgp.py") == []
     assert _owners("ZERO_NORM_THRESHOLD", "dgp.py") == []
 
@@ -422,27 +429,8 @@ def _cli(*argv):
     return args.func(args)
 
 
-def _sampler_rows(sampler):
-    h1 = H1Spec(CovarianceSpec("identity", 3), radial="custom", radial_sampler=sampler,
-                radial_c1=1.0)
-    return gen_h1_model(h1, 6, 3, 0)
-
-
-def _c1_estimate(sampler):
-    # without radial_c1, c1 is estimated from 200,000 radii of the sampler
-    h1 = H1Spec(CovarianceSpec("identity", 3), radial="custom", radial_sampler=sampler)
-    return gen_h1_model(h1, 6, 3, 0)[1].c1
-
-
-def _radii(rng, k):
-    return rng.uniform(0.5, 1.5, size=k)
-
-
 def _h1_spec(radial, **fields):
-    # a custom law needs a sampler; the others take none
-    sampler = _radii if radial == "custom" else None
-    return H1Spec(CovarianceSpec("identity", 3), radial=radial,
-                  **{"radial_sampler": sampler, **fields})
+    return H1Spec(CovarianceSpec("identity", 3), radial=radial, **fields)
 
 
 def _report_json(field=None, value=None):
@@ -456,6 +444,12 @@ def _report_json(field=None, value=None):
 def _var1_json(coeff):
     """The JSON of a var1 ModelSpec whose coeff is this JSON."""
     return {"kind": "var1", "h1": None, "coeff": coeff}
+
+
+def _h1_json(**fields):
+    """The JSON of an h1 ModelSpec for p = 3 with these H1Spec fields added."""
+    h1 = {"sigma0": {"kind": "identity", "p": 3}, "sigma1_scale": None, "radial": "chi_p"}
+    return {"kind": "h1", "coeff": None, "h1": {**h1, **fields}}
 
 
 # id "<owner>.<what>": (call of tmp_path, error type, a phrase of the message naming the cause)
@@ -506,36 +500,27 @@ REFUSALS = {
     "gen_innovations.cov-ragged": (lambda _: gen_innovations(ScenarioSpec.normal(),
                                                              [[1.0, 0.0], [0.0]], 10, 0),
                                    InvalidInputError, "covariance"),
-    "H1Spec.radial_sampler-missing": (lambda _: H1Spec(CovarianceSpec("identity", 3),
-                                                       radial="custom"),
-                                      InvalidSpecError, "radial_sampler"),
-    "H1Spec.radial_c1-on-chi_p": (lambda _: _h1_spec("chi_p", radial_c1=5.0), InvalidSpecError,
-                                  "chi_p radial law takes no radial_c1"),
-    "H1Spec.radial_c1-on-constant": (lambda _: _h1_spec("constant", radial_c1=7.0),
-                                     InvalidSpecError, "constant radial law takes no radial_c1"),
-    "H1Spec.radial_sampler-on-chi_p": (lambda _: _h1_spec("chi_p", radial_sampler=_radii),
-                                       InvalidSpecError, "radial_sampler"),
+    "H1Spec.radial-custom": (lambda _: _h1_spec("custom"), InvalidSpecError,
+                             "'custom' is not a valid RadialKind; expected one of 'chi_p', "
+                             "'constant'"),
     "H1Spec.sigma1_scale-negative": (lambda _: H1Spec(CovarianceSpec("identity", 3),
                                                       sigma1_scale=-1.0),
                                      InvalidSpecError, "sigma1_scale"),
     "H1Spec.sigma0-not-square": (lambda _: H1Spec(np.ones((2, 3))), InvalidSpecError, "sigma0"),
     "H1Spec.sigma0-ragged": (lambda _: H1Spec([[1.0, 0.0], [0.0]]), InvalidSpecError, "sigma0"),
     "H1Spec.sigma0-text": (lambda _: H1Spec("identity"), InvalidSpecError, "sigma0"),
-    "H1Spec.radial_sampler-shape": (lambda _: _sampler_rows(lambda rng, k: np.ones(k - 1)),
-                                    InvalidSpecError, "radial_sampler"),
-    "H1Spec.radial_sampler-negative": (lambda _: _sampler_rows(lambda rng, k: -np.ones(k)),
-                                       InvalidSpecError, "radial_sampler"),
-    "H1Spec.radial_sampler-complex": (lambda _: _sampler_rows(lambda rng, k: np.ones(k) + 0j),
-                                      InvalidSpecError, "radial_sampler"),
     "gen_h1_model.sigma0-size": (lambda _: gen_h1_model(H1Spec(CovarianceSpec("identity", 5)),
                                                         20, 4, 0),
                                  InvalidSpecError, "sigma0 is (5, 5), expected (4, 4)"),
-    "gen_h1_model.c1-estimate-nan": (lambda _: _c1_estimate(
-        lambda rng, k: np.ones(k) if k < 100 else np.full(k, np.nan)),
-        InvalidSpecError, "radial_sampler"),
-    "gen_h1_model.c1-zero-radius": (lambda _: _c1_estimate(
-        lambda rng, k: np.where(rng.random(k) < 0.01, 0.0, 1.0)),
-        UndefinedMomentError, "radial_c1"),
+    "gen_h1_model.constant-on-mixture": (lambda _: gen_h1_model(
+        _h1_spec("constant"), 6, 3, 0, ScenarioSpec.mixture()), InvalidSpecError,
+        "constant radial law takes normal innovations, got mixture"),
+    # an h1 cell's cov is its Sigma0, and its scenario draws the radii
+    "McConfig.sigma0-not-cov": (lambda _: _config(model=ModelSpec("h1", h1=H1Spec(
+        CovarianceSpec("polydecay", 3)))), InvalidSpecError, "sigma0 must be the cell's cov"),
+    "McConfig.constant-on-t": (lambda _: _config(model=ModelSpec("h1", h1=_h1_spec("constant")),
+                                                 scenario=ScenarioSpec("t")),
+                               InvalidSpecError, "constant radial law takes normal innovations"),
     "MixtureNormal.sigma": (lambda _: MixtureNormal(0.5, 0.0), InvalidInputError, "sigma"),
     "chi_radial_c1.dof": (lambda _: chi_radial_c1(1.0), UndefinedMomentError,
                           "degree of freedom"),
@@ -569,8 +554,9 @@ REFUSALS = {
                            ConfigError, "config parse error"),
     "config.no-sections": (lambda _: parse_experiment_configs("[DEFAULT]\nn = 3\n", seed=0),
                            ConfigError, "no experiment sections"),
-    "config.model-h1": (lambda _: parse_experiment_configs(_CELL + "model = h1\n", seed=0),
-                        ConfigError, "h1 model"),
+    "config.coeff-on-h1": (lambda _: parse_experiment_configs(
+        _CELL + "model = h1\ncoeff = dense\n", seed=0), ConfigError,
+        "[c] h1 model takes no coefficient matrix"),
     "config.coeff-explicit": (lambda _: parse_experiment_configs(
         _CELL + "model = var1\ncoeff = explicit\n", seed=0), ConfigError,
         "not a valid CoeffRegime"),
@@ -607,6 +593,16 @@ REFUSALS = {
         "model", {**_var1_json({"regime": "dense", "p": 3}), "burn_in": None})), ConfigError,
         "McReport.config.model: ModelSpec.__init__() got an unexpected keyword argument "
         "'burn_in'"),
+    # a results.json written while H1Spec had a custom radial sampler and c1
+    "report_from_dict.h1-radial_sampler": (lambda _: report_from_dict(_report_json(
+        "model", _h1_json(radial_sampler=None, radial_c1=None))), ConfigError,
+        "McReport.config.model.h1: H1Spec.__init__() got an unexpected keyword argument "
+        "'radial_sampler'"),
+    "report_from_dict.h1-radial_c1": (lambda _: report_from_dict(_report_json(
+        "model", _h1_json(radial_c1=1.5))), ConfigError, "argument 'radial_c1'"),
+    "report_from_dict.h1-sigma0-matrix": (lambda _: report_from_dict(_report_json(
+        "model", _h1_json(sigma0={"matrix": np.eye(3).tolist()}))), InvalidSpecError,
+        "sigma0 must be the cell's cov"),
     "report_from_dict.coeff-explicit": (lambda _: report_from_dict(_report_json(
         "model", _var1_json({"regime": "explicit", "p": 3}))), InvalidSpecError,
         "'explicit' is not a valid CoeffRegime"),
@@ -662,10 +658,7 @@ def test_refusal_is_typed_and_names_its_cause(case, tmp_path):
 
 
 # (kind, an optional field, a value that is not the field's default)
-OPTIONAL_FIELDS = [
-    (radial.value, name, value) for radial in RadialKind
-    for name, value in (("radial_c1", 1.5), ("radial_sampler", lambda rng, k: np.full(k, 2.0)))
-] + [(family.value, name, value) for family in ScenarioKind
+OPTIONAL_FIELDS = [(radial.value, "sigma1_scale", 0.5) for radial in RadialKind] + [(family.value, name, value) for family in ScenarioKind
      for name, value in (("df", 5.0), ("gamma", 0.3), ("scale_factor", 4.0))]
 
 
@@ -682,7 +675,7 @@ def _draws(spec):
                          ids=[f"{kind}-{name}" for kind, name, _ in OPTIONAL_FIELDS])
 def test_every_optional_field_is_read_or_refused(kind, name, value):
     # a spec that takes a field must draw or report something else with it
-    build = _h1_spec if name.startswith("radial") else ScenarioSpec
+    build = _h1_spec if name == "sigma1_scale" else ScenarioSpec
     try:
         spec = build(kind, **{name: value})
     except InvalidSpecError as exc:
