@@ -18,6 +18,11 @@ only var1, vma1 and varma1 take coeff. A model's burn-in is its kind's
 (dgp.BURN_IN). A spec refuses a key its kind does not read (coeff on iid, df
 on normal), from [DEFAULT] too. Kind values (scenario, model, coeff, cov) are
 case-insensitive. A bad value or refused cell exits 2 naming its section.
+
+`are --dist KIND` takes the scenario keys as flags (--df, --mixture-gamma,
+--mixture-scale) and builds the ScenarioSpec a cell with those keys builds,
+defaults and refusals included; its efficiencies are those of the radii that
+scenario draws (dgp._radial_law). --format json echoes the parameters used.
 """
 
 from __future__ import annotations
@@ -41,14 +46,15 @@ from .dgp import (
     H1Spec,
     ModelKind,
     ModelSpec,
+    ScenarioKind,
     ScenarioSpec,
+    _radial_law,
     derive_seed,
 )
 from .errors import (
     ConfigError,
     DegenerateDataError,
     HdwnError,
-    InvalidInputError,
     InvalidSpecError,
     McRunError,
 )
@@ -61,7 +67,7 @@ from .montecarlo import (
     run_experiment,
     tabulate_reports,
 )
-from .power_theory import MixtureNormal, Normal, StudentT, are_ss_flm, radial_moments
+from .power_theory import are_ss_flm, radial_moments
 from .stats_tests import TEST_NAMES, evaluate_tests
 
 __all__ = [
@@ -81,6 +87,9 @@ _CONFIG_KEYS = {
     "tests", "lags", "alpha", "reps", "scenario", "df", "mixture_gamma",
     "mixture_scale", "model", "coeff", "cov", "n", "p",
 }
+
+#: The config keys that set ScenarioSpec's shape parameters, by field; `are` takes them as flags.
+_SCENARIO_KEYS = {"df": "df", "mixture_gamma": "gamma", "mixture_scale": "scale_factor"}
 
 
 def _fmt(x: float) -> str:
@@ -274,11 +283,8 @@ def parse_experiment_configs(text: str, *, seed: int, reps_override: int | None 
             configs.append(
                 McConfig(
                     tests=_get(section, "tests", _str_list),
-                    scenario=ScenarioSpec(
-                        _get(section, "scenario", str.lower),
-                        **_optional(section, float, df="df", mixture_gamma="gamma",
-                                    mixture_scale="scale_factor"),
-                    ),
+                    scenario=ScenarioSpec(_get(section, "scenario", str.lower),
+                                          **_optional(section, float, **_SCENARIO_KEYS)),
                     model=ModelSpec(model_kind, coeff=CoeffSpec(regime, p) if regime else None,
                                     h1=h1),
                     cov=cov,
@@ -384,24 +390,16 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-#: Each law of `are --dist`: its class and the flags it reads, in argument order.
-_ARE_LAWS = {"normal": (Normal, ()), "t": (StudentT, ("df",)),
-             "mixture": (MixtureNormal, ("gamma", "sigma"))}
-
-
 def _cmd_are(args) -> int:
-    cls, reads = _ARE_LAWS[args.dist]
-    given = {key: getattr(args, key) for key in ("df", "gamma", "sigma")
-             if getattr(args, key) is not None}
-    if set(given) != set(reads):
-        needs = " and ".join(f"--{key}" for key in reads) or "no shape flag"
-        got = " ".join(f"--{key}" for key in given) or "none"
-        raise InvalidInputError(f"--dist {args.dist} takes {needs}, got {got}")
-    dist = cls(*(given[key] for key in reads))
-    value = are_ss_flm(dist)
-    payload = {"distribution": args.dist, "are_ss_flm": value, **given}
+    scenario = ScenarioSpec(args.dist, **{field: getattr(args, key)
+                                          for key, field in _SCENARIO_KEYS.items()})
+    law = _radial_law(scenario)
+    value = are_ss_flm(law)
+    payload = {"distribution": args.dist, "are_ss_flm": value}
+    payload.update((key, getattr(scenario, field)) for key, field in _SCENARIO_KEYS.items()
+                   if getattr(scenario, field) is not None)
     if args.p is not None:
-        payload.update(p=args.p, **_encode(radial_moments(dist, args.p)))
+        payload.update(p=args.p, **_encode(radial_moments(law, args.p)))
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -438,12 +436,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_are = sub.add_parser("are", help="asymptotic relative efficiency of ss vs flm")
-    p_are.add_argument("--dist", required=True, choices=tuple(_ARE_LAWS))
-    p_are.add_argument("--df", type=float, default=None, help="degrees of freedom for t")
-    p_are.add_argument("--gamma", type=float, default=None,
-                       help="weight of the inflated mixture component, 1 - mixture_gamma")
-    p_are.add_argument("--sigma", type=float, default=None,
-                       help="its standard-deviation multiplier, sqrt(mixture_scale)")
+    p_are.add_argument("--dist", required=True, choices=[kind.value for kind in ScenarioKind])
+    for key in _SCENARIO_KEYS:
+        p_are.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key,
+                           help=f"the config key {key}; its default if absent")
     p_are.add_argument("--p", type=int, default=None, help="also report finite-p moments")
     p_are.add_argument("--format", choices=("text", "json"), default="text")
     p_are.set_defaults(func=_cmd_are)

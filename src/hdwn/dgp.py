@@ -322,7 +322,7 @@ def gen_series(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int, seed,
     """Generate n rows from a temporal model after discarding its burn-in.
 
     One draw of _series_sampler. Innovations come from the scenario with
-    identity scatter unless innov_cov is given, which the h1 model ignores.
+    identity scatter unless innov_cov is given; h1 refuses it for its sigma0.
     A Generator seed is consumed sequentially, coefficients first. An
     integer seed draws h1 rows from (seed, "h1"), and otherwise draws a
     CoeffSpec's coefficients from (seed, "coeff") and innovations from
@@ -350,6 +350,8 @@ def _series_sampler(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int,
     replaced by its matrix first.
     """
     if model.kind is ModelKind.H1_SIGN:
+        if innov_cov is not None:
+            raise InvalidSpecError("an h1 series takes no innov_cov: its scatter is its sigma0")
         rows = _h1_setup(model.h1, scenario, n, p)[-1]
         return partial(_draw_block, model.kind, None, 0, rows, n, p)
     A, burn = model.coeff, BURN_IN[model.kind]
@@ -470,18 +472,14 @@ class H1Metadata:
     sigma1_scale: float
 
 
-def _radial_law(spec: H1Spec, scenario: ScenarioSpec) -> RadialDistribution | None:
-    """The power_theory law of an h1 series' radii r_t, or None for the constant law.
+def _radial_law(scenario: ScenarioSpec) -> RadialDistribution:
+    """The power_theory law of the radius r = w chi_p of a scenario's rows with identity
+    scatter: the one map from a scenario's parameters to a law's.
 
     Normal and t(df) innovations are Normal() and StudentT(df); the mixture,
-    inflated with probability 1 - gamma, is MixtureNormal(1 - gamma,
-    sqrt(scale_factor)), its weight held one ulp below 1 where 1 - gamma rounds up.
+    inflated with probability 1 - gamma, is the MixtureNormal with v = 1 - gamma, held
+    one ulp below 1 where it rounds up, and sigma = sqrt(scale_factor).
     """
-    if spec.radial is RadialKind.CONSTANT:
-        if scenario.kind is not ScenarioKind.NORMAL:
-            raise InvalidSpecError(f"constant radial law takes normal innovations, "
-                                   f"got {scenario.kind.value}")
-        return None
     if scenario.kind is ScenarioKind.STUDENT_T:
         return StudentT(scenario.df)
     if scenario.kind is ScenarioKind.MIXTURE:
@@ -490,14 +488,25 @@ def _radial_law(spec: H1Spec, scenario: ScenarioSpec) -> RadialDistribution | No
     return Normal()
 
 
+def _h1_law(spec: H1Spec, scenario: ScenarioSpec) -> RadialDistribution | None:
+    """The _radial_law of an h1 series' scenario, or None for the constant law,
+    which takes normal innovations alone."""
+    if spec.radial is not RadialKind.CONSTANT:
+        return _radial_law(scenario)
+    if scenario.kind is not ScenarioKind.NORMAL:
+        raise InvalidSpecError(f"constant radial law takes normal innovations, "
+                               f"got {scenario.kind.value}")
+    return None
+
+
 def _h1_setup(spec: H1Spec, scenario: ScenarioSpec, n: int, p: int) -> tuple:
-    """(Sigma0, tau, law, rows) of a checked H1Spec at shape (n, p), law as _radial_law's.
+    """(Sigma0, tau, law, rows) of a checked H1Spec at shape (n, p), law as _h1_law's.
 
     rows(rng) draws one series from n + 1 rows r_t u_t: the scenario's
     innovations with identity scatter, divided by their norms for constant.
     """
     n, p = _integer(n, "n", 2), _integer(p, "p", 2)
-    law = _radial_law(spec, scenario)
+    law = _h1_law(spec, scenario)
     sigma0 = spec.sigma0  # H1Spec keeps a matrix as a square float array
     Sigma0 = build_covariance(sigma0) if isinstance(sigma0, CovarianceSpec) else sigma0
     if Sigma0.shape != (p, p):

@@ -28,7 +28,7 @@ from .dgp import (
     ModelKind,
     ModelSpec,
     ScenarioSpec,
-    _radial_law,
+    _h1_law,
     _series_sampler,
     build_covariance,
     derive_rng,
@@ -128,7 +128,7 @@ class McConfig:
         if h1 is not None:
             if not (isinstance(h1.sigma0, CovarianceSpec) and h1.sigma0 == self.cov):
                 raise InvalidSpecError("sigma0 must be the cell's cov, an h1 cell's Sigma0")
-            _radial_law(h1, self.scenario)  # refuses a constant law on other innovations
+            _h1_law(h1, self.scenario)  # refuses a constant law on other innovations
 
 
 @dataclass(frozen=True)

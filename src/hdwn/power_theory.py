@@ -3,8 +3,13 @@
 The limiting power of the sign sum test is Phi(-z_alpha + shift) with shift
 c1^2 n tr(S0 S1) / (sqrt(2) tr(S0^2)), where c1 = E(r) E(1/r) for the radial
 variable of the elliptical decomposition; the raw sum test replaces c1^2 by
-E^2(r)/E(r^2). Their efficiency ratio lim E^2(1/r) E(r^2) has closed forms
-for the normal, multivariate t, and normal scale-mixture families.
+E^2(r)/E(r^2). Their efficiency ratio is lim E^2(1/r) E(r^2).
+
+Every family's radius is r = w chi_p, the norm of one of its innovation rows
+with identity scatter: chi_p from the normal directions times a scale w that
+is 1 (normal), sqrt(v / chi2_v) (t) or sigma with probability v and 1
+otherwise (mixture). So each moment is the scale's moment times chi_p's, and
+the efficiency ratio tends to E^2(1/w) E(w^2).
 
 All gamma ratios are evaluated in log space with the standard library's
 math.lgamma; Gamma(p/2) overflows quickly otherwise. chi_radial_c1 agrees
@@ -56,7 +61,9 @@ class MixtureNormal:
     """Two-component normal scale mixture.
 
     v is the weight of the inflated component and sigma its standard
-    deviation multiplier, so the density is (1-v) N(0, I) + v N(0, sigma^2 I).
+    deviation multiplier, so the density is (1-v) N(0, I) + v N(0, sigma^2 I)
+    and the scale w is sigma with probability v and 1 otherwise. The mixture
+    scenario's gamma and scale_factor are 1 - v and sigma^2 (dgp._radial_law).
     """
 
     v: float
@@ -139,56 +146,40 @@ class RadialMoments:
     c1: float
 
 
-def radial_moments(dist: RadialDistribution, p: int) -> RadialMoments:
-    """Closed-form radial moments of the elliptical decomposition at dimension p.
-
-    For the scale mixture, E(1/r) follows the published closed form, which
-    normalizes the scatter to the covariance; E(r^2) and c1 use the exact
-    unnormalized scale-mixture moments.
-    """
-    p = _integer(p, "p", 2)
-    half_ratio = math.lgamma((p - 1) / 2.0) - math.lgamma(p / 2.0)
+def _scale_moments(dist: RadialDistribution) -> tuple[float, float, float]:
+    """E(1/w), E(w^2) and E(w) E(1/w) of the scale w in the radius r = w chi_p."""
     if isinstance(dist, Normal):
-        e_r_inv = math.exp(half_ratio) / math.sqrt(2.0)
-        return RadialMoments(e_r_inv, float(p), chi_radial_c1(p))
+        return 1.0, 1.0, 1.0
     if isinstance(dist, StudentT):
         v = dist.v
-        e_r_inv = math.exp(
-            math.lgamma((v + 1.0) / 2.0) - math.lgamma(v / 2.0) + half_ratio
-        ) / math.sqrt(v)
-        e_r2 = p * v / (v - 2.0)
-        c1 = chi_radial_c1(p) * chi_radial_c1(v)
-        return RadialMoments(e_r_inv, e_r2, c1)
+        e_w_inv = math.sqrt(2.0 / v) * math.exp(math.lgamma((v + 1.0) / 2.0) - math.lgamma(v / 2.0))
+        return e_w_inv, v / (v - 2.0), chi_radial_c1(v)
     if isinstance(dist, MixtureNormal):
         v, s = dist.v, dist.sigma
-        e_r_inv = (
-            (v + (1.0 - v) / s)
-            * math.sqrt(v + (1.0 - v) * s * s)
-            / math.sqrt(2.0)
-            * math.exp(half_ratio)
-        )
-        e_r2 = p * (1.0 - v + v * s * s)
-        c1 = ((1.0 - v) + v * s) * ((1.0 - v) + v / s) * chi_radial_c1(p)
-        return RadialMoments(e_r_inv, e_r2, c1)
+        e_w_inv = 1.0 - v + v / s
+        return e_w_inv, 1.0 - v + v * s * s, (1.0 - v + v * s) * e_w_inv
     raise InvalidInputError(f"unsupported distribution {dist!r}")
+
+
+def radial_moments(dist: RadialDistribution, p: int) -> RadialMoments:
+    """Closed-form moments of the radius r = w chi_p at dimension p.
+
+    Each is the scale's moment times chi_p's: E(1/r) = E(1/w) E(1/chi_p),
+    E(r^2) = E(w^2) p and c1 = E(w) E(1/w) chi_radial_c1(p).
+    """
+    p = _integer(p, "p", 2)
+    e_w_inv, e_w2, c1_w = _scale_moments(dist)
+    e_chi_inv = math.exp(math.lgamma((p - 1) / 2.0) - math.lgamma(p / 2.0)) / math.sqrt(2.0)
+    return RadialMoments(e_w_inv * e_chi_inv, e_w2 * p, c1_w * chi_radial_c1(p))
 
 
 def are_ss_flm(dist: RadialDistribution) -> float:
     """Large-p efficiency of the sign sum test relative to the raw sum test.
 
-    Exactly 1 for normal directions; 2/(v-2) (Gamma((v+1)/2)/Gamma(v/2))^2
-    for the t family; and a rational function of the mixture weight and scale
-    for the normal scale mixture. Always at least 1.
+    The large-p limit of E^2(1/r) E(r^2), which is E^2(1/w) E(w^2) of the scale:
+    exactly 1 for normal directions, 2/(v-2) (Gamma((v+1)/2)/Gamma(v/2))^2
+    for t(v), and (1-v+v/sigma)^2 (1-v+v sigma^2) for the mixture. Always at
+    least 1, by Jensen's inequality.
     """
-    if isinstance(dist, Normal):
-        return 1.0
-    if isinstance(dist, StudentT):
-        v = dist.v
-        return (2.0 / (v - 2.0)) * math.exp(
-            2.0 * (math.lgamma((v + 1.0) / 2.0) - math.lgamma(v / 2.0))
-        )
-    if isinstance(dist, MixtureNormal):
-        v, s = dist.v, dist.sigma
-        spread = v * (1.0 - v)
-        return (1.0 + spread * (s - 1.0 / s) ** 2) / (1.0 + spread * (1.0 - 1.0 / s) ** 2)
-    raise InvalidInputError(f"unsupported distribution {dist!r}")
+    e_w_inv, e_w2, _ = _scale_moments(dist)
+    return e_w_inv * e_w_inv * e_w2

@@ -33,9 +33,11 @@ from hdwn import (
     CovarianceSpec,
     H1Spec,
     McConfig,
+    MixtureNormal,
     ModelKind,
     ModelSpec,
     ScenarioSpec,
+    are_ss_flm,
     run_experiment,
     ss_test,
 )
@@ -440,26 +442,41 @@ class TestCmdAre:
         assert main(["are", "--dist", "t", "--df", "2"]) == 2
 
     def test_mixture_with_moments(self, capsys):
-        assert main(["are", "--dist", "mixture", "--gamma", "0.2", "--sigma", "3",
-                     "--p", "100", "--format", "json"]) == 0
+        assert main(["are", "--dist", "mixture", "--mixture-gamma", "0.8", "--mixture-scale",
+                     "9", "--p", "100", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["e_r2"] == pytest.approx(260.0, rel=1e-12)
+        assert payload["are_ss_flm"] == pytest.approx(are_ss_flm(MixtureNormal(0.2, 3.0)),
+                                                      rel=1e-15)
 
-    def test_mixture_needs_parameters(self):
-        assert main(["are", "--dist", "mixture"]) == 2
+    def test_mixture_takes_the_scenario_defaults(self, capsys):
+        # --dist mixture alone is ScenarioSpec.mixture(), as a config cell without the keys is
+        assert main(["are", "--dist", "mixture", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["mixture_gamma"], payload["mixture_scale"]) == (0.8, 9.0)
+        assert payload["are_ss_flm"] == pytest.approx((0.8 + 0.2 / 3) ** 2 * 2.6, rel=1e-15)
+        assert main(["are", "--dist", "t", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["df"] == 3.0
 
     def test_flag_the_law_does_not_read_exits_two(self, capsys):
         assert main(["are", "--dist", "normal", "--df", "5", "--format", "json"]) == 2
-        assert "--df" in capsys.readouterr().err
-        assert main(["are", "--dist", "t", "--df", "4", "--gamma", "0.2"]) == 2
-        assert "--gamma" in capsys.readouterr().err
+        assert "normal innovations take no df" in capsys.readouterr().err
+        assert main(["are", "--dist", "t", "--df", "4", "--mixture-gamma", "0.2"]) == 2
+        assert "t innovations take no gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ("--gamma", "--sigma"))
+    def test_old_mixture_flags_are_unknown(self, flag, capsys):
+        assert main(["are", "--dist", "mixture", flag, "0.2"]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_json_echoes_the_flags_its_law_reads(self, capsys):
-        assert main(["are", "--dist", "mixture", "--gamma", "0.2", "--sigma", "3",
-                     "--format", "json"]) == 0
+        assert main(["are", "--dist", "mixture", "--mixture-gamma", "0.5", "--mixture-scale",
+                     "4", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"distribution", "are_ss_flm", "gamma", "sigma"}
-        assert (payload["gamma"], payload["sigma"]) == (0.2, 3.0)
+        assert set(payload) == {"distribution", "are_ss_flm", "mixture_gamma", "mixture_scale"}
+        assert (payload["mixture_gamma"], payload["mixture_scale"]) == (0.5, 4.0)
+        assert payload["are_ss_flm"] == pytest.approx(are_ss_flm(MixtureNormal(0.5, 2.0)),
+                                                      rel=1e-15)
 
 
 def _assert_same(got, want):

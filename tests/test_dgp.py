@@ -257,9 +257,10 @@ class TestGenSeries:
         models.append(ModelSpec(ModelKind.H1_SIGN, h1=H1Spec(CovarianceSpec("identity", 6))))
         scenario = ScenarioSpec.student_t(3)
         for model in models:
-            draw = _series_sampler(model, scenario, 30, 6, cov)
+            c = None if model.h1 else cov  # an h1 series' scatter is its sigma0
+            draw = _series_sampler(model, scenario, 30, 6, c)
             for r in range(3):
-                want = gen_series(model, scenario, 30, 6, derive_rng(4, "rep", r), innov_cov=cov)
+                want = gen_series(model, scenario, 30, 6, derive_rng(4, "rep", r), innov_cov=c)
                 (got,) = draw([derive_rng(4, "rep", r)])
                 assert type(got) is np.ndarray and got.dtype == np.float64
                 assert got.shape == (30, 6)
@@ -283,8 +284,9 @@ class TestGenSeries:
         h1 = H1Spec(CovarianceSpec("identity", p)) if kind is ModelKind.H1_SIGN else None
         coeff = None if kind in (ModelKind.IID, ModelKind.H1_SIGN) else A
         reps = 13
-        for cov_kind in ("identity", "polydecay"):
-            cov = build_covariance(CovarianceSpec(cov_kind, p))
+        # an h1 series' scatter is its sigma0, so it takes no innovation covariance
+        for cov_kind in (None,) if h1 else ("identity", "polydecay"):
+            cov = cov_kind and build_covariance(CovarianceSpec(cov_kind, p))
             for burn in dict.fromkeys((BURN_IN[kind], 0, 1, 7)):
                 # vma1 needs a step of burn-in, and h1 has none
                 if (kind is ModelKind.VMA1 and burn == 0) or (h1 and burn):
@@ -400,7 +402,7 @@ class TestGenSeries:
             out = []
             for scenario in scenarios:
                 out.append(gen_innovations(scenario, np.eye(p), n, 2).data)
-                for cov in (None, np.eye(p)):
+                for cov in (None,) if h1 else (None, np.eye(p)):
                     out.append(gen_series(model, scenario, n, p, 2, innov_cov=cov).data)
                     draw = _series_sampler(model, scenario, n, p, cov)
                     out += list(draw([derive_rng(2, "rep", r) for r in range(3)]))

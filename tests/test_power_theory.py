@@ -11,12 +11,14 @@ from hdwn import (
     MixtureNormal,
     Normal,
     PowerInput,
+    ScenarioSpec,
     StudentT,
     UndefinedMomentError,
     are_ss_flm,
     chi_radial_c1,
     derive_rng,
     gen_h1_model,
+    gen_innovations,
     power_flm,
     power_ss,
     radial_moments,
@@ -88,18 +90,23 @@ class TestAre:
             for s in (0.2, 0.5, 2.0, 3.0, 9.0):
                 assert are_ss_flm(MixtureNormal(float(w), s)) >= 1.0
 
-    def test_mixture_printed_form(self):
-        v, s = 0.2, 3.0
-        spread = v * (1 - v)
-        expected = (1 + spread * (s - 1 / s) ** 2) / (1 + spread * (1 - 1 / s) ** 2)
-        assert are_ss_flm(MixtureNormal(v, s)) == pytest.approx(expected, rel=1e-15)
+    def test_mixture_closed_form(self):
+        # E^2(1/w) E(w^2) of the scale w, sigma with probability v and 1 otherwise;
+        # the scenario default gamma = 0.8, scale_factor = 9 is MixtureNormal(0.2, 3)
+        assert are_ss_flm(MixtureNormal(0.2, 3.0)) == pytest.approx(
+            (0.8 + 0.2 / 3) ** 2 * 2.6, rel=1e-15)
+        for v, s in ((0.5, 2.0), (0.1, 9.0), (0.8, 0.5)):
+            expected = (1 - v + v / s) ** 2 * (1 - v + v * s * s)
+            assert are_ss_flm(MixtureNormal(v, s)) == pytest.approx(expected, rel=1e-15)
 
-    def test_consistency_with_radial_moments_student_t(self):
+    @pytest.mark.parametrize("dist", [Normal(), StudentT(3.0), StudentT(4.0), StudentT(7.5),
+                                      MixtureNormal(0.2, 3.0), MixtureNormal(0.5, 2.0),
+                                      MixtureNormal(0.1, 9.0), MixtureNormal(0.8, 0.5)], ids=repr)
+    def test_consistency_with_radial_moments(self, dist):
         # the closed form is the p -> infinity limit of E^2(1/r) E(r^2)
-        for v in (3.0, 4.0, 7.5):
-            m = radial_moments(StudentT(v), 10_000)
-            finite_p = m.e_r_inv**2 * m.e_r2
-            assert abs(finite_p - are_ss_flm(StudentT(v))) / are_ss_flm(StudentT(v)) < 1e-3
+        m = radial_moments(dist, 10_000)
+        finite_p = m.e_r_inv**2 * m.e_r2
+        assert abs(finite_p - are_ss_flm(dist)) / are_ss_flm(dist) < 1e-3
 
 
 class TestRadialMoments:
@@ -161,6 +168,25 @@ class TestRadialMoments:
                 assert err <= max(float(abs(three_lgammas(dof) - exact) / exact), 2**-52), dof
                 if dof >= 1e3:
                     assert err <= 1e-12, dof
+
+    @pytest.mark.parametrize("p", (10, 50))
+    @pytest.mark.parametrize("scenario, dist", [
+        (ScenarioSpec.normal(), Normal()), (ScenarioSpec.student_t(5), StudentT(5.0)),
+        (ScenarioSpec.mixture(), MixtureNormal(0.2, 3.0))], ids=("normal", "t5", "mixture"))
+    def test_moments_of_the_drawn_radii(self, scenario, dist, p):
+        # r is the norm of an innovation row with identity scatter; each field
+        # must lie within 4 standard errors of its estimate from 200,000 rows,
+        # that of E(r) E(1/r) taken from its linearisation
+        r = np.concatenate([np.linalg.norm(gen_innovations(scenario, np.eye(p), 50_000,
+                                                           seed).data, axis=1)
+                            for seed in range(4)])
+        inv, sq = 1.0 / r, r * r
+        m = radial_moments(dist, p)
+        for name, estimate, influence in (("e_r_inv", inv.mean(), inv), ("e_r2", sq.mean(), sq),
+                                          ("c1", r.mean() * inv.mean(),
+                                           r * inv.mean() + inv * r.mean())):
+            se = influence.std() / math.sqrt(r.size)
+            assert abs(estimate - getattr(m, name)) <= 4.0 * se, name
 
     def test_chi_radial_c1_monte_carlo(self):
         rng = np.random.default_rng(3)

@@ -362,6 +362,18 @@ def test_family_parameters_are_known_to_their_spec_alone():
     assert _owners("args.dist ==", "cli.py") == []
 
 
+def test_a_radial_law_is_mapped_and_read_in_one_place():
+    # (gamma, scale_factor) becomes (v, sigma) in dgp._radial_law alone, for h1 series and
+    # for `are`; the scale moments of each law are one table that both formulas read
+    assert _owners("MixtureNormal(") == ["dgp._radial_law"]
+    assert _owners("isinstance(dist") == ["power_theory._scale_moments"] * 3
+    assert _owners("unsupported distribution") == ["power_theory._scale_moments"]
+    assert _owners("_scale_moments(") == ["power_theory._scale_moments",
+                                          "power_theory.radial_moments",
+                                          "power_theory.are_ss_flm"]
+    assert _owners("_ARE_LAWS") == []
+
+
 def test_pair_sum_overflow_is_refused_by_the_raw_pair_kernel_alone():
     # flm, fc, flm_statistic and trace_sigma2_hat all meet it in core._pair_sums
     assert _owners("inner products overflow") == ["core._pair_sums"]
@@ -497,6 +509,13 @@ REFUSALS = {
     "gen_series.innov_cov-ragged": (lambda _: gen_series(ModelSpec("iid"), ScenarioSpec.normal(),
                                                          10, 2, 0, innov_cov=[[1.0, 0.0], [0.0]]),
                                     InvalidInputError, "covariance"),
+    # an h1 series' scatter is its sigma0
+    "gen_series.innov_cov-on-h1": (lambda _: gen_series(
+        ModelSpec("h1", h1=_h1_spec("chi_p")), ScenarioSpec.normal(), 10, 3, 0,
+        innov_cov=np.full((3, 3), 7.0)), InvalidSpecError, "h1 series takes no innov_cov"),
+    "gen_series.innov_cov-ragged-on-h1": (lambda _: gen_series(
+        ModelSpec("h1", h1=_h1_spec("chi_p")), ScenarioSpec.normal(), 10, 3, 0,
+        innov_cov=[[1.0, 0.0], [0.0]]), InvalidSpecError, "h1 series takes no innov_cov"),
     "gen_innovations.cov-ragged": (lambda _: gen_innovations(ScenarioSpec.normal(),
                                                              [[1.0, 0.0], [0.0]], 10, 0),
                                    InvalidInputError, "covariance"),
@@ -576,9 +595,11 @@ REFUSALS = {
     "config.burn_in": (lambda _: parse_experiment_configs(
         _CELL + "model = var1\ncoeff = dense\nburn_in = 50\n", seed=0), ConfigError,
         "unknown config keys: c.burn_in"),
-    "are.df": (lambda _: _cli("are", "--dist", "t"), InvalidInputError, "--df"),
+    # are builds its scenario as a config cell does, with ScenarioSpec's refusals
+    "are.df": (lambda _: _cli("are", "--dist", "t", "--df", "2"), InvalidSpecError,
+               "t innovations need df > 2"),
     "are.df-on-normal": (lambda _: _cli("are", "--dist", "normal", "--df", "5"),
-                         InvalidInputError, "--dist normal takes no shape flag, got --df"),
+                         InvalidSpecError, "normal innovations take no df"),
     # a results.json written before CoeffSpec lost m, low and high
     "report_from_dict.coeff-m": (lambda _: report_from_dict(_report_json("model", _var1_json(
         {"regime": "dense", "p": 3, "m": None, "low": None, "high": None}))),
@@ -685,8 +706,9 @@ def test_every_optional_field_is_read_or_refused(kind, name, value):
 
 
 def test_are_prints_finite_p_moments_as_text(capsys):
-    assert main(["are", "--dist", "mixture", "--gamma", "0.2", "--sigma", "3", "--p", "100"]) == 0
-    moments = radial_moments(MixtureNormal(0.2, 3.0), 100)
+    assert main(["are", "--dist", "mixture", "--mixture-gamma", "0.5", "--mixture-scale", "4",
+                 "--p", "100"]) == 0
+    moments = radial_moments(MixtureNormal(0.5, 2.0), 100)
     assert capsys.readouterr().out.splitlines() == [
-        f"are_ss_flm: {are_ss_flm(MixtureNormal(0.2, 3.0)):.6f}",
+        f"are_ss_flm: {are_ss_flm(MixtureNormal(0.5, 2.0)):.6f}",
         f"e_r_inv: {moments.e_r_inv:.6g}", f"e_r2: {moments.e_r2:.6g}", f"c1: {moments.c1:.6f}"]
