@@ -26,7 +26,6 @@ from .errors import (
 )
 
 __all__ = [
-    "LagWindow",
     "SeriesMatrix",
     "SignMatrix",
     "TestOutcome",
@@ -115,30 +114,6 @@ class SignMatrix(SeriesMatrix):
             raise InvalidInputError("sign rows must have norm 1 or be exactly zero")
 
 
-@dataclass(frozen=True)
-class LagWindow:
-    """Portmanteau lag window: statistics scan lags 1 through H."""
-
-    H: int
-
-    def __post_init__(self):
-        if isinstance(self.H, bool) or not isinstance(self.H, (int, np.integer)):
-            raise InvalidInputError("H must be an integer")
-        object.__setattr__(self, "H", int(self.H))
-        if self.H < 1:
-            raise InvalidLagError("H must be at least 1")
-
-    def check_against(self, n: int) -> int:
-        """H; lags past n - 1 index before the start of the sample, so they are rejected.
-
-        A lag h = n - 1 is allowed and contributes an empty (hence zero) pair
-        sum; the normalization 1/(n - h) only breaks down at h = n.
-        """
-        if self.H > n - 1:
-            raise InvalidLagError(f"H={self.H} too large for n={n} rows (need H <= n-1)")
-        return self.H
-
-
 def _integer(value, name: str, low: int, error=InvalidInputError) -> int:
     """value as a Python int: a Python or numpy integer, not a bool, at least low."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
@@ -172,9 +147,17 @@ def _nonempty(values, name: str, error=InvalidInputError) -> tuple:
     return items
 
 
-def as_lag(H) -> LagWindow:
-    """Coerce an int or LagWindow to a LagWindow."""
-    return H if isinstance(H, LagWindow) else LagWindow(H)
+def _lag(H, n: int) -> int:
+    """The lag window H of a call on n rows, lags 1..H, as a Python int from 1 to n - 1.
+
+    Lags past n - 1 index before the start of the sample, so they are refused.
+    A lag h = n - 1 is allowed and contributes an empty (hence zero) pair
+    sum; the normalization 1/(n - h) only breaks down at h = n.
+    """
+    H = _integer(H, "H", 1, InvalidLagError)
+    if H > n - 1:
+        raise InvalidLagError(f"H={H} too large for n={n} rows (need H <= n-1)")
+    return H
 
 
 def as_signs(x) -> SignMatrix:

@@ -49,7 +49,6 @@ __all__ = [
     "derive_seed",
     "gen_coeff",
     "gen_h1_model",
-    "gen_innovations",
     "gen_series",
 ]
 
@@ -75,10 +74,9 @@ def _seed_sequence(master_seed, path) -> np.random.SeedSequence:
     for part in path:
         if isinstance(part, str):
             part = zlib.crc32(part.encode("utf-8"))
-        elif type(part) is bool or not isinstance(part, (int, np.integer)) or not 0 <= part < 2**32:
-            raise InvalidInputError(f"stream path parts must be strings or uint32 ints, "
-                                    f"got {part!r}")
-        key.append(int(part))
+        elif (part := _integer(part, "stream path part", 0)) >= 2**32:
+            raise InvalidInputError(f"stream path part must be below 2**32, got {part!r}")
+        key.append(part)
     return np.random.SeedSequence(entropy=entropy, spawn_key=tuple(key))
 
 
@@ -111,6 +109,9 @@ class ScenarioSpec:
     means its default, and refuses the others. t takes df, above 2 so that
     covariances exist; mixture takes gamma, the probability of its unit-scale
     component, and scale_factor, which multiplies its inflated covariance.
+    With scatter matrix L L', normal rows are L z; t rows divide them by
+    sqrt(chi2_df / df) per row; mixture rows inflate them by sqrt(scale_factor)
+    with probability 1 - gamma.
     """
 
     kind: ScenarioKind
@@ -201,19 +202,6 @@ def _innovation_rows(scenario: ScenarioSpec, L: np.ndarray | None, n: int, p: in
     elif scenario.kind is ScenarioKind.MIXTURE:
         x[rng.random(n) >= scenario.gamma] *= math.sqrt(scenario.scale_factor)
     return x
-
-
-def gen_innovations(scenario: ScenarioSpec, cov, n: int, seed) -> SeriesMatrix:
-    """n i.i.d. rows from the scenario with the given scatter matrix: the iid
-    gen_series, with innov_cov=cov, drawn from np.random.default_rng(seed).
-
-    Normal rows are L z; t rows divide by sqrt(chi2_df / df) per row; mixture
-    rows inflate by sqrt(scale_factor) with probability 1 - gamma.
-    """
-    cov = _floats(cov, "covariance")
-    p = cov.shape[0] if cov.ndim else 1  # gen_series refuses any cov not (p, p)
-    return gen_series(ModelSpec(ModelKind.IID), scenario, n, p, np.random.default_rng(seed),
-                      innov_cov=cov)
 
 
 class CoeffRegime(str, Enum):
@@ -427,29 +415,26 @@ class RadialKind(str, Enum):
 class H1Spec:
     """Lag-one signed-direction alternative eps_t = A0 r_t u_t + A1 r_{t-1} u_{t-1}.
 
-    sigma0 fixes A0'A0 (a CovarianceSpec or positive definite matrix); A1 is
-    sigma1_scale times the cyclic coordinate shift, defaulting to 1/sqrt(n)
-    at generation time so that tr(Sigma1) = p/n exactly. The shift keeps
-    A1'A1 proportional to the identity while leaving tr(A0'A1) = 0 for
-    identity sigma0; aligning A1 with A0 instead would add a lag-one mean
-    term of the same order as the target signal. For chi_p, r_t u_t is a row
+    sigma0, a CovarianceSpec, fixes A0'A0; A1 is sigma1_scale times the
+    cyclic coordinate shift, defaulting to 1/sqrt(n) at generation time so
+    that tr(Sigma1) = p/n exactly. The shift keeps A1'A1 proportional to the
+    identity while leaving tr(A0'A1) = 0 for identity sigma0; aligning A1
+    with A0 instead would add a lag-one mean term of the same order as the
+    target signal. For chi_p, r_t u_t is a row
     of the series' innovations with identity scatter, so r_t is chi with p
     degrees of freedom times the t or mixture scale; constant takes normal
     innovations alone and sets r_t = 1.
     """
 
-    sigma0: "CovarianceSpec | np.ndarray"
+    sigma0: CovarianceSpec
     sigma1_scale: float | None = None
     radial: RadialKind = RadialKind.CHI_P
 
     def __post_init__(self):
         object.__setattr__(self, "radial", _member(RadialKind, self.radial))
         if not isinstance(self.sigma0, CovarianceSpec):
-            arr = _floats(self.sigma0, "sigma0", InvalidSpecError)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise InvalidSpecError("explicit sigma0 must be square")
-            _cholesky(arr)  # refuses a matrix that is not positive definite
-            object.__setattr__(self, "sigma0", arr)
+            raise InvalidSpecError(f"sigma0 must be a CovarianceSpec, "
+                                   f"got {type(self.sigma0).__name__}")
         if (value := self.sigma1_scale) is not None:
             object.__setattr__(self, "sigma1_scale", _real(value, "sigma1_scale", InvalidSpecError))
             if not self.sigma1_scale >= 0.0:
@@ -507,8 +492,7 @@ def _h1_setup(spec: H1Spec, scenario: ScenarioSpec, n: int, p: int) -> tuple:
     """
     n, p = _integer(n, "n", 2), _integer(p, "p", 2)
     law = _h1_law(spec, scenario)
-    sigma0 = spec.sigma0  # H1Spec keeps a matrix as a square float array
-    Sigma0 = build_covariance(sigma0) if isinstance(sigma0, CovarianceSpec) else sigma0
+    Sigma0 = build_covariance(spec.sigma0)
     if Sigma0.shape != (p, p):
         raise InvalidSpecError(f"sigma0 is {Sigma0.shape}, expected ({p}, {p})")
     A0 = _cholesky(Sigma0).T  # A0' A0 = Sigma0

@@ -42,7 +42,6 @@ __all__ = [
     "McConfig",
     "McReport",
     "McTable",
-    "power_table",
     "run_experiment",
     "size_table",
     "tabulate_reports",
@@ -67,13 +66,13 @@ _EVAL_BLOCK_BYTES = 1440 << 10
 class McConfig:
     """One experiment cell: a data-generating setup crossed with tests and lags.
 
-    Lags must satisfy H <= n-2, one less than the H <= n-1 that LagWindow
-    accepts for single calls. The pair sum at lag h runs over pairs of the
-    n-h lag-aligned rows. At h = n-1 there is one such row and no pair, so
-    that lag's term is identically zero. A single call can still report the
-    statistic, but in a cell the sqrt(H/2) standardization would count a lag
-    that carries no information and shrink every rejection rate. H = n-2
-    keeps one pair in the last lag.
+    Lags must satisfy H <= n-2, one less than the H <= n-1 that single calls
+    accept. The pair sum at lag h runs over pairs of the n-h lag-aligned
+    rows. At h = n-1 there is one such row and no pair, so that lag's term
+    is identically zero. A single call can still report the statistic, but
+    in a cell the sqrt(H/2) standardization would count a lag that carries
+    no information and shrink every rejection rate. H = n-2 keeps one pair
+    in the last lag.
 
     scenario, model and cov hold a ScenarioSpec, ModelSpec and CovarianceSpec; an h1 cell
     draws its radii from its scenario, and its cov is its Sigma0. Integer fields, master_seed
@@ -126,7 +125,7 @@ class McConfig:
         if size != self.p:
             raise InvalidSpecError(f"coeff is for p={size}, expected {self.p}")
         if h1 is not None:
-            if not (isinstance(h1.sigma0, CovarianceSpec) and h1.sigma0 == self.cov):
+            if h1.sigma0 != self.cov:
                 raise InvalidSpecError("sigma0 must be the cell's cov, an h1 cell's Sigma0")
             _h1_law(h1, self.scenario)  # refuses a constant law on other innovations
 
@@ -307,10 +306,7 @@ def tabulate_reports(reports) -> McTable:
 def size_table(grid) -> McTable:
     """Run every config of a grid and tabulate the reports, one row per config.
 
-    Over null configs the rates are empirical sizes; over alternatives they
-    are empirical powers, and power_table is this same function.
+    Over null configs the rates are empirical sizes; over alternatives, h1
+    cells among them, they are empirical powers.
     """
     return tabulate_reports(run_experiment(cfg) for cfg in grid)
-
-
-power_table = size_table

@@ -35,11 +35,11 @@ import numpy as np
 from .core import (
     TestOutcome,
     _fraction,
+    _lag,
     _nonempty,
     _pair_sums,
     _series,
     _sign_rows,
-    as_lag,
     as_signs,
     normal_upper_tail,
 )
@@ -77,13 +77,13 @@ def ss_statistic(signs, H) -> float:
     flm_statistic of the checked signs, taken from their frozen data uncopied.
     """
     U = as_signs(signs).data
-    return _pair_sums(U, as_lag(H).check_against(len(U)))[0][-1]
+    return _pair_sums(U, _lag(H, len(U)))[0][-1]
 
 
 def flm_statistic(eps, H) -> float:
     """ss_statistic's pair sum on raw rows; squares that overflow raise DegenerateDataError."""
     X = _series(eps)
-    return _pair_sums(X, as_lag(H).check_against(len(X)))[0][-1]
+    return _pair_sums(X, _lag(H, len(X)))[0][-1]
 
 
 def _lag_products(X: np.ndarray, H: int):
@@ -120,7 +120,7 @@ def cross_correlations(eps, H) -> np.ndarray:
     do not build it.
     """
     X = _series(eps)
-    (n, p), H = X.shape, as_lag(H).check_against(len(X))
+    (n, p), H = X.shape, _lag(H, len(X))
     (fault,), products = _lag_products(X[None], H)
     if fault:
         raise fault
@@ -274,7 +274,7 @@ def evaluate_tests_collect(eps, tests, H_values, alpha=0.05):
     X = _series(eps)
     alpha = _fraction(alpha, "alpha")
     names = _test_names(tests, InvalidInputError)
-    H_list = [as_lag(H).check_against(len(X)) for H in _nonempty(H_values, "H_values")]
+    H_list = [_lag(H, len(X)) for H in _nonempty(H_values, "H_values")]
 
     outcomes: dict[tuple[str, int], TestOutcome] = {}
     errors: dict[tuple[str, int], HdwnError] = {}

@@ -1,6 +1,7 @@
 """Core types, the sign transform, and the shared nuisance estimators."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hdwn import (
     InsufficientSampleError,
     InvalidInputError,
     InvalidLagError,
-    LagWindow,
     SeriesMatrix,
     SignMatrix,
     TestOutcome,
@@ -320,15 +320,19 @@ class TestDomainTypes:
             tracemalloc.stop()
         assert peak < 2.5 * x.nbytes
 
-    def test_lag_window_validation(self):
-        assert LagWindow(3).H == 3
-        with pytest.raises(InvalidLagError):
-            LagWindow(0)
-        with pytest.raises(InvalidInputError):
-            LagWindow(2.5)
-        with pytest.raises(InvalidLagError):
-            LagWindow(5).check_against(5)
-        LagWindow(4).check_against(5)
+    @pytest.mark.parametrize("call", (hdwn.ss_test, hdwn.cross_correlations))
+    def test_lag_window_validation(self, call):
+        # H is an int in 1..n-1; every other H is an InvalidLagError naming it
+        x = np.random.default_rng(0).standard_normal((5, 3))
+        for H, phrase in ((0, "H must be an integer >= 1, got 0"),
+                          (2.5, "H must be an integer >= 1, got 2.5"),
+                          (True, "H must be an integer >= 1, got True"),
+                          (5, "H=5 too large for n=5 rows (need H <= n-1)")):
+            with pytest.raises(InvalidLagError) as info:
+                call(x, H)
+            assert str(info.value) == phrase
+        call(x, 4)
+        call(x, np.int64(4))
 
     def test_outcome_consistency_enforced(self):
         with pytest.raises(InvalidInputError):
@@ -342,17 +346,22 @@ def test_public_api_frozen():
         "CoeffRegime", "CoeffSpec", "ConfigError", "CovarianceKind", "CovarianceSpec",
         "DegenerateDataError", "ExplosiveModelError", "H1Metadata", "H1Spec", "HdwnError",
         "InsufficientSampleError", "InvalidInputError", "InvalidLagError", "InvalidSpecError",
-        "LagWindow", "McCell", "McConfig", "McReport", "McRunError", "McTable",
+        "McCell", "McConfig", "McReport", "McRunError", "McTable",
         "MixtureNormal", "ModelKind", "ModelSpec", "Normal", "NotPositiveDefiniteError",
         "PowerInput", "RadialKind", "RadialMoments", "ScenarioKind", "ScenarioSpec",
         "SeriesMatrix", "SignMatrix", "StudentT", "TEST_NAMES", "TestOutcome",
         "UndefinedMomentError", "are_ss_flm", "build_covariance", "chi_radial_c1",
         "cross_correlations", "derive_rng", "derive_seed", "evaluate_tests",
         "evaluate_tests_collect", "fc_test", "flm_statistic", "flm_test", "gen_coeff",
-        "gen_h1_model", "gen_innovations", "gen_series", "max_test", "normal_upper_quantile",
-        "normal_upper_tail", "power_flm", "power_ss", "power_table", "pv_test",
+        "gen_h1_model", "gen_series", "max_test", "normal_upper_quantile",
+        "normal_upper_tail", "power_flm", "power_ss", "pv_test",
         "radial_moments", "run_experiment", "sign_transform", "size_table", "spatial_sign",
         "ss_statistic", "ss_test", "tabulate_reports", "trace_omega2_hat", "trace_sigma2_hat",
     ]
     assert all(hasattr(hdwn, name) for name in hdwn.__all__)
     assert issubclass(SignMatrix, SeriesMatrix)
+
+
+def test_readme_names_every_public_name():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert [name for name in hdwn.__all__ if f"`{name}`" not in readme] == []

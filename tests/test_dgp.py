@@ -11,7 +11,6 @@ from hdwn import (
     CovarianceSpec,
     ExplosiveModelError,
     H1Spec,
-    HdwnError,
     InvalidSpecError,
     MixtureNormal,
     ModelKind,
@@ -25,7 +24,6 @@ from hdwn import (
     derive_seed,
     gen_coeff,
     gen_h1_model,
-    gen_innovations,
     gen_series,
     radial_moments,
     ss_test,
@@ -68,25 +66,28 @@ def test_unknown_kind_is_a_spec_error_listing_the_kinds(make, allowed):
 
 class TestInnovations:
     def test_normal_sample_covariance(self):
-        X = gen_innovations(ScenarioSpec.normal(), np.eye(2), 5000, 1).data
+        X = gen_series(ModelSpec("iid"), ScenarioSpec.normal(), 5000, 2,
+                       np.random.default_rng(1), innov_cov=np.eye(2)).data
         emp = X.T @ X / 5000
         assert np.max(np.abs(emp - np.eye(2))) < 0.1
 
     def test_normal_sample_covariance_follows_the_scatter(self):
         S = np.array([[1.0, 0.5], [0.5, 1.0]])
-        X = gen_innovations(ScenarioSpec.normal(), S, 5000, 1).data
+        X = gen_series(ModelSpec("iid"), ScenarioSpec.normal(), 5000, 2,
+                       np.random.default_rng(1), innov_cov=S).data
         assert np.max(np.abs(X.T @ X / 5000 - S)) < 0.1
 
     def test_student_t_heavy_tails(self):
         heavier = 0
         for r in range(100):
-            X = gen_innovations(ScenarioSpec.student_t(3), np.eye(2), 500,
-                                derive_rng(2, "kurt", r)).data
+            X = gen_series(ModelSpec("iid"), ScenarioSpec.student_t(3), 500, 2,
+                           derive_rng(2, "kurt", r), innov_cov=np.eye(2)).data
             heavier += bool(np.all(kurtosis(X, axis=0) > 0.0))
         assert heavier >= 95
 
     def test_mixture_marginal_variance(self):
-        X = gen_innovations(ScenarioSpec.mixture(0.8, 9.0), np.eye(1), 20000, 3).data
+        X = gen_series(ModelSpec("iid"), ScenarioSpec.mixture(0.8, 9.0), 20000, 1,
+                       np.random.default_rng(3), innov_cov=np.eye(1)).data
         assert abs(X.var() - 2.6) < 0.15
 
     def test_not_positive_definite(self):
@@ -94,16 +95,14 @@ class TestInnovations:
 
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotPositiveDefiniteError):
-            gen_innovations(ScenarioSpec.normal(), bad, 10, 0)
+            gen_series(ModelSpec("iid"), ScenarioSpec.normal(), 10, 2, np.random.default_rng(0),
+                       innov_cov=bad)
 
     @pytest.mark.parametrize("cov", [np.float64(2.0), np.ones(3), np.ones((2, 3))],
                              ids=["0-d", "1-D", "2x3"])
-    def test_malformed_scatter_matrix_fails_as_in_gen_series(self, cov):
-        with pytest.raises(HdwnError) as via_series:
+    def test_malformed_scatter_matrix_is_refused(self, cov):
+        with pytest.raises(InvalidSpecError, match=r"innovation covariance must be \(3, 3\)"):
             gen_series(ModelSpec(ModelKind.IID), ScenarioSpec.normal(), 10, 3, 0, innov_cov=cov)
-        with pytest.raises(HdwnError) as via_innovations:
-            gen_innovations(ScenarioSpec.normal(), cov, 10, 0)
-        assert type(via_innovations.value) is type(via_series.value)
 
     def test_df_must_exceed_two(self):
         with pytest.raises(InvalidSpecError):
@@ -191,8 +190,8 @@ class TestGenSeries:
             X = gen_series(ModelSpec(kind, coeff=zero), ScenarioSpec.normal(), 50, 4, 123).data
             # exactly the innovation stream beyond the kind's burn-in
             burn = BURN_IN[kind]
-            Z = gen_innovations(ScenarioSpec.normal(), np.eye(4), 50 + burn,
-                                derive_rng(123, "innov")).data
+            Z = gen_series(ModelSpec("iid"), ScenarioSpec.normal(), 50 + burn, 4,
+                           derive_rng(123, "innov"), innov_cov=np.eye(4)).data
             assert np.array_equal(X, Z[burn:]), kind
 
     @pytest.mark.parametrize("kind", ["iid", "var1", "vma1", "varma1"])
@@ -401,7 +400,8 @@ class TestGenSeries:
         def draws():
             out = []
             for scenario in scenarios:
-                out.append(gen_innovations(scenario, np.eye(p), n, 2).data)
+                out.append(gen_series(ModelSpec("iid"), scenario, n, p, np.random.default_rng(2),
+                                      innov_cov=np.eye(p)).data)
                 for cov in (None,) if h1 else (None, np.eye(p)):
                     out.append(gen_series(model, scenario, n, p, 2, innov_cov=cov).data)
                     draw = _series_sampler(model, scenario, n, p, cov)
@@ -456,13 +456,6 @@ class TestGenSeries:
                        n=20, p=40, H_values=(1,), reps=2, master_seed=25770)
         with pytest.raises(ExplosiveModelError):
             run_experiment(cfg)
-
-    def test_sigma0_not_positive_definite_refused_when_the_spec_is_built(self):
-        from hdwn import NotPositiveDefiniteError
-
-        with pytest.raises(NotPositiveDefiniteError):
-            H1Spec(-np.eye(3))
-        assert np.array_equal(H1Spec(2.0 * np.eye(3)).sigma0, 2.0 * np.eye(3))
 
     def test_reproducible_streams(self):
         model = ModelSpec(ModelKind.VARMA1, coeff=CoeffSpec("dense", 10))

@@ -25,7 +25,6 @@ from hdwn import (
     ModelKind,
     ModelSpec,
     ScenarioSpec,
-    power_table,
     run_experiment,
     size_table,
     tabulate_reports,
@@ -277,9 +276,9 @@ class TestRunExperiment:
         pytest.param(dict(model=ModelSpec("h1", h1=H1Spec(CovarianceSpec("identity", 10))),
                           cov=CovarianceSpec("identity", 8), p=8),
                      "sigma0 must be the cell's cov", id="sigma0-spec"),
-        pytest.param(dict(model=ModelSpec("h1", h1=H1Spec(np.eye(8))),
+        pytest.param(dict(model=ModelSpec("h1", h1=H1Spec(CovarianceSpec("polydecay", 8))),
                           cov=CovarianceSpec("identity", 8), p=8),
-                     "sigma0 must be the cell's cov", id="sigma0-matrix"),
+                     "sigma0 must be the cell's cov", id="sigma0-kind"),
         pytest.param(dict(model=ModelSpec("h1", h1=H1Spec(CovarianceSpec("identity", 5),
                                                           radial="constant")),
                           scenario=ScenarioSpec.student_t(5)),
@@ -602,13 +601,13 @@ class TestTables:
         for row in table.rows:
             assert 0.0 <= row["SS_H1"] <= 1.0
 
-    def test_power_table_model_labels(self):
+    def test_table_labels_the_model_with_its_regime(self):
         cfg = null_config(
             label="dense-var",
             model=ModelSpec(ModelKind.VAR1, coeff=CoeffSpec("dense", 5)),
             reps=10,
         )
-        table = power_table([cfg])
+        table = size_table([cfg])
         assert table.rows[0]["model"] == "var1-dense"
 
     def test_tabulate_matches_reports(self):

@@ -9,6 +9,7 @@ from hdwn import (
     CovarianceSpec,
     H1Spec,
     MixtureNormal,
+    ModelSpec,
     Normal,
     PowerInput,
     ScenarioSpec,
@@ -18,7 +19,7 @@ from hdwn import (
     chi_radial_c1,
     derive_rng,
     gen_h1_model,
-    gen_innovations,
+    gen_series,
     power_flm,
     power_ss,
     radial_moments,
@@ -177,9 +178,9 @@ class TestRadialMoments:
         # r is the norm of an innovation row with identity scatter; each field
         # must lie within 4 standard errors of its estimate from 200,000 rows,
         # that of E(r) E(1/r) taken from its linearisation
-        r = np.concatenate([np.linalg.norm(gen_innovations(scenario, np.eye(p), 50_000,
-                                                           seed).data, axis=1)
-                            for seed in range(4)])
+        r = np.concatenate([np.linalg.norm(gen_series(
+            ModelSpec("iid"), scenario, 50_000, p, np.random.default_rng(seed),
+            innov_cov=np.eye(p)).data, axis=1) for seed in range(4)])
         inv, sq = 1.0 / r, r * r
         m = radial_moments(dist, p)
         for name, estimate, influence in (("e_r_inv", inv.mean(), inv), ("e_r2", sq.mean(), sq),

@@ -54,7 +54,6 @@ from hdwn import (
     evaluate_tests_collect,
     flm_statistic,
     gen_h1_model,
-    gen_innovations,
     gen_series,
     normal_upper_quantile,
     radial_moments,
@@ -287,12 +286,31 @@ def _owners(phrase: str, files: str = "*.py") -> list[str]:
 
 def test_each_kind_of_input_is_checked_in_one_place():
     assert _owners("strictly between 0 and 1") == ["core._fraction"]
-    assert _owners("(int, np.integer)") == [
-        "core.LagWindow.__post_init__", "core._integer", "dgp._seed_sequence"]
+    assert _owners("(int, np.integer)") == ["core._integer"]
     assert _owners("not in TEST_NAMES") == ["stats_tests._test_names"]
     assert _owners("non-finite entries") == ["core._floats"]
     assert _owners("np.isfinite") == ["core._floats"]
     assert [_owners(f'"{regime}"') for regime in ("dense", "sparse")] == [["dgp.CoeffRegime"]] * 2
+
+
+def test_each_input_has_one_form_and_each_job_one_name():
+    # H is an int, sigma0 a CovarianceSpec, the iid draw gen_series and every table size_table
+    removed = re.compile(r"\b(LagWindow|as_lag|gen_innovations|power_table)\b(?!\.csv)")
+    assert [path.name for path in sorted(SRC.rglob("*"))
+            if path.suffix in (".py", ".cfg") and removed.search(path.read_text())] == []
+
+
+@pytest.mark.parametrize("part", (True, -1, 1.0, 2**32), ids=repr)
+def test_stream_path_part_refusal_is_typed_and_named(part):
+    with pytest.raises(InvalidInputError, match=f"stream path part must be .*, got {part!r}$"):
+        derive_rng(0, part)
+
+
+def test_int_path_parts_keep_their_streams():
+    # pinned seeds: an int part is read as it always was, numpy or not, up to 2**32 - 1
+    top = 2**32 - 1
+    assert derive_seed(0, top) == derive_seed(0, np.uint32(top)) == 1115911174736451823
+    assert derive_seed(0, "rep", np.int64(5)) == 13042597625378260499
 
 
 def test_a_series_is_checked_and_copied_in_one_place():
@@ -416,10 +434,10 @@ def test_the_package_exports_the_union_of_its_modules_lists():
 
 
 def test_module_helpers_stay_out_of_the_package_namespace():
-    from hdwn.core import ZERO_NORM_THRESHOLD, as_lag, as_signs  # noqa: F401
+    from hdwn.core import ZERO_NORM_THRESHOLD, as_signs  # noqa: F401
     from hdwn.dgp import resolve_coeff  # noqa: F401
 
-    for name in ("ZERO_NORM_THRESHOLD", "as_lag", "as_signs", "resolve_coeff"):
+    for name in ("ZERO_NORM_THRESHOLD", "as_signs", "resolve_coeff"):
         assert name not in hdwn.__all__ and not hasattr(hdwn, name)
     code = "import sys, hdwn; print(sorted({'argparse', 'csv', 'json'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -516,18 +534,15 @@ REFUSALS = {
     "gen_series.innov_cov-ragged-on-h1": (lambda _: gen_series(
         ModelSpec("h1", h1=_h1_spec("chi_p")), ScenarioSpec.normal(), 10, 3, 0,
         innov_cov=[[1.0, 0.0], [0.0]]), InvalidSpecError, "h1 series takes no innov_cov"),
-    "gen_innovations.cov-ragged": (lambda _: gen_innovations(ScenarioSpec.normal(),
-                                                             [[1.0, 0.0], [0.0]], 10, 0),
-                                   InvalidInputError, "covariance"),
     "H1Spec.radial-custom": (lambda _: _h1_spec("custom"), InvalidSpecError,
                              "'custom' is not a valid RadialKind; expected one of 'chi_p', "
                              "'constant'"),
     "H1Spec.sigma1_scale-negative": (lambda _: H1Spec(CovarianceSpec("identity", 3),
                                                       sigma1_scale=-1.0),
                                      InvalidSpecError, "sigma1_scale"),
-    "H1Spec.sigma0-not-square": (lambda _: H1Spec(np.ones((2, 3))), InvalidSpecError, "sigma0"),
-    "H1Spec.sigma0-ragged": (lambda _: H1Spec([[1.0, 0.0], [0.0]]), InvalidSpecError, "sigma0"),
-    "H1Spec.sigma0-text": (lambda _: H1Spec("identity"), InvalidSpecError, "sigma0"),
+    # sigma0 is a CovarianceSpec, the type of every cell's cov
+    "H1Spec.sigma0-matrix": (lambda _: H1Spec(np.eye(3)), InvalidSpecError,
+                             "sigma0 must be a CovarianceSpec, got ndarray"),
     "gen_h1_model.sigma0-size": (lambda _: gen_h1_model(H1Spec(CovarianceSpec("identity", 5)),
                                                         20, 4, 0),
                                  InvalidSpecError, "sigma0 is (5, 5), expected (4, 4)"),
@@ -563,7 +578,7 @@ REFUSALS = {
     "trace_sigma2_hat.overflow": (lambda _: trace_sigma2_hat(HUGE), DegenerateDataError,
                                   "pairwise inner products overflow"),
     "derive_seed.bool-path-part": (lambda _: derive_seed(0, True), InvalidInputError,
-                                   "stream path parts must be strings or uint32 ints, got True"),
+                                   "stream path part must be an integer >= 0, got True"),
     "cross_correlations.constant-column": (
         lambda _: cross_correlations(np.column_stack([np.ones(10), np.arange(10.0)]), 1),
         DegenerateDataError, "zero-variance column"),
@@ -623,7 +638,7 @@ REFUSALS = {
         "model", _h1_json(radial_c1=1.5))), ConfigError, "argument 'radial_c1'"),
     "report_from_dict.h1-sigma0-matrix": (lambda _: report_from_dict(_report_json(
         "model", _h1_json(sigma0={"matrix": np.eye(3).tolist()}))), InvalidSpecError,
-        "sigma0 must be the cell's cov"),
+        "sigma0 must be a CovarianceSpec, got list"),
     "report_from_dict.coeff-explicit": (lambda _: report_from_dict(_report_json(
         "model", _var1_json({"regime": "explicit", "p": 3}))), InvalidSpecError,
         "'explicit' is not a valid CoeffRegime"),
