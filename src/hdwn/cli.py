@@ -32,14 +32,14 @@ import configparser
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .core import SeriesMatrix, TestOutcome, _floats
+from .core import TestOutcome, _floats
 from .dgp import (
     CoeffSpec,
     CovarianceSpec,
@@ -71,7 +71,6 @@ from .power_theory import are_ss_flm, radial_moments
 from .stats_tests import TEST_NAMES, evaluate_tests
 
 __all__ = [
-    "CsvSeries",
     "entry",
     "main",
     "outcome_from_dict",
@@ -101,32 +100,22 @@ def _fmt(x: float) -> str:
 # CSV input
 
 
-@dataclass(frozen=True)
-class CsvSeries:
-    """Parsed CSV: optional column names plus the numeric series."""
+def read_series_csv(path) -> np.ndarray:
+    """Read an n-by-p series from CSV, rows as time points, as a checked float array.
 
-    header: tuple[str, ...] | None
-    series: SeriesMatrix
-
-
-def read_series_csv(path) -> CsvSeries:
-    """Read an n-by-p series from CSV, rows as time points.
-
-    A single leading header line is auto-detected (any non-numeric field).
-    Ragged or non-numeric rows are reported with their 1-based line number.
+    A single leading header line is detected and skipped: a first line is one
+    when a field of it is non-empty and not a number. Ragged or non-numeric
+    rows, and an empty field, are reported with their 1-based line number.
     """
     rows: list[list[float]] = []
-    header: tuple[str, ...] | None = None
+    header: list[str] | None = None
     with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, record in enumerate(csv.reader(fh), start=1):
-            if not record or all(not f.strip() for f in record):
-                continue
             fields = [f.strip() for f in record]
-            if not rows and header is None:
-                try:
-                    rows.append([float(f) for f in fields])
-                except ValueError:
-                    header = tuple(fields)
+            if not any(fields):
+                continue
+            if not rows and header is None and any(f and not _is_number(f) for f in fields):
+                header = fields
                 continue
             if rows and len(fields) != len(rows[0]):
                 raise ConfigError(
@@ -140,8 +129,15 @@ def read_series_csv(path) -> CsvSeries:
         raise ConfigError(f"{path}: need at least 2 data rows, got {len(rows)}")
     if header is not None and len(header) != len(rows[0]):
         raise ConfigError(f"{path}: header has {len(header)} fields, data has {len(rows[0])}")
-    arr = _floats(rows, f"{path}: data", ConfigError)
-    return CsvSeries(header, object.__new__(SeriesMatrix)._freeze(arr))
+    return _floats(rows, f"{path}: data", ConfigError)
+
+
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +327,15 @@ def _write_results_csv(path: Path, reports: list[McReport]) -> None:
 
 
 def _cmd_test(args) -> int:
-    parsed = read_series_csv(args.input)
-    if np.all(parsed.series.data == parsed.series.data[0]):
+    X = read_series_csv(args.input)
+    if np.all(X == X[0]):
         raise DegenerateDataError("series is constant over time; nothing to test")
     key = (args.test, args.lags)
-    outcome = evaluate_tests(parsed.series, (args.test,), (args.lags,), args.alpha)[key]
+    outcome = evaluate_tests(X, (args.test,), (args.lags,), args.alpha)[key]
     payload = {
         "test": args.test,
-        "n": parsed.series.n,
-        "p": parsed.series.p,
+        "n": X.shape[0],
+        "p": X.shape[1],
         "H": args.lags,
         **outcome_to_dict(outcome),
     }

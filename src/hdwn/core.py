@@ -1,9 +1,9 @@
 """Domain types, the spatial-sign transform, the pair kernel and nuisance estimators.
 
 Everything here is a pure function of its inputs, which it never writes: a
-series enters as the checked private copy _series makes, and signs as the
-frozen data of a SignMatrix. The matrix types freeze their data on
-construction and are safe to share across threads.
+series is a float array and enters as the checked private copy _series makes,
+and signs as the frozen data of a SignMatrix, the one checked type, which
+freezes its data on construction and is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import (
 )
 
 __all__ = [
-    "SeriesMatrix",
     "SignMatrix",
     "TestOutcome",
     "normal_upper_quantile",
@@ -61,8 +60,8 @@ def _floats(data, name: str, error=InvalidInputError) -> np.ndarray:
 
 
 def _series(data, name: str = "series") -> np.ndarray:
-    """data, an array or a matrix, as a checked float copy its caller may write."""
-    arr = _floats(data.data if isinstance(data, SeriesMatrix) else data, name)
+    """data, an n-by-p array or a SignMatrix, as a checked float copy its caller may write."""
+    arr = _floats(data.data if isinstance(data, SignMatrix) else data, name)
     if arr.ndim != 2:
         raise InvalidInputError(f"{name} must be two-dimensional, got shape {arr.shape}")
     if arr.shape[0] < 2:
@@ -73,45 +72,24 @@ def _series(data, name: str = "series") -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SeriesMatrix:
-    """An n-by-p block of observations, one time point per row, rows in time order.
-
-    data may be an array or another matrix, whose data is copied.
-    """
+class SignMatrix:
+    """Spatial signs of a series, one time point per row: every row has unit norm or is
+    exactly zero. data may be an array or another SignMatrix, whose data is copied."""
 
     data: np.ndarray
 
-    _kind = "series"  # names the matrix in validation messages
-
     def __post_init__(self):
-        self._freeze(_series(self.data, self._kind))
+        arr = _series(self.data, "signs")
+        norms = np.sqrt(np.einsum("ij,ij->i", arr, arr))  # inf is refused, unwarned
+        if not bool(((np.abs(norms - 1.0) <= _SIGN_NORM_TOL) | (norms == 0.0)).all()):
+            raise InvalidInputError("sign rows must have norm 1 or be exactly zero")
+        self._freeze(arr)
 
-    def _freeze(self, arr: np.ndarray) -> "SeriesMatrix":
+    def _freeze(self, arr: np.ndarray) -> "SignMatrix":
         """This matrix with arr, a fresh array no caller holds, as its read-only data."""
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
         return self
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class SignMatrix(SeriesMatrix):
-    """Spatial signs of a series: every row has unit norm or is exactly zero."""
-
-    _kind = "signs"
-
-    def __post_init__(self):
-        super().__post_init__()
-        norms = np.sqrt(np.einsum("ij,ij->i", self.data, self.data))  # inf is refused, unwarned
-        if not bool(((np.abs(norms - 1.0) <= _SIGN_NORM_TOL) | (norms == 0.0)).all()):
-            raise InvalidInputError("sign rows must have norm 1 or be exactly zero")
 
 
 def _integer(value, name: str, low: int, error=InvalidInputError) -> int:
@@ -161,7 +139,7 @@ def _lag(H, n: int) -> int:
 
 
 def as_signs(x) -> SignMatrix:
-    """A SignMatrix as is; anything else, a SeriesMatrix too, once validated."""
+    """A SignMatrix as is; anything else once validated."""
     return x if isinstance(x, SignMatrix) else SignMatrix(x)
 
 

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from ._blas import _single_threaded_blas
-from .core import SeriesMatrix, _floats, _fraction, _integer, _real
+from .core import _floats, _fraction, _integer, _real
 from .errors import (
     ExplosiveModelError,
     InvalidInputError,
@@ -306,10 +306,11 @@ def _spectral_radius(A: np.ndarray) -> float:
 
 
 def gen_series(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int, seed,
-               innov_cov=None) -> SeriesMatrix:
+               innov_cov=None) -> np.ndarray:
     """Generate n rows from a temporal model after discarding its burn-in.
 
-    One draw of _series_sampler. Innovations come from the scenario with
+    One draw of _series_sampler, returned as the fresh (n, p) float array it
+    made, which the caller owns. Innovations come from the scenario with
     identity scatter unless innov_cov is given; h1 refuses it for its sigma0.
     A Generator seed is consumed sequentially, coefficients first. An
     integer seed draws h1 rows from (seed, "h1"), and otherwise draws a
@@ -323,7 +324,7 @@ def gen_series(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int, seed,
                                                seed if given else derive_rng(seed, "coeff")))
     if not given:
         seed = derive_rng(seed, "h1" if model.kind is ModelKind.H1_SIGN else "innov")
-    return SeriesMatrix(_series_sampler(model, scenario, n, p, innov_cov)([seed])[0])
+    return _series_sampler(model, scenario, n, p, innov_cov)([seed])[0]
 
 
 def _series_sampler(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int,
@@ -509,11 +510,12 @@ def _h1_setup(spec: H1Spec, scenario: ScenarioSpec, n: int, p: int) -> tuple:
 
 
 def gen_h1_model(spec: H1Spec, n: int, p: int, seed,
-                 scenario: ScenarioSpec | None = None) -> tuple[SeriesMatrix, H1Metadata]:
+                 scenario: ScenarioSpec | None = None) -> tuple[np.ndarray, H1Metadata]:
     """Generate the lag-one alternative and report its population constants.
 
-    The rows are drawn as _series_sampler draws them for the scenario, normal
-    if None, from seed or from (seed, "h1"). c1 is 1 for the constant law and
+    The rows, a fresh (n, p) float array the caller owns, are drawn as
+    _series_sampler draws them for the scenario, normal if None, from seed
+    or from (seed, "h1"). c1 is 1 for the constant law and
     otherwise radial_moments' closed form for the law of the radii.
     """
     Sigma0, tau, law, rows = _h1_setup(spec, scenario or ScenarioSpec.normal(), n, p)
@@ -521,6 +523,6 @@ def gen_h1_model(spec: H1Spec, n: int, p: int, seed,
     eps = _draw_block(ModelKind.H1_SIGN, None, 0, rows, n, p, [rng])[0]
     c1 = 1.0 if law is None else radial_moments(law, p).c1
     tr_s0 = float(np.trace(Sigma0))
-    return SeriesMatrix(eps), H1Metadata(
+    return eps, H1Metadata(
         c1=c1, omega=math.sqrt(tr_s0 / p), tr_s0=tr_s0, tr_s0s1=tau * tau * tr_s0,
         tr_s0sq=float((Sigma0 * Sigma0).sum()), sigma1_scale=tau)

@@ -118,33 +118,29 @@ p = 4
 class TestReadCsv:
     def test_header_autodetected(self, gaussian_csv):
         path, X = gaussian_csv
-        parsed = read_series_csv(path)
-        assert parsed.header == ("c0", "c1", "c2", "c3")
-        assert np.allclose(parsed.series.data, X, atol=1e-12)
+        parsed = read_series_csv(path)  # the c0..c3 line is skipped, not read as data
+        assert parsed.shape == X.shape
+        assert np.allclose(parsed, X, atol=1e-12)
 
     def test_headerless(self, tmp_path):
         path = tmp_path / "plain.csv"
         path.write_text("1,2\n3,4\n5,6\n")
-        parsed = read_series_csv(path)
-        assert parsed.header is None
-        assert parsed.series.n == 3
+        assert read_series_csv(path).tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
 
     def test_blank_lines_between_rows_are_skipped(self, tmp_path):
         plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
         plain.write_text("a,b\n1,2\n3,4\n5,6\n")
         spaced.write_text("a,b\n1,2\n\n3,4\n , \n5,6\n")
         read = read_series_csv(spaced)
-        assert read.header == read_series_csv(plain).header == ("a", "b")
-        assert read.series.data.tobytes() == read_series_csv(plain).series.data.tobytes()
+        assert read.shape == read_series_csv(plain).shape == (3, 2)
+        assert read.tobytes() == read_series_csv(plain).tobytes()
 
     def test_byte_order_mark_is_not_data(self, tmp_path):
         bare, named = tmp_path / "bare.csv", tmp_path / "named.csv"
         bare.write_text("\ufeff1.0,2.0\n3.0,4.5\n5.0,6.0\n", encoding="utf-8")
         named.write_text("\ufeffa,b\n1.0,2.0\n3.0,4.5\n", encoding="utf-8")
-        parsed = read_series_csv(bare)
-        assert parsed.header is None
-        assert parsed.series.data.tolist() == [[1.0, 2.0], [3.0, 4.5], [5.0, 6.0]]
-        assert read_series_csv(named).header == ("a", "b")
+        assert read_series_csv(bare).tolist() == [[1.0, 2.0], [3.0, 4.5], [5.0, 6.0]]
+        assert read_series_csv(named).tolist() == [[1.0, 2.0], [3.0, 4.5]]
 
     @pytest.mark.parametrize("text", [
         pytest.param("1,2\n3,4\n", id="bare"),
@@ -158,8 +154,8 @@ class TestReadCsv:
         plain.write_bytes(text.encode())
         marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
         read = read_series_csv(marked)
-        assert read.header == read_series_csv(plain).header
-        assert read.series.data.tobytes() == read_series_csv(plain).series.data.tobytes()
+        assert read.shape == read_series_csv(plain).shape
+        assert read.tobytes() == read_series_csv(plain).tobytes()
 
     def test_ragged_row_reports_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -651,7 +647,7 @@ hdwn.normal_upper_quantile(0.05)
 hdwn.power_ss(hdwn.PowerInput(n=100, tr_s0s1=1.0, tr_s0sq=10.0))
 hdwn.radial_moments(hdwn.StudentT(3.0), 100)
 hdwn.gen_h1_model(hdwn.H1Spec(hdwn.CovarianceSpec("identity", 10)), 30, 10, 1)
-np.savetxt(tmp / "series.csv", X.data, delimiter=",")
+np.savetxt(tmp / "series.csv", X, delimiter=",")
 (tmp / "cell.cfg").write_text(
     "[cell]\\ntests = ss,flm,pv,max,fc\\nlags = 1,2\\nreps = 4\\ncov = identity\\n"
     "scenario = t\\nmodel = vma1\\ncoeff = dense\\nn = 20\\np = 5\\n")

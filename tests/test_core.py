@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hdwn
+import hdwn.cli
 from hdwn import (
     InsufficientSampleError,
     InvalidInputError,
     InvalidLagError,
-    SeriesMatrix,
     SignMatrix,
     TestOutcome,
     normal_upper_quantile,
@@ -83,7 +83,7 @@ class TestSpatialSign:
 class TestSignTransform:
     def test_identity_rows_unchanged(self):
         eye = np.eye(3)
-        out = sign_transform(SeriesMatrix(eye))
+        out = sign_transform(eye)
         assert np.array_equal(out.data, eye)
 
     def test_rowwise_scaling_invariance(self, rng):
@@ -114,9 +114,8 @@ class TestSignTransform:
         out = sign_transform(X)
         assert isinstance(out, SignMatrix)
         assert not out.data.flags.writeable
-        for given in (out.data, out, SeriesMatrix(out.data)):
+        for given in (out.data, out):
             assert np.array_equal(SignMatrix(given).data, out.data)
-        assert np.array_equal(SeriesMatrix(SeriesMatrix(X)).data, X)
 
     def test_public_constructor_still_validates(self):
         with pytest.raises(InvalidInputError):
@@ -237,34 +236,30 @@ class TestNormalTail:
 class TestDomainTypes:
     def test_series_rejects_nan(self):
         with pytest.raises(InvalidInputError):
-            SeriesMatrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
+            sign_transform(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
     def test_series_rejects_single_row(self):
         with pytest.raises(InsufficientSampleError):
-            SeriesMatrix(np.array([[1.0, 2.0]]))
+            sign_transform(np.array([[1.0, 2.0]]))
 
-    def test_series_is_read_only(self, rng):
-        s = SeriesMatrix(rng.standard_normal((3, 2)))
+    def test_sign_matrix_is_a_read_only_copy(self):
+        x = np.array([[0.6, 0.8], [0.0, 0.0], [1.0, 0.0]])
+        sm = SignMatrix(x)
+        assert not np.shares_memory(sm.data, x) and not sm.data.flags.writeable
+        x[0] = (1.0, 0.0)
+        assert np.array_equal(sm.data[0], (0.6, 0.8))
         with pytest.raises(ValueError):
-            s.data[0, 0] = 5.0
-
-    def test_series_shape_properties(self, rng):
-        s = SeriesMatrix(rng.standard_normal((7, 3)))
-        assert (s.n, s.p) == (7, 3)
+            sm.data[0, 0] = 5.0
 
     def test_sign_matrix_rejects_non_unit_rows(self):
-        bad = np.array([[0.5, 0.0], [1.0, 0.0]])
-        for given in (bad, SeriesMatrix(bad)):
-            with pytest.raises(InvalidInputError):
-                SignMatrix(given)
+        with pytest.raises(InvalidInputError):
+            SignMatrix(np.array([[0.5, 0.0], [1.0, 0.0]]))
 
     def test_sign_matrix_accepts_zero_rows(self):
         sm = SignMatrix(np.array([[0.0, 0.0], [0.0, 1.0]]))
-        assert sm.n == 2
+        assert sm.data.shape == (2, 2)
 
-    def test_sign_matrix_is_a_series_matrix(self, rng):
-        U = sign_transform(rng.standard_normal((5, 3)))
-        assert isinstance(U, SeriesMatrix)
+    def test_sign_matrix_refusal_names_the_signs(self):
         with pytest.raises(InsufficientSampleError, match="signs"):
             SignMatrix(np.array([[1.0, 0.0]]))
 
@@ -272,11 +267,11 @@ class TestDomainTypes:
         X = rng.standard_normal((9, 4))
         X[2] = 0.0
         U = sign_transform(X)
-        S = SeriesMatrix(U.data)
+        S = U.data.copy()
         assert as_signs(S).data.tobytes() == U.data.tobytes()
         assert ss_statistic(S, 3) == ss_statistic(U, 3)
         assert trace_omega2_hat(S) == trace_omega2_hat(U)
-        bad = SeriesMatrix(2.0 * U.data)
+        bad = 2.0 * U.data
         for call in (as_signs, trace_omega2_hat, lambda s: ss_statistic(s, 3)):
             with pytest.raises(InvalidInputError):
                 call(bad)
@@ -349,7 +344,7 @@ def test_public_api_frozen():
         "McCell", "McConfig", "McReport", "McRunError", "McTable",
         "MixtureNormal", "ModelKind", "ModelSpec", "Normal", "NotPositiveDefiniteError",
         "PowerInput", "RadialKind", "RadialMoments", "ScenarioKind", "ScenarioSpec",
-        "SeriesMatrix", "SignMatrix", "StudentT", "TEST_NAMES", "TestOutcome",
+        "SignMatrix", "StudentT", "TEST_NAMES", "TestOutcome",
         "UndefinedMomentError", "are_ss_flm", "build_covariance", "chi_radial_c1",
         "cross_correlations", "derive_rng", "derive_seed", "evaluate_tests",
         "evaluate_tests_collect", "fc_test", "flm_statistic", "flm_test", "gen_coeff",
@@ -359,9 +354,9 @@ def test_public_api_frozen():
         "ss_statistic", "ss_test", "tabulate_reports", "trace_omega2_hat", "trace_sigma2_hat",
     ]
     assert all(hasattr(hdwn, name) for name in hdwn.__all__)
-    assert issubclass(SignMatrix, SeriesMatrix)
 
 
 def test_readme_names_every_public_name():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    assert [name for name in hdwn.__all__ if f"`{name}`" not in readme] == []
+    public = [*hdwn.__all__, *hdwn.cli.__all__]
+    assert [name for name in public if f"`{name}`" not in readme] == []

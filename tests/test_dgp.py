@@ -67,27 +67,27 @@ def test_unknown_kind_is_a_spec_error_listing_the_kinds(make, allowed):
 class TestInnovations:
     def test_normal_sample_covariance(self):
         X = gen_series(ModelSpec("iid"), ScenarioSpec.normal(), 5000, 2,
-                       np.random.default_rng(1), innov_cov=np.eye(2)).data
+                       np.random.default_rng(1), innov_cov=np.eye(2))
         emp = X.T @ X / 5000
         assert np.max(np.abs(emp - np.eye(2))) < 0.1
 
     def test_normal_sample_covariance_follows_the_scatter(self):
         S = np.array([[1.0, 0.5], [0.5, 1.0]])
         X = gen_series(ModelSpec("iid"), ScenarioSpec.normal(), 5000, 2,
-                       np.random.default_rng(1), innov_cov=S).data
+                       np.random.default_rng(1), innov_cov=S)
         assert np.max(np.abs(X.T @ X / 5000 - S)) < 0.1
 
     def test_student_t_heavy_tails(self):
         heavier = 0
         for r in range(100):
             X = gen_series(ModelSpec("iid"), ScenarioSpec.student_t(3), 500, 2,
-                           derive_rng(2, "kurt", r), innov_cov=np.eye(2)).data
+                           derive_rng(2, "kurt", r), innov_cov=np.eye(2))
             heavier += bool(np.all(kurtosis(X, axis=0) > 0.0))
         assert heavier >= 95
 
     def test_mixture_marginal_variance(self):
         X = gen_series(ModelSpec("iid"), ScenarioSpec.mixture(0.8, 9.0), 20000, 1,
-                       np.random.default_rng(3), innov_cov=np.eye(1)).data
+                       np.random.default_rng(3), innov_cov=np.eye(1))
         assert abs(X.var() - 2.6) < 0.15
 
     def test_not_positive_definite(self):
@@ -168,7 +168,7 @@ for p in (3, 40, 120, 200):
     if p >= 40:
         for seed in range(2):
             X, _ = gen_h1_model(H1Spec(CovarianceSpec("polydecay", p)), 60, p, seed)
-            h1.update(X.data.tobytes())
+            h1.update(X.tobytes())
     # a full uniform matrix from the stream gen_series draws a CoeffSpec's from
     specs = [lambda seed: derive_rng(seed, "coeff").uniform(-0.1, 0.1, (p, p))]
     if p >= 20:  # below, the sparse block is empty and CoeffSpec refuses it
@@ -178,7 +178,7 @@ for p in (3, 40, 120, 200):
             for seed in range(2):
                 X = gen_series(ModelSpec(kind, coeff=spec(seed)), ScenarioSpec.student_t(3), 60,
                                p, seed, innov_cov=cov)
-                digest.update(X.data.tobytes())
+                digest.update(X.tobytes())
 print(digest.hexdigest(), h1.hexdigest())
 """
 
@@ -187,11 +187,11 @@ class TestGenSeries:
     def test_zero_coefficients_reduce_to_innovations(self):
         zero = np.zeros((4, 4))
         for kind in (ModelKind.VAR1, ModelKind.VMA1, ModelKind.VARMA1):
-            X = gen_series(ModelSpec(kind, coeff=zero), ScenarioSpec.normal(), 50, 4, 123).data
+            X = gen_series(ModelSpec(kind, coeff=zero), ScenarioSpec.normal(), 50, 4, 123)
             # exactly the innovation stream beyond the kind's burn-in
             burn = BURN_IN[kind]
             Z = gen_series(ModelSpec("iid"), ScenarioSpec.normal(), 50 + burn, 4,
-                           derive_rng(123, "innov"), innov_cov=np.eye(4)).data
+                           derive_rng(123, "innov"), innov_cov=np.eye(4))
             assert np.array_equal(X, Z[burn:]), kind
 
     @pytest.mark.parametrize("kind", ["iid", "var1", "vma1", "varma1"])
@@ -199,18 +199,18 @@ class TestGenSeries:
         # the kind's burn-in drops that many steps of the path a shorter burn-in would keep
         coeff = None if kind == "iid" else derive_rng(5, "A").uniform(-0.3, 0.3, (4, 4))
         model = ModelSpec(kind, coeff=coeff)
-        X = gen_series(model, ScenarioSpec.normal(), 30, 4, 11).data
+        X = gen_series(model, ScenarioSpec.normal(), 30, 4, 11)
         burn, least = BURN_IN[model.kind] + 3, int(kind == "vma1")  # vma1 seeds one lag
         monkeypatch.setitem(BURN_IN, model.kind, burn)
-        Y = gen_series(model, ScenarioSpec.normal(), 30, 4, 11).data
+        Y = gen_series(model, ScenarioSpec.normal(), 30, 4, 11)
         monkeypatch.setitem(BURN_IN, model.kind, least)
-        Z = gen_series(model, ScenarioSpec.normal(), 30 + burn - least, 4, 11).data
+        Z = gen_series(model, ScenarioSpec.normal(), 30 + burn - least, 4, 11)
         assert np.array_equal(Y, Z[burn - least:])
         assert np.array_equal(X, Z[burn - 3 - least:-3])
 
     def test_vma1_scalar_autocorrelation(self):
         model = ModelSpec(ModelKind.VMA1, coeff=np.array([[0.5]]))
-        X = gen_series(model, ScenarioSpec.normal(), 20000, 1, 7).data.ravel()
+        X = gen_series(model, ScenarioSpec.normal(), 20000, 1, 7).ravel()
         r1 = np.corrcoef(X[1:], X[:-1])[0, 1]
         assert abs(r1 - 0.4) < 0.025
 
@@ -219,7 +219,7 @@ class TestGenSeries:
         model = ModelSpec(ModelKind.VMA1, coeff=A)
         batches = []
         for r in range(20):
-            X = gen_series(model, ScenarioSpec.normal(), 2000, 3, derive_rng(6, "vma", r)).data
+            X = gen_series(model, ScenarioSpec.normal(), 2000, 3, derive_rng(6, "vma", r))
             batches.append(X[1:].T @ X[:-1] / (len(X) - 1))
         batches = np.array(batches)
         mean = batches.mean(axis=0)
@@ -234,14 +234,14 @@ class TestGenSeries:
         monkeypatch.setattr(dgp, "derive_rng",
                             lambda seed, *path: paths.append(path) or real(seed, *path))
         model = ModelSpec(ModelKind.VAR1, coeff=0.5 * np.eye(3))
-        X = gen_series(model, ScenarioSpec.normal(), 20, 3, 9).data
+        X = gen_series(model, ScenarioSpec.normal(), 20, 3, 9)
         assert paths == [("innov",)]
         want = dgp._series_sampler(model, ScenarioSpec.normal(), 20, 3)([real(9, "innov")])[0]
         assert np.array_equal(X, want)
 
     def test_var1_dense_stays_finite(self):
         model = ModelSpec(ModelKind.VAR1, coeff=CoeffSpec("dense", 80))
-        X = gen_series(model, ScenarioSpec.student_t(3), 200, 80, 11).data
+        X = gen_series(model, ScenarioSpec.student_t(3), 200, 80, 11)
         assert np.isfinite(X).all()
 
     def test_sampler_draws_equal_gen_series(self):
@@ -263,7 +263,7 @@ class TestGenSeries:
                 (got,) = draw([derive_rng(4, "rep", r)])
                 assert type(got) is np.ndarray and got.dtype == np.float64
                 assert got.shape == (30, 6)
-                assert np.array_equal(got, want.data)
+                assert np.array_equal(got, want)
         # a Generator gives a CoeffSpec model its coefficients, then its innovations
         for kind in (ModelKind.VAR1, ModelKind.VMA1, ModelKind.VARMA1):
             for r in range(3):
@@ -272,7 +272,7 @@ class TestGenSeries:
                 rng = derive_rng(4, "rep", r)
                 fixed = ModelSpec(kind, coeff=gen_coeff(spec, rng))
                 (want,) = _series_sampler(fixed, scenario, 30, 6, cov)([rng])
-                assert got.data.tobytes() == want.tobytes()
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("p", (3, 40, 80))
     @pytest.mark.parametrize("kind", list(ModelKind))
@@ -295,7 +295,7 @@ class TestGenSeries:
                 for scenario in (ScenarioSpec.normal(), ScenarioSpec.student_t(3),
                                  ScenarioSpec.mixture()):
                     want = [gen_series(model, scenario, 12, p, derive_rng(8, "rep", r),
-                                       innov_cov=cov).data for r in range(reps)]
+                                       innov_cov=cov) for r in range(reps)]
                     draw = _series_sampler(model, scenario, 12, p, cov)
                     for size in (1, 2, 4, reps):
                         got = []
@@ -401,9 +401,9 @@ class TestGenSeries:
             out = []
             for scenario in scenarios:
                 out.append(gen_series(ModelSpec("iid"), scenario, n, p, np.random.default_rng(2),
-                                      innov_cov=np.eye(p)).data)
+                                      innov_cov=np.eye(p)))
                 for cov in (None,) if h1 else (None, np.eye(p)):
-                    out.append(gen_series(model, scenario, n, p, 2, innov_cov=cov).data)
+                    out.append(gen_series(model, scenario, n, p, 2, innov_cov=cov))
                     draw = _series_sampler(model, scenario, n, p, cov)
                     out += list(draw([derive_rng(2, "rep", r) for r in range(3)]))
             return [x.tobytes() for x in out]
@@ -459,8 +459,8 @@ class TestGenSeries:
 
     def test_reproducible_streams(self):
         model = ModelSpec(ModelKind.VARMA1, coeff=CoeffSpec("dense", 10))
-        a = gen_series(model, ScenarioSpec.mixture(), 40, 10, 99).data
-        b = gen_series(model, ScenarioSpec.mixture(), 40, 10, 99).data
+        a = gen_series(model, ScenarioSpec.mixture(), 40, 10, 99)
+        b = gen_series(model, ScenarioSpec.mixture(), 40, 10, 99)
         assert np.array_equal(a, b)
 
     def test_burn_in_insensitivity_of_size(self, monkeypatch):
@@ -484,7 +484,7 @@ class TestH1Model:
         spec = H1Spec(sigma0=CovarianceSpec("identity", 30), sigma1_scale=0.0,
                       radial="constant")
         series, meta = gen_h1_model(spec, 100, 30, 4)
-        norms = np.linalg.norm(series.data, axis=1)
+        norms = np.linalg.norm(series, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
         assert meta.c1 == 1.0
         assert meta.tr_s0s1 == 0.0
@@ -509,8 +509,7 @@ class TestH1Model:
     def test_chi_radial_series_is_gaussian_vma(self):
         # with the chi radial law, r_t u_t is exactly standard normal
         spec = H1Spec(sigma0=CovarianceSpec("identity", 10), radial="chi_p")
-        series, meta = gen_h1_model(spec, 4000, 10, 8)
-        X = series.data
+        X, meta = gen_h1_model(spec, 4000, 10, 8)
         assert abs(X.var() - (1.0 + meta.sigma1_scale**2)) < 0.05
         assert meta.c1 == pytest.approx(1.0, abs=0.1)
 
@@ -524,7 +523,7 @@ class TestH1Model:
         radii = []
         for seed in range(20):
             series, meta = gen_h1_model(spec, 10_000, 50, derive_rng(31, "c1", seed), scenario)
-            radii.append(np.linalg.norm(series.data, axis=1))
+            radii.append(np.linalg.norm(series, axis=1))
         r = np.concatenate(radii)
         assert meta.c1 == pytest.approx(r.mean() * (1.0 / r).mean(), rel=1e-2)
 
@@ -563,9 +562,9 @@ class TestH1Model:
         # an h1 series draws its scenario's innovations, whichever call draws it
         model = ModelSpec(ModelKind.H1_SIGN, h1=H1Spec(CovarianceSpec("polydecay", 6)))
         X, _ = gen_h1_model(model.h1, 20, 6, 4, scenario)
-        assert X.data.tobytes() == gen_series(model, scenario, 20, 6, 4).data.tobytes()
+        assert X.tobytes() == gen_series(model, scenario, 20, 6, 4).tobytes()
         if scenario.kind.value != "normal":
-            assert X.data.tobytes() != gen_h1_model(model.h1, 20, 6, 4)[0].data.tobytes()
+            assert X.tobytes() != gen_h1_model(model.h1, 20, 6, 4)[0].tobytes()
 
     def test_constant_radial_law_takes_normal_innovations_alone(self):
         spec = H1Spec(CovarianceSpec("identity", 5), radial="constant")
@@ -578,7 +577,23 @@ class TestH1Model:
         spec = H1Spec(sigma0=CovarianceSpec("identity", 10), sigma1_scale=0.0,
                       radial="constant")
         series, _ = gen_h1_model(spec, 100000, 10, 17)
-        assert np.max(np.abs(series.data.mean(axis=0))) < 0.02
+        assert np.max(np.abs(series.mean(axis=0))) < 0.02
+
+
+
+@pytest.mark.parametrize("draw", (
+    lambda seed: gen_series(ModelSpec("var1", coeff=CoeffSpec("dense", 4)), ScenarioSpec.student_t(3),
+                            30, 4, seed),
+    lambda seed: gen_h1_model(H1Spec(CovarianceSpec("identity", 4)), 30, 4, seed)[0],
+), ids=("gen_series", "gen_h1_model"))
+def test_a_drawn_series_is_a_fresh_array_its_caller_owns(draw):
+    X = draw(8)
+    assert type(X) is np.ndarray and X.dtype == np.float64 and X.shape == (30, 4)
+    assert X.flags.writeable
+    before = X.copy()
+    X[:] = 0.0
+    again = draw(8)
+    assert np.array_equal(again, before) and not np.shares_memory(again, X)
 
 
 class TestStreams:

@@ -109,25 +109,29 @@ class TestRunExperiment:
                                        ModelSpec(ModelKind.VAR1, coeff=CoeffSpec("dense", 5)),
                                        ModelSpec(ModelKind.H1_SIGN,
                                                  h1=H1Spec(CovarianceSpec("identity", 5)))))
-    def test_replications_build_no_series_matrix(self, model, monkeypatch):
-        # the sampler yields plain arrays; only the public calls validate.
-        # It factors one covariance once: an h1 cell's sigma0, or else the
-        # innovations' covariance; and an h1 cell builds no H1Metadata
-        built, factored = [], []
-        real = hdwn.SeriesMatrix.__post_init__
+    def test_replications_check_no_series(self, model, monkeypatch):
+        # the sampler yields plain arrays; only the public calls validate, so
+        # no draw passes through core._series or _floats, which read only the
+        # p x p coefficients and covariance of the setup. It factors one
+        # covariance once: an h1 cell's sigma0, or else the innovations'
+        # covariance; and an h1 cell builds no H1Metadata
+        checked, built, factored = [], [], []
         real_cholesky = hdwn.dgp._cholesky
 
-        def counting(self):
-            built.append(self)
-            real(self)
+        def counting(real):
+            return lambda data, *args: checked.append(np.shape(data)) or real(data, *args)
 
-        monkeypatch.setattr(hdwn.SeriesMatrix, "__post_init__", counting)
+        for module in (hdwn.core, hdwn.stats_tests):
+            monkeypatch.setattr(module, "_series", counting(module._series))
+        for module in (hdwn.core, hdwn.dgp):
+            monkeypatch.setattr(module, "_floats", counting(module._floats))
         monkeypatch.setattr(hdwn.dgp, "H1Metadata", lambda **fields: built.append(fields))
         monkeypatch.setattr(hdwn.dgp, "_cholesky",
                             lambda cov: factored.append(cov) or real_cholesky(cov))
         report = run_experiment(null_config(model=model, reps=12, threads=2,
                                             tests=hdwn.TEST_NAMES, H_values=(1, 2)))
         assert len(report.cells) == 10 and built == []
+        assert set(checked) <= {(5, 5)}
         assert len(factored) == 1
 
     @pytest.mark.parametrize("threads", (1, 2))

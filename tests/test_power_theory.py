@@ -180,7 +180,7 @@ class TestRadialMoments:
         # that of E(r) E(1/r) taken from its linearisation
         r = np.concatenate([np.linalg.norm(gen_series(
             ModelSpec("iid"), scenario, 50_000, p, np.random.default_rng(seed),
-            innov_cov=np.eye(p)).data, axis=1) for seed in range(4)])
+            innov_cov=np.eye(p)), axis=1) for seed in range(4)])
         inv, sq = 1.0 / r, r * r
         m = radial_moments(dist, p)
         for name, estimate, influence in (("e_r_inv", inv.mean(), inv), ("e_r2", sq.mean(), sq),

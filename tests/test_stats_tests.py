@@ -13,7 +13,6 @@ from hdwn import (
     HdwnError,
     InvalidInputError,
     InvalidLagError,
-    SeriesMatrix,
     SignMatrix,
     cross_correlations,
     derive_rng,
@@ -540,9 +539,10 @@ class TestRawScaleOverflow:
            for test in (ss_test, flm_test, pv_test, max_test, fc_test, cross_correlations,
                         flm_statistic, ss_statistic)},
         **{call.__name__: call for call in (trace_sigma2_hat, trace_omega2_hat, sign_transform,
-                                            SeriesMatrix, SignMatrix)},
+                                            SignMatrix)},
         "spatial_sign": lambda x: spatial_sign(x[0]),
         "evaluate_tests_collect": lambda x: evaluate_tests_collect(x, TEST_NAMES, (1, 2)),
+        "evaluate_tests": lambda x: evaluate_tests(x, TEST_NAMES, (1, 2)),
     }
 
     @pytest.mark.parametrize("scale", (1e77, 1e155, 1e160))
@@ -677,7 +677,7 @@ class TestInPlaceBlock:
 
     def test_public_inputs_are_never_written(self):
         X = derive_rng(61, "unwritten").standard_t(3, size=(40, 12))
-        for given in (X, SeriesMatrix(X), sign_transform(X)):
+        for given in (X, sign_transform(X)):
             data = given if given is X else given.data
             before = data.tobytes()
             evaluate_tests_collect(given, TEST_NAMES, (1, 2, 3))

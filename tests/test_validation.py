@@ -42,7 +42,6 @@ from hdwn import (
     RadialKind,
     ScenarioKind,
     ScenarioSpec,
-    SeriesMatrix,
     StudentT,
     TestOutcome,
     UndefinedMomentError,
@@ -58,6 +57,7 @@ from hdwn import (
     normal_upper_quantile,
     radial_moments,
     run_experiment,
+    sign_transform,
     spatial_sign,
     ss_statistic,
     ss_test,
@@ -88,11 +88,11 @@ def _config(**fields):
 
 
 def _iid(n, p):
-    return gen_series(ModelSpec("iid"), ScenarioSpec.normal(), n, p, 0).data.tobytes()
+    return gen_series(ModelSpec("iid"), ScenarioSpec.normal(), n, p, 0).tobytes()
 
 
 def _h1(n, p):
-    return gen_h1_model(H1Spec(CovarianceSpec("identity", 3)), n, p, 0)[0].data.tobytes()
+    return gen_h1_model(H1Spec(CovarianceSpec("identity", 3)), n, p, 0)[0].tobytes()
 
 
 # id "<owner>.<parameter>": (call, a valid value, what to compare, stored as int, optional)
@@ -294,8 +294,9 @@ def test_each_kind_of_input_is_checked_in_one_place():
 
 
 def test_each_input_has_one_form_and_each_job_one_name():
-    # H is an int, sigma0 a CovarianceSpec, the iid draw gen_series and every table size_table
-    removed = re.compile(r"\b(LagWindow|as_lag|gen_innovations|power_table)\b(?!\.csv)")
+    # H is an int, sigma0 a CovarianceSpec, a series a float array, the iid draw gen_series
+    # and every table size_table
+    removed = re.compile(r"\b(LagWindow|as_lag|gen_innovations|power_table|SeriesMatrix|CsvSeries)\b(?!\.csv)")
     assert [path.name for path in sorted(SRC.rglob("*"))
             if path.suffix in (".py", ".cfg") and removed.search(path.read_text())] == []
 
@@ -320,15 +321,15 @@ def test_a_series_is_checked_and_copied_in_one_place():
     assert _owners("as_series") == []
     assert _owners("own=") == []
     # an array the package has just made, and no caller holds, is frozen as it is
-    assert _owners("_freeze(") == ["cli.read_series_csv", "core.SeriesMatrix.__post_init__",
-                                   "core.SeriesMatrix._freeze", "core.sign_transform"]
+    assert _owners("_freeze(") == ["core.SignMatrix.__post_init__", "core.SignMatrix._freeze",
+                                   "core.sign_transform"]
 
 
 _WINDOWED = ("ss_statistic", "flm_statistic", "cross_correlations", "ss_test", "flm_test",
              "pv_test", "max_test", "fc_test")
 
 
-@pytest.mark.parametrize("name", ("SeriesMatrix", "SignMatrix", "sign_transform",
+@pytest.mark.parametrize("name", ("SignMatrix", "sign_transform",
                                   "trace_omega2_hat", "trace_sigma2_hat", "evaluate_tests",
                                   "evaluate_tests_collect", *_WINDOWED))
 def test_every_public_call_refuses_a_ragged_series(name):
@@ -484,10 +485,10 @@ def _h1_json(**fields):
 
 # id "<owner>.<what>": (call of tmp_path, error type, a phrase of the message naming the cause)
 REFUSALS = {
-    "SeriesMatrix.one-dimensional": (lambda _: SeriesMatrix(np.ones(5)), InvalidInputError,
-                                     "series must be two-dimensional"),
-    "SeriesMatrix.no-columns": (lambda _: SeriesMatrix(np.ones((5, 0))), InvalidInputError,
-                                "at least 1 column"),
+    "sign_transform.one-dimensional": (lambda _: sign_transform(np.ones(5)), InvalidInputError,
+                                       "series must be two-dimensional"),
+    "sign_transform.no-columns": (lambda _: sign_transform(np.ones((5, 0))), InvalidInputError,
+                                  "at least 1 column"),
     "TestOutcome.p_value": (lambda _: TestOutcome(1.0, 1.0, 1.5, False, 0.05), InvalidInputError,
                             "p_value"),
     "spatial_sign.matrix": (lambda _: spatial_sign(np.ones((2, 2))), InvalidInputError,
@@ -681,6 +682,8 @@ REFUSALS = {
         "an unexpected keyword argument 'extra'"),
     "csv.header-width": (lambda tmp: _csv(tmp, "a,b,c\n1,2\n3,4\n"), ConfigError, "header"),
     "csv.non-finite": (lambda tmp: _csv(tmp, "1,2\n3,inf\n"), ConfigError, "non-finite"),
+    "csv.first-line-empty-field": (lambda tmp: _csv(tmp, "1,,3\n4,5,6\n7,8,9\n"), ConfigError,
+                                   "line 1: could not convert string to float: ''"),
 }
 
 
@@ -702,9 +705,9 @@ def _draws(spec):
     """What a spec decides: a scenario's gen_series bytes, or an H1Spec's rows and
     H1Metadata."""
     if isinstance(spec, ScenarioSpec):
-        return gen_series(ModelSpec("iid"), spec, 12, 3, 0).data.tobytes()
+        return gen_series(ModelSpec("iid"), spec, 12, 3, 0).tobytes()
     series, meta = gen_h1_model(spec, 12, 3, 0)
-    return series.data.tobytes(), meta
+    return series.tobytes(), meta
 
 
 @pytest.mark.parametrize("kind, name, value", OPTIONAL_FIELDS,
