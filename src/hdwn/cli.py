@@ -6,6 +6,8 @@ failure. --threads sets the simulation thread count, which changes no report.
 
 `simulate` writes each McReport to results.json as the dict of its dataclass
 fields, through one codec (_encode/_decode); README describes the layout.
+The CSV layouts are this module's alone: _cmd_simulate builds the rows of
+results.csv, size_table.csv and power_table.csv, and _write_csv writes them.
 
 Config files are flat key=value INI files, one section per experiment cell;
 keys in [DEFAULT] apply to every section. Recognized keys: tests, lags, alpha,
@@ -58,15 +60,7 @@ from .errors import (
     InvalidSpecError,
     McRunError,
 )
-from .montecarlo import (
-    McCell,
-    McConfig,
-    McReport,
-    McTable,
-    context_row,
-    run_experiment,
-    tabulate_reports,
-)
+from .montecarlo import McCell, McConfig, McReport, run_experiment
 from .power_theory import are_ss_flm, radial_moments
 from .stats_tests import TEST_NAMES, evaluate_tests
 
@@ -162,10 +156,11 @@ def _encode(obj):
     return obj
 
 
-#: Fields that hold dataclasses, by owner. _decode passes every other field, and
-#: the rows of an explicit matrix, to the constructor, which restores their types.
+#: Fields that hold dataclasses, by owner; [cls] marks a JSON array of them. _decode
+#: passes every other field, and the rows of an explicit matrix, to the constructor,
+#: which restores their types.
 _NESTED = {
-    McReport: {"cells": McCell, "config": McConfig},
+    McReport: {"cells": [McCell], "config": McConfig},
     McConfig: {"scenario": ScenarioSpec, "model": ModelSpec, "cov": CovarianceSpec},
     ModelSpec: {"coeff": CoeffSpec, "h1": H1Spec},
     H1Spec: {"sigma0": CovarianceSpec},
@@ -173,8 +168,9 @@ _NESTED = {
 
 
 def _decode(cls, d: dict, where: str | None = None):
-    """Inverse of _encode for a dict that came from an instance of cls; a non-object, or a
-    field cls lacks or needs (a key an older file stored), is a ConfigError naming where."""
+    """Inverse of _encode for a dict that came from an instance of cls. A non-object, a
+    nested field of the other JSON shape, or a field cls lacks or needs (a key an older
+    file stored), is a ConfigError naming where."""
     where = where or cls.__name__
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object, got {d!r}")
@@ -182,10 +178,12 @@ def _decode(cls, d: dict, where: str | None = None):
     kwargs = {}
     for name, value in d.items():
         inner = nested.get(name)
-        if inner is None or value is None:
+        if isinstance(inner, list):
+            if not isinstance(value, list):
+                raise ConfigError(f"{where}.{name} must be a JSON array, got {value!r}")
+            kwargs[name] = tuple(_decode(inner[0], v, f"{where}.{name}") for v in value)
+        elif inner is None or value is None:
             kwargs[name] = value
-        elif isinstance(value, list):
-            kwargs[name] = tuple(_decode(inner, v, f"{where}.{name}") for v in value)
         elif isinstance(value, dict) and "matrix" in value:
             kwargs[name] = value["matrix"]
         else:
@@ -209,7 +207,15 @@ def report_to_dict(report: McReport) -> dict:
 
 
 def report_from_dict(d: dict) -> McReport:
-    return _decode(McReport, d)
+    """The McReport whose report_to_dict is d; its cells must be its config's (test, H)
+    pairs in run_experiment's order, tests outer and lags inner."""
+    report = _decode(McReport, d)
+    if not isinstance(cfg := report.config, McConfig):
+        raise ConfigError(f"McReport.config must be a JSON object, got {d['config']!r}")
+    pairs = [(t, H) for t in cfg.tests for H in cfg.H_values]
+    if (got := [(c.test, c.H) for c in report.cells]) != pairs:
+        raise ConfigError(f"McReport.cells hold the (test, H) pairs {got}, expected {pairs}")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -303,23 +309,25 @@ def parse_experiment_configs(text: str, *, seed: int, reps_override: int | None 
 # Output writers
 
 
-def _write_table_csv(path: Path, table) -> None:
+def _context(cfg: McConfig) -> dict:
+    """The leading columns of every CSV: label, scenario, model (its kind and regime), n, p."""
+    model = cfg.model.kind.value
+    if isinstance(cfg.model.coeff, CoeffSpec):
+        model += f"-{cfg.model.coeff.regime.value}"
+    return {"label": cfg.label, "scenario": cfg.scenario.kind.value, "model": model,
+            "n": cfg.n, "p": cfg.p}
+
+
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    """Rows of dicts as CSV. The columns are the union of the rows' keys in first-seen
+    order; a key a row lacks writes "", and floats go through _fmt."""
+    columns = list(dict.fromkeys(key for row in rows for key in row))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(table.columns)
-        for row in table.rows:
-            writer.writerow(
-                [
-                    _fmt(row[col]) if isinstance(row.get(col), float) else row.get(col, "")
-                    for col in table.columns
-                ]
-            )
-
-
-def _write_results_csv(path: Path, reports: list[McReport]) -> None:
-    rows = [{**context_row(report.config), **asdict(cell)}
-            for report in reports for cell in report.cells]
-    _write_table_csv(path, McTable(tuple(rows[0]), tuple(rows)))
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt(v) if isinstance(v := row.get(col, ""), float) else v
+                             for col in columns])
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +359,9 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    source = _resolve_config_path(args.config)
-    text = source.read_text(encoding="utf-8")
-    configs = parse_experiment_configs(
-        text, seed=args.seed, reps_override=args.reps, threads=args.threads
-    )
+    text = _resolve_config_path(args.config).read_text(encoding="utf-8")
+    configs = parse_experiment_configs(text, seed=args.seed, reps_override=args.reps,
+                                       threads=args.threads)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -363,25 +369,23 @@ def _cmd_simulate(args) -> int:
     for cfg in configs:
         report = run_experiment(cfg)
         reports.append(report)
-        rates = "  ".join(
-            f"{c.test}@H{c.H}={c.rejection_rate:.3f}" for c in report.cells
-        )
+        rates = "  ".join(f"{c.test}@H{c.H}={c.rejection_rate:.3f}" for c in report.cells)
         print(f"[{cfg.label}] reps={cfg.reps} {rates}")
 
-    _write_results_csv(out_dir / "results.csv", reports)
+    _write_csv(out_dir / "results.csv",
+               [{**_context(r.config), **asdict(cell)} for r in reports for cell in r.cells])
     with open(out_dir / "results.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {"seed": args.seed, "reports": [report_to_dict(r) for r in reports]},
-            fh, indent=2, sort_keys=True,
-        )
+        payload = {"seed": args.seed, "reports": [report_to_dict(r) for r in reports]}
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    null_reports = [r for r in reports if r.config.model.kind is ModelKind.IID]
-    alt_reports = [r for r in reports if r.config.model.kind is not ModelKind.IID]
-    if null_reports:
-        _write_table_csv(out_dir / "size_table.csv", tabulate_reports(null_reports))
-    if alt_reports:
-        _write_table_csv(out_dir / "power_table.csv", tabulate_reports(alt_reports))
+    # one wide row per report, its rates by lag and then test; iid cells are sizes
+    for name, iid in (("size_table.csv", True), ("power_table.csv", False)):
+        rows = [{**_context(r.config), **{f"{t.upper()}_H{H}": r.cell(t, H).rejection_rate
+                                          for H in r.config.H_values for t in r.config.tests}}
+                for r in reports if (r.config.model.kind is ModelKind.IID) is iid]
+        if rows:
+            _write_csv(out_dir / name, rows)
     print(f"wrote {out_dir / 'results.csv'}")
     return 0
 

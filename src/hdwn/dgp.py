@@ -239,10 +239,13 @@ class CoeffSpec:
 
 
 def gen_coeff(spec: CoeffSpec, seed) -> np.ndarray:
-    """Draw the coefficient matrix described by a CoeffSpec."""
+    """Draw the coefficient matrix described by a CoeffSpec from a Generator, consumed
+    as is, or from np.random.default_rng of an integer seed >= 0."""
+    if not isinstance(seed, np.random.Generator):
+        seed = np.random.default_rng(_integer(seed, "seed", 0))
     m, low, high = spec.block()
     A = np.zeros((spec.p, spec.p))
-    A[:m, :m] = np.random.default_rng(seed).uniform(low, high, size=(m, m))
+    A[:m, :m] = seed.uniform(low, high, size=(m, m))
     return A
 
 

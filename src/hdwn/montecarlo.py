@@ -1,4 +1,4 @@
-"""Replication engine for empirical size and power tables.
+"""Replication engine: McConfig -> run_experiment -> McReport of McCells, one per (test, H).
 
 Each replication derives its own random stream from (master_seed, "rep", r),
 so a report is a pure function of its config and never depends on the number
@@ -41,10 +41,7 @@ __all__ = [
     "McCell",
     "McConfig",
     "McReport",
-    "McTable",
     "run_experiment",
-    "size_table",
-    "tabulate_reports",
 ]
 
 #: Replications may error (degenerate data) up to this fraction per cell.
@@ -261,52 +258,3 @@ def run_experiment(cfg: McConfig) -> McReport:
         coeff_fingerprint=fingerprint,
     )
 
-
-@dataclass(frozen=True)
-class McTable:
-    """Rectangular rejection-rate layout: context columns then test-by-lag rates."""
-
-    columns: tuple[str, ...]
-    rows: tuple[dict, ...]
-
-
-def context_row(cfg: McConfig) -> dict:
-    """The leading columns of every results table: label, scenario, model, n, p.
-
-    The model reads as its kind, suffixed by the coefficient regime if any.
-    """
-    model = cfg.model.kind.value
-    if hasattr(cfg.model.coeff, "regime"):
-        model += f"-{cfg.model.coeff.regime.value}"
-    return {"label": cfg.label, "scenario": cfg.scenario.kind.value, "model": model,
-            "n": cfg.n, "p": cfg.p}
-
-
-def tabulate_reports(reports) -> McTable:
-    """Lay finished reports out as one table row per experiment cell."""
-    reports = list(reports)
-    if not reports:
-        return McTable((), ())
-    rate_cols: list[str] = []
-    for cfg in (r.config for r in reports):
-        for h in cfg.H_values:
-            for t in cfg.tests:
-                col = f"{t.upper()}_H{h}"
-                if col not in rate_cols:
-                    rate_cols.append(col)
-    rows = []
-    for rep in reports:
-        row = context_row(rep.config)
-        for cell in rep.cells:
-            row[f"{cell.test.upper()}_H{cell.H}"] = cell.rejection_rate
-        rows.append(row)
-    return McTable((*context_row(reports[0].config), *rate_cols), tuple(rows))
-
-
-def size_table(grid) -> McTable:
-    """Run every config of a grid and tabulate the reports, one row per config.
-
-    Over null configs the rates are empirical sizes; over alternatives, h1
-    cells among them, they are empirical powers.
-    """
-    return tabulate_reports(run_experiment(cfg) for cfg in grid)

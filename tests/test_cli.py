@@ -284,6 +284,41 @@ class TestCmdSimulate:
             written.append((out_dir / "results.csv").read_bytes())
         assert written[0] == written[1]
 
+    def test_wide_tables_take_the_union_of_the_columns_in_first_seen_order(self, tmp_path):
+        cfg = tmp_path / "mixed.cfg"
+        cfg.write_text("[DEFAULT]\nreps = 10\nscenario = normal\nmodel = iid\nn = 30\np = 4\n"
+                       "[a]\ntests = ss,flm\nlags = 1,2\n[b]\ntests = flm,pv\nlags = 3\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
+                     "--threads", "1"]) == 0
+        with open(tmp_path / "size_table.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["label", "scenario", "model", "n", "p",
+                          "SS_H1", "FLM_H1", "SS_H2", "FLM_H2", "FLM_H3", "PV_H3"]
+        with open(tmp_path / "results.csv", newline="") as fh:
+            rates = {(r["label"], f"{r['test'].upper()}_H{r['H']}"): r["rejection_rate"]
+                     for r in csv.DictReader(fh)}
+        assert [dict(zip(header, row)) for row in rows] == [
+            {**dict(zip(header[:5], (label, "normal", "iid", "30", "4"))),
+             **{col: rates.get((label, col), "") for col in header[5:]}} for label in "ab"]
+        assert rows[0][9:] == [""] * 2 and rows[1][5:9] == [""] * 4
+        assert not (tmp_path / "power_table.csv").exists()
+
+    def test_iid_cells_are_sizes_and_a_regime_names_its_model(self, tmp_path):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(SMALL_CFG)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
+                     "--threads", "1"]) == 0
+        tables = {}
+        for name in ("size_table.csv", "power_table.csv"):
+            with open(tmp_path / name, newline="") as fh:
+                tables[name] = list(csv.DictReader(fh))
+        assert [(r["label"], r["scenario"], r["model"]) for r in tables["size_table.csv"]] == [
+            ("cell-null", "normal", "iid")]
+        assert [(r["label"], r["scenario"], r["model"]) for r in tables["power_table.csv"]] == [
+            ("cell-var", "t", "var1-dense")]
+        with open(tmp_path / "results.csv", newline="") as fh:
+            assert [r["model"] for r in csv.DictReader(fh)] == ["iid"] * 2 + ["var1-dense"] * 2
+
     def test_reps_zero_exits_two(self, tmp_path):
         cfg = tmp_path / "small.cfg"
         cfg.write_text(SMALL_CFG)

@@ -341,7 +341,7 @@ def test_public_api_frozen():
         "CoeffRegime", "CoeffSpec", "ConfigError", "CovarianceKind", "CovarianceSpec",
         "DegenerateDataError", "ExplosiveModelError", "H1Metadata", "H1Spec", "HdwnError",
         "InsufficientSampleError", "InvalidInputError", "InvalidLagError", "InvalidSpecError",
-        "McCell", "McConfig", "McReport", "McRunError", "McTable",
+        "McCell", "McConfig", "McReport", "McRunError",
         "MixtureNormal", "ModelKind", "ModelSpec", "Normal", "NotPositiveDefiniteError",
         "PowerInput", "RadialKind", "RadialMoments", "ScenarioKind", "ScenarioSpec",
         "SignMatrix", "StudentT", "TEST_NAMES", "TestOutcome",
@@ -350,8 +350,8 @@ def test_public_api_frozen():
         "evaluate_tests_collect", "fc_test", "flm_statistic", "flm_test", "gen_coeff",
         "gen_h1_model", "gen_series", "max_test", "normal_upper_quantile",
         "normal_upper_tail", "power_flm", "power_ss", "pv_test",
-        "radial_moments", "run_experiment", "sign_transform", "size_table", "spatial_sign",
-        "ss_statistic", "ss_test", "tabulate_reports", "trace_omega2_hat", "trace_sigma2_hat",
+        "radial_moments", "run_experiment", "sign_transform", "spatial_sign",
+        "ss_statistic", "ss_test", "trace_omega2_hat", "trace_sigma2_hat",
     ]
     assert all(hasattr(hdwn, name) for name in hdwn.__all__)
 

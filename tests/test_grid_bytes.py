@@ -1,9 +1,11 @@
-"""The bytes of results.csv for table1 and table2, against the benchmark's record.
+"""The bytes of the CSV files of table1 and table2, against recorded digests.
 
 perfbench/reference/<workload>.json holds the SHA-256 of results.csv for each
-seed slot of `hdwn simulate --config <preset> --reps 50 --threads 2`. Slot 0
-of both grids is replayed here through cli.main, so a change to the bytes
-under the determinism guarantee fails the suite rather than the benchmark.
+seed slot of `hdwn simulate --config <preset> --reps 50 --threads 2`, and
+WIDE_TABLES the slot-0 digest of each preset's wide table (size_table.csv for
+table1, power_table.csv for table2). Slot 0 of both grids is replayed here
+through cli.main, so a change to the bytes under the determinism guarantee
+fails the suite rather than the benchmark.
 
 The bits of the Grams and lag products follow the OpenBLAS kernel that
 numpy's bundled OpenBLAS picks for the CPU at load time (DYNAMIC_ARCH). The
@@ -30,6 +32,14 @@ REFERENCE_OPENBLAS = ("OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINI
                       "MAX_THREADS=64")
 
 GRIDS = {"table1": "size_grid", "table2": "power_grid"}
+
+#: Slot-0 SHA-256 of each preset's wide table, by preset: (file name, digest).
+WIDE_TABLES = {
+    "table1": ("size_table.csv",
+               "a44e3c3f01137291ee9f802b96683c97be04a64545f037b25e9132113bc51662"),
+    "table2": ("power_table.csv",
+               "d0f6aab1c22a4661102948ff2441dacc7e6f5fd81735f7f3ceb479e707375284"),
+}
 
 
 def _openblas_config():
@@ -58,11 +68,30 @@ SKIP = _skip_reason()
 pytestmark = pytest.mark.skipif(SKIP is not None, reason=str(SKIP))
 
 
+@pytest.fixture(scope="module")
+def digest(tmp_path_factory):
+    """SHA-256 of an output file of a preset's slot-0 run; each preset runs once."""
+    runs = {}
+
+    def of(preset, name):
+        if preset not in runs:
+            runs[preset] = tmp_path_factory.mktemp(preset)
+            argv = ["simulate", "--config", preset, "--reps", "50", "--threads", "2",
+                    "--seed", "0", "--out", str(runs[preset])]
+            assert main(argv) == 0
+        return hashlib.sha256((runs[preset] / name).read_bytes()).hexdigest()
+
+    return of
+
+
 @pytest.mark.parametrize("preset", sorted(GRIDS))
-def test_results_csv_matches_the_reference_digest(preset, tmp_path):
+def test_results_csv_matches_the_reference_digest(preset, digest):
     with open(REFERENCE_DIR / f"{GRIDS[preset]}.json", encoding="utf-8") as fh:
         expected = json.load(fh)["slots"]["0"]["sha256"]
-    argv = ["simulate", "--config", preset, "--reps", "50", "--threads", "2", "--seed", "0",
-            "--out", str(tmp_path)]
-    assert main(argv) == 0
-    assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == expected
+    assert digest(preset, "results.csv") == expected
+
+
+@pytest.mark.parametrize("preset", sorted(WIDE_TABLES))
+def test_wide_table_matches_its_digest(preset, digest):
+    name, expected = WIDE_TABLES[preset]
+    assert digest(preset, name) == expected

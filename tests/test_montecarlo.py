@@ -26,8 +26,6 @@ from hdwn import (
     ModelSpec,
     ScenarioSpec,
     run_experiment,
-    size_table,
-    tabulate_reports,
 )
 from hdwn.dgp import BURN_IN
 
@@ -584,40 +582,6 @@ class TestAutoThreads:
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(32)),
                             raising=False)
         assert mc._auto_threads() == 8
-
-
-class TestTables:
-    def test_empty_grid_empty_table(self):
-        table = size_table([])
-        assert table.columns == ()
-        assert table.rows == ()
-
-    def test_size_table_layout(self):
-        grid = [
-            null_config(label="a", reps=10),
-            null_config(label="b", scenario=ScenarioSpec.student_t(3), reps=10),
-        ]
-        table = size_table(grid)
-        assert table.columns[:5] == ("label", "scenario", "model", "n", "p")
-        assert "SS_H1" in table.columns and "FLM_H1" in table.columns
-        assert [r["label"] for r in table.rows] == ["a", "b"]
-        assert table.rows[1]["scenario"] == "t"
-        for row in table.rows:
-            assert 0.0 <= row["SS_H1"] <= 1.0
-
-    def test_table_labels_the_model_with_its_regime(self):
-        cfg = null_config(
-            label="dense-var",
-            model=ModelSpec(ModelKind.VAR1, coeff=CoeffSpec("dense", 5)),
-            reps=10,
-        )
-        table = size_table([cfg])
-        assert table.rows[0]["model"] == "var1-dense"
-
-    def test_tabulate_matches_reports(self):
-        reports = [run_experiment(null_config(label="x", reps=15))]
-        table = tabulate_reports(reports)
-        assert table.rows[0]["SS_H1"] == reports[0].cell("ss", 1).rejection_rate
 
 
 class TestOrderings:

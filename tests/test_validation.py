@@ -33,6 +33,7 @@ from hdwn import (
     HdwnError,
     InvalidInputError,
     InvalidSpecError,
+    McCell,
     McConfig,
     McReport,
     MixtureNormal,
@@ -52,6 +53,7 @@ from hdwn import (
     derive_seed,
     evaluate_tests_collect,
     flm_statistic,
+    gen_coeff,
     gen_h1_model,
     gen_series,
     normal_upper_quantile,
@@ -294,9 +296,10 @@ def test_each_kind_of_input_is_checked_in_one_place():
 
 
 def test_each_input_has_one_form_and_each_job_one_name():
-    # H is an int, sigma0 a CovarianceSpec, a series a float array, the iid draw gen_series
-    # and every table size_table
-    removed = re.compile(r"\b(LagWindow|as_lag|gen_innovations|power_table|SeriesMatrix|CsvSeries)\b(?!\.csv)")
+    # H is an int, sigma0 a CovarianceSpec, a series a float array, the iid draw gen_series,
+    # and the CLI alone lays reports out as tables
+    removed = re.compile(r"\b(LagWindow|as_lag|gen_innovations|power_table|SeriesMatrix|CsvSeries"
+                         r"|McTable|tabulate_reports|size_table)\b(?!\.csv)")
     assert [path.name for path in sorted(SRC.rglob("*"))
             if path.suffix in (".py", ".cfg") and removed.search(path.read_text())] == []
 
@@ -377,7 +380,7 @@ def test_family_parameters_are_known_to_their_spec_alone():
     assert _owners("FAMILY_PARAMS[") == ["dgp.ScenarioSpec.__post_init__"]
     assert _owners("innovations take no") == ["dgp.ScenarioSpec.__post_init__"]
     assert [_owners(f"= {default}") for default in ("3.0", "0.8", "9.0")] == [[], [], []]
-    assert _owners("ModelKind.IID", "cli.py") == ["cli._cmd_simulate"] * 2
+    assert _owners("ModelKind.IID", "cli.py") == ["cli._cmd_simulate"]
     assert _owners("args.dist ==", "cli.py") == []
 
 
@@ -464,9 +467,15 @@ def _h1_spec(radial, **fields):
     return H1Spec(CovarianceSpec("identity", 3), radial=radial, **fields)
 
 
+def _cells_json(*lags):
+    """The JSON of ss cells at these lags, each a rate of 0.5 over 2 reps."""
+    return [dataclasses.asdict(McCell("ss", H, 0.5, 0.25, 2, 0)) for H in lags]
+
+
 def _report_json(field=None, value=None):
-    """report_to_dict of an empty iid report, with value as the JSON of its config's field."""
-    report = report_to_dict(McReport((), _config(), 0.0))
+    """report_to_dict of an iid report holding its one cell, ss at H = 1, with value as
+    the JSON of its config's field."""
+    report = {**report_to_dict(McReport((), _config(), 0.0)), "cells": _cells_json(1)}
     if field is not None:
         report["config"][field] = value
     return report
@@ -578,6 +587,13 @@ REFUSALS = {
                                "pairwise inner products overflow"),
     "trace_sigma2_hat.overflow": (lambda _: trace_sigma2_hat(HUGE), DegenerateDataError,
                                   "pairwise inner products overflow"),
+    # gen_coeff takes a Generator or an integer seed, as every generator does
+    "gen_coeff.seed-none": (lambda _: gen_coeff(CoeffSpec("dense", 3), None), InvalidInputError,
+                            "seed must be an integer >= 0, got None"),
+    "gen_coeff.seed-bool": (lambda _: gen_coeff(CoeffSpec("dense", 3), True), InvalidInputError,
+                            "seed must be an integer >= 0, got True"),
+    "gen_coeff.seed-float": (lambda _: gen_coeff(CoeffSpec("dense", 3), 2.5), InvalidInputError,
+                             "seed must be an integer >= 0, got 2.5"),
     "derive_seed.bool-path-part": (lambda _: derive_seed(0, True), InvalidInputError,
                                    "stream path part must be an integer >= 0, got True"),
     "cross_correlations.constant-column": (
@@ -668,6 +684,27 @@ REFUSALS = {
                                     "McReport must be a JSON object"),
     "report_from_dict.cell-not-object": (lambda _: report_from_dict(
         {**_report_json(), "cells": [1]}), ConfigError, "McReport.cells must be a JSON object"),
+    # a nested field holds one JSON shape: cells an array, config an object
+    "report_from_dict.cells-object": (lambda _: report_from_dict(
+        {**_report_json(), "cells": _cells_json(1)[0]}), ConfigError,
+        "McReport.cells must be a JSON array, got {"),
+    "report_from_dict.cells-text": (lambda _: report_from_dict(
+        {**_report_json(), "cells": "ss"}), ConfigError,
+        "McReport.cells must be a JSON array, got 'ss'"),
+    "report_from_dict.config-null": (lambda _: report_from_dict(
+        {**_report_json(), "config": None}), ConfigError,
+        "McReport.config must be a JSON object, got None"),
+    "report_from_dict.config-array": (lambda _: report_from_dict(
+        {**_report_json(), "config": [_report_json()["config"]]}), ConfigError,
+        "McReport.config must be a JSON object, got [{"),
+    # a report holds a cell per (test, H) of its config, in run_experiment's order
+    "report_from_dict.cells-missing": (lambda _: report_from_dict(
+        _report_json("H_values", [1, 2])), ConfigError,
+        "McReport.cells hold the (test, H) pairs [('ss', 1)], expected [('ss', 1), ('ss', 2)]"),
+    "report_from_dict.cells-order": (lambda _: report_from_dict(
+        {**_report_json("H_values", [1, 2]), "cells": _cells_json(2, 1)}), ConfigError,
+        "McReport.cells hold the (test, H) pairs [('ss', 2), ('ss', 1)], expected "
+        "[('ss', 1), ('ss', 2)]"),
     "report_from_dict.missing-field": (lambda _: report_from_dict(
         {k: v for k, v in _report_json().items() if k != "cells"}), ConfigError, "'cells'"),
     "report_from_dict.unknown-field": (lambda _: report_from_dict(
