@@ -4,10 +4,12 @@ Exit codes: 0 on success; 2 on usage errors, OSError and every HdwnError but
 McRunError; 3 on McRunError (a cell over its error budget) and on any other
 failure. --threads sets the simulation thread count, which changes no report.
 
-`simulate` writes each McReport to results.json as the dict of its dataclass
-fields, through one codec (_encode/_decode); README describes the layout.
-The CSV layouts are this module's alone: _cmd_simulate builds the rows of
-results.csv, size_table.csv and power_table.csv, and _write_csv writes them.
+`simulate` writes results.json as each section's label and config keys
+beside its report's cells, and reports_from_dict rebuilds each config from
+those keys through _build_config, the builder that read the config file;
+README describes the layout. The CSV layouts are this module's alone:
+_cmd_simulate builds the rows of results.csv, size_table.csv and
+power_table.csv, and _write_csv writes them.
 
 Config files are flat key=value INI files, one section per experiment cell;
 keys in [DEFAULT] apply to every section. Recognized keys: tests, lags, alpha,
@@ -33,15 +35,15 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import sys
-from dataclasses import asdict, fields, is_dataclass
-from enum import Enum
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .core import TestOutcome, _floats
+from .core import _floats, _integer, _real
 from .dgp import (
     CoeffSpec,
     CovarianceSpec,
@@ -64,15 +66,7 @@ from .montecarlo import McCell, McConfig, McReport, run_experiment
 from .power_theory import are_ss_flm, radial_moments
 from .stats_tests import TEST_NAMES, evaluate_tests
 
-__all__ = [
-    "entry",
-    "main",
-    "outcome_from_dict",
-    "outcome_to_dict",
-    "read_series_csv",
-    "report_from_dict",
-    "report_to_dict",
-]
+__all__ = ["entry", "main", "read_series_csv", "reports_from_dict"]
 
 _PRESETS = ("table1", "table2")
 
@@ -135,90 +129,6 @@ def _is_number(field: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# JSON schemas
-
-
-def _encode(obj):
-    """JSON form of a result, with each dataclass as the dict of its fields.
-
-    Enums go by value, tuples as lists, an explicit array as {"matrix": rows}.
-    """
-    if is_dataclass(obj):
-        return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, Enum):
-        return obj.value
-    if isinstance(obj, (tuple, list)):
-        return [_encode(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _encode(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        return {"matrix": obj.tolist()}
-    return obj
-
-
-#: Fields that hold dataclasses, by owner; [cls] marks a JSON array of them. _decode
-#: passes every other field, and the rows of an explicit matrix, to the constructor,
-#: which restores their types.
-_NESTED = {
-    McReport: {"cells": [McCell], "config": McConfig},
-    McConfig: {"scenario": ScenarioSpec, "model": ModelSpec, "cov": CovarianceSpec},
-    ModelSpec: {"coeff": CoeffSpec, "h1": H1Spec},
-    H1Spec: {"sigma0": CovarianceSpec},
-}
-
-
-def _decode(cls, d: dict, where: str | None = None):
-    """Inverse of _encode for a dict that came from an instance of cls. A non-object, a
-    nested field of the other JSON shape, or a field cls lacks or needs (a key an older
-    file stored), is a ConfigError naming where."""
-    where = where or cls.__name__
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
-    nested = _NESTED.get(cls, {})
-    kwargs = {}
-    for name, value in d.items():
-        inner = nested.get(name)
-        if isinstance(inner, list):
-            if not isinstance(value, list):
-                raise ConfigError(f"{where}.{name} must be a JSON array, got {value!r}")
-            kwargs[name] = tuple(_decode(inner[0], v, f"{where}.{name}") for v in value)
-        elif inner is None or value is None:
-            kwargs[name] = value
-        elif isinstance(value, dict) and "matrix" in value:
-            kwargs[name] = value["matrix"]
-        else:
-            kwargs[name] = _decode(inner, value, f"{where}.{name}")
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
-def outcome_to_dict(outcome: TestOutcome) -> dict:
-    return _encode(outcome)
-
-
-def outcome_from_dict(d: dict) -> TestOutcome:
-    return _decode(TestOutcome, d)
-
-
-def report_to_dict(report: McReport) -> dict:
-    return _encode(report)
-
-
-def report_from_dict(d: dict) -> McReport:
-    """The McReport whose report_to_dict is d; its cells must be its config's (test, H)
-    pairs in run_experiment's order, tests outer and lags inner."""
-    report = _decode(McReport, d)
-    if not isinstance(cfg := report.config, McConfig):
-        raise ConfigError(f"McReport.config must be a JSON object, got {d['config']!r}")
-    pairs = [(t, H) for t in cfg.tests for H in cfg.H_values]
-    if (got := [(c.test, c.H) for c in report.cells]) != pairs:
-        raise ConfigError(f"McReport.cells hold the (test, H) pairs {got}, expected {pairs}")
-    return report
-
-
-# ---------------------------------------------------------------------------
 # Config files
 
 
@@ -234,75 +144,146 @@ def _resolve_config_path(name: str):
     return path
 
 
-def _get(section, key, cast):
-    """cast(section[key]); an absent or empty key, or a value cast refuses, is a ConfigError."""
-    raw = section.get(key)
-    if not raw:
-        raise ConfigError(f"[{section.name}] missing required key {key!r}")
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"[{section.name}] bad value for {key!r}: {raw!r}") from exc
-
-
-def _optional(section, cast, **keys) -> dict:
-    """{field: cast(section[key])} for each key=field the section sets; others pass nothing."""
-    return {field: _get(section, key, cast) for key, field in keys.items() if section.get(key)}
-
-
 def _str_list(raw: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
 
 
-def parse_experiment_configs(text: str, *, seed: int, reps_override: int | None = None,
-                             threads: int | None = None) -> list[McConfig]:
-    """Build one McConfig per section; each section derives its own child seed."""
+def _check_keys(pairs) -> None:
+    """Refuse every (label, key) pair whose key is not a config key, in one ConfigError."""
+    if unknown := sorted(f"{label}.{key}" for label, key in pairs if key not in _CONFIG_KEYS):
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+
+
+def _build_config(label: str, keys: dict, seed: int, threads: int | None) -> McConfig:
+    """The McConfig of one section, whose keys map its config keys to raw strings
+    ([DEFAULT] resolved; reps may be an int); master_seed is derive_seed(seed, label).
+    A bad value or a refused cell is a ConfigError naming the section."""
+    def get(key, cast):
+        # an absent or empty key, or a value cast refuses, is a ConfigError
+        if (raw := keys.get(key)) is None or raw == "":
+            raise ConfigError(f"[{label}] missing required key {key!r}")
+        try:
+            return cast(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"[{label}] bad value for {key!r}: {raw!r}") from exc
+
+    def optional(**names) -> dict:
+        # {field: float(keys[key])} for each key=field set; others pass nothing
+        return {field: get(key, float) for key, field in names.items() if keys.get(key)}
+
+    try:
+        n, p = get("n", int), get("p", int)
+        model_kind = get("model", lambda raw: ModelKind(raw.lower()))
+        regime = (keys.get("coeff") or "").lower()
+        cov = CovarianceSpec((keys.get("cov") or "identity").lower(), p)
+        h1 = H1Spec(cov) if model_kind is ModelKind.H1_SIGN else None
+        return McConfig(
+            tests=get("tests", _str_list),
+            scenario=ScenarioSpec(get("scenario", str.lower), **optional(**_SCENARIO_KEYS)),
+            model=ModelSpec(model_kind, coeff=CoeffSpec(regime, p) if regime else None, h1=h1),
+            cov=cov,
+            n=n,
+            p=p,
+            H_values=get("lags", lambda raw: tuple(map(int, _str_list(raw)))),
+            reps=get("reps", int),
+            master_seed=derive_seed(seed, label),
+            threads=threads,
+            label=label,
+            **optional(alpha="alpha"),
+        )
+    except InvalidSpecError as exc:
+        raise ConfigError(f"[{label}] {exc}") from exc
+
+
+def _sections(text: str, reps_override: int | None) -> list[tuple[str, dict]]:
+    """(label, key map) of each section of a config file, [DEFAULT] resolved and
+    reps_override, if given, standing in for reps."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
-
-    unknown = []
-    for label in ("DEFAULT", *parser.sections()):
-        for key in parser[label]:  # a section lists the [DEFAULT] keys too; report them once
-            if key not in _CONFIG_KEYS and (label == "DEFAULT" or key not in parser.defaults()):
-                unknown.append(f"{label}.{key}")
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    # a section lists the [DEFAULT] keys too; report them once
+    _check_keys((label, key) for label in ("DEFAULT", *parser.sections()) for key in parser[label]
+                if label == "DEFAULT" or key not in parser.defaults())
     if not parser.sections():
         raise ConfigError("config defines no experiment sections")
+    override = {} if reps_override is None else {"reps": str(reps_override)}
+    return [(label, {**parser[label], **override}) for label in parser.sections()]
 
-    configs = []
-    for label in parser.sections():
-        section = parser[label]
-        try:
-            n, p = _get(section, "n", int), _get(section, "p", int)
-            model_kind = _get(section, "model", lambda raw: ModelKind(raw.lower()))
-            regime = (section.get("coeff") or "").lower()
-            cov = CovarianceSpec((section.get("cov") or "identity").lower(), p)
-            h1 = H1Spec(cov) if model_kind is ModelKind.H1_SIGN else None
-            configs.append(
-                McConfig(
-                    tests=_get(section, "tests", _str_list),
-                    scenario=ScenarioSpec(_get(section, "scenario", str.lower),
-                                          **_optional(section, float, **_SCENARIO_KEYS)),
-                    model=ModelSpec(model_kind, coeff=CoeffSpec(regime, p) if regime else None,
-                                    h1=h1),
-                    cov=cov,
-                    n=n,
-                    p=p,
-                    H_values=_get(section, "lags", lambda raw: tuple(map(int, _str_list(raw)))),
-                    reps=reps_override if reps_override is not None else _get(section, "reps", int),
-                    master_seed=derive_seed(seed, label),
-                    threads=threads,
-                    label=label,
-                    **_optional(section, float, alpha="alpha"),
-                )
-            )
-        except InvalidSpecError as exc:
-            raise ConfigError(f"[{label}] {exc}") from exc
-    return configs
+
+def parse_experiment_configs(text: str, *, seed: int, reps_override: int | None = None,
+                             threads: int | None = None) -> list[McConfig]:
+    """Build one McConfig per section; each section derives its own child seed."""
+    return [_build_config(label, keys, seed, threads)
+            for label, keys in _sections(text, reps_override)]
+
+
+#: The keys of a report in results.json.
+_REPORT_KEYS = ("label", "config", "cells", "wall_time_s", "coeff_fingerprint")
+
+
+def reports_from_dict(doc) -> list[McReport]:
+    """The McReports of a results.json document. Each config is rebuilt from its keys by
+    the builder that reads config files, with master_seed derive_seed(doc["seed"], label)
+    and threads None; its cells must be the config's (test, H) pairs in run_experiment's
+    order, holding values a run of it gives. A fault is a ConfigError naming the report."""
+    if not isinstance(doc, dict) or set(doc) != {"seed", "reports"}:
+        raise ConfigError(f"results.json must be an object of seed and reports, got {doc!r}")
+    seed = _integer(doc["seed"], "results.json seed", 0, ConfigError)
+    if not isinstance(doc["reports"], list):
+        raise ConfigError(f"results.json reports must be an array, got {doc['reports']!r}")
+    reports = []
+    for i, d in enumerate(doc["reports"]):
+        if not isinstance(d, dict) or set(d) != set(_REPORT_KEYS):
+            raise ConfigError(f"reports[{i}] must hold the keys {', '.join(_REPORT_KEYS)}; a "
+                              "results.json written before reports stored their config keys "
+                              "cannot be read, so rerun hdwn simulate")
+        if not isinstance(label := d["label"], str):
+            raise ConfigError(f"reports[{i}].label must be a string, got {label!r}")
+        if not isinstance(keys := d["config"], dict):
+            raise ConfigError(f"[{label}] config must be a JSON object, got {keys!r}")
+        _check_keys((label, key) for key in keys)
+        for key, raw in keys.items():
+            if not (type(raw) is int if key == "reps" else isinstance(raw, str)):
+                kind = "an integer" if key == "reps" else "a string"
+                raise ConfigError(f"[{label}] config key {key!r} must be {kind}, got {raw!r}")
+        cfg = _build_config(label, keys, seed, None)
+        wall = _real(d["wall_time_s"], f"[{label}] wall_time_s", ConfigError)
+        if wall < 0:
+            raise ConfigError(f"[{label}] wall_time_s must be >= 0, got {wall!r}")
+        reports.append(McReport(_checked_cells(label, d["cells"], cfg), cfg, wall,
+                                d["coeff_fingerprint"]))
+    return reports
+
+
+def _checked_cells(label: str, cells, cfg: McConfig) -> tuple[McCell, ...]:
+    """The McCells of a report's JSON cells: one per (test, H) pair of cfg in order, each
+    with a rate in [0, 1], reps >= 1 and errors >= 0 summing to cfg.reps, and the mc_se
+    run_experiment computes."""
+    pairs = [(t, H) for t in cfg.tests for H in cfg.H_values]
+    if not isinstance(cells, list) or not all(isinstance(c, dict) for c in cells):
+        raise ConfigError(f"[{label}] cells must be an array of objects, got {cells!r}")
+    if (got := [(c.get("test"), c.get("H")) for c in cells]) != pairs:
+        raise ConfigError(f"[{label}] cells hold the (test, H) pairs {got}, expected {pairs}")
+    checked = []
+    for (test, H), c in zip(pairs, cells):
+        where = f"[{label}] {test}@H{H}"
+        if set(c) != set(McCell.__dataclass_fields__):
+            raise ConfigError(f"{where} must hold the keys of an McCell, got {sorted(c)}")
+        rate = _real(c["rejection_rate"], f"{where} rejection_rate", ConfigError)
+        if not 0.0 <= rate <= 1.0:
+            raise ConfigError(f"{where} rejection_rate must lie in [0, 1], got {rate!r}")
+        reps = _integer(c["reps"], f"{where} reps", 1, ConfigError)
+        errors = _integer(c["errors"], f"{where} errors", 0, ConfigError)
+        if reps + errors != cfg.reps:
+            raise ConfigError(f"{where} reps + errors is {reps + errors}, expected the config's "
+                              f"reps {cfg.reps}")
+        if c["mc_se"] != (se := math.sqrt(rate * (1.0 - rate) / reps)):
+            raise ConfigError(f"{where} mc_se must be sqrt(rate * (1 - rate) / reps) = {se!r}, "
+                              f"got {c['mc_se']!r}")
+        checked.append(McCell(test, H, rate, se, reps, errors))
+    return tuple(checked)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +326,7 @@ def _cmd_test(args) -> int:
         "n": X.shape[0],
         "p": X.shape[1],
         "H": args.lags,
-        **outcome_to_dict(outcome),
+        **asdict(outcome),
     }
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -360,8 +341,8 @@ def _cmd_test(args) -> int:
 
 def _cmd_simulate(args) -> int:
     text = _resolve_config_path(args.config).read_text(encoding="utf-8")
-    configs = parse_experiment_configs(text, seed=args.seed, reps_override=args.reps,
-                                       threads=args.threads)
+    sections = _sections(text, args.reps)
+    configs = [_build_config(label, keys, args.seed, args.threads) for label, keys in sections]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -375,7 +356,11 @@ def _cmd_simulate(args) -> int:
     _write_csv(out_dir / "results.csv",
                [{**_context(r.config), **asdict(cell)} for r in reports for cell in r.cells])
     with open(out_dir / "results.json", "w", encoding="utf-8") as fh:
-        payload = {"seed": args.seed, "reports": [report_to_dict(r) for r in reports]}
+        payload = {"seed": args.seed, "reports": [
+            {"label": label, "config": {**keys, "reps": r.config.reps},
+             "cells": [asdict(c) for c in r.cells], "wall_time_s": r.wall_time_s,
+             "coeff_fingerprint": r.coeff_fingerprint}
+            for (label, keys), r in zip(sections, reports)]}
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -399,7 +384,7 @@ def _cmd_are(args) -> int:
     payload.update((key, getattr(scenario, field)) for key, field in _SCENARIO_KEYS.items()
                    if getattr(scenario, field) is not None)
     if args.p is not None:
-        payload.update(p=args.p, **_encode(radial_moments(law, args.p)))
+        payload.update(p=args.p, **asdict(radial_moments(law, args.p)))
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

@@ -118,8 +118,9 @@ def _fraction(value, name: str, error=InvalidInputError) -> float:
 
 
 def _nonempty(values, name: str, error=InvalidInputError) -> tuple:
-    """values as a tuple: a nonempty collection, not a string."""
-    items = () if isinstance(values, str) or not isinstance(values, Iterable) else tuple(values)
+    """values as a tuple: a nonempty collection, not a string or a 0-d array."""
+    collection = isinstance(values, Iterable) and getattr(values, "ndim", 1) > 0
+    items = tuple(values) if collection and not isinstance(values, str) else ()
     if not items:
         raise error(f"{name} must be a nonempty collection, not a string, got {values!r}")
     return items

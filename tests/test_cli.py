@@ -16,30 +16,23 @@ import pytest
 import hdwn
 
 from hdwn.cli import (
+    _resolve_config_path,
     main,
-    outcome_from_dict,
-    outcome_to_dict,
     parse_experiment_configs,
     read_series_csv,
-    report_from_dict,
-    report_to_dict,
+    reports_from_dict,
 )
 from hdwn import errors
 from hdwn.dgp import FAMILY_PARAMS
 from hdwn.errors import ConfigError, HdwnError, McRunError
 from hdwn import (
     TEST_NAMES,
-    CoeffSpec,
-    CovarianceSpec,
-    H1Spec,
     McConfig,
     MixtureNormal,
     ModelKind,
-    ModelSpec,
     ScenarioSpec,
     are_ss_flm,
     run_experiment,
-    ss_test,
 )
 
 HDWN_ERRORS = sorted(
@@ -187,7 +180,7 @@ class TestCmdTest:
             assert sorted(payload) == ["H", "alpha", "n", "nuisance", "p", "p_value",
                                        "reject", "standardized", "statistic", "test"]
             direct = getattr(hdwn, f"{name}_test")(X, 2, 0.05)
-            assert payload == {"test": name, "n": 60, "p": 4, "H": 2, **outcome_to_dict(direct)}
+            assert payload == {"test": name, "n": 60, "p": 4, "H": 2, **dataclasses.asdict(direct)}
 
     def test_text_output(self, gaussian_csv, capsys):
         path, _ = gaussian_csv
@@ -354,14 +347,12 @@ class TestCmdSimulate:
         assert "[cell-null]" in err and repr(key) in err
 
     def test_kind_values_are_case_insensitive(self):
-        from hdwn.cli import _encode
-
         shouted = SMALL_CFG
         for kind in ("normal", "t", "iid", "var1", "dense", "identity"):
             shouted = shouted.replace(f"= {kind}\n", f"= {kind.upper()}\n")
         assert shouted != SMALL_CFG
-        assert ([_encode(c) for c in parse_experiment_configs(shouted, seed=3)]
-                == [_encode(c) for c in parse_experiment_configs(SMALL_CFG, seed=3)])
+        assert ([dataclasses.asdict(c) for c in parse_experiment_configs(shouted, seed=3)]
+                == [dataclasses.asdict(c) for c in parse_experiment_configs(SMALL_CFG, seed=3)])
 
     def test_config_keys_agree_with_the_docs(self):
         from hdwn import cli
@@ -401,15 +392,13 @@ class TestCmdSimulate:
         "alpha = 0.05", "df = 3", "mixture_gamma = 0.8", "mixture_scale = 9", "cov = identity",
         "alpha =", "df =", "mixture_gamma =", "mixture_scale =", "cov ="])
     def test_omitted_optional_key_equals_its_default_written(self, line):
-        from hdwn.cli import _encode
-
         # a mixture key is written on a mixture cell, the only family that reads it
         cell = ONE_CELL
         if line.startswith("mixture") and not line.endswith("="):
             cell = ONE_CELL.replace("scenario = t", "scenario = mixture")
         text = cell + line + "\n"
-        assert ([_encode(c) for c in parse_experiment_configs(text, seed=1)]
-                == [_encode(c) for c in parse_experiment_configs(cell, seed=1)])
+        assert ([dataclasses.asdict(c) for c in parse_experiment_configs(text, seed=1)]
+                == [dataclasses.asdict(c) for c in parse_experiment_configs(cell, seed=1)])
 
     @pytest.mark.parametrize("cls, key, field, value", [
         (ScenarioSpec, "df", "df", 5.0),
@@ -437,8 +426,6 @@ class TestCmdSimulate:
         assert getattr(owner, field) == value
 
     def test_presets_parse(self):
-        from hdwn.cli import _resolve_config_path
-
         for preset in ("table1", "table2"):
             text = _resolve_config_path(preset).read_text(encoding="utf-8")
             configs = parse_experiment_configs(text, seed=0)
@@ -510,22 +497,6 @@ class TestCmdAre:
                                                       rel=1e-15)
 
 
-def _assert_same(got, want):
-    """Field-by-field equality with matching types; arrays by np.array_equal."""
-    assert type(got) is type(want)
-    if dataclasses.is_dataclass(want):
-        for f in dataclasses.fields(want):
-            _assert_same(getattr(got, f.name), getattr(want, f.name))
-    elif isinstance(want, np.ndarray):
-        assert np.array_equal(got, want)
-    elif isinstance(want, tuple):
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            _assert_same(g, w)
-    else:
-        assert got == want
-
-
 def _key_sets(node, path="", out=None):
     """Key set of every JSON object in a document, by path; list items share a path."""
     out = {} if out is None else out
@@ -539,78 +510,79 @@ def _key_sets(node, path="", out=None):
     return out
 
 
+def _simulate_and_read(tmp_path, config, *argv):
+    """The results.json document of a simulate run and the reports read back from it."""
+    assert main(["simulate", "--config", config, "--out", str(tmp_path), *argv]) == 0
+    payload = json.loads((tmp_path / "results.json").read_text())
+    return payload, reports_from_dict(payload)
+
+
+def _assert_rebuilt(reports, configs):
+    """Each report's config is the file's, with no thread count, and reruns to its cells."""
+    assert len(reports) == len(configs)
+    for report, config in zip(reports, configs):
+        assert dataclasses.asdict(report.config) == dataclasses.asdict(config)
+        assert report.config.threads is None
+        rerun = run_experiment(report.config)
+        assert rerun.cells == report.cells
+        assert rerun.coeff_fingerprint == report.coeff_fingerprint
+
+
 class TestRoundTrip:
-    def test_outcome_round_trip(self, rng):
-        out = ss_test(rng.standard_normal((40, 5)), 2, 0.05)
-        recovered = outcome_from_dict(json.loads(json.dumps(outcome_to_dict(out))))
-        assert recovered == out
+    def test_outcome_round_trip(self, gaussian_csv, capsys):
+        # `hdwn test --format json` writes every TestOutcome field, so the fields rebuild it
+        path, X = gaussian_csv
+        assert main(["test", "--input", str(path), "--test", "ss", "--lags", "2",
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        fields = {k: v for k, v in payload.items() if k not in ("test", "n", "p", "H")}
+        assert hdwn.TestOutcome(**fields) == hdwn.ss_test(X, 2, 0.05)
 
     @pytest.mark.parametrize("threads", [None, 1])
-    @pytest.mark.parametrize("model", [
-        pytest.param(ModelSpec(ModelKind.IID), id="iid"),
-        pytest.param(ModelSpec("var1", coeff=CoeffSpec("dense", 4)), id="var1-dense"),
-        pytest.param(ModelSpec("vma1", coeff=CoeffSpec("dense", 4)), id="vma1-dense"),
-        pytest.param(ModelSpec("var1", coeff=np.diag([0.5, -0.25, 0.125, 0.1])),
-                     id="var1-array"),
-    ])
-    def test_report_round_trip(self, model, threads):
-        cfg = McConfig(
-            tests=("ss", "fc"),
-            scenario=ScenarioSpec.student_t(3),
-            model=model,
-            cov=CovarianceSpec("polydecay", 4),
-            n=20,
-            p=4,
-            H_values=(1, 2),
-            reps=10,
-            master_seed=5,
-            threads=threads,
-            label="rt",
-        )
-        report = run_experiment(cfg)
-        recovered = report_from_dict(json.loads(json.dumps(report_to_dict(report))))
-        _assert_same(recovered, report)
-        assert (report.coeff_fingerprint is None) == (model.kind is ModelKind.IID)
+    @pytest.mark.parametrize("model", ["iid", "var1", "vma1"])
+    def test_report_round_trip(self, tmp_path, capsys, model, threads):
+        coeff = "" if model == "iid" else "coeff = dense\n"
+        cfg = tmp_path / "rt.cfg"
+        cfg.write_text(f"[rt]\ntests = ss,fc\nlags = 1,2\nreps = 10\nscenario = t\ndf = 3\n"
+                       f"model = {model}\n{coeff}cov = polydecay\nn = 20\np = 4\n")
+        argv = [] if threads is None else ["--threads", str(threads)]
+        _, reports = _simulate_and_read(tmp_path, str(cfg), "--seed", "5", *argv)
+        _assert_rebuilt(reports, parse_experiment_configs(cfg.read_text(), seed=5))
+        (report,) = reports
+        assert report.config.scenario == ScenarioSpec.student_t(3)
+        assert (report.coeff_fingerprint is None) == (model == "iid")
 
-    @pytest.mark.parametrize("h1, scenario", [
-        pytest.param(H1Spec(CovarianceSpec("polydecay", 4)), ScenarioSpec.normal(), id="chi_p"),
-        pytest.param(H1Spec(CovarianceSpec("identity", 4), sigma1_scale=0.4, radial="constant"),
-                     ScenarioSpec.normal(), id="constant"),
-        pytest.param(H1Spec(CovarianceSpec("polydecay", 4)), ScenarioSpec.student_t(5),
-                     id="chi_p-t"),
-        pytest.param(H1Spec(CovarianceSpec("identity", 4)), ScenarioSpec.mixture(),
-                     id="chi_p-mixture"),
-    ])
-    def test_h1_report_round_trip(self, h1, scenario):
-        cfg = McConfig(tests=("ss", "flm"), scenario=scenario,
-                       model=ModelSpec(ModelKind.H1_SIGN, h1=h1), cov=h1.sigma0, n=20, p=4,
-                       H_values=(1, 2), reps=10, master_seed=3, threads=1, label="h1")
-        report = run_experiment(cfg)
-        recovered = report_from_dict(json.loads(json.dumps(report_to_dict(report))))
-        _assert_same(recovered, report)
-        assert run_experiment(recovered.config).cells == report.cells
+    @pytest.mark.parametrize("preset", ["table1", "table2"])
+    def test_preset_round_trip(self, tmp_path, capsys, preset):
+        payload, reports = _simulate_and_read(tmp_path, preset, "--reps", "20", "--seed", "0",
+                                              "--threads", "1")
+        text = _resolve_config_path(preset).read_text(encoding="utf-8")
+        _assert_rebuilt(reports, parse_experiment_configs(text, seed=0, reps_override=20))
+        assert [r.wall_time_s for r in reports] == [d["wall_time_s"] for d in payload["reports"]]
+        # an iid model draws no coefficients, so it has no fingerprint
+        assert all((r.coeff_fingerprint is None) == (r.config.model.kind is ModelKind.IID)
+                   for r in reports)
+
+    def test_h1_report_round_trip(self, tmp_path, capsys):
+        cfg = tmp_path / "h1.cfg"
+        cfg.write_text(H1_CFG + "\n[h1-mixture]\nscenario = mixture\ncov = identity\n")
+        _, reports = _simulate_and_read(tmp_path, str(cfg), "--seed", "3")
+        _assert_rebuilt(reports, parse_experiment_configs(cfg.read_text(), seed=3))
+        assert [r.config.scenario.kind.value for r in reports] == ["normal", "t", "mixture"]
 
     def test_h1_cells_run_from_a_config_file(self, tmp_path, capsys):
-        from hdwn.cli import _encode
-
         cfg = tmp_path / "h1.cfg"
         cfg.write_text(H1_CFG)
-        assert main(["simulate", "--config", str(cfg), "--reps", "20", "--out", str(tmp_path),
-                     "--threads", "1"]) == 0
+        _, reports = _simulate_and_read(tmp_path, str(cfg), "--reps", "20", "--threads", "1")
         with open(tmp_path / "power_table.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [(row["label"], row["scenario"], row["model"]) for row in rows] == [
             ("h1-normal", "normal", "h1"), ("h1-t5", "t", "h1")]
         assert not (tmp_path / "size_table.csv").exists()
-        payload = json.loads((tmp_path / "results.json").read_text())
-        reports = [report_from_dict(d) for d in payload["reports"]]
-        assert [report_to_dict(r) for r in reports] == payload["reports"]
         # the recovered config is the file's, and reruns to the same cells
-        configs = parse_experiment_configs(H1_CFG, seed=0, reps_override=20, threads=1)
-        for report, config in zip(reports, configs, strict=True):
-            assert _encode(report.config) == _encode(config)
+        _assert_rebuilt(reports, parse_experiment_configs(H1_CFG, seed=0, reps_override=20))
+        for report in reports:
             assert report.config.model.h1.sigma0 == report.config.cov
-            assert run_experiment(report.config).cells == report.cells
             assert [(c.test, c.H) for c in report.cells] == [
                 ("ss", 1), ("ss", 2), ("flm", 1), ("flm", 2)]
         assert reports[0].cells != reports[1].cells
@@ -619,33 +591,34 @@ class TestRoundTrip:
         cfg = tmp_path / "small.cfg"
         cfg.write_text(SMALL_CFG + "\n[cell-h1]\nscenario = t\ndf = 5\nmodel = h1\nn = 30\n"
                        "p = 4\n")
-        assert main(["simulate", "--config", str(cfg), "--reps", "5", "--out", str(tmp_path)]) == 0
-        payload = json.loads((tmp_path / "results.json").read_text())
+        payload, _ = _simulate_and_read(tmp_path, str(cfg), "--reps", "5")
         keys = {path: {tuple(sorted(k)) for k in sets}
                 for path, sets in _key_sets(payload).items()}
+        shared = ("alpha", "cov", "lags", "model", "n", "p", "reps", "scenario", "tests")
         assert keys == {
             "": {("reports", "seed")},
-            ".reports[]": {("cells", "coeff_fingerprint", "config", "wall_time_s")},
+            ".reports[]": {("cells", "coeff_fingerprint", "config", "label", "wall_time_s")},
             ".reports[].cells[]": {("H", "errors", "mc_se", "rejection_rate", "reps", "test")},
-            ".reports[].config": {("H_values", "alpha", "cov", "label", "master_seed", "model",
-                                   "n", "p", "reps", "scenario", "tests", "threads")},
-            ".reports[].config.scenario": {("df", "gamma", "kind", "scale_factor")},
-            ".reports[].config.model": {("coeff", "h1", "kind")},
-            ".reports[].config.model.coeff": {("p", "regime")},
-            ".reports[].config.model.h1": {("radial", "sigma0", "sigma1_scale")},
-            ".reports[].config.model.h1.sigma0": {("kind", "p")},
-            ".reports[].config.cov": {("kind", "p")},
+            ".reports[].config": {shared, tuple(sorted((*shared, "df"))),
+                                  tuple(sorted((*shared, "coeff", "df")))},
         }
-        # a family stores null for the parameters it does not read
-        assert [r["config"]["scenario"] for r in payload["reports"]] == [
-            {"kind": "normal", "df": None, "gamma": None, "scale_factor": None},
-            {"kind": "t", "df": 3.0, "gamma": None, "scale_factor": None},
-            {"kind": "t", "df": 5.0, "gamma": None, "scale_factor": None}]
-        models = [r["config"]["model"] for r in payload["reports"]]
-        assert models[1] == {"kind": "var1", "h1": None, "coeff": {"regime": "dense", "p": 4}}
-        # an h1 cell's sigma0 is its cov, and its radial law the default chi_p
-        assert models[2] == {"kind": "h1", "coeff": None, "h1": {
-            "sigma0": {"kind": "identity", "p": 4}, "sigma1_scale": None, "radial": "chi_p"}}
+        # a report's config is its section's keys as written, [DEFAULT] resolved, and the
+        # reps it ran as an int
+        assert [(r["label"], r["config"]) for r in payload["reports"]] == [
+            ("cell-null", {"tests": "ss,flm", "lags": "1", "alpha": "0.05", "reps": 5,
+                           "cov": "identity", "scenario": "normal", "model": "iid", "n": "30",
+                           "p": "4"}),
+            ("cell-var", {"tests": "ss,flm", "lags": "1", "alpha": "0.05", "reps": 5,
+                          "cov": "identity", "scenario": "t", "df": "3", "model": "var1",
+                          "coeff": "dense", "n": "30", "p": "4"}),
+            ("cell-h1", {"tests": "ss,flm", "lags": "1", "alpha": "0.05", "reps": 5,
+                         "cov": "identity", "scenario": "t", "df": "5", "model": "h1",
+                         "n": "30", "p": "4"})]
+        # perfbench/child.py:151 reads each report's wall_time_s and config.reps to time the
+        # grid workloads' replications
+        for report in payload["reports"]:
+            assert type(report["wall_time_s"]) is float
+            assert type(report["config"]["reps"]) is int
 
     def test_csv_precision(self):
         from hdwn.cli import _fmt

@@ -35,7 +35,6 @@ from hdwn import (
     InvalidSpecError,
     McCell,
     McConfig,
-    McReport,
     MixtureNormal,
     ModelSpec,
     Normal,
@@ -51,6 +50,7 @@ from hdwn import (
     cross_correlations,
     derive_rng,
     derive_seed,
+    evaluate_tests,
     evaluate_tests_collect,
     flm_statistic,
     gen_coeff,
@@ -68,11 +68,9 @@ from hdwn import (
 from hdwn.cli import (
     _build_parser,
     main,
-    outcome_from_dict,
     parse_experiment_configs,
     read_series_csv,
-    report_from_dict,
-    report_to_dict,
+    reports_from_dict,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hdwn"
@@ -231,11 +229,28 @@ def test_stored_reals_are_floats(case, kind):
     assert stored == value
 
 
-def test_numpy_float_report_round_trips_through_json():
-    report = run_experiment(_config(scenario=ScenarioSpec("t", df=np.float32(3))))
-    back = report_from_dict(json.loads(json.dumps(report_to_dict(report))))
-    assert report_to_dict(back) == report_to_dict(report)
-    assert back.cells == report.cells
+def _simulated(tmp_path, text, seed):
+    """The reports that reports_from_dict reads from the results.json of a simulate run."""
+    cfg = tmp_path / "cell.cfg"
+    cfg.write_text(text)
+    assert main(["simulate", "--config", str(cfg), "--seed", str(seed), "--out", str(tmp_path),
+                 "--threads", "1"]) == 0
+    return reports_from_dict(json.loads((tmp_path / "results.json").read_text()))
+
+
+def _same_config_and_cells(report, config):
+    """report's config is config, JSON-ready, and reruns to report's cells."""
+    assert json.dumps(dataclasses.asdict(config), default=lambda e: e.value)
+    assert dataclasses.asdict(report.config) == dataclasses.asdict(config)
+    assert report.cells == run_experiment(config).cells == run_experiment(report.config).cells
+
+
+def test_numpy_float_config_is_the_one_its_file_gives(tmp_path, capsys):
+    (report,) = _simulated(tmp_path, "[c]\ntests = ss\nlags = 1\nreps = 2\nscenario = t\n"
+                                     "df = 3\nmodel = iid\nn = 10\np = 3\n", seed=0)
+    config = _config(scenario=ScenarioSpec("t", df=np.float32(3)),
+                     master_seed=np.uint64(derive_seed(0, "c")), label="c")
+    _same_config_and_cells(report, config)
 
 
 @pytest.mark.parametrize("field", ("tests", "H_values"))
@@ -249,17 +264,19 @@ def test_collection_refusal_is_typed_and_named(field, bad):
         evaluate_tests_collect(SERIES, given["tests"], given["H_values"])
 
 
-def test_numpy_integer_report_round_trips_through_json():
+def test_numpy_integer_config_is_the_one_its_file_gives(tmp_path, capsys):
     def config(i):
         return McConfig(tests=("ss", "max"), scenario=ScenarioSpec.normal(),
                         model=ModelSpec("var1", coeff=CoeffSpec("dense", i(5))),
                         cov=CovarianceSpec("identity", i(5)), n=i(20), p=i(5),
-                        H_values=(i(1), i(2)), reps=i(8), master_seed=i(3), threads=i(1))
+                        H_values=(i(1), i(2)), reps=i(8),
+                        master_seed=np.uint64(derive_seed(3, "c")), label="c")
 
-    report = run_experiment(config(np.int64))
-    back = report_from_dict(json.loads(json.dumps(report_to_dict(report))))
-    assert report_to_dict(back) == report_to_dict(report)
-    assert back.cells == report.cells == run_experiment(config(int)).cells
+    (report,) = _simulated(tmp_path, "[c]\ntests = ss,max\nlags = 1,2\nreps = 8\n"
+                                     "scenario = normal\nmodel = var1\ncoeff = dense\n"
+                                     "n = 20\np = 5\n", seed=3)
+    _same_config_and_cells(report, config(np.int64))
+    assert dataclasses.asdict(config(np.int64)) == dataclasses.asdict(config(int))
 
 
 def _owners(phrase: str, files: str = "*.py") -> list[str]:
@@ -297,11 +314,14 @@ def test_each_kind_of_input_is_checked_in_one_place():
 
 def test_each_input_has_one_form_and_each_job_one_name():
     # H is an int, sigma0 a CovarianceSpec, a series a float array, the iid draw gen_series,
-    # and the CLI alone lays reports out as tables
+    # the CLI alone lays reports out as tables, and results.json is read as config keys
     removed = re.compile(r"\b(LagWindow|as_lag|gen_innovations|power_table|SeriesMatrix|CsvSeries"
-                         r"|McTable|tabulate_reports|size_table)\b(?!\.csv)")
+                         r"|McTable|tabulate_reports|size_table|_encode|_decode|_NESTED"
+                         r"|(report|outcome)_(to|from)_dict)\b(?!\.csv)")
     assert [path.name for path in sorted(SRC.rglob("*"))
             if path.suffix in (".py", ".cfg") and removed.search(path.read_text())] == []
+    # one builder makes each McConfig the CLI reads, from a config file or a results.json
+    assert _owners("McConfig(", "cli.py") == ["cli._build_config"]
 
 
 @pytest.mark.parametrize("part", (True, -1, 1.0, 2**32), ids=repr)
@@ -467,29 +487,35 @@ def _h1_spec(radial, **fields):
     return H1Spec(CovarianceSpec("identity", 3), radial=radial, **fields)
 
 
-def _cells_json(*lags):
-    """The JSON of ss cells at these lags, each a rate of 0.5 over 2 reps."""
-    return [dataclasses.asdict(McCell("ss", H, 0.5, 0.25, 2, 0)) for H in lags]
+def _json_report(**cell):
+    """A results.json report of an iid cell, ss at H = 1 with a rate of 0.5 over 2 reps, with
+    these cell fields replaced."""
+    keys = {"tests": "ss", "lags": "1", "reps": 2, "scenario": "normal", "model": "iid",
+            "n": "10", "p": "3"}
+    cells = [{"test": "ss", "H": 1, "rejection_rate": 0.5, "mc_se": math.sqrt(0.125), "reps": 2,
+              "errors": 0, **cell}]
+    return {"label": "c", "config": keys, "cells": cells,
+            "wall_time_s": 0.5, "coeff_fingerprint": None}
 
 
-def _report_json(field=None, value=None):
-    """report_to_dict of an iid report holding its one cell, ss at H = 1, with value as
-    the JSON of its config's field."""
-    report = {**report_to_dict(McReport((), _config(), 0.0)), "cells": _cells_json(1)}
-    if field is not None:
-        report["config"][field] = value
-    return report
+def _read(**report):
+    """reports_from_dict of a results.json holding _json_report() with these fields replaced."""
+    return reports_from_dict({"seed": 0, "reports": [{**_json_report(), **report}]})
 
 
-def _var1_json(coeff):
-    """The JSON of a var1 ModelSpec whose coeff is this JSON."""
-    return {"kind": "var1", "h1": None, "coeff": coeff}
+def _read_config(**keys):
+    return _read(config={**_json_report()["config"], **keys})
 
 
-def _h1_json(**fields):
-    """The JSON of an h1 ModelSpec for p = 3 with these H1Spec fields added."""
-    h1 = {"sigma0": {"kind": "identity", "p": 3}, "sigma1_scale": None, "radial": "chi_p"}
-    return {"kind": "h1", "coeff": None, "h1": {**h1, **fields}}
+def _read_cell(**cell):
+    return _read(cells=_json_report(**cell)["cells"])
+
+
+def test_a_results_json_report_is_read_back():
+    (report,) = _read()
+    assert report.cells == (McCell("ss", 1, 0.5, math.sqrt(0.125), 2, 0),)
+    assert (report.config.label, report.config.reps, report.wall_time_s) == ("c", 2, 0.5)
+    assert report.config.master_seed == derive_seed(0, "c") and report.config.threads is None
 
 
 # id "<owner>.<what>": (call of tmp_path, error type, a phrase of the message naming the cause)
@@ -632,91 +658,98 @@ REFUSALS = {
                "t innovations need df > 2"),
     "are.df-on-normal": (lambda _: _cli("are", "--dist", "normal", "--df", "5"),
                          InvalidSpecError, "normal innovations take no df"),
-    # a results.json written before CoeffSpec lost m, low and high
-    "report_from_dict.coeff-m": (lambda _: report_from_dict(_report_json("model", _var1_json(
-        {"regime": "dense", "p": 3, "m": None, "low": None, "high": None}))),
-        ConfigError, "McReport.config.model.coeff: CoeffSpec.__init__() got an unexpected "
-        "keyword argument 'm'"),
-    "report_from_dict.coeff-low": (lambda _: report_from_dict(_report_json("model", _var1_json(
-        {"regime": "dense", "p": 3, "low": None}))), ConfigError, "argument 'low'"),
-    "report_from_dict.coeff-high": (lambda _: report_from_dict(_report_json("model", _var1_json(
-        {"regime": "dense", "p": 3, "high": None}))), ConfigError, "argument 'high'"),
-    # a results.json written while ModelSpec had a burn_in field
-    "report_from_dict.model-burn_in": (lambda _: report_from_dict(_report_json(
-        "model", {**_var1_json({"regime": "dense", "p": 3}), "burn_in": None})), ConfigError,
-        "McReport.config.model: ModelSpec.__init__() got an unexpected keyword argument "
-        "'burn_in'"),
-    # a results.json written while H1Spec had a custom radial sampler and c1
-    "report_from_dict.h1-radial_sampler": (lambda _: report_from_dict(_report_json(
-        "model", _h1_json(radial_sampler=None, radial_c1=None))), ConfigError,
-        "McReport.config.model.h1: H1Spec.__init__() got an unexpected keyword argument "
-        "'radial_sampler'"),
-    "report_from_dict.h1-radial_c1": (lambda _: report_from_dict(_report_json(
-        "model", _h1_json(radial_c1=1.5))), ConfigError, "argument 'radial_c1'"),
-    "report_from_dict.h1-sigma0-matrix": (lambda _: report_from_dict(_report_json(
-        "model", _h1_json(sigma0={"matrix": np.eye(3).tolist()}))), InvalidSpecError,
-        "sigma0 must be a CovarianceSpec, got list"),
-    "report_from_dict.coeff-explicit": (lambda _: report_from_dict(_report_json(
-        "model", _var1_json({"regime": "explicit", "p": 3}))), InvalidSpecError,
-        "'explicit' is not a valid CoeffRegime"),
-    "report_from_dict.coeff-not-object": (lambda _: report_from_dict(_report_json(
-        "model", _var1_json("dense"))), ConfigError,
-        "McReport.config.model.coeff must be a JSON object"),
-    "report_from_dict.model-not-object": (lambda _: report_from_dict(_report_json(
-        "model", "var1")), ConfigError, "McReport.config.model must be a JSON object"),
-    "report_from_dict.scenario-not-object": (lambda _: report_from_dict(_report_json(
-        "scenario", "normal")), ConfigError, "McReport.config.scenario must be a JSON object"),
-    # a spec field holding anything but its spec, from Python or as a JSON matrix
+    # a spec field holding anything but its spec
     "McConfig.scenario-list": (lambda _: _config(scenario=[[1]]), InvalidSpecError,
                                "scenario must be a ScenarioSpec, got list"),
     "McConfig.model-str": (lambda _: _config(model="iid"), InvalidSpecError,
                            "model must be a ModelSpec, got str"),
     "McConfig.cov-ndarray": (lambda _: _config(cov=np.eye(3)), InvalidSpecError,
                              "cov must be a CovarianceSpec, got ndarray"),
-    "report_from_dict.scenario-matrix": (lambda _: report_from_dict(_report_json(
-        "scenario", {"matrix": [[1.0]]})), InvalidSpecError,
-        "scenario must be a ScenarioSpec, got list"),
-    "report_from_dict.cov-matrix": (lambda _: report_from_dict(_report_json(
-        "cov", {"matrix": [[1.0]]})), InvalidSpecError, "cov must be a CovarianceSpec, got list"),
-    "report_from_dict.model-matrix": (lambda _: report_from_dict(_report_json(
-        "model", {"matrix": [[1.0]]})), InvalidSpecError, "model must be a ModelSpec, got list"),
-    "report_from_dict.not-object": (lambda _: report_from_dict([]), ConfigError,
-                                    "McReport must be a JSON object"),
-    "report_from_dict.cell-not-object": (lambda _: report_from_dict(
-        {**_report_json(), "cells": [1]}), ConfigError, "McReport.cells must be a JSON object"),
-    # a nested field holds one JSON shape: cells an array, config an object
-    "report_from_dict.cells-object": (lambda _: report_from_dict(
-        {**_report_json(), "cells": _cells_json(1)[0]}), ConfigError,
-        "McReport.cells must be a JSON array, got {"),
-    "report_from_dict.cells-text": (lambda _: report_from_dict(
-        {**_report_json(), "cells": "ss"}), ConfigError,
-        "McReport.cells must be a JSON array, got 'ss'"),
-    "report_from_dict.config-null": (lambda _: report_from_dict(
-        {**_report_json(), "config": None}), ConfigError,
-        "McReport.config must be a JSON object, got None"),
-    "report_from_dict.config-array": (lambda _: report_from_dict(
-        {**_report_json(), "config": [_report_json()["config"]]}), ConfigError,
-        "McReport.config must be a JSON object, got [{"),
-    # a report holds a cell per (test, H) of its config, in run_experiment's order
-    "report_from_dict.cells-missing": (lambda _: report_from_dict(
-        _report_json("H_values", [1, 2])), ConfigError,
-        "McReport.cells hold the (test, H) pairs [('ss', 1)], expected [('ss', 1), ('ss', 2)]"),
-    "report_from_dict.cells-order": (lambda _: report_from_dict(
-        {**_report_json("H_values", [1, 2]), "cells": _cells_json(2, 1)}), ConfigError,
-        "McReport.cells hold the (test, H) pairs [('ss', 2), ('ss', 1)], expected "
+    # a collection is iterable and not a string; a 0-d array is neither
+    "evaluate_tests.tests-0d": (lambda _: evaluate_tests(SERIES, np.array("ss"), (1,)),
+                                InvalidInputError, "tests must be a nonempty collection"),
+    "McConfig.H_values-0d": (lambda _: _config(H_values=np.array(2)), InvalidSpecError,
+                             "H_values must be a nonempty collection"),
+    # results.json holds a report's label, its config keys and its cells, each checked
+    "reports_from_dict.older-file": (lambda _: reports_from_dict({"seed": 0, "reports": [
+        {k: v for k, v in _json_report().items() if k != "label"}]}), ConfigError,
+        "reports[0] must hold the keys label, config, cells, wall_time_s, coeff_fingerprint; a "
+        "results.json written before reports stored their config keys cannot be read"),
+    "reports_from_dict.config-not-object": (lambda _: _read(config=["n = 10"]), ConfigError,
+                                            "[c] config must be a JSON object, got ['n = 10']"),
+    "reports_from_dict.config-int": (lambda _: _read_config(n=10), ConfigError,
+                                     "[c] config key 'n' must be a string, got 10"),
+    "reports_from_dict.config-reps-text": (lambda _: _read_config(reps="2"), ConfigError,
+                                           "[c] config key 'reps' must be an integer, got '2'"),
+    "reports_from_dict.config-unknown-key": (lambda _: _read_config(burn_in="50"), ConfigError,
+                                             "unknown config keys: c.burn_in"),
+    "reports_from_dict.config-refused": (lambda _: _read_config(df="5"), ConfigError,
+                                         "[c] normal innovations take no df"),
+    "reports_from_dict.cells-order": (lambda _: _read(
+        config={**_json_report()["config"], "lags": "1,2"},
+        cells=[*_json_report(H=2)["cells"], *_json_report()["cells"]]), ConfigError,
+        "[c] cells hold the (test, H) pairs [('ss', 2), ('ss', 1)], expected "
         "[('ss', 1), ('ss', 2)]"),
-    "report_from_dict.missing-field": (lambda _: report_from_dict(
-        {k: v for k, v in _report_json().items() if k != "cells"}), ConfigError, "'cells'"),
-    "report_from_dict.unknown-field": (lambda _: report_from_dict(
-        {**_report_json(), "version": 1}), ConfigError, "argument 'version'"),
-    "outcome_from_dict.missing-field": (lambda _: outcome_from_dict({"statistic": 1.0}),
-                                        ConfigError, "'standardized'"),
-    "outcome_from_dict.not-object": (lambda _: outcome_from_dict(1.0), ConfigError,
-                                     "TestOutcome must be a JSON object"),
-    "outcome_from_dict.unknown-field": (lambda _: outcome_from_dict(
-        {"statistic": 1.0, "standardized": 1.0, "p_value": 0.5, "reject": False, "alpha": 0.05,
-         "nuisance": {}, "extra": 1}), ConfigError, "TestOutcome: TestOutcome.__init__() got "
-        "an unexpected keyword argument 'extra'"),
+    "reports_from_dict.cells-object": (lambda _: _read(cells=_json_report()["cells"][0]),
+                                       ConfigError, "[c] cells must be an array of objects"),
+    "reports_from_dict.cell-keys": (lambda _: _read_cell(version=1), ConfigError,
+                                    "[c] ss@H1 must hold the keys of an McCell"),
+    "reports_from_dict.rate-range": (lambda _: _read_cell(rejection_rate=1.5), ConfigError,
+                                     "[c] ss@H1 rejection_rate must lie in [0, 1], got 1.5"),
+    "reports_from_dict.rate-text": (lambda _: _read_cell(rejection_rate="abc"), ConfigError,
+                                    "[c] ss@H1 rejection_rate must be a finite real number"),
+    "reports_from_dict.cell-reps": (lambda _: _read_cell(reps=-5, errors=7), ConfigError,
+                                    "[c] ss@H1 reps must be an integer >= 1, got -5"),
+    "reports_from_dict.cell-errors": (lambda _: _read_cell(errors=2.5), ConfigError,
+                                      "[c] ss@H1 errors must be an integer >= 0, got 2.5"),
+    "reports_from_dict.reps-sum": (lambda _: _read_cell(errors=1), ConfigError,
+                                   "[c] ss@H1 reps + errors is 3, expected the config's reps 2"),
+    "reports_from_dict.mc_se": (lambda _: _read_cell(mc_se=0.25), ConfigError,
+                                "[c] ss@H1 mc_se must be sqrt(rate * (1 - rate) / reps) = "
+                                "0.3535533905932738, got 0.25"),
+    "reports_from_dict.wall-time-negative": (lambda _: _read(wall_time_s=-1.0), ConfigError,
+                                             "[c] wall_time_s must be >= 0, got -1.0"),
+    "reports_from_dict.wall-time-infinite": (lambda _: _read(wall_time_s=math.inf), ConfigError,
+                                             "[c] wall_time_s must be a finite real number"),
+    "reports_from_dict.wall-time-text": (lambda _: _read(wall_time_s="x"), ConfigError,
+                                         "[c] wall_time_s must be a finite real number, got 'x'"),
+    # the document is an object of an integer seed and an array of report objects
+    "reports_from_dict.not-object": (lambda _: reports_from_dict([]), ConfigError,
+                                     "results.json must be an object of seed and reports, got []"),
+    "reports_from_dict.unknown-top-key": (lambda _: reports_from_dict(
+        {"seed": 0, "reports": [], "version": 1}), ConfigError,
+        "results.json must be an object of seed and reports"),
+    "reports_from_dict.seed-text": (lambda _: reports_from_dict({"seed": "0", "reports": []}),
+                                    ConfigError, "results.json seed must be an integer >= 0"),
+    "reports_from_dict.reports-object": (lambda _: reports_from_dict(
+        {"seed": 0, "reports": _json_report()}), ConfigError,
+        "results.json reports must be an array"),
+    "reports_from_dict.report-not-object": (lambda _: reports_from_dict(
+        {"seed": 0, "reports": [1]}), ConfigError, "reports[0] must hold the keys label, "),
+    "reports_from_dict.report-unknown-key": (lambda _: _read(version=1), ConfigError,
+                                             "reports[0] must hold the keys label, "),
+    "reports_from_dict.label-int": (lambda _: _read(label=1), ConfigError,
+                                    "reports[0].label must be a string, got 1"),
+    "reports_from_dict.config-reps-bool": (lambda _: _read_config(reps=True), ConfigError,
+                                           "[c] config key 'reps' must be an integer, got True"),
+    "reports_from_dict.config-missing-key": (lambda _: _read(config={
+        k: v for k, v in _json_report()["config"].items() if k != "n"}), ConfigError,
+        "[c] missing required key 'n'"),
+    # a report holds a cell per (test, H) of its config
+    "reports_from_dict.cells-missing": (lambda _: _read(
+        config={**_json_report()["config"], "lags": "1,2"}), ConfigError,
+        "[c] cells hold the (test, H) pairs [('ss', 1)], expected [('ss', 1), ('ss', 2)]"),
+    "reports_from_dict.cells-not-objects": (lambda _: _read(cells=[1]), ConfigError,
+                                            "[c] cells must be an array of objects, got [1]"),
+    "reports_from_dict.rate-negative": (lambda _: _read_cell(rejection_rate=-0.5), ConfigError,
+                                        "[c] ss@H1 rejection_rate must lie in [0, 1], got -0.5"),
+    "reports_from_dict.rate-nan": (lambda _: _read_cell(rejection_rate=math.nan), ConfigError,
+                                   "[c] ss@H1 rejection_rate must be a finite real number"),
+    "reports_from_dict.cell-reps-float": (lambda _: _read_cell(reps=2.0), ConfigError,
+                                          "[c] ss@H1 reps must be an integer >= 1, got 2.0"),
+    "reports_from_dict.cell-errors-negative": (lambda _: _read_cell(reps=3, errors=-1),
+                                               ConfigError,
+                                               "[c] ss@H1 errors must be an integer >= 0, got -1"),
     "csv.header-width": (lambda tmp: _csv(tmp, "a,b,c\n1,2\n3,4\n"), ConfigError, "header"),
     "csv.non-finite": (lambda tmp: _csv(tmp, "1,2\n3,inf\n"), ConfigError, "non-finite"),
     "csv.first-line-empty-field": (lambda tmp: _csv(tmp, "1,,3\n4,5,6\n7,8,9\n"), ConfigError,
