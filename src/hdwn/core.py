@@ -163,6 +163,9 @@ class TestOutcome:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _fraction(self.alpha, "alpha"))
+        for name in ("statistic", "standardized", "p_value"):
+            if isinstance(v := getattr(self, name), bool) or not isinstance(v, numbers.Real):
+                raise InvalidInputError(f"{name} must be a real number, got {v!r}")
         if not 0.0 <= self.p_value <= 1.0:
             raise InvalidInputError("p_value must lie in [0, 1]")
         if bool(self.reject) != (self.p_value < self.alpha):
@@ -277,15 +280,21 @@ def trace_sigma2_hat(eps) -> float:
     return _pair_sums(_series(eps), 0)[1]
 
 
-def normal_upper_tail(z: float) -> float:
+def normal_upper_tail(z) -> float:
     """P(Z > z) for standard normal Z, with the branches of scipy's ndtr.
 
     With x = -z / sqrt(2) the tail is 0.5 + 0.5 erf(x) when |x| < 1/sqrt(2)
     and 0.5 erfc(|x|) otherwise, taken from 1 when x > 0. On a fine grid it
     agrees with scipy.special.ndtr(-z) to 1.8e-15 relative for |z| <= 5,
     4.3e-15 for |z| <= 10 and 5.8e-14 for |z| <= 37.5; beyond z = 37.7,
-    where ndtr returns 0, erfc still gives subnormal values.
+    where ndtr returns 0, erfc still gives subnormal values; z is any real number but NaN.
     """
+    if isinstance(z, bool) or not isinstance(z, numbers.Real) or z != z:
+        raise InvalidInputError(f"z must be a real number other than NaN, got {z!r}")
+    return _normal_upper_tail(float(min(max(z, -40.0), 40.0)))  # 0 or 1 past |z| = 38.5
+
+
+def _normal_upper_tail(z: float) -> float:
     x = -z * _SQRT1_2
     if abs(x) < _SQRT1_2:
         return 0.5 + 0.5 * math.erf(x)

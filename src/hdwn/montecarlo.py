@@ -35,7 +35,7 @@ from .dgp import (
     resolve_coeff,
 )
 from .errors import HdwnError, InvalidSpecError, McRunError
-from .stats_tests import _calibrates, _evaluate_block, _test_names
+from .stats_tests import _PANEL, _calibrates, _evaluate_block, _test_names
 
 __all__ = [
     "McCell",
@@ -183,12 +183,12 @@ def _eval_reps(n: int, p: int, burn: int, factored: bool = False) -> int:
     scales or the mixture's inflated rows), twice if a factored scatter
     multiplies them. With 1 KiB of results per series, a Gram stage holds
     the block, one series' n x n Gram and its packed triangle; the max stage
-    holds the block, a standardized copy and one p x p lag product per series.
+    holds the block, a standardized copy and one p x min(p, _PANEL) lag panel per series.
     """
     words = _EVAL_BLOCK_BYTES // 8
     draw = (words - (1 + factored) * (n + burn) * p - 16384) // ((n + burn) * p)
     gram = (words - n * n - n * (n - 1) // 2) // (n * p + 128)
-    return max(1, min(draw, gram, words // (2 * n * p + p * p + 128)))
+    return max(1, min(draw, gram, words // (2 * n * p + p * min(p, _PANEL) + 128)))
 
 
 @_single_threaded_blas()

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import _fraction, _integer, _real, normal_upper_quantile, normal_upper_tail
+from .core import _fraction, _integer, _normal_upper_tail, _real, normal_upper_quantile
 from .errors import InvalidInputError, UndefinedMomentError
 
 __all__ = [
@@ -124,7 +124,7 @@ class PowerInput:
 
 def _power(inputs: PowerInput, factor: float) -> float:
     shift = factor * inputs.n * inputs.tr_s0s1 / (math.sqrt(2.0) * inputs.tr_s0sq)
-    return normal_upper_tail(normal_upper_quantile(inputs.alpha) - shift)
+    return _normal_upper_tail(normal_upper_quantile(inputs.alpha) - shift)
 
 
 def power_ss(inputs: PowerInput) -> float:

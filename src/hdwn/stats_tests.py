@@ -37,11 +37,11 @@ from .core import (
     _fraction,
     _lag,
     _nonempty,
+    _normal_upper_tail,
     _pair_sums,
     _series,
     _sign_rows,
     as_signs,
-    normal_upper_tail,
 )
 from .errors import (
     DegenerateDataError,
@@ -68,6 +68,9 @@ TEST_NAMES = ("ss", "flm", "pv", "max", "fc")
 #: p-values are clamped here before taking logs in the Fisher combination.
 MIN_P_VALUE = 1e-300
 
+#: Columns per panel of a lag product; every preset's p (at most 120) fits in one panel.
+_PANEL = 256
+
 
 def ss_statistic(signs, H) -> float:
     """Lag-aligned pair sum of the spatial signs over lags 1..H.
@@ -86,14 +89,16 @@ def flm_statistic(eps, H) -> float:
     return _pair_sums(X, _lag(H, len(X)))[0][-1]
 
 
-def _lag_products(X: np.ndarray, H: int):
+def _lag_products(X: np.ndarray, H: int, out: np.ndarray | None = None):
     """The lag scan of a block X (R, n, p): per series, None or the error of a
     column whose standard deviation (denominator n) is zero or overflows, and
-    an iterator over lags h = 1..H of the (R, p, p) products sum_t z[t]' z[t-h]
-    of the centered columns z scaled by that deviation, a zero one left centered.
+    an iterator of (h, panel) over lags h = 1..H and panels j..j+w (w <= _PANEL)
+    of the columns of the (R, p, p) products sum_t z[t]' z[t-h] of the centered
+    columns z scaled by that deviation, a zero one left centered.
 
     The squares go into the scaled copy, which is centered again: no third
-    array. Each lag's product is made into one reused buffer: use it first.
+    array. A panel is made in place in out[h - 1, ..., j:j+w], given an (H, R,
+    p, p) out, or else into one reused (R, p, w) buffer: use it first.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is returned, not warned
         mean = X.mean(axis=-2, keepdims=True)
@@ -101,14 +106,20 @@ def _lag_products(X: np.ndarray, H: int):
         sd = np.sqrt(np.multiply(Z, Z, out=Z).mean(axis=-2, keepdims=True))
         np.divide(np.subtract(X, mean, out=Z), sd, out=Z, where=sd > 0.0)
     R, n, p = Z.shape
-    buf = np.empty((R, p, p))
-    products = (np.matmul(Z[:, h:].transpose(0, 2, 1), Z[:, : n - h], out=buf)
-                for h in range(1, H + 1))
+
+    def products():
+        buf = np.empty((R, p, min(p, _PANEL))) if out is None else None
+        for h in range(1, H + 1):
+            lagged = Z[:, h:].transpose(0, 2, 1)
+            for j in range(0, p, _PANEL):
+                dest = buf[..., : p - j] if out is None else out[h - 1, ..., j : j + _PANEL]
+                yield h, np.matmul(lagged, Z[:, : n - h, j : j + _PANEL], out=dest)
+
     overflow = DegenerateDataError("column squares overflow; correlations undefined")
     constant = DegenerateDataError("zero-variance column; correlations undefined")
     low, high = sd.min(axis=(1, 2)).tolist(), sd.max(axis=(1, 2)).tolist()  # nan stays nan
     return [overflow if not b < math.inf else constant if not a > 0.0 else None
-            for a, b in zip(low, high)], products
+            for a, b in zip(low, high)], products()
 
 
 def cross_correlations(eps, H) -> np.ndarray:
@@ -116,17 +127,17 @@ def cross_correlations(eps, H) -> np.ndarray:
 
     Columns are centered and scaled by the standard deviation with
     denominator n; entry [h-1, i, j] is 1/n times the sum over t of
-    z[t, i] * z[t-h, j]. The result holds H p^2 floats; max_test and fc_test
-    do not build it.
+    z[t, i] * z[t-h, j]. The result holds H p^2 floats, made in place panel
+    by panel with the kernel of max_test and fc_test, which do not build it.
     """
     X = _series(eps)
     (n, p), H = X.shape, _lag(H, len(X))
-    (fault,), products = _lag_products(X[None], H)
+    out = np.empty((H, p, p))
+    (fault,), products = _lag_products(X[None], H, out[:, None])
     if fault:
         raise fault
-    out = np.empty((H, p, p))
-    for h, buf in enumerate(products):
-        np.divide(buf[0], n, out=out[h])
+    for _, panel in products:
+        panel /= n
     return out
 
 
@@ -172,8 +183,8 @@ def _sum_results(rows: np.ndarray, H_list, clip: float):
             continue
         sigmas = [math.sqrt(H / 2.0) * trace for H in H_list]
         stds = [row[H - 1] / sigma for H, sigma in zip(H_list, sigmas)]
-        entries.append([(row[H - 1], z, normal_upper_tail(z), {key: trace, "sigma_hat": sigma})
-                        for H, sigma, z in zip(H_list, sigmas, stds)])
+        entries.append([(row[H - 1], z, _normal_upper_tail(z), {key: trace, "sigma_hat": s})
+                        for H, s, z in zip(H_list, sigmas, stds)])
     return entries, partials
 
 
@@ -181,7 +192,7 @@ def _pv_results(partials: list[list[float]], p: int, H_list) -> list[_Entry]:
     entries: list[_Entry] = []
     for row in partials:
         stats = [math.sqrt(2.0 * p * p / H) * row[H - 1] for H in H_list]
-        entries.append([(z, z, normal_upper_tail(z), {"kernel_sum": row[H - 1]})
+        entries.append([(z, z, _normal_upper_tail(z), {"kernel_sum": row[H - 1]})
                         for H, z in zip(H_list, stats)])
     return entries
 
@@ -194,13 +205,14 @@ def _calibrates(H: int, p: int) -> bool:
 def _max_results(X: np.ndarray, H_list) -> list[_Entry]:
     """max entries, a window too short to calibrate refused alone; one Gumbel tail per block."""
     R, n, p = X.shape
-    # per-lag maxima of |cross_correlations|, each lag reduced before the next
-    # is made; division by n is monotone and correctly rounded, so dividing
+    # per-lag maxima of |cross_correlations|, each panel reduced while in
+    # cache; division by n is monotone and correctly rounded, so dividing
     # the maxima gives the bits of dividing every entry
     faults, products = _lag_products(X, max(H_list))
-    maxima = np.empty((R, max(H_list)))
-    for h, buf in enumerate(products):
-        np.maximum(buf.max(axis=(1, 2)), -buf.min(axis=(1, 2)), out=maxima[:, h])
+    maxima = np.full((R, max(H_list)), -math.inf)
+    for h, panel in products:
+        np.maximum.reduce([maxima[:, h - 1], panel.max(axis=(1, 2)), -panel.min(axis=(1, 2))],
+                          out=maxima[:, h - 1])
     stat = np.maximum.accumulate(maxima / n, axis=-1)[:, [H - 1 for H in H_list]]
     n_comp = [H * p * p for H in H_list]
     calibrated = [_calibrates(H, p) for H in H_list]
@@ -340,8 +352,8 @@ def max_test(eps, H, alpha=0.05) -> TestOutcome:
     The statistic is calibrated through n * max^2 - 2 log N + log log N with
     N = H p^2 comparisons, whose null limit has upper tail
     1 - exp(-exp(-g/2)/sqrt(pi)). Small samples make this conservative under
-    light tails. Works best with n >= 10. The lags are scanned one at a time
-    through a single p x p working buffer, not H of them.
+    light tails. Works best with n >= 10. Each lag's p x p product is made
+    and reduced in column panels through one p x min(p, 256) working buffer.
     """
     return _single(eps, "max", H, alpha)
 
@@ -352,6 +364,6 @@ def fc_test(eps, H, alpha=0.05) -> TestOutcome:
     The statistic -2(log p_max + log p_flm) refers to a chi-square with 4
     degrees of freedom, treating the two p-values as asymptotically
     independent. Inputs are clamped to [1e-300, 1] before taking logs. Like
-    max_test, it needs one p x p working buffer whatever H is.
+    max_test, it needs one p x min(p, 256) working buffer whatever H is.
     """
     return _single(eps, "fc", H, alpha)

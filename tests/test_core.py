@@ -227,6 +227,13 @@ class TestNormalTail:
         assert normal_upper_tail(0.0) == 0.5
         assert normal_upper_tail(-0.0) == 0.5
 
+    def test_infinities_and_numpy_reals(self):
+        # past |z| = 38.5 the tail is 0 or 1, for infinities and ints too large for a float
+        for z in (40.0, 1e300, math.inf, 10**400):
+            assert (normal_upper_tail(z), normal_upper_tail(-z)) == (0.0, 1.0)
+        for z in (np.float32(1.5), np.float64(1.5), np.int64(2), 2):
+            assert normal_upper_tail(z) == normal_upper_tail(float(z))
+
     def test_monotone(self):
         tails = [normal_upper_tail(float(z)) for z in np.linspace(-40.0, 40.0, 400_001)]
         assert all(a >= b for a, b in zip(tails, tails[1:]))

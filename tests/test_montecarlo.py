@@ -452,6 +452,21 @@ class TestTaskMemory:
         assert mc._eval_reps(200, 120, 0) == 2
         assert max(_task_peaks(cfg, monkeypatch)) <= (1.12 + 0.3) * 2**20
 
+    @pytest.mark.parametrize("preset", ("table1", "table2"))
+    def test_preset_blocks_keep_their_size(self, preset):
+        # replications per block of every preset cell, by (n, p); at p <= 120
+        # the max stage's lag panel is the whole p x p product, so a panel
+        # width of at least 120 leaves them as the p x p rule set them
+        from hdwn.cli import _resolve_config_path, parse_experiment_configs
+
+        sizes = {(100, 40): 18, (100, 80): 8, (100, 120): 4, (200, 40): 10, (200, 80): 4,
+                 (200, 120): 2}
+        text = _resolve_config_path(preset).read_text(encoding="utf-8")
+        for cfg in parse_experiment_configs(text, seed=0):
+            factored = cfg.cov.kind.value != "identity"  # table1's polydecay scatter
+            R = mc._eval_reps(cfg.n, cfg.p, BURN_IN[cfg.model.kind], factored)
+            assert R == sizes[(cfg.n, cfg.p)], cfg.label
+
     def test_long_burn_in_within_the_block_budget(self, monkeypatch):
         # the draw holds a block's burn-in rows: 18 series would fit the Gram
         # and max stages at (100, 40), but not their 5.8 MB of burn-in; and

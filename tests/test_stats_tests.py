@@ -230,9 +230,10 @@ def _standardized(X):
 
 
 class TestStreamedMaxKernel:
-    """max/fc reduce one lag at a time; their bits must match the full array."""
+    """max/fc reduce one lag panel at a time; their bits must match the full array."""
 
-    SHAPES = ((6, 1), (6, 4), (10, 3), (25, 7), (40, 8), (100, 40), (60, 1000))
+    # 57 x 777 and 60 x 1000 span several lag panels, 777 not a multiple of their width
+    SHAPES = ((6, 1), (6, 4), (10, 3), (25, 7), (40, 8), (100, 40), (57, 777), (60, 1000))
 
     @staticmethod
     def _lag_windows(n, p):
@@ -264,14 +265,24 @@ class TestStreamedMaxKernel:
             assert (fc.statistic, fc.standardized, fc.p_value) == (stat_fc, stat_fc, p_fc)
             assert fc.nuisance == {"p_max": pval, "p_flm": p_flm}
 
-    @pytest.mark.parametrize("shape", ((25, 3), (200, 80), (100, 400), (60, 1000)),
+    @pytest.mark.parametrize("shape", ((25, 3), (200, 80), (100, 400), (57, 777), (60, 1000)),
                              ids=lambda s: f"{s[0]}x{s[1]}")
     def test_cross_correlations_bytes_match_stacked_formula(self, shape):
+        from hdwn.stats_tests import _PANEL
+
         n, p = shape
         X = derive_rng(29, "xcorr-bytes", n, p).standard_normal(shape)
         H = 3
         Z = _standardized(X)
-        expected = np.stack([(Z[h:].T @ Z[: n - h]) / n for h in range(1, H + 1)])
+        # each lag's product is made in column panels of at most _PANEL, whose
+        # bits can differ from one product's; at every preset p (at most 120)
+        # it is the single stacked product
+        if p <= 120:
+            panels = [slice(None)]
+        else:
+            panels = [slice(j, j + _PANEL) for j in range(0, p, _PANEL)]
+        expected = np.stack([np.hstack([Z[h:].T @ Z[: n - h, cols] for cols in panels]) / n
+                             for h in range(1, H + 1)])
         assert cross_correlations(X, H).tobytes() == expected.tobytes()
 
     def test_zero_variance_column_errors_only_max_and_fc(self, rng):
@@ -284,21 +295,40 @@ class TestStreamedMaxKernel:
             assert _outcomes_equal(outcomes[("ss", H)], ss_test(X, H, 0.05))
             assert _outcomes_equal(outcomes[("flm", H)], flm_test(X, H, 0.05))
 
+    @staticmethod
+    def _traced_peak(call):
+        import tracemalloc
+
+        call()  # first call outside the trace
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("test", (max_test, fc_test))
     def test_peak_memory_is_one_lag_buffer(self, test):
-        import tracemalloc
+        n, p, H = 60, 1000, 3
+        X = derive_rng(31, "xcorr-memory").standard_t(3, size=(n, p))
+        # the (H, p, p) array alone would be 24 MB and one p x p product 8 MB;
+        # a p x 256 lag panel is 2 MB
+        assert self._traced_peak(lambda: test(X, H, 0.05)) < 0.5 * p * p * 8
+
+    def test_peak_memory_at_4000_columns_is_one_lag_panel(self):
+        # one 4000 x 4000 product would be 128 MB
+        X = derive_rng(31, "xcorr-memory-wide").standard_t(3, size=(60, 4000))
+        assert self._traced_peak(lambda: max_test(X, 3, 0.05)) <= 16 * 2**20
+
+    def test_cross_correlations_memory_is_its_output_and_one_panel(self):
+        from hdwn.stats_tests import _PANEL
 
         n, p, H = 60, 1000, 3
         X = derive_rng(31, "xcorr-memory").standard_t(3, size=(n, p))
-        test(X, H, 0.05)  # first call outside the trace
-        tracemalloc.start()
-        try:
-            test(X, H, 0.05)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the (H, p, p) array alone would be 24 MB
-        assert peak < 1.5 * p * p * 8
+        # the panels are made in place in the output; a p x p buffer beside it
+        # peaked at 31.4 MiB
+        peak = self._traced_peak(lambda: cross_correlations(X, H))
+        assert peak <= (H * p * p + p * _PANEL) * 8
 
 
 class TestPackedPairKernel:

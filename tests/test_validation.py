@@ -57,6 +57,7 @@ from hdwn import (
     gen_h1_model,
     gen_series,
     normal_upper_quantile,
+    normal_upper_tail,
     radial_moments,
     run_experiment,
     sign_transform,
@@ -526,6 +527,35 @@ REFUSALS = {
                                   "at least 1 column"),
     "TestOutcome.p_value": (lambda _: TestOutcome(1.0, 1.0, 1.5, False, 0.05), InvalidInputError,
                             "p_value"),
+    "TestOutcome.statistic-text": (lambda _: TestOutcome("s", 1.0, 0.5, False, 0.05),
+                                   InvalidInputError, "statistic must be a real number, got 's'"),
+    "TestOutcome.statistic-bool": (lambda _: TestOutcome(True, 1.0, 0.5, False, 0.05),
+                                   InvalidInputError, "statistic must be a real number, got True"),
+    "TestOutcome.standardized-none": (lambda _: TestOutcome(1.0, None, 0.5, False, 0.05),
+                                      InvalidInputError,
+                                      "standardized must be a real number, got None"),
+    "TestOutcome.standardized-complex": (lambda _: TestOutcome(1.0, 1j, 0.5, False, 0.05),
+                                         InvalidInputError,
+                                         "standardized must be a real number, got 1j"),
+    "TestOutcome.p_value-text": (lambda _: TestOutcome(1.0, 1.0, "x", False, 0.05),
+                                 InvalidInputError, "p_value must be a real number, got 'x'"),
+    "TestOutcome.p_value-none": (lambda _: TestOutcome(1.0, 1.0, None, False, 0.05),
+                                 InvalidInputError, "p_value must be a real number, got None"),
+    "TestOutcome.p_value-bool": (lambda _: TestOutcome(1.0, 1.0, np.True_, False, 0.05),
+                                 InvalidInputError,
+                                 "p_value must be a real number, got np.True_"),
+    "normal_upper_tail.none": (lambda _: normal_upper_tail(None), InvalidInputError,
+                               "z must be a real number other than NaN, got None"),
+    "normal_upper_tail.text": (lambda _: normal_upper_tail("a"), InvalidInputError,
+                               "z must be a real number other than NaN, got 'a'"),
+    "normal_upper_tail.list": (lambda _: normal_upper_tail([1.0]), InvalidInputError,
+                               "z must be a real number other than NaN, got [1.0]"),
+    "normal_upper_tail.bool": (lambda _: normal_upper_tail(np.True_), InvalidInputError,
+                               "z must be a real number other than NaN, got np.True_"),
+    "normal_upper_tail.complex": (lambda _: normal_upper_tail(1 + 1j), InvalidInputError,
+                                  "z must be a real number other than NaN, got (1+1j)"),
+    "normal_upper_tail.nan": (lambda _: normal_upper_tail(math.nan), InvalidInputError,
+                              "z must be a real number other than NaN, got nan"),
     "spatial_sign.matrix": (lambda _: spatial_sign(np.ones((2, 2))), InvalidInputError,
                             "expected a vector"),
     "spatial_sign.empty": (lambda _: spatial_sign([]), InvalidInputError, "expected a vector"),
