@@ -267,6 +267,14 @@ BURN_IN = {
 }
 
 
+def _indexable(n: int, p: int, error=InvalidInputError) -> tuple[int, int]:
+    """n and p as given, refused when n rows past the longest burn-in, of p floats
+    each, take more bytes than numpy can index."""
+    if (n + max(BURN_IN.values()) + 1) * p > np.iinfo(np.intp).max // 8:
+        raise error(f"an n={n} by p={p} draw has more entries than numpy can index")
+    return n, p
+
+
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
     """Temporal model plus its coefficient matrix (spec or explicit array).
@@ -320,7 +328,7 @@ def gen_series(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int, seed,
     CoeffSpec's coefficients from (seed, "coeff") and innovations from
     (seed, "innov"); an explicit matrix is used as given.
     """
-    n, p = _integer(n, "n", 2), _integer(p, "p", 1)
+    n, p = _indexable(_integer(n, "n", 2), _integer(p, "p", 1))
     given = isinstance(seed, np.random.Generator)
     if isinstance(model.coeff, CoeffSpec):  # fixed as run_experiment fixes them
         model = replace(model, coeff=gen_coeff(model.coeff,
@@ -494,7 +502,7 @@ def _h1_setup(spec: H1Spec, scenario: ScenarioSpec, n: int, p: int) -> tuple:
     rows(rng) draws one series from n + 1 rows r_t u_t: the scenario's
     innovations with identity scatter, divided by their norms for constant.
     """
-    n, p = _integer(n, "n", 2), _integer(p, "p", 2)
+    n, p = _indexable(_integer(n, "n", 2), _integer(p, "p", 2))
     law = _h1_law(spec, scenario)
     Sigma0 = build_covariance(spec.sigma0)
     if Sigma0.shape != (p, p):

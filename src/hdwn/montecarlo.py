@@ -14,7 +14,6 @@ import math
 import os
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +28,7 @@ from .dgp import (
     ModelSpec,
     ScenarioSpec,
     _h1_law,
+    _indexable,
     _series_sampler,
     build_covariance,
     derive_rng,
@@ -74,7 +74,7 @@ class McConfig:
     scenario, model and cov hold a ScenarioSpec, ModelSpec and CovarianceSpec; an h1 cell
     draws its radii from its scenario, and its cov is its Sigma0. Integer fields, master_seed
     too, take Python or numpy integers, never bools or floats, and are stored as int. A refusal
-    is an InvalidSpecError naming its field.
+    is an InvalidSpecError naming its field; n and p whose draw numpy cannot index are refused.
     A cell that builds can run, as far as is known without drawing: h1 needs p >= 2, its
     sigma0 must be its cov and a constant radial law normal innovations, coeff must be for p,
     and max and fc need H * p * p >= 3 at every lag. ModelSpec refuses an explosive matrix.
@@ -104,6 +104,7 @@ class McConfig:
         for name, low in (("n", 4), ("p", 2 if h1 else 1), ("reps", 1), ("master_seed", 0)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, low,
                                                     InvalidSpecError))
+        _indexable(self.n, self.p, InvalidSpecError)
         object.__setattr__(self, "H_values", tuple(dict.fromkeys(
             _integer(h, "H in H_values", 1, InvalidSpecError)
             for h in _nonempty(self.H_values, "H_values", InvalidSpecError))))
@@ -229,6 +230,7 @@ def run_experiment(cfg: McConfig) -> McReport:
     if threads == 1:
         tasks = [one_block(i) for i in range(blocks)]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # here, to keep importing hdwn cheap
         with ThreadPoolExecutor(max_workers=threads) as pool:
             tasks = list(pool.map(one_block, range(blocks)))
 

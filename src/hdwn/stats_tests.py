@@ -98,22 +98,26 @@ def _lag_products(X: np.ndarray, H: int, out: np.ndarray | None = None):
 
     The squares go into the scaled copy, which is centered again: no third
     array. A panel is made in place in out[h - 1, ..., j:j+w], given an (H, R,
-    p, p) out, or else into one reused (R, p, w) buffer: use it first.
+    p, p) out, or else into the C-contiguous (R, p, w) head of one reused
+    buffer: use it first.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is returned, not warned
         mean = X.mean(axis=-2, keepdims=True)
         Z = np.subtract(X, mean)
         sd = np.sqrt(np.multiply(Z, Z, out=Z).mean(axis=-2, keepdims=True))
-        np.divide(np.subtract(X, mean, out=Z), sd, out=Z, where=sd > 0.0)
+        np.subtract(X, mean, out=Z)
+        Z /= np.where(sd > 0.0, sd, 1.0)  # x / 1 is x: a zero or nan deviation leaves z as is
     R, n, p = Z.shape
 
     def products():
-        buf = np.empty((R, p, min(p, _PANEL))) if out is None else None
+        flat = np.empty(R * p * min(p, _PANEL)) if out is None else None
         for h in range(1, H + 1):
             lagged = Z[:, h:].transpose(0, 2, 1)
             for j in range(0, p, _PANEL):
-                dest = buf[..., : p - j] if out is None else out[h - 1, ..., j : j + _PANEL]
-                yield h, np.matmul(lagged, Z[:, : n - h, j : j + _PANEL], out=dest)
+                w = min(p - j, _PANEL)
+                dest = (flat[: R * p * w].reshape(R, p, w) if out is None
+                        else out[h - 1, ..., j : j + w])
+                yield h, np.matmul(lagged, Z[:, : n - h, j : j + w], out=dest)
 
     overflow = DegenerateDataError("column squares overflow; correlations undefined")
     constant = DegenerateDataError("zero-variance column; correlations undefined")
@@ -211,8 +215,9 @@ def _max_results(X: np.ndarray, H_list) -> list[_Entry]:
     faults, products = _lag_products(X, max(H_list))
     maxima = np.full((R, max(H_list)), -math.inf)
     for h, panel in products:
-        np.maximum.reduce([maxima[:, h - 1], panel.max(axis=(1, 2)), -panel.min(axis=(1, 2))],
-                          out=maxima[:, h - 1])
+        folded, lag = panel.reshape(R, -1), maxima[:, h - 1]  # a contiguous panel folds uncopied
+        np.maximum(lag, folded.max(axis=1), out=lag)
+        np.maximum(lag, -folded.min(axis=1), out=lag)
     stat = np.maximum.accumulate(maxima / n, axis=-1)[:, [H - 1 for H in H_list]]
     n_comp = [H * p * p for H in H_list]
     calibrated = [_calibrates(H, p) for H in H_list]

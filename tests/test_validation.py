@@ -200,6 +200,7 @@ def test_coefficient_block_is_checked_when_built():
 def test_stored_probabilities_are_floats():
     assert type(_config(alpha=np.float32(0.25)).alpha) is float
     assert type(TestOutcome(1.0, 1.0, 0.5, False, np.float32(0.25)).alpha) is float
+    assert type(TestOutcome(1.0, 1.0, 0.01, np.True_, 0.05).reject) is bool
     assert type(PowerInput(10, 1.0, 1.0, alpha=np.float32(0.25)).alpha) is float
     assert type(ScenarioSpec("mixture", gamma=np.float32(0.25)).gamma) is float
 
@@ -464,7 +465,8 @@ def test_module_helpers_stay_out_of_the_package_namespace():
 
     for name in ("ZERO_NORM_THRESHOLD", "as_signs", "resolve_coeff"):
         assert name not in hdwn.__all__ and not hasattr(hdwn, name)
-    code = "import sys, hdwn; print(sorted({'argparse', 'csv', 'json'} & set(sys.modules)))"
+    code = ("import sys, hdwn; print(sorted({'argparse', 'csv', 'json', 'concurrent.futures'}"
+            " & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert out.stdout.strip() == "[]"
@@ -544,6 +546,25 @@ REFUSALS = {
     "TestOutcome.p_value-bool": (lambda _: TestOutcome(1.0, 1.0, np.True_, False, 0.05),
                                  InvalidInputError,
                                  "p_value must be a real number, got np.True_"),
+    # reject is a bool, stored as bool; nuisance a dict of str to real numbers
+    "TestOutcome.reject-text": (lambda _: TestOutcome(1.0, 1.0, 0.01, "x", 0.05),
+                                InvalidInputError, "reject must be a bool, got 'x'"),
+    "TestOutcome.reject-list": (lambda _: TestOutcome(1.0, 1.0, 0.5, [], 0.05),
+                                InvalidInputError, "reject must be a bool, got []"),
+    "TestOutcome.reject-int": (lambda _: TestOutcome(1.0, 1.0, 0.01, 1, 0.05),
+                               InvalidInputError, "reject must be a bool, got 1"),
+    "TestOutcome.nuisance-int": (lambda _: TestOutcome(1.0, 1.0, 0.5, False, 0.05, 5),
+                                 InvalidInputError,
+                                 "nuisance must be a dict of str to real numbers, got 5"),
+    "TestOutcome.nuisance-bool-value": (
+        lambda _: TestOutcome(1.0, 1.0, 0.5, False, 0.05, {"sigma_hat": True}), InvalidInputError,
+        "nuisance must be a dict of str to real numbers, got {'sigma_hat': True}"),
+    "TestOutcome.nuisance-text-value": (
+        lambda _: TestOutcome(1.0, 1.0, 0.5, False, 0.05, {"sigma_hat": "1"}), InvalidInputError,
+        "nuisance must be a dict of str to real numbers, got {'sigma_hat': '1'}"),
+    "TestOutcome.nuisance-int-key": (
+        lambda _: TestOutcome(1.0, 1.0, 0.5, False, 0.05, {1: 1.0}), InvalidInputError,
+        "nuisance must be a dict of str to real numbers, got {1: 1.0}"),
     "normal_upper_tail.none": (lambda _: normal_upper_tail(None), InvalidInputError,
                                "z must be a real number other than NaN, got None"),
     "normal_upper_tail.text": (lambda _: normal_upper_tail("a"), InvalidInputError,
@@ -615,6 +636,16 @@ REFUSALS = {
     "gen_h1_model.constant-on-mixture": (lambda _: gen_h1_model(
         _h1_spec("constant"), 6, 3, 0, ScenarioSpec.mixture()), InvalidSpecError,
         "constant radial law takes normal innovations, got mixture"),
+    # a draw numpy cannot index is refused with n and p, at the call and at the cell
+    "gen_series.n-unindexable": (lambda _: _iid(2**70, 3), InvalidInputError,
+                                 f"an n={2**70} by p=3 draw has more entries than numpy can index"),
+    "gen_series.p-unindexable": (lambda _: _iid(6, 2**62), InvalidInputError,
+                                 f"an n=6 by p={2**62} draw has more entries than numpy can index"),
+    "gen_h1_model.n-unindexable": (lambda _: _h1(2**70, 3), InvalidInputError,
+                                   f"an n={2**70} by p=3 draw has more entries than numpy can "
+                                   "index"),
+    "McConfig.n-unindexable": (lambda _: _config(n=2**70), InvalidSpecError,
+                               f"an n={2**70} by p=3 draw has more entries than numpy can index"),
     # an h1 cell's cov is its Sigma0, and its scenario draws the radii
     "McConfig.sigma0-not-cov": (lambda _: _config(model=ModelSpec("h1", h1=H1Spec(
         CovarianceSpec("polydecay", 3)))), InvalidSpecError, "sigma0 must be the cell's cov"),
