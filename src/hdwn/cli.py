@@ -62,7 +62,7 @@ from .errors import (
     InvalidSpecError,
     McRunError,
 )
-from .montecarlo import McCell, McConfig, McReport, run_experiment
+from .montecarlo import McCell, McConfig, McReport, _resolve_model, run_experiment
 from .power_theory import are_ss_flm, radial_moments
 from .stats_tests import TEST_NAMES, evaluate_tests
 
@@ -227,7 +227,8 @@ def reports_from_dict(doc) -> list[McReport]:
     """The McReports of a results.json document. Each config is rebuilt from its keys by
     the builder that reads config files, with master_seed derive_seed(doc["seed"], label)
     and threads None; its cells must be the config's (test, H) pairs in run_experiment's
-    order, holding values a run of it gives. A fault is a ConfigError naming the report."""
+    order, holding values a run of it gives, and its coeff_fingerprint the run's. A fault is
+    a ConfigError naming the report."""
     if not isinstance(doc, dict) or set(doc) != {"seed", "reports"}:
         raise ConfigError(f"results.json must be an object of seed and reports, got {doc!r}")
     seed = _integer(doc["seed"], "results.json seed", 0, ConfigError)
@@ -252,8 +253,11 @@ def reports_from_dict(doc) -> list[McReport]:
         wall = _real(d["wall_time_s"], f"[{label}] wall_time_s", ConfigError)
         if wall < 0:
             raise ConfigError(f"[{label}] wall_time_s must be >= 0, got {wall!r}")
-        reports.append(McReport(_checked_cells(label, d["cells"], cfg), cfg, wall,
-                                d["coeff_fingerprint"]))
+        fingerprint = _resolve_model(cfg)[1]
+        if d["coeff_fingerprint"] != fingerprint:  # nan differs from every value
+            raise ConfigError(f"[{label}] coeff_fingerprint must be {fingerprint!r}, as a run of "
+                              f"its config gives, got {d['coeff_fingerprint']!r}")
+        reports.append(McReport(_checked_cells(label, d["cells"], cfg), cfg, wall, fingerprint))
     return reports
 
 
@@ -383,16 +387,16 @@ def _cmd_are(args) -> int:
     payload = {"distribution": args.dist, "are_ss_flm": value}
     payload.update((key, getattr(scenario, field)) for key, field in _SCENARIO_KEYS.items()
                    if getattr(scenario, field) is not None)
-    if args.p is not None:
-        payload.update(p=args.p, **asdict(radial_moments(law, args.p)))
+    if args.p is not None:  # c1^2 is the efficiency of gen_h1_model's own alternative
+        moments = radial_moments(law, args.p)
+        payload.update(p=args.p, **asdict(moments), c1_squared=moments.c1**2)
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(f"are_ss_flm: {value:.6f}")
-        if args.p is not None:
-            print(f"e_r_inv: {payload['e_r_inv']:.6g}")
-            print(f"e_r2: {payload['e_r2']:.6g}")
-            print(f"c1: {payload['c1']:.6f}")
+        for key, form in (("are_ss_flm", ".6f"), ("e_r_inv", ".6g"), ("e_r2", ".6g"),
+                          ("c1", ".6f"), ("c1_squared", ".6f")):
+            if key in payload:  # all but are_ss_flm only with --p
+                print(f"{key}: {payload[key]:{form}}")
     return 0
 
 

@@ -134,17 +134,20 @@ def _nonempty(values, name: str, error=InvalidInputError) -> tuple:
     return items
 
 
-def _lag(H, n: int) -> int:
-    """The lag window H of a call on n rows, lags 1..H, as a Python int from 1 to n - 1.
-
-    Lags past n - 1 index before the start of the sample, so they are refused.
-    A lag h = n - 1 is allowed and contributes an empty (hence zero) pair
-    sum; the normalization 1/(n - h) only breaks down at h = n.
-    """
-    H = _integer(H, "H", 1, InvalidLagError)
-    if H > n - 1:
-        raise InvalidLagError(f"H={H} too large for n={n} rows (need H <= n-1)")
+def _lag(H, n: int, error=InvalidLagError, name: str = "H") -> int:
+    """The lag window H of a call or cell on n rows, lags 1..H, as a Python int from 1 to
+    n - 2: at lag n - 1 no lag-aligned pair is left, yet it would count in sqrt(H/2)."""
+    H = _integer(H, name, 1, error)
+    if H > n - 2:
+        raise error(f"H={H} too large for n={n} rows (need H <= n-2)")
     return H
+
+
+def _windows(H_values, n: int, error=InvalidInputError, lag_error=InvalidLagError, name="H"):
+    """The distinct windows of H_values, a nonempty collection, each by _lag, in first-seen
+    order; error refuses the collection and lag_error a window."""
+    return tuple(dict.fromkeys(_lag(H, n, lag_error, name)
+                               for H in _nonempty(H_values, "H_values", error)))
 
 
 def as_signs(x) -> SignMatrix:

@@ -457,8 +457,9 @@ class H1Spec:
 class H1Metadata:
     """Population quantities of the generated alternative.
 
-    c1 = E(r) E(1/r); omega = sqrt(tr(Sigma0) / p); the traces feed the
-    closed-form power and the shifted normal limit of the sign statistic.
+    c1 = E(r) E(1/r); omega = sqrt(tr(Sigma0) / p); the traces feed the closed-form power
+    and the shifted normal limit of the sign statistic. Under this draw flm's shift has
+    moment factor 1, so the efficiency of ss relative to flm here is c1^2.
     """
 
     c1: float

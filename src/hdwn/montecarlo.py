@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._blas import _single_threaded_blas
-from .core import _fraction, _integer, _nonempty
+from .core import _fraction, _integer, _windows
 from .dgp import (
     BURN_IN,
     CovarianceKind,
@@ -63,21 +63,14 @@ _EVAL_BLOCK_BYTES = 1440 << 10
 class McConfig:
     """One experiment cell: a data-generating setup crossed with tests and lags.
 
-    Lags must satisfy H <= n-2, one less than the H <= n-1 that single calls
-    accept. The pair sum at lag h runs over pairs of the n-h lag-aligned
-    rows. At h = n-1 there is one such row and no pair, so that lag's term
-    is identically zero. A single call can still report the statistic, but
-    in a cell the sqrt(H/2) standardization would count a lag that carries
-    no information and shrink every rejection rate. H = n-2 keeps one pair
-    in the last lag.
-
     scenario, model and cov hold a ScenarioSpec, ModelSpec and CovarianceSpec; an h1 cell
     draws its radii from its scenario, and its cov is its Sigma0. Integer fields, master_seed
     too, take Python or numpy integers, never bools or floats, and are stored as int. A refusal
     is an InvalidSpecError naming its field; n and p whose draw numpy cannot index are refused.
-    A cell that builds can run, as far as is known without drawing: h1 needs p >= 2, its
-    sigma0 must be its cov and a constant radial law normal innovations, coeff must be for p,
-    and max and fc need H * p * p >= 3 at every lag. ModelSpec refuses an explosive matrix.
+    A cell that builds can run, as far as is known without drawing: each H obeys the rule of
+    single calls (core._lag), h1 needs p >= 2, its sigma0 must be its cov and a constant
+    radial law normal innovations, coeff must be for p, and max and fc need H * p * p >= 3 at
+    every lag. ModelSpec refuses an explosive matrix.
     """
 
     tests: tuple[str, ...]
@@ -105,11 +98,8 @@ class McConfig:
             object.__setattr__(self, name, _integer(getattr(self, name), name, low,
                                                     InvalidSpecError))
         _indexable(self.n, self.p, InvalidSpecError)
-        object.__setattr__(self, "H_values", tuple(dict.fromkeys(
-            _integer(h, "H in H_values", 1, InvalidSpecError)
-            for h in _nonempty(self.H_values, "H_values", InvalidSpecError))))
-        if max(self.H_values) > self.n - 2:
-            raise InvalidSpecError(f"H={max(self.H_values)} must be at most n-2 = {self.n - 2}")
+        object.__setattr__(self, "H_values", _windows(self.H_values, self.n, InvalidSpecError,
+                                                      InvalidSpecError, "H in H_values"))
         if {"max", "fc"} & set(self.tests) and not _calibrates(min(self.H_values), self.p):
             raise InvalidSpecError(f"H_values need H * p * p >= 3 for max and fc at p={self.p}")
         object.__setattr__(self, "alpha", _fraction(self.alpha, "alpha", InvalidSpecError))

@@ -41,6 +41,7 @@ from .core import (
     _pair_sums,
     _series,
     _sign_rows,
+    _windows,
     as_signs,
 )
 from .errors import (
@@ -254,7 +255,7 @@ def _test_names(tests, error) -> tuple[str, ...]:
 
 def _evaluate_block(X: np.ndarray, names, H_list) -> dict[str, list[_Entry]]:
     """One entry per series of a block X (R, n, p), by test name; fc also
-    brings flm and max. Trusts its inputs: known names, windows in 1..n-1.
+    brings flm and max. Trusts its inputs: known names, windows core._lag takes.
 
     X is the caller's own, and every kernel runs on it where it lies, each
     over the whole block. Every series gets the bits it gets alone, so no
@@ -291,7 +292,7 @@ def evaluate_tests_collect(eps, tests, H_values, alpha=0.05):
     X = _series(eps)
     alpha = _fraction(alpha, "alpha")
     names = _test_names(tests, InvalidInputError)
-    H_list = [_lag(H, len(X)) for H in _nonempty(H_values, "H_values")]
+    H_list = _windows(H_values, len(X))
 
     outcomes: dict[tuple[str, int], TestOutcome] = {}
     errors: dict[tuple[str, int], HdwnError] = {}

@@ -467,6 +467,13 @@ class TestCmdAre:
         assert payload["are_ss_flm"] == pytest.approx(are_ss_flm(MixtureNormal(0.2, 3.0)),
                                                       rel=1e-15)
 
+    def test_p_gives_the_efficiency_of_the_drawn_alternative(self, capsys):
+        # under gen_h1_model's draw flm's shift has moment factor 1, so ss's efficiency is c1^2
+        assert main(["are", "--dist", "t", "--df", "5", "--p", "200", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["c1_squared"] == payload["c1"] ** 2
+        assert round(payload["c1_squared"], 3) == 1.287
+
     def test_mixture_takes_the_scenario_defaults(self, capsys):
         # --dist mixture alone is ScenarioSpec.mixture(), as a config cell without the keys is
         assert main(["are", "--dist", "mixture", "--format", "json"]) == 0

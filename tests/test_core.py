@@ -324,17 +324,17 @@ class TestDomainTypes:
 
     @pytest.mark.parametrize("call", (hdwn.ss_test, hdwn.cross_correlations))
     def test_lag_window_validation(self, call):
-        # H is an int in 1..n-1; every other H is an InvalidLagError naming it
+        # H is an int in 1..n-2; every other H is an InvalidLagError naming it
         x = np.random.default_rng(0).standard_normal((5, 3))
         for H, phrase in ((0, "H must be an integer >= 1, got 0"),
                           (2.5, "H must be an integer >= 1, got 2.5"),
                           (True, "H must be an integer >= 1, got True"),
-                          (5, "H=5 too large for n=5 rows (need H <= n-1)")):
+                          (4, "H=4 too large for n=5 rows (need H <= n-2)")):
             with pytest.raises(InvalidLagError) as info:
                 call(x, H)
             assert str(info.value) == phrase
-        call(x, 4)
-        call(x, np.int64(4))
+        call(x, 3)
+        call(x, np.int64(3))
 
     def test_outcome_consistency_enforced(self):
         with pytest.raises(InvalidInputError):

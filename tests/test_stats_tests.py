@@ -30,6 +30,7 @@ from hdwn import (
     trace_omega2_hat,
     trace_sigma2_hat,
 )
+from hdwn.core import _pair_sums
 
 from oracles import (
     chi2_4_upper_tail,
@@ -53,9 +54,10 @@ def _outcomes_equal(a, b):
 
 class TestPairSumStatistics:
     def test_empty_pair_range_is_zero(self):
+        # at lag n - 1, which the public calls refuse, the kernel has no pair to sum
         U = sign_transform(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert ss_statistic(U, 1) == 0.0
-        assert flm_statistic(np.array([[1.0, 2.0], [3.0, 4.0]]), 1) == 0.0
+        assert _pair_sums(U.data, 1)[0] == [0.0]
+        assert _pair_sums(np.array([[1.0, 2.0], [3.0, 4.0]]), 1)[0] == [0.0]
 
     def test_single_term_expansion(self, rng):
         X = rng.standard_normal((3, 4))
@@ -80,8 +82,8 @@ class TestPairSumStatistics:
     def test_lag_beyond_sample_rejected(self, rng):
         X = rng.standard_normal((5, 2))
         with pytest.raises(InvalidLagError):
-            ss_statistic(sign_transform(X), 5)
-        ss_statistic(sign_transform(X), 4)  # H = n - 1 is the last legal window
+            ss_statistic(sign_transform(X), 4)
+        ss_statistic(sign_transform(X), 3)  # H = n - 2 is the last legal window
 
     def test_time_reversal_at_lag_one(self, rng):
         X = rng.standard_normal((9, 3))
@@ -170,7 +172,8 @@ class TestPvTest:
         assert out.standardized == out.statistic
 
     def test_empty_sum_gives_half_pvalue(self):
-        out = pv_test(np.array([[1.0, 0.0], [0.0, 1.0]]), 1, 0.05)
+        # orthogonal neighbours: the one lag-one pair product is zero
+        out = pv_test(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), 1, 0.05)
         assert out.statistic == 0.0
         assert out.p_value == 0.5
         assert not out.reject
@@ -239,7 +242,7 @@ class TestStreamedMaxKernel:
     def _lag_windows(n, p):
         # every legal window on small shapes; the (H, p, p) reference array
         # limits the wide shapes to short windows
-        return tuple(range(1, n)) if p * p * n <= 200_000 else (1, 2, 3)
+        return tuple(range(1, n - 1)) if p * p * n <= 200_000 else (1, 2, 3)
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
     def test_outcomes_equal_full_array_reduction(self, shape):
@@ -350,23 +353,24 @@ class TestPackedPairKernel:
          (7, 2, (2, 3)), (9, 4, ())),
     )
     def test_pair_sums_and_traces_match_naive_loops(self, n, p, zero_rows):
-        # every H in 1..n-1, so lags longer than the short superdiagonals
-        # (and straddling products) occur on every shape with n >= 3
+        # the kernel at every lag in 1..n-1, so lags longer than the short
+        # superdiagonals (and straddling products) occur on every shape with
+        # n >= 3; each public window, 1..n-2, is the kernel's partial sum
         X = self._series(n, p, zero_rows)
         U = sign_transform(X)
         for statistic, data, rows in ((ss_statistic, U, U.data), (flm_statistic, X, X)):
+            partials = _pair_sums(rows, n - 1)[0]
             for H in range(1, n):
                 slow = naive_lagged_pair_sum([list(r) for r in rows], H)
-                fast = statistic(data, H)
+                fast = partials[H - 1]
                 assert abs(fast - slow) <= 1e-12 * max(1.0, abs(slow)), (H, fast, slow)
+            assert [statistic(data, H) for H in range(1, n - 1)] == partials[:-1]
         tr_omega = naive_trace_omega2([list(r) for r in U.data])
         tr_sigma = naive_trace_sigma2([list(r) for r in X])
         assert abs(trace_omega2_hat(U) - tr_omega) <= 1e-12 * max(1.0, tr_omega)
         assert abs(trace_sigma2_hat(X) - tr_sigma) <= 1e-12 * max(1.0, tr_sigma)
 
     def test_every_lag_of_the_packed_kernel_matches_the_naive_loop(self):
-        from hdwn.core import _pair_sums
-
         n = 11
         X = self._series(n, 3, zero_rows=(4,))
         rows = [list(r) for r in X]
@@ -375,7 +379,7 @@ class TestPackedPairKernel:
             slow = naive_lagged_pair_sum(rows, H)
             assert abs(partials[H - 1] - slow) <= 1e-12 * max(1.0, abs(slow)), H
 
-    @pytest.mark.parametrize("windows", ((1, 4, 19), (2, 7), (19, 3, 1)))
+    @pytest.mark.parametrize("windows", ((1, 4, 18), (2, 7), (18, 3, 1)))
     def test_evaluator_equals_single_calls_at_any_window(self, windows):
         X = derive_rng(41, "packed-windows").standard_t(3, size=(20, 6))
         tests = ("ss", "flm", "pv", "fc")
@@ -614,8 +618,8 @@ class TestBlockEvaluation:
 
     @staticmethod
     def _windows(n):
-        # the longest window, n - 1, only on short series: it runs n - 1 lags
-        return [w for w in ((1, 2, 3), (3, 1), (2,), (n - 1, 1)) if max(w) <= min(n - 1, 11)]
+        # the longest window, n - 2, only on short series: it runs n - 2 lags
+        return [w for w in ((1, 2, 3), (3, 1), (2,), (n - 2, 1)) if max(w) <= min(n - 2, 11)]
 
     @staticmethod
     def _assert_rows_match_single_calls(X, windows, found):

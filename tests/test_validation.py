@@ -32,6 +32,7 @@ from hdwn import (
     H1Spec,
     HdwnError,
     InvalidInputError,
+    InvalidLagError,
     InvalidSpecError,
     McCell,
     McConfig,
@@ -52,12 +53,16 @@ from hdwn import (
     derive_seed,
     evaluate_tests,
     evaluate_tests_collect,
+    fc_test,
     flm_statistic,
+    flm_test,
     gen_coeff,
     gen_h1_model,
     gen_series,
+    max_test,
     normal_upper_quantile,
     normal_upper_tail,
+    pv_test,
     radial_moments,
     run_experiment,
     sign_transform,
@@ -73,6 +78,7 @@ from hdwn.cli import (
     read_series_csv,
     reports_from_dict,
 )
+from hdwn.core import _windows
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hdwn"
 
@@ -429,6 +435,19 @@ def test_thread_count_has_one_channel_per_surface():
     assert _owners('"threads"') == ["montecarlo.McConfig.__post_init__"] * 2
 
 
+def test_lag_window_rule_has_one_owner():
+    # core._lag states H <= n-2 for every single call and for McConfig
+    assert _owners("too large for n") == ["core._lag"]
+    assert [path.name for path in sorted(SRC.glob("*.py")) if path.stem != "core"
+            and ("n - 2" in (text := path.read_text()) or "n-2" in text)] == []
+
+
+def test_windows_are_distinct_in_first_seen_order():
+    assert _windows((2, 2, 1), len(SERIES)) == (2, 1)
+    outcomes, errors = evaluate_tests_collect(SERIES, ("ss",), (2, 2, 1))
+    assert list(outcomes) == [("ss", 2), ("ss", 1)] and not errors
+
+
 def test_calibration_predicate_has_one_owner():
     assert _owners("_calibrates(") == [
         "montecarlo.McConfig.__post_init__", "stats_tests._calibrates", "stats_tests._max_results"]
@@ -726,6 +745,18 @@ REFUSALS = {
                            "model must be a ModelSpec, got str"),
     "McConfig.cov-ndarray": (lambda _: _config(cov=np.eye(3)), InvalidSpecError,
                              "cov must be a CovarianceSpec, got ndarray"),
+    # every windowed call and McConfig refuse lag n - 1 by the one rule of core._lag
+    **{f"{call.__name__}.H-n-1": (lambda _, call=call: call(SERIES, 11), InvalidLagError,
+                                  "H=11 too large for n=12 rows (need H <= n-2)")
+       for call in (flm_statistic, cross_correlations, ss_test, flm_test, pv_test, max_test,
+                    fc_test)},
+    "ss_statistic.H-n-1": (lambda _: ss_statistic(sign_transform(SERIES), 11), InvalidLagError,
+                           "H=11 too large for n=12 rows (need H <= n-2)"),
+    "evaluate_tests_collect.H-n-1": (
+        lambda _: evaluate_tests_collect(SERIES, ("ss",), (1, 11)), InvalidLagError,
+        "H=11 too large for n=12 rows (need H <= n-2)"),
+    "McConfig.H-n-1": (lambda _: _config(H_values=(1, 9)), InvalidSpecError,
+                       "H=9 too large for n=10 rows (need H <= n-2)"),
     # a collection is iterable and not a string; a 0-d array is neither
     "evaluate_tests.tests-0d": (lambda _: evaluate_tests(SERIES, np.array("ss"), (1,)),
                                 InvalidInputError, "tests must be a nonempty collection"),
@@ -768,6 +799,17 @@ REFUSALS = {
     "reports_from_dict.mc_se": (lambda _: _read_cell(mc_se=0.25), ConfigError,
                                 "[c] ss@H1 mc_se must be sqrt(rate * (1 - rate) / reps) = "
                                 "0.3535533905932738, got 0.25"),
+    # a report's coeff_fingerprint is the one a run of its config gives
+    "reports_from_dict.fingerprint-text": (lambda _: _read(coeff_fingerprint="abc"), ConfigError,
+                                           "[c] coeff_fingerprint must be None, as a run of its "
+                                           "config gives, got 'abc'"),
+    "reports_from_dict.fingerprint-on-iid": (lambda _: _read(coeff_fingerprint=0.5),
+                                             ConfigError, "[c] coeff_fingerprint must be None, "
+                                             "as a run of its config gives, got 0.5"),
+    "reports_from_dict.fingerprint-wrong": (lambda _: _read(
+        config={**_json_report()["config"], "model": "var1", "coeff": "dense"},
+        coeff_fingerprint=1.0), ConfigError, "[c] coeff_fingerprint must be 0.05679458502948424, "
+        "as a run of its config gives, got 1.0"),
     "reports_from_dict.wall-time-negative": (lambda _: _read(wall_time_s=-1.0), ConfigError,
                                              "[c] wall_time_s must be >= 0, got -1.0"),
     "reports_from_dict.wall-time-infinite": (lambda _: _read(wall_time_s=math.inf), ConfigError,
@@ -860,4 +902,5 @@ def test_are_prints_finite_p_moments_as_text(capsys):
     moments = radial_moments(MixtureNormal(0.5, 2.0), 100)
     assert capsys.readouterr().out.splitlines() == [
         f"are_ss_flm: {are_ss_flm(MixtureNormal(0.5, 2.0)):.6f}",
-        f"e_r_inv: {moments.e_r_inv:.6g}", f"e_r2: {moments.e_r2:.6g}", f"c1: {moments.c1:.6f}"]
+        f"e_r_inv: {moments.e_r_inv:.6g}", f"e_r2: {moments.e_r2:.6g}", f"c1: {moments.c1:.6f}",
+        f"c1_squared: {moments.c1**2:.6f}"]
