@@ -43,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import stats_tests
 from .core import _floats, _integer, _real
 from .dgp import (
     CoeffSpec,
@@ -64,7 +65,6 @@ from .errors import (
 )
 from .montecarlo import McCell, McConfig, McReport, _resolve_model, run_experiment
 from .power_theory import are_ss_flm, radial_moments
-from .stats_tests import TEST_NAMES, evaluate_tests
 
 __all__ = ["entry", "main", "read_series_csv", "reports_from_dict"]
 
@@ -323,8 +323,7 @@ def _cmd_test(args) -> int:
     X = read_series_csv(args.input)
     if np.all(X == X[0]):
         raise DegenerateDataError("series is constant over time; nothing to test")
-    key = (args.test, args.lags)
-    outcome = evaluate_tests(X, (args.test,), (args.lags,), args.alpha)[key]
+    outcome = getattr(stats_tests, f"{args.test}_test")(X, args.lags, args.alpha)
     payload = {
         "test": args.test,
         "n": X.shape[0],
@@ -409,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="run one test on a CSV series")
     p_test.add_argument("--input", required=True, help="CSV file, rows are time points")
-    p_test.add_argument("--test", required=True, choices=TEST_NAMES)
+    p_test.add_argument("--test", required=True, choices=stats_tests.TEST_NAMES)
     p_test.add_argument("--lags", type=int, default=1, help="lag window H")
     p_test.add_argument("--alpha", type=float, default=0.05)
     p_test.add_argument("--format", choices=("text", "json"), default="text")

@@ -23,6 +23,7 @@ from .errors import (
     InsufficientSampleError,
     InvalidInputError,
     InvalidLagError,
+    InvalidSpecError,
 )
 
 __all__ = [
@@ -123,6 +124,13 @@ def _fraction(value, name: str, error=InvalidInputError) -> float:
     if not 0.0 < x < 1.0:
         raise error(f"{name} must lie strictly between 0 and 1, got {value!r}")
     return x
+
+
+def _typed(value, kind: type, name: str) -> None:
+    """Refuse a spec field's value unless it is a kind, naming the field and the value's type."""
+    if not isinstance(value, kind):
+        a = "an" if kind.__name__[0] in "AEHIO" else "a"  # an H1Spec
+        raise InvalidSpecError(f"{name} must be {a} {kind.__name__}, got {type(value).__name__}")
 
 
 def _nonempty(values, name: str, error=InvalidInputError) -> tuple:

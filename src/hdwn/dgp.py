@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from ._blas import _single_threaded_blas
-from .core import _floats, _fraction, _integer, _real
+from .core import _floats, _fraction, _integer, _real, _typed
 from .errors import (
     ExplosiveModelError,
     InvalidInputError,
@@ -66,6 +66,13 @@ def derive_rng(master_seed: int, *path) -> np.random.Generator:
 def derive_seed(master_seed: int, *path) -> int:
     """Deterministic child seed for (master_seed, path), as a plain integer."""
     return int(_seed_sequence(master_seed, path).generate_state(1, np.uint64)[0])
+
+
+def _stream(seed, tag: str) -> np.random.Generator:
+    """A Generator seed as is, consumed by its caller, or the stream (seed, tag) of an
+    integer seed >= 0: the one reading of a generator's seed."""
+    given = isinstance(seed, np.random.Generator)
+    return seed if given else derive_rng(_integer(seed, "seed", 0), tag)
 
 
 def _seed_sequence(master_seed, path) -> np.random.SeedSequence:
@@ -239,13 +246,11 @@ class CoeffSpec:
 
 
 def gen_coeff(spec: CoeffSpec, seed) -> np.ndarray:
-    """Draw the coefficient matrix described by a CoeffSpec from a Generator, consumed
-    as is, or from np.random.default_rng of an integer seed >= 0."""
-    if not isinstance(seed, np.random.Generator):
-        seed = np.random.default_rng(_integer(seed, "seed", 0))
+    """The matrix of a CoeffSpec drawn from a Generator, consumed as is, or from the stream
+    (seed, "coeff") of an integer seed >= 0, as gen_series and run_experiment draw it."""
     m, low, high = spec.block()
     A = np.zeros((spec.p, spec.p))
-    A[:m, :m] = seed.uniform(low, high, size=(m, m))
+    A[:m, :m] = _stream(seed, "coeff").uniform(low, high, size=(m, m))
     return A
 
 
@@ -292,6 +297,8 @@ class ModelSpec:
         object.__setattr__(self, "kind", _member(ModelKind, self.kind))
         if (self.h1 is None) is (self.kind is ModelKind.H1_SIGN):
             raise InvalidSpecError("h1 model needs an H1Spec, which no other model takes")
+        if self.h1 is not None:
+            _typed(self.h1, H1Spec, "h1")
         if (self.coeff is None) is (self.kind not in (ModelKind.IID, ModelKind.H1_SIGN)):
             need = "needs a" if self.coeff is None else "takes no"
             raise InvalidSpecError(f"{self.kind.value} model {need} coefficient matrix")
@@ -323,19 +330,15 @@ def gen_series(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int, seed,
     One draw of _series_sampler, returned as the fresh (n, p) float array it
     made, which the caller owns. Innovations come from the scenario with
     identity scatter unless innov_cov is given; h1 refuses it for its sigma0.
-    A Generator seed is consumed sequentially, coefficients first. An
-    integer seed draws h1 rows from (seed, "h1"), and otherwise draws a
-    CoeffSpec's coefficients from (seed, "coeff") and innovations from
-    (seed, "innov"); an explicit matrix is used as given.
+    A CoeffSpec's matrix is gen_coeff's draw from the same seed, and an explicit one is
+    used as given. A Generator seed is then consumed for the rows, and an integer one
+    draws them from (seed, "h1") or (seed, "innov").
     """
     n, p = _indexable(_integer(n, "n", 2), _integer(p, "p", 1))
-    given = isinstance(seed, np.random.Generator)
     if isinstance(model.coeff, CoeffSpec):  # fixed as run_experiment fixes them
-        model = replace(model, coeff=gen_coeff(model.coeff,
-                                               seed if given else derive_rng(seed, "coeff")))
-    if not given:
-        seed = derive_rng(seed, "h1" if model.kind is ModelKind.H1_SIGN else "innov")
-    return _series_sampler(model, scenario, n, p, innov_cov)([seed])[0]
+        model = replace(model, coeff=gen_coeff(model.coeff, seed))
+    rng = _stream(seed, "h1" if model.kind is ModelKind.H1_SIGN else "innov")
+    return _series_sampler(model, scenario, n, p, innov_cov)([rng])[0]
 
 
 def _series_sampler(model: ModelSpec, scenario: ScenarioSpec, n: int, p: int,
@@ -444,9 +447,7 @@ class H1Spec:
 
     def __post_init__(self):
         object.__setattr__(self, "radial", _member(RadialKind, self.radial))
-        if not isinstance(self.sigma0, CovarianceSpec):
-            raise InvalidSpecError(f"sigma0 must be a CovarianceSpec, "
-                                   f"got {type(self.sigma0).__name__}")
+        _typed(self.sigma0, CovarianceSpec, "sigma0")
         if (value := self.sigma1_scale) is not None:
             object.__setattr__(self, "sigma1_scale", _real(value, "sigma1_scale", InvalidSpecError))
             if not self.sigma1_scale >= 0.0:
@@ -525,14 +526,12 @@ def gen_h1_model(spec: H1Spec, n: int, p: int, seed,
                  scenario: ScenarioSpec | None = None) -> tuple[np.ndarray, H1Metadata]:
     """Generate the lag-one alternative and report its population constants.
 
-    The rows, a fresh (n, p) float array the caller owns, are drawn as
-    _series_sampler draws them for the scenario, normal if None, from seed
-    or from (seed, "h1"). c1 is 1 for the constant law and
-    otherwise radial_moments' closed form for the law of the radii.
+    The rows, a fresh (n, p) float array the caller owns, are gen_series' draw of an h1
+    model for the scenario, normal if None, from the same seed. c1 is 1 for the constant
+    law and otherwise radial_moments' closed form for the law of the radii.
     """
     Sigma0, tau, law, rows = _h1_setup(spec, scenario or ScenarioSpec.normal(), n, p)
-    rng = derive_rng(seed, "h1") if not isinstance(seed, np.random.Generator) else seed
-    eps = _draw_block(ModelKind.H1_SIGN, None, 0, rows, n, p, [rng])[0]
+    eps = _draw_block(ModelKind.H1_SIGN, None, 0, rows, n, p, [_stream(seed, "h1")])[0]
     c1 = 1.0 if law is None else radial_moments(law, p).c1
     tr_s0 = float(np.trace(Sigma0))
     return eps, H1Metadata(

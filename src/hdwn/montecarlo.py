@@ -3,7 +3,7 @@
 Each replication derives its own random stream from (master_seed, "rep", r),
 so a report is a pure function of its config and never depends on the number
 of worker threads. The coefficient matrix of a temporal model is drawn once
-per experiment from the (master_seed, "coeff") stream and held fixed across
+per experiment, by gen_coeff from the master seed, and held fixed across
 replications. Each executor task draws one block of series into one array,
 runs every kernel once on it, and reads the reject flags from the results.
 """
@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._blas import _single_threaded_blas
-from .core import _fraction, _integer, _windows
+from .core import _fraction, _integer, _typed, _windows
 from .dgp import (
     BURN_IN,
     CovarianceKind,
@@ -89,9 +89,7 @@ class McConfig:
     def __post_init__(self):
         for name, spec in (("scenario", ScenarioSpec), ("model", ModelSpec),
                            ("cov", CovarianceSpec)):
-            if not isinstance(value := getattr(self, name), spec):
-                raise InvalidSpecError(f"{name} must be a {spec.__name__}, "
-                                       f"got {type(value).__name__}")
+            _typed(getattr(self, name), spec, name)
         object.__setattr__(self, "tests", _test_names(self.tests, InvalidSpecError))
         h1 = self.model.h1  # None unless the model is h1
         for name, low in (("n", 4), ("p", 2 if h1 else 1), ("reps", 1), ("master_seed", 0)):
@@ -157,11 +155,11 @@ def _auto_threads() -> int:
 
 
 def _resolve_model(cfg: McConfig) -> tuple[ModelSpec, float | None]:
-    """Fix the coefficient matrix once per experiment, tagged off the master seed."""
+    """Fix the coefficient matrix once per experiment: gen_coeff's draw for the master seed."""
     model = cfg.model
     if model.coeff is None:
         return model, None
-    A = resolve_coeff(model, derive_rng(cfg.master_seed, "coeff"))
+    A = resolve_coeff(model, cfg.master_seed)
     return replace(model, coeff=A), float((A * A).sum())
 
 

@@ -191,7 +191,9 @@ def are_ss_flm(dist: RadialDistribution) -> float:
     shift carries E^2(r)/E(r^2). Under gen_h1_model's own draw flm's shift
     has no moment factor, so that alternative's efficiency is c1^2: at
     p = 200, 1.287 for t(5) and 1.480 for the default mixture, where this
-    function gives 1.509 and 1.953.
+    function gives 1.509 and 1.953. An efficiency that overflows a float is refused.
     """
     e_w_inv, e_w2, _ = _scale_moments(dist)
-    return e_w_inv * e_w_inv * e_w2
+    if not (are := e_w_inv * e_w_inv * e_w2) < math.inf:
+        raise InvalidInputError(f"the efficiency E^2(1/w) E(w^2) of {dist!r} overflows a float")
+    return are

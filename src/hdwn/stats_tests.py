@@ -53,7 +53,6 @@ from .errors import (
 __all__ = [
     "TEST_NAMES",
     "cross_correlations",
-    "evaluate_tests",
     "evaluate_tests_collect",
     "fc_test",
     "flm_statistic",
@@ -286,8 +285,8 @@ def evaluate_tests_collect(eps, tests, H_values, alpha=0.05):
     and to the same series in any block. Returns (outcomes, errors), both
     keyed by (test, H) in request order; a pair that cannot be standardized
     or calibrated lands in errors alone. The inputs are checked here, the
-    series into the copy the evaluator overwrites; evaluate_tests and the
-    five tests pass theirs through unchecked.
+    series into the copy the evaluator overwrites; the five tests pass
+    theirs through unchecked.
     """
     X = _series(eps)
     alpha = _fraction(alpha, "alpha")
@@ -308,18 +307,12 @@ def evaluate_tests_collect(eps, tests, H_values, alpha=0.05):
     return outcomes, errors
 
 
-def evaluate_tests(eps, tests, H_values, alpha=0.05):
-    """Strict variant of evaluate_tests_collect: raises the first failure in
-    request order."""
-    outcomes, errors = evaluate_tests_collect(eps, tests, H_values, alpha)
+def _single(eps, name: str, H, alpha: float) -> TestOutcome:
+    """One test at one window: evaluate_tests_collect's one outcome, or its one error raised."""
+    outcomes, errors = evaluate_tests_collect(eps, (name,), (H,), alpha)
     if errors:
         raise next(iter(errors.values()))
-    return outcomes
-
-
-def _single(eps, name: str, H, alpha: float) -> TestOutcome:
-    (outcome,) = evaluate_tests(eps, (name,), (H,), alpha).values()
-    return outcome
+    return outcomes[name, H]
 
 
 def ss_test(eps, H, alpha=0.05) -> TestOutcome:

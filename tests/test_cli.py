@@ -474,6 +474,13 @@ class TestCmdAre:
         assert payload["c1_squared"] == payload["c1"] ** 2
         assert round(payload["c1_squared"], 3) == 1.287
 
+    def test_an_efficiency_past_the_largest_float_exits_two(self, capsys):
+        # JSON has no infinity, yet E^2(1/w) = inf at sigma = 1e-160 was printed as Infinity
+        assert main(["are", "--dist", "mixture", "--mixture-scale", "1e-320", "--format",
+                     "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "overflows a float" in captured.err
+
     def test_mixture_takes_the_scenario_defaults(self, capsys):
         # --dist mixture alone is ScenarioSpec.mixture(), as a config cell without the keys is
         assert main(["are", "--dist", "mixture", "--format", "json"]) == 0

@@ -153,6 +153,25 @@ class TestCoeff:
         assert np.count_nonzero(A) == m * m
         assert np.all(np.abs(A) < half)
 
+    @pytest.mark.parametrize("regime", ("dense", "sparse"))
+    def test_an_integer_seed_draws_one_matrix_for_every_caller(self, regime):
+        # gen_coeff, gen_series and run_experiment read an integer seed by one rule
+        from hdwn import McConfig
+        from hdwn.montecarlo import _resolve_model
+
+        spec, scenario = CoeffSpec(regime, 40), ScenarioSpec.student_t(5)
+        for seed in (0, 5, 2**40):
+            A = gen_coeff(spec, seed)
+            assert A.tobytes() == gen_coeff(spec, derive_rng(seed, "coeff")).tobytes()
+            for kind in ("var1", "vma1", "varma1"):
+                drawn = gen_series(ModelSpec(kind, coeff=spec), scenario, 30, 40, seed)
+                given = gen_series(ModelSpec(kind, coeff=A), scenario, 30, 40, seed)
+                assert drawn.tobytes() == given.tobytes()
+                cfg = McConfig(("ss",), scenario, ModelSpec(kind, coeff=spec),
+                               CovarianceSpec("identity", 40), n=30, p=40, H_values=(1,),
+                               reps=1, master_seed=seed)
+                assert _resolve_model(cfg)[0].coeff.tobytes() == A.tobytes()
+
 
 # SHA-256 of gen_series output over VAR(1)/VMA(1)/VARMA(1) models, and apart
 # of gen_h1_model output, up to p = 200. On OpenBLAS's SkylakeX kernels, two

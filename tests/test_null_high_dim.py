@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from hdwn import ModelSpec, ScenarioSpec, derive_rng, evaluate_tests, gen_series
+from hdwn import ModelSpec, ScenarioSpec, derive_rng, evaluate_tests_collect, gen_series
 
 SEED = 0
 REPS = 1500
@@ -41,7 +41,9 @@ def outcomes():
         for r in range(REPS):
             X = gen_series(ModelSpec("iid"), FAMILIES[family], n, p,
                            derive_rng(SEED, "null-p>n", family, n, p, r))
-            for (test, H), out in evaluate_tests(X, TESTS, WINDOWS, ALPHA).items():
+            outcomes, errors = evaluate_tests_collect(X, TESTS, WINDOWS, ALPHA)
+            assert not errors
+            for (test, H), out in outcomes.items():
                 found[(n, p), family, test, H][r] = out.standardized, out.reject
     return found
 

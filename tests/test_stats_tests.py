@@ -16,7 +16,6 @@ from hdwn import (
     SignMatrix,
     cross_correlations,
     derive_rng,
-    evaluate_tests,
     evaluate_tests_collect,
     fc_test,
     flm_statistic,
@@ -481,7 +480,8 @@ class TestFcTest:
 class TestEvaluator:
     def test_bitwise_equal_to_single_calls(self, rng):
         X = rng.standard_normal((40, 8))
-        combined = evaluate_tests(X, ("ss", "flm", "pv", "max", "fc"), (1, 2, 3), 0.05)
+        combined, errors = evaluate_tests_collect(X, TEST_NAMES, (1, 2, 3), 0.05)
+        assert not errors
         singles = {
             ("ss", H): ss_test(X, H, 0.05) for H in (1, 2, 3)
         }
@@ -509,19 +509,17 @@ class TestEvaluator:
         with pytest.raises(InvalidInputError):
             evaluate_tests_collect(X, tests, H_values, alpha)
 
-    def test_strict_raises_on_failure(self):
-        with pytest.raises(DegenerateDataError):
-            evaluate_tests(np.eye(6), ("ss",), (1,), 0.05)
-
-    def test_strict_raises_the_first_failure_in_request_order(self):
-        # orthogonal rows degenerate ss; the zero column degenerates max
+    def test_single_calls_raise_the_error_collect_files(self):
+        # orthogonal rows degenerate ss; the zero column degenerates max, and fc through it
         X = np.hstack([np.eye(6), np.zeros((6, 1))])
-        with pytest.raises(DegenerateDataError, match="correlations undefined"):
-            evaluate_tests(X, ("max", "ss"), (1, 2), 0.05)
-        with pytest.raises(DegenerateDataError, match="sign products all vanish"):
-            evaluate_tests(X, ("ss", "max"), (1, 2), 0.05)
-        _, errors = evaluate_tests_collect(X, ("max", "ss"), (2, 1), 0.05)
-        assert list(errors) == [("max", 2), ("max", 1), ("ss", 2), ("ss", 1)]
+        _, errors = evaluate_tests_collect(X, ("max", "ss", "fc"), (2, 1), 0.05)
+        assert list(errors) == [(name, H) for name in ("max", "ss", "fc") for H in (2, 1)]
+        for name, test, phrase in (("max", max_test, "zero-variance column"),
+                                   ("ss", ss_test, "sign products all vanish"),
+                                   ("fc", fc_test, "zero-variance column")):
+            with pytest.raises(DegenerateDataError, match=phrase) as info:
+                test(X, 1, 0.05)
+            assert str(info.value) == str(errors[(name, 1)])
 
 
 class TestRawScaleOverflow:
@@ -580,7 +578,6 @@ class TestRawScaleOverflow:
                                             SignMatrix)},
         "spatial_sign": lambda x: spatial_sign(x[0]),
         "evaluate_tests_collect": lambda x: evaluate_tests_collect(x, TEST_NAMES, (1, 2)),
-        "evaluate_tests": lambda x: evaluate_tests(x, TEST_NAMES, (1, 2)),
     }
 
     @pytest.mark.parametrize("scale", (1e77, 1e155, 1e160))

@@ -51,7 +51,6 @@ from hdwn import (
     cross_correlations,
     derive_rng,
     derive_seed,
-    evaluate_tests,
     evaluate_tests_collect,
     fc_test,
     flm_statistic,
@@ -313,6 +312,9 @@ def _owners(phrase: str, files: str = "*.py") -> list[str]:
 
 def test_each_kind_of_input_is_checked_in_one_place():
     assert _owners("strictly between 0 and 1") == ["core._fraction"]
+    assert _owners("got {type(") == ["core._typed"]
+    assert _owners("_typed(") == ["core._typed", "dgp.ModelSpec.__post_init__",
+                                  "dgp.H1Spec.__post_init__", "montecarlo.McConfig.__post_init__"]
     assert _owners("(int, np.integer)") == ["core._integer"]
     assert _owners("not in TEST_NAMES") == ["stats_tests._test_names"]
     assert _owners("non-finite entries") == ["core._floats"]
@@ -330,6 +332,18 @@ def test_each_input_has_one_form_and_each_job_one_name():
             if path.suffix in (".py", ".cfg") and removed.search(path.read_text())] == []
     # one builder makes each McConfig the CLI reads, from a config file or a results.json
     assert _owners("McConfig(", "cli.py") == ["cli._build_config"]
+
+
+def test_an_integer_seed_is_read_by_one_rule():
+    # dgp._stream alone turns a generator's integer seed into a stream, and gen_coeff alone
+    # names the coefficient stream, through which gen_series and run_experiment draw
+    assert _owners("np.random.Generator)") == ["dgp._stream"]
+    assert _owners("default_rng(") == ["dgp.derive_rng"]
+    assert _owners("_stream(") == ["dgp._stream", "dgp.gen_coeff", "dgp.gen_series",
+                                   "dgp.gen_h1_model"]
+    assert _owners('"coeff")', "dgp.py") == ["dgp.gen_coeff"] * 2
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if re.search(r'derive_rng\([^)]*"coeff"', path.read_text())] == []
 
 
 @pytest.mark.parametrize("part", (True, -1, 1.0, 2**32), ids=repr)
@@ -361,7 +375,7 @@ _WINDOWED = ("ss_statistic", "flm_statistic", "cross_correlations", "ss_test", "
 
 
 @pytest.mark.parametrize("name", ("SignMatrix", "sign_transform",
-                                  "trace_omega2_hat", "trace_sigma2_hat", "evaluate_tests",
+                                  "trace_omega2_hat", "trace_sigma2_hat",
                                   "evaluate_tests_collect", *_WINDOWED))
 def test_every_public_call_refuses_a_ragged_series(name):
     args = (1,) if name in _WINDOWED else (("ss",), (1,)) if name.startswith("evaluate") else ()
@@ -611,6 +625,11 @@ REFUSALS = {
     "ModelSpec.h1": (lambda _: ModelSpec("h1"), InvalidSpecError, "H1Spec"),
     "ModelSpec.h1-on-iid": (lambda _: ModelSpec("iid", h1=H1Spec(CovarianceSpec("identity", 3))),
                             InvalidSpecError, "H1Spec"),
+    # an h1 model's h1 is an H1Spec, checked by the one check of McConfig's specs and sigma0
+    "ModelSpec.h1-str": (lambda _: ModelSpec("h1", h1="x"), InvalidSpecError,
+                         "h1 must be an H1Spec, got str"),
+    "ModelSpec.h1-covariance-spec": (lambda _: ModelSpec("h1", h1=CovarianceSpec("identity", 3)),
+                                     InvalidSpecError, "h1 must be an H1Spec, got CovarianceSpec"),
     "ModelSpec.coeff-missing": (lambda _: ModelSpec("var1"), InvalidSpecError,
                                 "coefficient matrix"),
     "ModelSpec.coeff-not-square": (lambda _: ModelSpec("var1", coeff=np.zeros((2, 3))),
@@ -689,6 +708,12 @@ REFUSALS = {
                             "unsupported distribution"),
     "are_ss_flm.dist": (lambda _: are_ss_flm(object()), InvalidInputError,
                         "unsupported distribution"),
+    # E^2(1/w) or E(w^2) past the largest float: no inf for `hdwn are` to print as JSON
+    "are_ss_flm.overflow-small-sigma": (lambda _: are_ss_flm(MixtureNormal(0.5, 1e-200)),
+                                        InvalidInputError, "E^2(1/w) E(w^2) of MixtureNormal("
+                                        "v=0.5, sigma=1e-200) overflows a float"),
+    "are_ss_flm.overflow-large-sigma": (lambda _: are_ss_flm(MixtureNormal(0.5, 1e160)),
+                                        InvalidInputError, "overflows a float"),
     "flm_statistic.overflow": (lambda _: flm_statistic(HUGE, 2), DegenerateDataError,
                                "pairwise inner products overflow"),
     "trace_sigma2_hat.overflow": (lambda _: trace_sigma2_hat(HUGE), DegenerateDataError,
@@ -758,8 +783,8 @@ REFUSALS = {
     "McConfig.H-n-1": (lambda _: _config(H_values=(1, 9)), InvalidSpecError,
                        "H=9 too large for n=10 rows (need H <= n-2)"),
     # a collection is iterable and not a string; a 0-d array is neither
-    "evaluate_tests.tests-0d": (lambda _: evaluate_tests(SERIES, np.array("ss"), (1,)),
-                                InvalidInputError, "tests must be a nonempty collection"),
+    "evaluate_tests_collect.tests-0d": (lambda _: evaluate_tests_collect(
+        SERIES, np.array("ss"), (1,)), InvalidInputError, "tests must be a nonempty collection"),
     "McConfig.H_values-0d": (lambda _: _config(H_values=np.array(2)), InvalidSpecError,
                              "H_values must be a nonempty collection"),
     # results.json holds a report's label, its config keys and its cells, each checked
